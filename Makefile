@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench sched-bench bench-compare remote-bench remote-bench-compare obs-smoke obs-bench cluster-smoke trace-smoke stm-bench stm-bench-compare stm-smoke diag-smoke top-smoke sample-bench vm-bench vm-bench-compare vm-smoke vm-fuzz clean
+.PHONY: all build vet test race check bench sched-bench bench-compare remote-bench remote-bench-compare obs-smoke obs-bench cluster-smoke trace-smoke stm-bench stm-bench-compare stm-smoke diag-smoke top-smoke sample-bench vm-bench vm-bench-compare vm-smoke vm-fuzz stingmark-smoke clean
 
 all: check
 
@@ -118,6 +118,12 @@ vm-smoke:
 # plain `go test`; this searches for new divergences).
 vm-fuzz:
 	$(GO) test -run FuzzEngines -fuzz FuzzEngines -fuzztime 15s ./internal/scheme/
+
+# stingmark is its own module, which `go test ./...` at the root does not
+# descend into: run its smoke test (every workload at the small shape, the
+# negative controls, BENCHMARK.json in step with the code).
+stingmark-smoke:
+	cd benchmark && $(GO) test ./...
 
 # The metric-collection overhead ablation (EXPERIMENTS.md): the remote
 # ping-pong with the per-op latency histograms on vs off.

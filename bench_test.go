@@ -9,11 +9,13 @@ package sting
 //	go test -bench=Ablation .              # the §3.3/§4.x ablations
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/tspace"
 )
 
 // benchEnv boots the paper's measurement configuration (1 VP, unified LIFO
@@ -176,6 +178,50 @@ func benchTSBins(b *testing.B, bins int) {
 
 func BenchmarkAblationTSpaceGlobalLock(b *testing.B) { benchTSBins(b, 1) }
 func BenchmarkAblationTSpacePerBinLock(b *testing.B) { benchTSBins(b, 64) }
+
+// BenchmarkHashProbeDepth is the probe cost against resident depth: depth
+// tuples under one key in a KindHash space, then a hit (TryGet of the oldest
+// plus the Put that restores the depth) or a miss (TryGet of a value no
+// tuple carries, which inspects the whole bin).
+//
+//	go test -run '^$' -bench HashProbeDepth -benchmem .
+func BenchmarkHashProbeDepth(b *testing.B) {
+	for _, depth := range []int{1, 64, 2048} {
+		for _, mode := range []string{"hit", "miss"} {
+			b.Run(fmt.Sprintf("depth=%d/%s", depth, mode), func(b *testing.B) {
+				ts := tspace.New(tspace.KindHash, tspace.Config{})
+				benchEnv(b, func(ctx *core.Context, n int) error {
+					for i := 0; i < depth; i++ {
+						if err := ts.Put(ctx, tspace.Tuple{"k", int64(i)}); err != nil {
+							return err
+						}
+					}
+					tpl := tspace.Template{"k", tspace.F("n")}
+					if mode == "miss" {
+						tpl = tspace.Template{"k", int64(-1)}
+					}
+					b.ResetTimer()
+					for i := 0; i < n; i++ {
+						_, bind, err := ts.TryGet(ctx, tpl)
+						if mode == "miss" {
+							if err != tspace.ErrNoMatch {
+								return fmt.Errorf("miss probe: %v", err)
+							}
+							continue
+						}
+						if err != nil {
+							return err
+						}
+						if err := ts.Put(ctx, tspace.Tuple{"k", bind["n"]}); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+			})
+		}
+	}
+}
 
 // Storage-model recycling ablation.
 

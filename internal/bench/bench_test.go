@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -132,6 +133,29 @@ func TestTSLockAblationRuns(t *testing.T) {
 		if r.Ops != 200 {
 			t.Errorf("ops = %d", r.Ops)
 		}
+	}
+}
+
+// TestSchedTuplePerOpFlatInLength: producers that outrun their consumers
+// leave a backlog as deep as the run is long, and a probe used to cost that
+// depth — 25× the ops cost 40× per op (stingmark observation 1). With
+// depth-independent probes the per-op cost of a long run stays within 2× of
+// a short one; the best of three runs a side keeps scheduler noise out.
+func TestSchedTuplePerOpFlatInLength(t *testing.T) {
+	best := func(n int) float64 {
+		ns := math.Inf(1)
+		for i := 0; i < 3; i++ {
+			r, err := RunSchedTuple(2, 4, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ns = min(ns, r.PerOpNs)
+		}
+		return ns
+	}
+	short, long := best(800), best(20000)
+	if long > 2*short {
+		t.Errorf("per-op cost %.0f ns at n = 20000, %.0f ns at n = 800: more than 2×", long, short)
 	}
 }
 

@@ -52,11 +52,16 @@ func (s *Stats) initLatency() {
 	}
 }
 
+// countBuckets bounds the histograms whose samples are counts (requests in
+// flight, Puts per frame): powers of two from 1 to 4096, so a full batch and
+// a deep pipeline land in finite buckets and their quantiles do not clamp.
+var countBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
+
 // initPipeline arms the always-on pipelining histograms; recording sites
 // tolerate nil, but every server arms them (one atomic add per frame).
 func (s *Stats) initPipeline() {
-	s.PipelineDepth = obs.NewHistogram()
-	s.BatchSize = obs.NewHistogram()
+	s.PipelineDepth = obs.NewHistogram(countBuckets...)
+	s.BatchSize = obs.NewHistogram(countBuckets...)
 }
 
 // observe records one op's service latency; a no-op when histograms are

@@ -1,10 +1,16 @@
 package remote
 
 import (
+	"bytes"
+	"encoding/binary"
+	"io"
 	"math"
+	"net"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
+	"repro/internal/obs/tsdb"
 	"repro/internal/tspace"
 )
 
@@ -142,5 +148,89 @@ func TestDisableMetricsStillCounts(t *testing.T) {
 	}
 	if len(snap.OpLatency) != 0 {
 		t.Fatalf("latency digests present despite disabled metrics: %v", snap.OpLatency)
+	}
+}
+
+// TestCountHistogramsResolveBatch: BatchSize and PipelineDepth sample
+// counts, not seconds. One raw 234-Put BATCH frame must land in a finite
+// bucket — under the latency bounds, which end at 10, it fell into +Inf and
+// every quantile clamped to 10 — and the /metrics exposition of both
+// histograms must still parse back bucket for bucket.
+func TestCountHistogramsResolveBatch(t *testing.T) {
+	srv, addr := startServer(t)
+	const n = 234
+	req := request{op: opBatch, id: 7}
+	for i := 0; i < n; i++ {
+		req.batch = append(req.batch, batchEntry{space: "jobs", tuple: tspace.Tuple{"job", int64(i)}})
+	}
+	payload, err := encodeRequest(req)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	var hdr [4]byte
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		t.Fatalf("read response length: %v", err)
+	}
+	body := make([]byte, binary.BigEndian.Uint32(hdr[:]))
+	if _, err := io.ReadFull(conn, body); err != nil {
+		t.Fatalf("read response: %v", err)
+	}
+	if r, err := decodeResponse(body); err != nil || r.op != respBatch || len(r.batch) != n {
+		t.Fatalf("response = %+v, %v; want %d batch statuses", r, err, n)
+	}
+
+	snap := srv.stats.BatchSize.Snapshot()
+	if snap.Count != 1 || snap.Counts[len(snap.Bounds)] != 0 {
+		t.Fatalf("batch of %d: counts %v over bounds %v, want one sample in a finite bucket", n, snap.Counts, snap.Bounds)
+	}
+	if p50 := snap.Quantile(0.5); p50 <= 128 || p50 > 256 {
+		t.Errorf("BatchSize p50 = %v, want within (128, 256]", p50)
+	}
+
+	var text bytes.Buffer
+	if err := obs.WritePrometheus(&text, ServerCollector{Server: srv}.Collect()); err != nil {
+		t.Fatalf("WritePrometheus: %v", err)
+	}
+	parsed, err := tsdb.ParsePrometheus(&text)
+	if err != nil {
+		t.Fatalf("ParsePrometheus: %v", err)
+	}
+	for name, h := range map[string]*obs.Histogram{
+		"sting_remote_batch_size":     srv.stats.BatchSize,
+		"sting_remote_pipeline_depth": srv.stats.PipelineDepth,
+	} {
+		want := h.Snapshot()
+		var got *obs.HistogramSnapshot
+		for _, m := range parsed {
+			if m.Name == name {
+				got = m.Hist
+			}
+		}
+		if got == nil {
+			t.Errorf("%s missing from the parsed exposition", name)
+			continue
+		}
+		if got.Count != want.Count || got.Sum != want.Sum ||
+			len(got.Bounds) != len(want.Bounds) || got.Bounds[len(got.Bounds)-1] != 4096 {
+			t.Errorf("%s parsed as count %d sum %v bounds %v, want count %d sum %v bounds %v",
+				name, got.Count, got.Sum, got.Bounds, want.Count, want.Sum, want.Bounds)
+			continue
+		}
+		for i := range want.Counts {
+			if got.Counts[i] != want.Counts[i] {
+				t.Errorf("%s bucket %d = %d, want %d", name, i, got.Counts[i], want.Counts[i])
+			}
+		}
 	}
 }

@@ -8,27 +8,22 @@ import (
 )
 
 // hashTS is the general, fully associative representation: the presence
-// table HP is an array of bins, each guarded by its own mutex (the paper's
-// per-bin locking), and the blocked table HB is the shared waitTable.
-// Tuples are binned by arity and first keyable field; templates whose first
-// position is a formal (or a thread) probe the whole arity class via the
-// wildcard bin.
+// table HP is an array of bins, each an entryList behind its own mutex (the
+// paper's per-bin locking), and the blocked table HB is the shared
+// waitTable. Tuples are binned by arity and first keyable field; templates
+// whose first position is a formal (or a thread) probe the whole arity
+// class.
 type hashTS struct {
-	bins   []*hashBin
-	wild   map[int]*hashBin // arity → wildcard bin for unkeyable first fields
+	bins []entryList
+	// wild maps arity → the bin for tuples with unkeyable first fields. A
+	// bin appears at its first deposit; readers load the map without a lock
+	// and wildMu serializes the copy that adds one.
+	wild   atomic.Pointer[map[int]*entryList]
 	wildMu sync.Mutex
 	wt     *waitTable
 	parent TupleSpace
 	txn    txnMeta
 	dname  string // registry name for diagnosis; set once before sharing
-}
-
-type hashBin struct {
-	mu      sync.Mutex
-	entries []*entry
-	// ver counts the bin's deposits and removals — the transaction layer's
-	// fast-path read validation ("nothing in this bucket moved").
-	ver atomic.Uint64
 }
 
 func newHashTS(cfg Config) *hashTS {
@@ -37,14 +32,11 @@ func newHashTS(cfg Config) *hashTS {
 		n = 64
 	}
 	ts := &hashTS{
-		bins:   make([]*hashBin, n),
-		wild:   make(map[int]*hashBin),
+		bins:   make([]entryList, n),
 		wt:     newWaitTable(),
 		parent: cfg.Parent,
 	}
-	for i := range ts.bins {
-		ts.bins[i] = &hashBin{}
-	}
+	ts.wild.Store(&map[int]*entryList{})
 	ts.txn.init()
 	return ts
 }
@@ -67,125 +59,96 @@ func (ts *hashTS) setDiagName(name string) {
 	ts.wt.space = name
 }
 
-// binFor classifies a tuple: keyable first fields map to a hashed bin;
-// everything else (empty tuples, thread or aggregate first fields) goes to
-// the arity's wildcard bin.
-func (ts *hashTS) binFor(tup Tuple) *hashBin {
-	if len(tup) > 0 {
-		if h, ok := hashValue(tup[0]); ok {
-			return ts.bins[(h^uint64(len(tup))*0x9e3779b97f4a7c15)%uint64(len(ts.bins))]
-		}
-	}
-	return ts.wildBin(len(tup))
+// keyedBin indexes the bin of a keyable class.
+func (ts *hashTS) keyedBin(k waitKey) int {
+	return int((k.sig ^ uint64(k.arity)*0x9e3779b97f4a7c15) % uint64(len(ts.bins)))
 }
 
-func (ts *hashTS) wildBin(arity int) *hashBin {
+// binOf is the bin holding tuples of class k, or nil when none was ever
+// deposited.
+func (ts *hashTS) binOf(k waitKey) *entryList {
+	if !k.wild {
+		return &ts.bins[ts.keyedBin(k)]
+	}
+	return (*ts.wild.Load())[k.arity]
+}
+
+// binFor is where a tuple of class k is deposited: keyable first fields map
+// to a hashed bin; everything else (empty tuples, thread or aggregate first
+// fields) goes to the arity's wildcard bin, created here on first use.
+func (ts *hashTS) binFor(k waitKey) *entryList {
+	if b := ts.binOf(k); b != nil {
+		return b
+	}
 	ts.wildMu.Lock()
 	defer ts.wildMu.Unlock()
-	b := ts.wild[arity]
-	if b == nil {
-		b = &hashBin{}
-		ts.wild[arity] = b
+	old := *ts.wild.Load()
+	if b := old[k.arity]; b != nil {
+		return b
 	}
+	grown := make(map[int]*entryList, len(old)+1)
+	for a, b := range old {
+		grown[a] = b
+	}
+	b := &entryList{}
+	grown[k.arity] = b
+	ts.wild.Store(&grown)
 	return b
 }
 
-// probeBins returns the bins a template must search: its specific bin (when
-// the first position is a concrete immediate) plus the wildcard bin; an
-// unkeyable first position degrades to the whole arity class.
-func (ts *hashTS) probeBins(tpl Template) []*hashBin {
-	if len(tpl) == 0 {
-		return []*hashBin{ts.wildBin(0)}
+// lists calls f on every bin, keyed then wildcard.
+func (ts *hashTS) lists(f func(*entryList)) {
+	for i := range ts.bins {
+		f(&ts.bins[i])
 	}
-	if !isFormal(tpl[0]) {
-		if h, ok := hashValue(tpl[0]); ok {
-			specific := ts.bins[(h^uint64(len(tpl))*0x9e3779b97f4a7c15)%uint64(len(ts.bins))]
-			return []*hashBin{specific, ts.wildBin(len(tpl))}
-		}
+	for _, b := range *ts.wild.Load() {
+		f(b)
 	}
-	// Formal or unkeyable first position: the whole arity class.
-	out := make([]*hashBin, 0, len(ts.bins)+1)
-	out = append(out, ts.bins...)
-	out = append(out, ts.wildBin(len(tpl)))
-	return out
 }
 
 // Put implements TupleSpace.
 func (ts *hashTS) Put(ctx *core.Context, tup Tuple) error {
-	e := &entry{tup: tup}
-	b := ts.binFor(tup)
-	b.mu.Lock()
-	b.entries = append(b.entries, e)
-	b.ver.Add(1)
-	b.mu.Unlock()
-	ts.wt.wake(tup)
+	k := keyOf(tup)
+	ts.binFor(k).put(tup, k, false)
+	ts.wt.wakeKey(k)
 	diagKeyEvent(ts.dname, DiagPut, tup, ctx)
 	return nil
 }
 
-// scan looks for a match in one bin, removing when remove is set. Matching
-// may demand thread values, so candidate entries are copied out before the
-// (possibly blocking) match runs — the bin lock is never held across a
-// demand.
-func (ts *hashTS) scan(ctx *core.Context, b *hashBin, tpl Template, remove bool) (Tuple, Bindings, error) {
-	b.mu.Lock()
-	candidates := make([]*entry, 0, len(b.entries))
-	live := b.entries[:0]
-	for _, e := range b.entries {
-		if e.taken.Load() {
-			continue // compact lazily deleted entries
-		}
-		live = append(live, e)
-		if len(e.tup) == len(tpl) {
-			candidates = append(candidates, e)
+// probe searches the bins a template can match in: its specific bin (when
+// the first position is a concrete immediate) or else every keyed bin, then
+// the arity's wildcard bin if one has ever been deposited into. It returns
+// the version of the bin the match came from.
+func (ts *hashTS) probe(ctx *core.Context, tpl Template, remove bool, skip func(Tuple) bool) (Tuple, Bindings, uint64, error) {
+	k := keyFor(tpl)
+	scan := ts.bins
+	switch {
+	case !k.wild:
+		i := ts.keyedBin(k)
+		scan = ts.bins[i : i+1]
+	case k.arity == 0:
+		scan = nil // the empty tuple is never keyed
+	}
+	for i := range scan {
+		if tup, bind, ver, err := scan[i].probe(ctx, tpl, k, remove, skip, ts.dname); err != ErrNoMatch {
+			return tup, bind, ver, err
 		}
 	}
-	b.entries = live
-	b.mu.Unlock()
-
-	for _, e := range candidates {
-		bind, resolved, ok, err := matchTuple(ctx, tpl, e.tup)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !ok {
-			continue
-		}
-		if remove {
-			if !e.taken.CompareAndSwap(false, true) {
-				continue // another remover won; keep scanning
-			}
-			b.ver.Add(1)
-			diagKeyEvent(ts.dname, DiagTake, e.tup, ctx)
-		} else if e.taken.Load() {
-			continue
-		}
-		return resolved, bind, nil
+	if b := (*ts.wild.Load())[k.arity]; b != nil {
+		return b.probe(ctx, tpl, k, remove, skip, ts.dname)
 	}
-	return nil, nil, ErrNoMatch
-}
-
-func (ts *hashTS) probe(ctx *core.Context, tpl Template, remove bool) (Tuple, Bindings, error) {
-	for _, b := range ts.probeBins(tpl) {
-		tup, bind, err := ts.scan(ctx, b, tpl, remove)
-		if err == nil {
-			return tup, bind, nil
-		}
-		if err != ErrNoMatch {
-			return nil, nil, err
-		}
-	}
-	return nil, nil, ErrNoMatch
+	return nil, nil, 0, ErrNoMatch
 }
 
 // TryGet implements TupleSpace.
 func (ts *hashTS) TryGet(ctx *core.Context, tpl Template) (Tuple, Bindings, error) {
-	return ts.probe(ctx, tpl, true)
+	tup, bind, _, err := ts.probe(ctx, tpl, true, nil)
+	return tup, bind, err
 }
 
 // TryRd implements TupleSpace.
 func (ts *hashTS) TryRd(ctx *core.Context, tpl Template) (Tuple, Bindings, error) {
-	tup, bind, err := ts.probe(ctx, tpl, false)
+	tup, bind, _, err := ts.probe(ctx, tpl, false, nil)
 	if err == ErrNoMatch && ts.parent != nil {
 		return ts.parent.TryRd(ctx, tpl)
 	}
@@ -195,14 +158,14 @@ func (ts *hashTS) TryRd(ctx *core.Context, tpl Template) (Tuple, Bindings, error
 // Get implements TupleSpace.
 func (ts *hashTS) Get(ctx *core.Context, tpl Template) (Tuple, Bindings, error) {
 	return blockingLoop(ctx, ts.wt, tpl, func() (Tuple, Bindings, error) {
-		return ts.probe(ctx, tpl, true)
+		return ts.TryGet(ctx, tpl)
 	})
 }
 
 // Rd implements TupleSpace.
 func (ts *hashTS) Rd(ctx *core.Context, tpl Template) (Tuple, Bindings, error) {
 	return blockingLoop(ctx, ts.wt, tpl, func() (Tuple, Bindings, error) {
-		tup, bind, err := ts.probe(ctx, tpl, false)
+		tup, bind, _, err := ts.probe(ctx, tpl, false, nil)
 		if err == ErrNoMatch && ts.parent != nil {
 			ptup, pbind, perr := ts.parent.TryRd(ctx, tpl)
 			if perr == nil {
@@ -217,14 +180,7 @@ func (ts *hashTS) Rd(ctx *core.Context, tpl Template) (Tuple, Bindings, error) {
 // deposited tuple holds the threads themselves, so matching can steal
 // still-scheduled elements (§4.2's fine-grained synchronization story).
 func (ts *hashTS) Spawn(ctx *core.Context, thunks ...core.Thunk) ([]*core.Thread, error) {
-	tup := make(Tuple, len(thunks))
-	threads := make([]*core.Thread, len(thunks))
-	for i, th := range thunks {
-		t := ctx.Fork(th, nil)
-		threads[i] = t
-		tup[i] = t
-	}
-	return threads, ts.Put(ctx, tup)
+	return spawnInto(ctx, ts, thunks)
 }
 
 // TxnProbe implements TxnSpace: a non-destructive probe that reports the
@@ -236,17 +192,7 @@ func (ts *hashTS) TxnProbe(ctx *core.Context, tpl Template, newSkip func() func(
 	if newSkip != nil {
 		skip = newSkip()
 	}
-	for _, b := range ts.probeBins(tpl) {
-		ver := b.ver.Load()
-		tup, bind, err := ts.scanSkip(ctx, b, tpl, skip)
-		if err == nil {
-			return tup, bind, ver, nil
-		}
-		if err != ErrNoMatch {
-			return nil, nil, 0, err
-		}
-	}
-	return nil, nil, 0, ErrNoMatch
+	return ts.probe(ctx, tpl, false, skip)
 }
 
 // TxnWait implements TxnSpace.
@@ -260,97 +206,37 @@ func (ts *hashTS) TxnWait(ctx *core.Context, tpl Template, newSkip func() func(T
 	return tup, bind, ver, err
 }
 
-// scanSkip is scan without removal and with the transaction layer's
-// claimed-candidate filter. It compacts lazily deleted entries just like
-// scan — a purely transactional workload never calls scan, so without
-// compaction here commit-time takes would pile up dead entries forever.
-func (ts *hashTS) scanSkip(ctx *core.Context, b *hashBin, tpl Template, skip func(Tuple) bool) (Tuple, Bindings, error) {
-	b.mu.Lock()
-	candidates := make([]*entry, 0, len(b.entries))
-	live := b.entries[:0]
-	for _, e := range b.entries {
-		if e.taken.Load() {
-			continue
-		}
-		live = append(live, e)
-		if len(e.tup) == len(tpl) {
-			candidates = append(candidates, e)
-		}
-	}
-	b.entries = live
-	b.mu.Unlock()
-	for _, e := range candidates {
-		bind, resolved, ok, err := matchTuple(ctx, tpl, e.tup)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !ok || e.taken.Load() {
-			continue
-		}
-		if skip != nil && skip(resolved) {
-			continue
-		}
-		return resolved, bind, nil
-	}
-	return nil, nil, ErrNoMatch
-}
-
 func (ts *hashTS) txnMeta() *txnMeta { return &ts.txn }
 
 // txnTake removes one entry holding exactly tup (value equality, no
 // thread demand — tuples containing threads are outside the transactional
 // subset). It bumps the bin version like any removal.
 func (ts *hashTS) txnTake(tup Tuple) bool {
-	b := ts.binFor(tup)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, e := range b.entries {
-		if !e.taken.Load() && sameTuple(e.tup, tup) && e.taken.CompareAndSwap(false, true) {
-			b.ver.Add(1)
-			diagKeyEvent(ts.dname, DiagTake, tup, nil)
-			return true
-		}
+	k := keyOf(tup)
+	b := ts.binOf(k)
+	if b == nil || !b.takeExact(tup, k) {
+		return false
 	}
-	return false
+	diagKeyEvent(ts.dname, DiagTake, tup, nil)
+	return true
 }
 
 func (ts *hashTS) txnPresent(tup Tuple) bool {
-	b := ts.binFor(tup)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, e := range b.entries {
-		if !e.taken.Load() && sameTuple(e.tup, tup) {
-			return true
-		}
-	}
-	return false
+	k := keyOf(tup)
+	b := ts.binOf(k)
+	return b != nil && b.has(tup, k)
 }
 
-func (ts *hashTS) txnTupleVer(tup Tuple) uint64 { return ts.binFor(tup).ver.Load() }
+func (ts *hashTS) txnTupleVer(tup Tuple) uint64 {
+	if b := ts.binOf(keyOf(tup)); b != nil {
+		return b.ver.Load()
+	}
+	return 0
+}
 
 // Len implements TupleSpace.
 func (ts *hashTS) Len() int {
 	n := 0
-	count := func(b *hashBin) {
-		b.mu.Lock()
-		for _, e := range b.entries {
-			if !e.taken.Load() {
-				n++
-			}
-		}
-		b.mu.Unlock()
-	}
-	for _, b := range ts.bins {
-		count(b)
-	}
-	ts.wildMu.Lock()
-	wilds := make([]*hashBin, 0, len(ts.wild))
-	for _, b := range ts.wild {
-		wilds = append(wilds, b)
-	}
-	ts.wildMu.Unlock()
-	for _, b := range wilds {
-		count(b)
-	}
+	ts.lists(func(b *entryList) { n += b.size() })
 	return n
 }

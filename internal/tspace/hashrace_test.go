@@ -10,7 +10,7 @@ import (
 
 // TestHashWildcardRace hammers exactly the path the remote server serves
 // from many connections at once: producers Put into hashed and wildcard
-// bins while consumers probe with fully wildcard templates (probeBins
+// bins while consumers probe with fully wildcard templates (hashTS.probe
 // degrades to the whole arity class) and an auditor calls Len
 // concurrently. Run under -race this checks the per-bin locking; the final
 // accounting checks that lazy deletion never loses or double-counts a

@@ -2,7 +2,6 @@ package tspace
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 )
@@ -10,20 +9,18 @@ import (
 // ---------------------------------------------------------------------------
 // Bag and set
 
-// bagTS is the unindexed representation: a flat multiset under one mutex.
-// The specializer picks it for small or low-contention spaces; with dedup
-// set it is the set representation (duplicate puts collapse).
+// bagTS is the unindexed representation: one entryList, a flat multiset
+// under one mutex. The specializer picks it for small or low-contention
+// spaces; with dedup set it is the set representation (duplicate puts
+// collapse). The list's version is the transaction layer's fast-path read
+// validation; the whole space is one bucket here.
 type bagTS struct {
-	mu      sync.Mutex
-	entries []*entry
-	dedup   bool
-	wt      *waitTable
-	parent  TupleSpace
-	// ver counts deposits and removals — the transaction layer's fast-path
-	// read validation; the whole space is one bucket here.
-	ver   atomic.Uint64
-	txn   txnMeta
-	dname string // registry name for diagnosis; set once before sharing
+	list   entryList
+	dedup  bool
+	wt     *waitTable
+	parent TupleSpace
+	txn    txnMeta
+	dname  string // registry name for diagnosis; set once before sharing
 }
 
 func newBagTS(cfg Config, dedup bool) *bagTS {
@@ -69,98 +66,27 @@ func sameTuple(a, b Tuple) bool {
 
 // Put implements TupleSpace.
 func (ts *bagTS) Put(ctx *core.Context, tup Tuple) error {
-	ts.mu.Lock()
-	if ts.dedup {
-		for _, e := range ts.entries {
-			if !e.taken.Load() && sameTuple(e.tup, tup) {
-				ts.mu.Unlock()
-				ts.wt.wake(tup)
-				return nil
-			}
-		}
+	k := keyOf(tup)
+	deposited := ts.list.put(tup, k, ts.dedup)
+	ts.wt.wakeKey(k)
+	if deposited {
+		diagKeyEvent(ts.dname, DiagPut, tup, ctx)
 	}
-	ts.entries = append(ts.entries, &entry{tup: tup})
-	ts.ver.Add(1)
-	ts.mu.Unlock()
-	ts.wt.wake(tup)
-	diagKeyEvent(ts.dname, DiagPut, tup, ctx)
 	return nil
 }
 
-func (ts *bagTS) probe(ctx *core.Context, tpl Template, remove bool) (Tuple, Bindings, error) {
-	ts.mu.Lock()
-	candidates := make([]*entry, 0, len(ts.entries))
-	live := ts.entries[:0]
-	for _, e := range ts.entries {
-		if e.taken.Load() {
-			continue
-		}
-		live = append(live, e)
-		if len(e.tup) == len(tpl) {
-			candidates = append(candidates, e)
-		}
-	}
-	ts.entries = live
-	ts.mu.Unlock()
-	for _, e := range candidates {
-		bind, resolved, ok, err := matchTuple(ctx, tpl, e.tup)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !ok {
-			continue
-		}
-		if remove {
-			if !e.taken.CompareAndSwap(false, true) {
-				continue
-			}
-			ts.ver.Add(1)
-			diagKeyEvent(ts.dname, DiagTake, e.tup, ctx)
-		}
-		if !remove && e.taken.Load() {
-			continue
-		}
-		return resolved, bind, nil
-	}
-	return nil, nil, ErrNoMatch
+// probe scans oldest-first, which is all the queue's FIFO discipline needs.
+func (ts *bagTS) probe(ctx *core.Context, tpl Template, remove bool, skip func(Tuple) bool) (Tuple, Bindings, uint64, error) {
+	return ts.list.probe(ctx, tpl, keyFor(tpl), remove, skip, ts.dname)
 }
 
-// TxnProbe implements TxnSpace (queueTS inherits it; FIFO order is
-// preserved because the scan stays oldest-first).
+// TxnProbe implements TxnSpace (queueTS inherits it).
 func (ts *bagTS) TxnProbe(ctx *core.Context, tpl Template, newSkip func() func(Tuple) bool) (Tuple, Bindings, uint64, error) {
 	var skip func(Tuple) bool
 	if newSkip != nil {
 		skip = newSkip()
 	}
-	ver := ts.ver.Load()
-	ts.mu.Lock()
-	candidates := make([]*entry, 0, len(ts.entries))
-	live := ts.entries[:0]
-	for _, e := range ts.entries {
-		if e.taken.Load() {
-			continue // compact: txn-only workloads never run probe's sweep
-		}
-		live = append(live, e)
-		if len(e.tup) == len(tpl) {
-			candidates = append(candidates, e)
-		}
-	}
-	ts.entries = live
-	ts.mu.Unlock()
-	for _, e := range candidates {
-		bind, resolved, ok, err := matchTuple(ctx, tpl, e.tup)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		if !ok || e.taken.Load() {
-			continue
-		}
-		if skip != nil && skip(resolved) {
-			continue
-		}
-		return resolved, bind, ver, nil
-	}
-	return nil, nil, 0, ErrNoMatch
+	return ts.probe(ctx, tpl, false, skip)
 }
 
 // TxnWait implements TxnSpace.
@@ -177,39 +103,26 @@ func (ts *bagTS) TxnWait(ctx *core.Context, tpl Template, newSkip func() func(Tu
 func (ts *bagTS) txnMeta() *txnMeta { return &ts.txn }
 
 func (ts *bagTS) txnTake(tup Tuple) bool {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	for _, e := range ts.entries {
-		if !e.taken.Load() && sameTuple(e.tup, tup) && e.taken.CompareAndSwap(false, true) {
-			ts.ver.Add(1)
-			diagKeyEvent(ts.dname, DiagTake, tup, nil)
-			return true
-		}
+	if !ts.list.takeExact(tup, keyOf(tup)) {
+		return false
 	}
-	return false
+	diagKeyEvent(ts.dname, DiagTake, tup, nil)
+	return true
 }
 
-func (ts *bagTS) txnPresent(tup Tuple) bool {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	for _, e := range ts.entries {
-		if !e.taken.Load() && sameTuple(e.tup, tup) {
-			return true
-		}
-	}
-	return false
-}
+func (ts *bagTS) txnPresent(tup Tuple) bool { return ts.list.has(tup, keyOf(tup)) }
 
-func (ts *bagTS) txnTupleVer(Tuple) uint64 { return ts.ver.Load() }
+func (ts *bagTS) txnTupleVer(Tuple) uint64 { return ts.list.ver.Load() }
 
 // TryGet implements TupleSpace.
 func (ts *bagTS) TryGet(ctx *core.Context, tpl Template) (Tuple, Bindings, error) {
-	return ts.probe(ctx, tpl, true)
+	tup, b, _, err := ts.probe(ctx, tpl, true, nil)
+	return tup, b, err
 }
 
 // TryRd implements TupleSpace.
 func (ts *bagTS) TryRd(ctx *core.Context, tpl Template) (Tuple, Bindings, error) {
-	tup, b, err := ts.probe(ctx, tpl, false)
+	tup, b, _, err := ts.probe(ctx, tpl, false, nil)
 	if err == ErrNoMatch && ts.parent != nil {
 		return ts.parent.TryRd(ctx, tpl)
 	}
@@ -219,14 +132,14 @@ func (ts *bagTS) TryRd(ctx *core.Context, tpl Template) (Tuple, Bindings, error)
 // Get implements TupleSpace.
 func (ts *bagTS) Get(ctx *core.Context, tpl Template) (Tuple, Bindings, error) {
 	return blockingLoop(ctx, ts.wt, tpl, func() (Tuple, Bindings, error) {
-		return ts.probe(ctx, tpl, true)
+		return ts.TryGet(ctx, tpl)
 	})
 }
 
 // Rd implements TupleSpace.
 func (ts *bagTS) Rd(ctx *core.Context, tpl Template) (Tuple, Bindings, error) {
 	return blockingLoop(ctx, ts.wt, tpl, func() (Tuple, Bindings, error) {
-		tup, b, err := ts.probe(ctx, tpl, false)
+		tup, b, _, err := ts.probe(ctx, tpl, false, nil)
 		if err == ErrNoMatch && ts.parent != nil {
 			if ptup, pb, perr := ts.parent.TryRd(ctx, tpl); perr == nil {
 				return ptup, pb, nil
@@ -242,17 +155,7 @@ func (ts *bagTS) Spawn(ctx *core.Context, thunks ...core.Thunk) ([]*core.Thread,
 }
 
 // Len implements TupleSpace.
-func (ts *bagTS) Len() int {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	n := 0
-	for _, e := range ts.entries {
-		if !e.taken.Load() {
-			n++
-		}
-	}
-	return n
-}
+func (ts *bagTS) Len() int { return ts.list.size() }
 
 // spawnInto is the representation-independent spawn.
 func spawnInto(ctx *core.Context, ts TupleSpace, thunks []core.Thunk) ([]*core.Thread, error) {
@@ -286,8 +189,6 @@ func newQueueTS(cfg Config) *queueTS {
 
 // Kind implements TupleSpace.
 func (ts *queueTS) Kind() Kind { return KindQueue }
-
-// (bagTS.probe already scans oldest-first, giving FIFO removal.)
 
 // ---------------------------------------------------------------------------
 // Shared variable

@@ -11,19 +11,6 @@ type Snapshotter interface {
 	PassiveTuples() []Tuple
 }
 
-// passiveCopy filters out taken entries and tuples with thread elements,
-// copying the survivors so the snapshot is stable after the lock drops.
-func passiveCopy(entries []*entry) []Tuple {
-	out := make([]Tuple, 0, len(entries))
-	for _, e := range entries {
-		if e.taken.Load() || !passiveTuple(e.tup) {
-			continue
-		}
-		out = append(out, append(Tuple(nil), e.tup...))
-	}
-	return out
-}
-
 func passiveTuple(tup Tuple) bool {
 	for _, v := range tup {
 		if _, isThread := v.(*core.Thread); isThread {
@@ -36,33 +23,13 @@ func passiveTuple(tup Tuple) bool {
 // PassiveTuples implements Snapshotter for the hash representation.
 func (ts *hashTS) PassiveTuples() []Tuple {
 	var out []Tuple
-	collect := func(b *hashBin) {
-		b.mu.Lock()
-		out = append(out, passiveCopy(b.entries)...)
-		b.mu.Unlock()
-	}
-	for _, b := range ts.bins {
-		collect(b)
-	}
-	ts.wildMu.Lock()
-	wilds := make([]*hashBin, 0, len(ts.wild))
-	for _, b := range ts.wild {
-		wilds = append(wilds, b)
-	}
-	ts.wildMu.Unlock()
-	for _, b := range wilds {
-		collect(b)
-	}
+	ts.lists(func(b *entryList) { out = b.passive(out) })
 	return out
 }
 
 // PassiveTuples implements Snapshotter for the bag, set, and (through
 // embedding) queue representations.
-func (ts *bagTS) PassiveTuples() []Tuple {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return passiveCopy(ts.entries)
-}
+func (ts *bagTS) PassiveTuples() []Tuple { return ts.list.passive(nil) }
 
 // PassiveTuples implements Snapshotter for the shared variable.
 func (ts *sharedVarTS) PassiveTuples() []Tuple {

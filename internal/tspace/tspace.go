@@ -141,17 +141,12 @@ func New(kind Kind, cfg Config) TupleSpace {
 	}
 }
 
-// entry is a deposited tuple with the lazy-deletion mark the paper
-// describes ("the retrieved tuple is marked as deleted").
-type entry struct {
-	tup   Tuple
-	taken atomic.Bool
-}
-
-// waitKey classifies a blocked template for targeted wakeups: arity plus the
-// hash of a ground (concrete, keyable) first field. wild covers templates
-// whose first position is a formal or an unkeyable value, and every arity-0
-// template — those waiters are compatible with any deposit of their arity.
+// waitKey is the class signature of a template or a tuple: arity plus the
+// hash of a ground (concrete, keyable) first field. wild covers a first
+// position that is a formal or an unkeyable value, and arity 0. Blocked
+// templates are indexed by it for targeted wakeups — a wild waiter is
+// compatible with any deposit of its arity — and resident entries carry it
+// so a probe passes the other classes in its bin with an integer compare.
 type waitKey struct {
 	arity int
 	sig   uint64
@@ -167,6 +162,9 @@ func keyFor(tpl Template) waitKey {
 	}
 	return waitKey{arity: len(tpl), wild: true}
 }
+
+// keyOf classifies a tuple; tuples hold no formals, so the rule is keyFor's.
+func keyOf(tup Tuple) waitKey { return keyFor(Template(tup)) }
 
 // tsWaiter is a blocked reader in HB.
 type tsWaiter struct {
@@ -294,16 +292,15 @@ func (w *waitTable) popAnyLocked(cutoff uint64) *tsWaiter {
 // affordable by the signature index). A tuple whose first field is
 // unkeyable (a thread, an aggregate) could match any template of its arity
 // once demanded, so the whole arity class is woken as before.
-func (w *waitTable) wake(tup Tuple) {
-	if len(tup) > 0 {
-		if h, ok := hashValue(tup[0]); ok {
-			w.wakeClass(waitKey{arity: len(tup), sig: h})
-			return
-		}
-		w.wakeArity(len(tup))
+func (w *waitTable) wake(tup Tuple) { w.wakeKey(keyOf(tup)) }
+
+// wakeKey is wake for a tuple already classified as k.
+func (w *waitTable) wakeKey(k waitKey) {
+	if k.wild && k.arity > 0 {
+		w.wakeArity(k.arity)
 		return
 	}
-	w.wakeClass(waitKey{arity: 0, wild: true})
+	w.wakeClass(k)
 }
 
 // wakeClass wakes one waiter compatible with the class k deposit.

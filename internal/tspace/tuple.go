@@ -9,8 +9,8 @@ package tspace
 
 import (
 	"errors"
-	"fmt"
 	"hash/maphash"
+	"math"
 
 	"repro/internal/core"
 )
@@ -53,9 +53,16 @@ var hashSeed = maphash.MakeSeed()
 
 // hashValue hashes immediate values; ok is false for values the index
 // cannot key on (threads, aggregates), which fall into the wildcard class.
+// Values immediateEqual calls equal hash alike — every integer width through
+// asInt64, -0 as 0 — so a differing hash proves two keyed values unequal.
 func hashValue(v core.Value) (uint64, bool) {
 	var h maphash.Hash
 	h.SetSeed(hashSeed)
+	if i, ok := asInt64(v); ok {
+		h.WriteString("i")
+		writeUint(&h, uint64(i))
+		return h.Sum64(), true
+	}
 	switch x := v.(type) {
 	case nil:
 		h.WriteString("nil")
@@ -65,24 +72,15 @@ func hashValue(v core.Value) (uint64, bool) {
 		} else {
 			h.WriteString("#f")
 		}
-	case int:
-		h.WriteString("i")
-		writeUint(&h, uint64(int64(x)))
-	case int64:
-		h.WriteString("i")
-		writeUint(&h, uint64(x))
-	case uint64:
-		h.WriteString("u")
-		writeUint(&h, x)
 	case float64:
 		h.WriteString("f")
-		fmt.Fprintf(&h, "%g", x)
+		if x == 0 {
+			x = 0 // -0 == 0
+		}
+		writeUint(&h, math.Float64bits(x))
 	case string:
 		h.WriteString("s")
 		h.WriteString(x)
-	case rune:
-		h.WriteString("c")
-		writeUint(&h, uint64(x))
 	default:
 		return 0, false
 	}
@@ -98,15 +96,29 @@ func writeUint(h *maphash.Hash, u uint64) {
 }
 
 // immediateEqual compares two non-thread values for match purposes.
-func immediateEqual(a, b core.Value) (eq bool) {
-	if a == nil || b == nil {
-		return a == nil && b == nil
+func immediateEqual(a, b core.Value) bool {
+	switch x := a.(type) {
+	case nil:
+		return b == nil
+	case string:
+		y, ok := b.(string)
+		return ok && x == y
+	case int64:
+		if y, ok := b.(int64); ok {
+			return x == y
+		}
 	}
 	// Normalize the common numeric cases so int and int64 interoperate.
 	if ai, ok := asInt64(a); ok {
 		bi, ok := asInt64(b)
 		return ok && ai == bi
 	}
+	return b != nil && dynamicEqual(a, b)
+}
+
+// dynamicEqual is == on the interface values, for the types immediateEqual
+// has no case for.
+func dynamicEqual(a, b core.Value) (eq bool) {
 	defer func() { _ = recover() }() // non-comparable dynamic types never match
 	return a == b
 }

@@ -271,8 +271,8 @@ func TestTxnUnsupportedReps(t *testing.T) {
 // presence table through the transactional path — TxnProbe to build the
 // read set, ApplyCommit takes to consume — must not accumulate dead
 // entries, because commit-time takes mark entries lazily and nothing else
-// sweeps. TxnProbe/scanSkip compact exactly like the plain probe sweep;
-// without that, 10k cycles here leave 10k tombstones in one bin.
+// sweeps. Every removal reclaims through entryList.kill, whichever path
+// made it; without that, 10k cycles here leave 10k tombstones in one bin.
 func TestTxnOnlyProbeCompaction(t *testing.T) {
 	vm := testkit.VM(t, 2, 2)
 	for _, kind := range []Kind{KindHash, KindBag} {
@@ -303,32 +303,14 @@ func TestTxnOnlyProbeCompaction(t *testing.T) {
 }
 
 // maxBinEntries reaches into a representation's presence table and
-// reports its longest bin, tombstones included.
+// reports its longest entry list, tombstones included.
 func maxBinEntries(t *testing.T, ts TxnSpace) int {
 	t.Helper()
 	longest := 0
-	switch x := ts.(type) {
-	case *hashTS:
-		x.wildMu.Lock()
-		bins := make([]*hashBin, 0, len(x.bins)+len(x.wild))
-		bins = append(bins, x.bins...)
-		for _, b := range x.wild {
-			bins = append(bins, b)
-		}
-		x.wildMu.Unlock()
-		for _, b := range bins {
-			b.mu.Lock()
-			if len(b.entries) > longest {
-				longest = len(b.entries)
-			}
-			b.mu.Unlock()
-		}
-	case *bagTS:
-		x.mu.Lock()
-		longest = len(x.entries)
-		x.mu.Unlock()
-	default:
-		t.Fatalf("maxBinEntries: unsupported representation %T", ts)
-	}
+	eachList(t, ts, func(l *entryList) {
+		l.mu.Lock()
+		longest = max(longest, len(l.entries))
+		l.mu.Unlock()
+	})
 	return longest
 }
