@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench sched-bench bench-compare remote-bench remote-bench-compare obs-smoke obs-bench cluster-smoke trace-smoke stm-bench stm-bench-compare stm-smoke diag-smoke top-smoke sample-bench vm-bench vm-bench-compare vm-smoke vm-fuzz stingmark-smoke clean
+.PHONY: all build vet test race check loc bench sched-bench bench-compare remote-bench remote-bench-compare obs-smoke obs-bench cluster-smoke trace-smoke stm-bench stm-bench-compare stm-smoke diag-smoke top-smoke sample-bench vm-bench vm-bench-compare vm-smoke vm-fuzz stingmark-smoke clean
 
 all: check
 
@@ -18,11 +18,17 @@ test:
 # The fabric, cluster, tuple-space, and observability packages carry the
 # concurrency-critical paths (wire callbacks, cancel tokens, fan-out
 # racing, hash-bin locking, lock-free histograms, the trace ring); run
-# them under the race detector on every check.
+# them under the race detector on every check. stm rides along for its
+# remote-commit torture test, which drives the fabric client's write path.
 race:
-	$(GO) test -race ./internal/remote/... ./internal/cluster/... ./internal/tspace/... ./internal/sio/... ./internal/obs/... ./internal/core/... ./internal/vm/...
+	$(GO) test -race ./internal/remote/... ./internal/cluster/... ./internal/tspace/... ./internal/sio/... ./internal/obs/... ./internal/core/... ./internal/vm/... ./internal/stm/...
 
 check: build vet test race
+
+# Code lines (non-test .go, neither blank nor //-only) per package and in
+# total — the one counting rule deletion PRs quote.
+loc:
+	./scripts/loc.sh
 
 bench:
 	$(GO) test -bench BenchmarkRemoteTuplePingPong -run xxx ./internal/remote/

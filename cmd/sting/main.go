@@ -37,7 +37,7 @@ func main() {
 		traceOut = flag.String("trace-out", "", "run the program under a root span and write finished spans (JSON dump) here on exit")
 		engine   = flag.String("engine", "", "execution engine: "+strings.Join(scheme.EngineNames(), "|")+" (default vm)")
 		rconns   = flag.Int("remote-conns", 0, "fabric connections per remote peer (0/1 = single; keyed ops shard across the pool)")
-		rbatch   = flag.Bool("remote-batch", false, "coalesce remote puts into BATCH frames (protocol v4 peers; older peers fall back per-op)")
+		rbatch   = flag.Bool("remote-batch", false, "coalesce remote puts into BATCH frames")
 	)
 	flag.Parse()
 	if *rconns > 1 || *rbatch {

@@ -100,7 +100,7 @@ func BenchmarkCodecEncodePut(b *testing.B) {
 // BenchmarkCodecDecodePut decodes the same PUT frame — the sequence the
 // server's reader runs per arriving op.
 func BenchmarkCodecDecodePut(b *testing.B) {
-	frame, err := encodeRequest(request{op: opPut, id: 7, space: "jobs",
+	frame, err := appendRequest(nil, request{op: opPut, id: 7, space: "jobs",
 		tuple: tspace.Tuple{"job", int64(42), true}})
 	if err != nil {
 		b.Fatal(err)
@@ -118,7 +118,7 @@ func BenchmarkCodecDecodePut(b *testing.B) {
 // BenchmarkCodecDecodeTupleResp decodes a matched-tuple response with no
 // bindings — the client-side hot path for ground-template Get/Rd.
 func BenchmarkCodecDecodeTupleResp(b *testing.B) {
-	frame, err := encodeTupleResp(7, tspace.Tuple{"job", int64(42), true}, nil)
+	frame, err := appendTupleResp(nil, 7, tspace.Tuple{"job", int64(42), true}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

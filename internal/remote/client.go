@@ -46,16 +46,12 @@ type DialConfig struct {
 	// never the whole client's bottleneck. The pool dials lazily: only
 	// the first connection is established by Dial.
 	Conns int
-	// Batch coalesces Puts into BATCH frames (protocol ≥4): a per-
-	// connection flusher writes whatever accumulated during the previous
-	// write (group commit), so a lone Put flushes immediately while a
-	// burst amortizes into one frame. Against an older peer Puts fall
-	// back to one frame each. Latency-sensitive ops (Get/Rd and their
-	// Try probes) are never batched.
+	// Batch coalesces Puts into BATCH frames: a per-connection flusher
+	// writes whatever accumulated during the previous write (group
+	// commit), so a lone Put flushes immediately while a burst amortizes
+	// into one frame. Latency-sensitive ops (Get/Rd and their Try probes)
+	// are never batched.
 	Batch bool
-	// MaxVersion caps the protocol version announced in HELLO (default
-	// protocolVersion); tests use it to impersonate older peers.
-	MaxVersion byte
 }
 
 func (cfg DialConfig) withDefaults() DialConfig {
@@ -83,9 +79,6 @@ func (cfg DialConfig) withDefaults() DialConfig {
 	if cfg.Conns <= 0 {
 		cfg.Conns = 1
 	}
-	if cfg.MaxVersion == 0 || cfg.MaxVersion > protocolVersion {
-		cfg.MaxVersion = protocolVersion
-	}
 	return cfg
 }
 
@@ -99,18 +92,17 @@ func (cfg DialConfig) backoff(attempt int) time.Duration {
 	return min(d, cfg.MaxBackoff)
 }
 
-// Close-drain and batching sentinels.
+// Close-drain and retry sentinels.
 var (
 	// ErrClientClosed fails the calls still in flight when Close tears
 	// the client down — above all blocking Gets parked past DrainTimeout.
 	// Distinct from net.ErrClosed, which rejects ops started after Close.
 	ErrClientClosed = errors.New("remote: client closed with operation in flight")
-	// errBatchUnwritten marks batch entries whose frame provably never
-	// reached the socket; the Put wrapper retries them (bounded).
-	errBatchUnwritten = errors.New("remote: batch frame never written")
-	// errBatchFallback sends a Put down the per-op path: the peer
-	// negotiated a protocol version that predates BATCH.
-	errBatchFallback = errors.New("remote: peer predates batch frames")
+	// errUnwritten marks a request whose frame provably never reached the
+	// server — the dial failed, or the write did — which is the only case
+	// in which an op is re-sent (bounded): a second Put must not
+	// double-deposit.
+	errUnwritten = errors.New("remote: frame never written")
 )
 
 // call is one in-flight request awaiting its response frame.
@@ -120,8 +112,8 @@ type call struct {
 	resp response
 	err  error
 	ch   chan struct{}
-	tcb  *core.TCB   // parked STING waiter to wake, when set
-	subs []batchItem // batch parent: per-entry calls, completed on arrival
+	tcb  *core.TCB    // parked STING waiter to wake, when set
+	subs []batchEntry // batch parent: per-entry calls, completed on arrival
 }
 
 func newCall() *call { return &call{ch: make(chan struct{})} }
@@ -154,7 +146,7 @@ func (c *call) completed() bool {
 
 // distributeBatch fans a BATCH reply (or its transport error) out to the
 // per-entry calls.
-func distributeBatch(items []batchItem, resp response, err error) {
+func distributeBatch(items []batchEntry, resp response, err error) {
 	if err == nil && resp.op == respErr {
 		err = wireError(resp, "batch", "", 0)
 	}
@@ -199,15 +191,13 @@ type Client struct {
 	metrics *clientMetrics
 }
 
-// clientConn is one pooled connection: its own socket, negotiated
-// version, id space, pending-call table, and (when batching) flusher.
+// clientConn is one pooled connection: its own socket, id space,
+// pending-call table, and (when batching) flusher.
 type clientConn struct {
-	c   *Client
-	idx int
+	c *Client
 
 	mu      sync.Mutex
-	fc      *sio.FrameConn
-	version byte // protocol version negotiated for the current connection
+	fc      *sio.FrameConn // nil until a HELLO exchange succeeded on it
 	pending map[uint32]*call
 	nextID  uint32
 
@@ -225,7 +215,7 @@ func Dial(ctx *core.Context, addr string, cfg DialConfig) (*Client, error) {
 	c := &Client{addr: addr, cfg: cfg, metrics: newClientMetrics()}
 	c.conns = make([]*clientConn, cfg.Conns)
 	for i := range c.conns {
-		cc := &clientConn{c: c, idx: i, pending: make(map[uint32]*call)}
+		cc := &clientConn{c: c, pending: make(map[uint32]*call)}
 		if cfg.Batch {
 			cc.bat = newBatcher(cc)
 		}
@@ -236,19 +226,15 @@ func Dial(ctx *core.Context, addr string, cfg DialConfig) (*Client, error) {
 	err := cc.redialLocked(ctx)
 	cc.mu.Unlock()
 	if err != nil {
-		c.closed.Store(true)
-		for _, cc := range c.conns {
-			if cc.bat != nil {
-				cc.bat.stop()
-			}
-		}
+		c.Close() //nolint:errcheck // joins the flushers; nothing is in flight
 		return nil, err
 	}
 	return c, nil
 }
 
 // redialLocked (cc.mu held) establishes a fresh connection with bounded
-// retry and the HELLO handshake, then announces the pool size (≥4 peers).
+// retry and the HELLO exchange, then announces the pool size. A peer that
+// speaks another protocol version is terminal: no retry changes it.
 func (cc *clientConn) redialLocked(ctx *core.Context) error {
 	c := cc.c
 	t0 := time.Now()
@@ -267,22 +253,27 @@ func (cc *clientConn) redialLocked(ctx *core.Context) error {
 			continue
 		}
 		fc := sio.NewFrameConn(nc, maxFrame, c.cfg.WriteTimeout)
-		v, err := c.handshake(ctx, fc)
+		// The HELLO reply (request id 0, which register never hands out)
+		// is routed to its call by the reader itself: the pending table
+		// is behind cc.mu, held here until the connection is installed.
+		hello := newCall()
+		fc.StartPooled(func(frame []byte, err error) { cc.onFrame(fc, hello, frame, err) })
+		_, err = writeRequest(fc, request{op: opHello})
+		if err == nil {
+			err = checkHello(c.wait(ctx, hello, request{op: opHello}, c.cfg.Timeout, nil))
+		}
 		if err != nil {
 			fc.Close()
 			lastErr = err
+			if errors.Is(err, ErrUnsupported) {
+				break
+			}
 			continue
 		}
-		if v >= 4 {
-			// Fire-and-forget capability note; feeds the server's
-			// sting_remote_conn_pool_size gauge.
-			if frame, err := encodeRequest(request{op: opAnnounce, poolSize: uint32(len(c.conns))}); err == nil {
-				fc.WriteFrame(frame) //nolint:errcheck
-			}
-		}
+		// Fire-and-forget capability note; feeds the server's
+		// sting_remote_conn_pool_size gauge.
+		writeRequest(fc, request{op: opAnnounce, poolSize: uint32(len(c.conns))}) //nolint:errcheck
 		cc.fc = fc
-		cc.version = v
-		fc.StartPooled(func(frame []byte, err error) { cc.onFrame(fc, frame, err) })
 		c.metrics.dialLatency.ObserveSince(t0)
 		return nil
 	}
@@ -290,104 +281,56 @@ func (cc *clientConn) redialLocked(ctx *core.Context) error {
 	return fmt.Errorf("remote: dial %s: %w", c.addr, lastErr)
 }
 
-// helloResult carries the handshake outcome: the version the server
-// negotiated (min of both sides) or the error.
-type helloResult struct {
-	version byte
-	err     error
+// checkHello vets a HELLO reply: the server must acknowledge, stating the
+// one version this build speaks.
+func checkHello(resp response, err error) error {
+	switch {
+	case err != nil:
+		return err
+	case resp.op != respOK:
+		return protoErrf("hello reply op %d", resp.op)
+	case resp.version != protocolVersion:
+		return fmt.Errorf("%w: server speaks protocol version %d, this client %d",
+			ErrUnsupported, resp.version, protocolVersion)
+	}
+	return nil
 }
 
-// handshake performs the HELLO exchange synchronously on a fresh
-// connection (its reader loop is not running yet) and returns the
-// negotiated protocol version.
-func (c *Client) handshake(ctx *core.Context, fc *sio.FrameConn) (byte, error) {
-	frame, err := encodeRequest(request{op: opHello, id: 0, version: c.cfg.MaxVersion})
+// writeRequest encodes req into a pooled buffer and writes it on fc.
+// encoded tells an error of the write from one of the encoding, after
+// which nothing has touched the connection.
+func writeRequest(fc *sio.FrameConn, req request) (encoded bool, err error) {
+	buf := sio.GetBuf()[:sio.PrefixLen]
+	frame, err := appendRequest(buf, req)
 	if err != nil {
-		return 0, err
+		sio.PutBuf(buf)
+		return false, err
 	}
-	if err := fc.WriteFrame(frame); err != nil {
-		return 0, err
-	}
-	done := make(chan helloResult, 1)
-	go func() {
-		var hdr [4]byte
-		buf := make([]byte, 64)
-		conn := fc.Conn()
-		conn.SetReadDeadline(time.Now().Add(c.cfg.Timeout)) //nolint:errcheck
-		defer conn.SetReadDeadline(time.Time{})             //nolint:errcheck
-		if _, err := readFull(conn, hdr[:]); err != nil {
-			done <- helloResult{err: err}
-			return
-		}
-		n := uint32(hdr[0])<<24 | uint32(hdr[1])<<16 | uint32(hdr[2])<<8 | uint32(hdr[3])
-		if n > uint32(len(buf)) {
-			done <- helloResult{err: protoErrf("hello reply of %d bytes", n)}
-			return
-		}
-		if _, err := readFull(conn, buf[:n]); err != nil {
-			done <- helloResult{err: err}
-			return
-		}
-		r, err := decodeResponse(buf[:n])
-		if err != nil {
-			done <- helloResult{err: err}
-			return
-		}
-		if r.op == respErr {
-			done <- helloResult{err: wireError(r, "hello", "", 0)}
-			return
-		}
-		if r.op != respOK {
-			done <- helloResult{err: protoErrf("hello reply op %d", r.op)}
-			return
-		}
-		done <- helloResult{version: r.version}
-	}()
-	if ctx == nil {
-		res := <-done
-		return res.version, res.err
-	}
-	// From a STING thread: park through the substrate while the helper
-	// goroutine blocks on the socket.
-	var res helloResult
-	got := false
-	var mu sync.Mutex
-	tcb := ctx.TCB()
-	go func() {
-		r := <-done
-		mu.Lock()
-		res, got = r, true
-		mu.Unlock()
-		core.WakeTCB(tcb)
-	}()
-	ctx.BlockUntil(func() bool { mu.Lock(); defer mu.Unlock(); return got })
-	return res.version, res.err
+	err = fc.WriteFramePrefixed(frame)
+	sio.PutBuf(frame)
+	return true, err
 }
 
-func readFull(conn net.Conn, buf []byte) (int, error) {
-	total := 0
-	for total < len(buf) {
-		n, err := conn.Read(buf[total:])
-		total += n
-		if err != nil {
-			return total, err
-		}
+// onFrame is the reader call-back: route responses to pending calls (id 0
+// to the connection's HELLO call); on the terminal error fail every
+// in-flight call with ErrDisconnected. The frame is pooled (StartPooled) —
+// decodeResponse deep-copies everything it retains.
+func (cc *clientConn) onFrame(fc *sio.FrameConn, hello *call, frame []byte, err error) {
+	var r response
+	if err == nil {
+		r, err = decodeResponse(frame)
+	} else {
+		err = ErrDisconnected
 	}
-	return total, nil
-}
-
-// onFrame is the reader call-back: route responses to pending calls; on
-// the terminal error fail every in-flight call with ErrDisconnected. The
-// frame is pooled (StartPooled) — decodeResponse deep-copies everything
-// it retains.
-func (cc *clientConn) onFrame(fc *sio.FrameConn, frame []byte, err error) {
 	if err != nil {
-		cc.fail(fc, ErrDisconnected)
+		// hello first: until it completes redialLocked holds cc.mu, which
+		// fail needs.
+		hello.complete(response{}, err)
+		cc.fail(fc, err)
 		return
 	}
-	r, derr := decodeResponse(frame)
-	if derr != nil {
-		cc.fail(fc, derr)
+	if r.id == 0 {
+		hello.complete(r, nil)
 		return
 	}
 	cc.mu.Lock()
@@ -399,9 +342,11 @@ func (cc *clientConn) onFrame(fc *sio.FrameConn, frame []byte, err error) {
 	}
 }
 
-// fail tears down fc (if still current) and fails its in-flight calls.
+// fail tears down fc and (if still current) fails its in-flight calls. The
+// socket closes last: the reader then runs fail(ErrDisconnected) itself,
+// and must find the calls already failed with this reason.
 func (cc *clientConn) fail(fc *sio.FrameConn, reason error) {
-	fc.Close()
+	defer fc.Close()
 	cc.mu.Lock()
 	if cc.fc != fc {
 		cc.mu.Unlock()
@@ -413,23 +358,6 @@ func (cc *clientConn) fail(fc *sio.FrameConn, reason error) {
 	cc.mu.Unlock()
 	for _, cl := range calls {
 		cl.complete(response{}, reason)
-	}
-}
-
-// close (terminal) fails whatever is still pending with ErrClientClosed
-// and hangs the socket up.
-func (cc *clientConn) close() {
-	cc.mu.Lock()
-	fc := cc.fc
-	cc.fc = nil
-	calls := cc.pending
-	cc.pending = make(map[uint32]*call)
-	cc.mu.Unlock()
-	for _, cl := range calls {
-		cl.complete(response{}, ErrClientClosed)
-	}
-	if fc != nil {
-		fc.Close()
 	}
 }
 
@@ -454,7 +382,12 @@ func (c *Client) Close() error {
 	case <-time.After(c.cfg.DrainTimeout):
 	}
 	for _, cc := range c.conns {
-		cc.close()
+		cc.mu.Lock()
+		fc := cc.fc
+		cc.mu.Unlock()
+		if fc != nil { // without a live connection nothing is pending
+			cc.fail(fc, ErrClientClosed)
+		}
 	}
 	return nil
 }
@@ -487,7 +420,7 @@ func (c *Client) roundTrip(ctx *core.Context, req request, wait time.Duration, t
 				span.SetAttr("space", req.space)
 				span.SetAttr("addr", c.addr)
 				pctx := span.Context()
-				req.trace, req.parentSpan = pctx.Trace, pctx.Span
+				req.trace, req.parentSpan, req.hasTrace = pctx.Trace, pctx.Span, true
 			}
 		}
 	}
@@ -530,59 +463,22 @@ func (c *Client) roundTripRetry(ctx *core.Context, req request, wait time.Durati
 			return response{}, ErrCanceled
 		}
 		cc := c.pick(req)
-		cl, id, fc, ver, err := cc.register(ctx)
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return response{}, err
-			}
+		cl := newCall()
+		id, err := cc.send(ctx, cl, req)
+		if errors.Is(err, errUnwritten) {
 			lastErr = err
-			continue // dial failed; transient
-		}
-		req.id = id
-		// Version gates are per attempt: a redial may land on an older
-		// server. An op the peer predates cannot be sent at all — an old
-		// decoder treats the unknown op as a protocol error and closes
-		// the connection — so minVer misses fail rather than degrade.
-		if req.minVer > 0 && ver < req.minVer {
-			cc.unregister(id)
-			return response{}, fmt.Errorf("%w: %s needs protocol version %d, server speaks %d",
-				ErrUnsupported, opName(req.op), req.minVer, ver)
-		}
-		// The trace-context extension needs a version-2 peer.
-		req.hasTrace = req.parentSpan != 0 && ver >= 2
-		buf := sio.GetBuf()[:sio.PrefixLen]
-		frame, err := appendRequest(buf, req)
-		if err != nil {
-			cc.unregister(id)
-			sio.PutBuf(buf)
-			return response{}, err
-		}
-		werr := fc.WriteFramePrefixed(frame)
-		sio.PutBuf(frame)
-		if werr != nil {
-			cc.unregister(id)
-			if errors.Is(werr, net.ErrClosed) {
-				// The frame never hit the socket; safe to retry on a
-				// fresh connection.
-				lastErr = werr
-				continue
-			}
-			// A partial write still cannot execute server-side (the frame
-			// is length-prefixed and incomplete), but the connection is
-			// now poisoned mid-stream: fail it and retry.
-			cc.fail(fc, ErrDisconnected)
-			lastErr = werr
 			continue
 		}
+		if err != nil {
+			return response{}, err
+		}
 		if tok != nil {
-			// Register after the frame is written so the CANCEL always
-			// trails its target on the stream (ahead-of-target cancels on
-			// fresh connections still resolve via the server's precanceled
-			// set). The wait below still runs to the server's authoritative
+			// Watch only once the frame is written: the server finds a
+			// CANCEL's target only if the CANCEL trails it on the stream.
+			// The wait below still runs to the server's authoritative
 			// reply: a cancel that loses the race yields a real tuple the
 			// caller must dispose of, not a silently dropped one.
-			target := id
-			tok.Watch(func(error) { cc.sendCancel(target) })
+			tok.Watch(func(error) { cc.sendCancel(id) })
 		}
 		resp, err := c.wait(ctx, cl, req, wait, func() { cc.unregister(id) })
 		switch {
@@ -636,52 +532,61 @@ func (cc *clientConn) sendCancel(target uint32) {
 	if fc == nil {
 		return
 	}
-	frame, err := encodeRequest(request{op: opCancel, target: target})
-	if err != nil {
-		return
-	}
-	fc.WriteFrame(frame) //nolint:errcheck
+	writeRequest(fc, request{op: opCancel, target: target}) //nolint:errcheck
 }
 
-// ensure returns the connection's negotiated version, dialing first if
-// needed. During Close a live connection keeps serving (the drain), but
-// no new dial starts.
-func (cc *clientConn) ensure(ctx *core.Context) (byte, error) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if cc.fc == nil {
-		if cc.c.closed.Load() {
-			return 0, net.ErrClosed
-		}
-		if err := cc.redialLocked(ctx); err != nil {
+// send is the one write path: register cl under a fresh request id, encode
+// req into a pooled buffer and write it. An error wrapping errUnwritten
+// means the frame provably never reached the server and the request may be
+// re-sent; every other error is terminal for the request (the client is
+// closed, the peer speaks another protocol, the request does not encode or
+// exceeds the frame limit).
+func (cc *clientConn) send(ctx *core.Context, cl *call, req request) (uint32, error) {
+	id, fc, err := cc.register(ctx, cl)
+	if err != nil {
+		if errors.Is(err, net.ErrClosed) || errors.Is(err, ErrUnsupported) {
 			return 0, err
 		}
+		return 0, fmt.Errorf("%w: %w", errUnwritten, err) // the dial failed
 	}
-	return cc.version, nil
+	req.id = id
+	encoded, err := writeRequest(fc, req)
+	if err == nil {
+		return id, nil
+	}
+	cc.unregister(id)
+	if !encoded || errors.Is(err, sio.ErrFrameTooLarge) {
+		return 0, err // nothing was written; the connection is intact
+	}
+	if !errors.Is(err, net.ErrClosed) {
+		// A partial write still cannot execute server-side (the frame is
+		// length-prefixed and incomplete), but the connection is now
+		// poisoned mid-stream.
+		cc.fail(fc, ErrDisconnected)
+	}
+	return 0, fmt.Errorf("%w: %w", errUnwritten, err)
 }
 
-// register allocates a request id and pending call on a live connection,
-// redialing if the previous one died. It also reports the connection's
-// negotiated protocol version, which gates versioned ops and extensions.
-func (cc *clientConn) register(ctx *core.Context) (*call, uint32, *sio.FrameConn, byte, error) {
+// register files cl under a fresh request id on a live connection,
+// redialing if the previous one died. During Close a live connection keeps
+// serving (the drain), but no new dial starts.
+func (cc *clientConn) register(ctx *core.Context, cl *call) (uint32, *sio.FrameConn, error) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if cc.fc == nil {
 		if cc.c.closed.Load() {
-			return nil, 0, nil, 0, net.ErrClosed
+			return 0, nil, net.ErrClosed
 		}
 		if err := cc.redialLocked(ctx); err != nil {
-			return nil, 0, nil, 0, err
+			return 0, nil, err
 		}
 	}
 	cc.nextID++
 	if cc.nextID == 0 {
-		cc.nextID = 1
+		cc.nextID = 1 // 0 is the HELLO exchange's
 	}
-	id := cc.nextID
-	cl := newCall()
-	cc.pending[id] = cl
-	return cl, id, cc.fc, cc.version, nil
+	cc.pending[cc.nextID] = cl
+	return cc.nextID, cc.fc, nil
 }
 
 func (cc *clientConn) unregister(id uint32) {
@@ -762,16 +667,9 @@ type batcher struct {
 	cc      *clientConn
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   []batchItem
+	queue   []batchEntry
 	stopped bool
 	done    chan struct{}
-}
-
-// batchItem is one queued Put and the call its enqueuer waits on.
-type batchItem struct {
-	space string
-	tuple tspace.Tuple
-	cl    *call
 }
 
 func newBatcher(cc *clientConn) *batcher {
@@ -790,7 +688,7 @@ func (b *batcher) enqueue(space string, tup tspace.Tuple) (*call, error) {
 		b.mu.Unlock()
 		return nil, net.ErrClosed
 	}
-	b.queue = append(b.queue, batchItem{space: space, tuple: tup, cl: cl})
+	b.queue = append(b.queue, batchEntry{space: space, tuple: tup, cl: cl})
 	b.mu.Unlock()
 	b.cond.Signal()
 	return cl, nil
@@ -828,7 +726,7 @@ func (b *batcher) run() {
 			b.mu.Lock()
 		}
 		n := min(len(b.queue), maxBatchOps)
-		items := make([]batchItem, n)
+		items := make([]batchEntry, n)
 		copy(items, b.queue)
 		rest := copy(b.queue, b.queue[n:])
 		clear(b.queue[rest:])
@@ -839,69 +737,30 @@ func (b *batcher) run() {
 }
 
 // flush writes one BATCH frame carrying items. Entries whose frame
-// provably never reached the socket fail with errBatchUnwritten (their
-// Put wrapper retries); entries on an old peer fail with
-// errBatchFallback (their Put re-sends per-op).
-func (b *batcher) flush(items []batchItem) {
-	cc := b.cc
-	failItems := func(err error) {
+// provably never reached the server fail with errUnwritten (their Put
+// wrapper retries).
+func (b *batcher) flush(items []batchEntry) {
+	cl := newCall()
+	cl.subs = items
+	_, err := b.cc.send(nil, cl, request{op: opBatch, batch: items})
+	switch {
+	case err == nil:
+		b.cc.c.metrics.batchFlushes.Add(1)
+		b.cc.c.metrics.batchedPuts.Add(uint64(len(items)))
+	case errors.Is(err, sio.ErrFrameTooLarge) && len(items) > 1:
+		// Entries fit individually but not together: split and retry.
+		mid := len(items) / 2
+		b.flush(items[:mid])
+		b.flush(items[mid:])
+	default:
 		for _, it := range items {
 			it.cl.complete(response{}, err)
 		}
 	}
-	cl, id, fc, ver, err := cc.register(nil)
-	if err != nil {
-		if !errors.Is(err, net.ErrClosed) {
-			err = errBatchUnwritten // dial failure: provably unwritten
-		}
-		failItems(err)
-		return
-	}
-	if ver < 4 {
-		cc.unregister(id)
-		failItems(errBatchFallback)
-		return
-	}
-	entries := make([]batchEntry, len(items))
-	for i, it := range items {
-		entries[i] = batchEntry{space: it.space, tuple: it.tuple}
-	}
-	cl.subs = items
-	buf := sio.GetBuf()[:sio.PrefixLen]
-	frame, err := appendRequest(buf, request{op: opBatch, id: id, batch: entries})
-	if err != nil {
-		cc.unregister(id)
-		sio.PutBuf(buf)
-		failItems(err) // unencodable tuple: terminal
-		return
-	}
-	werr := fc.WriteFramePrefixed(frame)
-	sio.PutBuf(frame)
-	if werr != nil {
-		cc.unregister(id)
-		switch {
-		case errors.Is(werr, sio.ErrFrameTooLarge) && len(items) > 1:
-			// Entries fit individually but not together: split and retry.
-			mid := len(items) / 2
-			b.flush(items[:mid])
-			b.flush(items[mid:])
-		case errors.Is(werr, sio.ErrFrameTooLarge):
-			failItems(werr)
-		case errors.Is(werr, net.ErrClosed):
-			failItems(errBatchUnwritten)
-		default:
-			cc.fail(fc, ErrDisconnected)
-			failItems(errBatchUnwritten)
-		}
-		return
-	}
-	cc.c.metrics.batchFlushes.Add(1)
-	cc.c.metrics.batchedPuts.Add(uint64(len(items)))
 }
 
 // batchPut routes one Put through the connection's batcher, retrying
-// (bounded) entries whose frame provably never left. errBatchFallback
-// tells the caller to use the per-op path instead.
+// (bounded) entries whose frame provably never left.
 func (c *Client) batchPut(ctx *core.Context, space string, tup tspace.Tuple) error {
 	c.wg.Add(1)
 	defer c.wg.Done()
@@ -911,19 +770,7 @@ func (c *Client) batchPut(ctx *core.Context, space string, tup tspace.Tuple) err
 			c.metrics.opRetries.Add(1)
 			sleep(ctx, c.cfg.backoff(attempt-1))
 		}
-		cc := c.pickKeyed(space, tup)
-		ver, err := cc.ensure(ctx)
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return err
-			}
-			lastErr = err
-			continue
-		}
-		if ver < 4 {
-			return errBatchFallback
-		}
-		cl, err := cc.bat.enqueue(space, tup)
+		cl, err := c.pickKeyed(space, tup).bat.enqueue(space, tup)
 		if err != nil {
 			return err
 		}
@@ -936,15 +783,12 @@ func (c *Client) batchPut(ctx *core.Context, space string, tup tspace.Tuple) err
 			}
 			c.metrics.observeOp(opPut, time.Since(t0))
 			return nil
-		case errors.Is(err, errBatchUnwritten):
+		case errors.Is(err, errUnwritten):
 			lastErr = err
-			continue
-		case errors.Is(err, errBatchFallback):
-			return errBatchFallback
-		case errors.Is(err, ErrTimeout):
-			c.metrics.timeouts.Add(1)
-			return err
 		default:
+			if errors.Is(err, ErrTimeout) {
+				c.metrics.timeouts.Add(1)
+			}
 			return err
 		}
 	}
@@ -967,14 +811,7 @@ func (c *Client) Stats(ctx *core.Context) (StatsSnapshot, error) {
 // Ping performs one HELLO round trip — the liveness probe cluster health
 // checking runs against each shard.
 func (c *Client) Ping(ctx *core.Context) error {
-	resp, err := c.roundTrip(ctx, request{op: opHello, version: c.cfg.MaxVersion}, c.cfg.Timeout, nil)
-	if err != nil {
-		return err
-	}
-	if resp.op != respOK {
-		return protoErrf("hello reply op %d", resp.op)
-	}
-	return nil
+	return checkHello(c.roundTrip(ctx, request{op: opHello}, c.cfg.Timeout, nil))
 }
 
 // Addr returns the server address this client dials.
@@ -1007,14 +844,11 @@ func (s *Space) Deadline(d time.Duration) *Space {
 func (s *Space) Name() string { return s.name }
 
 // Put deposits a tuple in the remote space. With cfg.Batch it rides the
-// connection's batcher (one BATCH frame per flush turnaround); against an
-// older peer — or with batching off — one PUT frame per call.
+// connection's batcher (one BATCH frame per flush turnaround); otherwise
+// one PUT frame per call.
 func (s *Space) Put(ctx *core.Context, tup tspace.Tuple) error {
 	if s.c.cfg.Batch {
-		err := s.c.batchPut(ctx, s.name, tup)
-		if !errors.Is(err, errBatchFallback) {
-			return err
-		}
+		return s.c.batchPut(ctx, s.name, tup)
 	}
 	req := request{op: opPut, space: s.name, tuple: tup}
 	resp, err := s.c.roundTrip(ctx, req, s.c.waitFor(req), nil)
@@ -1044,38 +878,16 @@ type PendingPut struct {
 func (s *Space) PutAsync(ctx *core.Context, tup tspace.Tuple) (*PendingPut, error) {
 	c := s.c
 	cc := c.pickKeyed(s.name, tup)
+	var cl *call
+	var err error
 	if c.cfg.Batch {
-		ver, err := cc.ensure(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if ver >= 4 {
-			cl, err := cc.bat.enqueue(s.name, tup)
-			if err != nil {
-				return nil, err
-			}
-			return &PendingPut{c: c, cl: cl, space: s.name}, nil
-		}
+		cl, err = cc.bat.enqueue(s.name, tup)
+	} else {
+		cl = newCall()
+		_, err = cc.send(ctx, cl, request{op: opPut, space: s.name, tuple: tup})
 	}
-	cl, id, fc, _, err := cc.register(ctx)
 	if err != nil {
 		return nil, err
-	}
-	buf := sio.GetBuf()[:sio.PrefixLen]
-	frame, err := appendRequest(buf, request{op: opPut, id: id, space: s.name, tuple: tup})
-	if err != nil {
-		cc.unregister(id)
-		sio.PutBuf(buf)
-		return nil, err
-	}
-	werr := fc.WriteFramePrefixed(frame)
-	sio.PutBuf(frame)
-	if werr != nil {
-		cc.unregister(id)
-		if !errors.Is(werr, net.ErrClosed) && !errors.Is(werr, sio.ErrFrameTooLarge) {
-			cc.fail(fc, ErrDisconnected)
-		}
-		return nil, werr
 	}
 	return &PendingPut{c: c, cl: cl, space: s.name}, nil
 }
@@ -1085,7 +897,7 @@ func (s *Space) PutAsync(ctx *core.Context, tup tspace.Tuple) (*PendingPut, erro
 func (p *PendingPut) Wait(ctx *core.Context) error {
 	resp, err := p.c.wait(ctx, p.cl, request{op: opPut, space: p.space}, p.c.cfg.Timeout, nil)
 	if err != nil {
-		if errors.Is(err, errBatchUnwritten) || errors.Is(err, errBatchFallback) {
+		if errors.Is(err, errUnwritten) {
 			return ErrDisconnected // async puts are not retried
 		}
 		return err
@@ -1094,10 +906,6 @@ func (p *PendingPut) Wait(ctx *core.Context) error {
 		return protoErrf("put reply op %d", resp.op)
 	}
 	return nil
-}
-
-func (s *Space) match(ctx *core.Context, op byte, tpl tspace.Template) (tspace.Tuple, tspace.Bindings, error) {
-	return s.matchTok(ctx, op, tpl, nil)
 }
 
 // matchTok runs one matching op, optionally governed by a cancel token.
@@ -1123,12 +931,12 @@ func (s *Space) matchTok(ctx *core.Context, op byte, tpl tspace.Template, tok *t
 // Get removes a matching tuple, blocking (parked server-side as a STING
 // thread, parked client-side through BlockUntil) until one exists.
 func (s *Space) Get(ctx *core.Context, tpl tspace.Template) (tspace.Tuple, tspace.Bindings, error) {
-	return s.match(ctx, opGet, tpl)
+	return s.matchTok(ctx, opGet, tpl, nil)
 }
 
 // Rd reads a matching tuple without removing it, blocking until one exists.
 func (s *Space) Rd(ctx *core.Context, tpl tspace.Template) (tspace.Tuple, tspace.Bindings, error) {
-	return s.match(ctx, opRd, tpl)
+	return s.matchTok(ctx, opRd, tpl, nil)
 }
 
 // GetCancel is Get governed by tok: firing the token sends a CANCEL frame
@@ -1147,12 +955,12 @@ func (s *Space) RdCancel(ctx *core.Context, tpl tspace.Template, tok *tspace.Can
 
 // TryGet is the non-blocking Get probe.
 func (s *Space) TryGet(ctx *core.Context, tpl tspace.Template) (tspace.Tuple, tspace.Bindings, error) {
-	return s.match(ctx, opTryGet, tpl)
+	return s.matchTok(ctx, opTryGet, tpl, nil)
 }
 
 // TryRd is the non-blocking Rd probe.
 func (s *Space) TryRd(ctx *core.Context, tpl tspace.Template) (tspace.Tuple, tspace.Bindings, error) {
-	return s.match(ctx, opTryRd, tpl)
+	return s.matchTok(ctx, opTryRd, tpl, nil)
 }
 
 // Spawn is unsupported on remote spaces: thunks are process-local.
@@ -1178,8 +986,7 @@ func (s *Space) CommitTxn(ctx *core.Context, ops []tspace.TxnOp) error {
 
 // CommitTxn ships a transaction's buffered log in one TXNCOMMIT frame for
 // atomic server-side validation and apply. A validation failure surfaces
-// as a *tspace.ConflictError, telling the caller to re-run the body. The
-// op needs a version-3 server; older peers yield ErrUnsupported.
+// as a *tspace.ConflictError, telling the caller to re-run the body.
 //
 // Like Put, TXNCOMMIT is not idempotent: it is retried only while the
 // frame provably never reached the socket.
@@ -1187,7 +994,7 @@ func (c *Client) CommitTxn(ctx *core.Context, ops []tspace.TxnOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	req := request{op: opTxnCommit, space: ops[0].Space, txnOps: ops, minVer: 3}
+	req := request{op: opTxnCommit, space: ops[0].Space, txnOps: ops}
 	resp, err := c.roundTrip(ctx, req, c.waitFor(req), nil)
 	if err != nil {
 		return err

@@ -1,12 +1,14 @@
 package remote
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/sio"
 	"repro/internal/testkit"
 	"repro/internal/tspace"
 )
@@ -276,9 +278,59 @@ func TestCancelWithdrawsBlockingGet(t *testing.T) {
 	}
 }
 
+// TestCancelAfterManyStaleCancels: CANCELs whose target already answered
+// (one fan-out in six sends one) must leave nothing behind on the
+// connection. Regression: the server remembered every such CANCEL in a set
+// capped at 1,024 entries in case it had overtaken its target's
+// registration, never forgot one, and once the set was full dropped the
+// CANCELs that really had — their Gets stayed parked for good.
+func TestCancelAfterManyStaleCancels(t *testing.T) {
+	srv, addr := startServer(t)
+	fc, frames, _ := rawConn(t, addr)
+	nc := fc.Conn()
+	frame := func(req request) []byte {
+		b, err := appendRequest(make([]byte, sio.PrefixLen), req)
+		if err != nil {
+			t.Fatalf("encode %s: %v", opName(req.op), err)
+		}
+		binary.BigEndian.PutUint32(b, uint32(len(b)-sio.PrefixLen))
+		return b
+	}
+	var stale []byte
+	for id := uint32(1); id <= 2000; id++ {
+		stale = append(stale, frame(request{op: opCancel, target: id})...)
+	}
+	if _, err := nc.Write(stale); err != nil {
+		t.Fatalf("write stale cancels: %v", err)
+	}
+	// Each Get and its CANCEL leave in one write, so the reader decodes the
+	// CANCEL right behind its target — before the Get's thread has run.
+	const gets = 20
+	for i := uint32(0); i < gets; i++ {
+		id := 5000 + i
+		pair := append(frame(request{op: opGet, id: id, space: "jobs", template: tspace.Template{"never"}}),
+			frame(request{op: opCancel, target: id})...)
+		if _, err := nc.Write(pair); err != nil {
+			t.Fatalf("write get+cancel: %v", err)
+		}
+	}
+	for i := 0; i < gets; i++ {
+		select {
+		case b := <-frames:
+			if r, err := decodeResponse(b); err != nil || r.op != respErr || r.code != codeCanceled {
+				t.Fatalf("reply %d: %+v (err %v), want respErr/codeCanceled", i, r, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d canceled Gets never answered (still parked: %d)", gets-i, gets, srv.Stats().Blocked)
+		}
+	}
+	testkit.Eventually(t, 5*time.Second, func() bool { return srv.Stats().Blocked == 0 },
+		"a canceled Get stayed parked")
+}
+
 // TestCancelBeforeParkStillWithdraws: a token fired before the op's frame
-// is even written must short-circuit (or withdraw immediately after
-// registration via the server's precanceled set) — never hang.
+// is even written must short-circuit (or withdraw the op as soon as the
+// server has registered it) — never hang.
 func TestCancelBeforeParkStillWithdraws(t *testing.T) {
 	_, addr := startServer(t)
 	c := dialTest(t, addr, DialConfig{})

@@ -58,7 +58,7 @@ func (c ServerCollector) Collect() []obs.Metric {
 	}
 	out = append(out,
 		obs.Counter("sting_remote_batch_puts_total", "Tuples deposited via BATCH frames.", float64(s.BatchPuts.Load())),
-		obs.Gauge("sting_remote_conn_pool_size", "Largest connection-pool size announced by a live client (ANNOUNCE, version ≥4).", float64(srv.maxAnnouncedPool())))
+		obs.Gauge("sting_remote_conn_pool_size", "Largest connection-pool size announced by a live client (ANNOUNCE).", float64(srv.maxAnnouncedPool())))
 	return out
 }
 

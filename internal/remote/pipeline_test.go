@@ -3,18 +3,20 @@ package remote
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/sio"
 	"repro/internal/testkit"
 	"repro/internal/tspace"
 )
 
-// startServerCfg is startServer with a caller-supplied config — the interop
-// tests use MaxVersion to impersonate older servers.
+// startServerCfg is startServer with a caller-supplied config.
 func startServerCfg(t testing.TB, cfg ServerConfig) (*Server, string) {
 	t.Helper()
 	vm := testkit.VM(t, 2, 2)
@@ -28,35 +30,83 @@ func startServerCfg(t testing.TB, cfg ServerConfig) (*Server, string) {
 	return srv, ln.Addr().String()
 }
 
-// TestHelloNegotiation pins min(client, server) version selection across
-// the version matrix — the interop contract that lets v1–v3 peers keep
-// talking to a v4 node and vice versa.
-func TestHelloNegotiation(t *testing.T) {
-	for _, tc := range []struct {
-		client, server, want byte
-	}{
-		{0, 0, protocolVersion}, // both current
-		{0, 3, 3},               // old server caps
-		{0, 1, 1},
-		{3, 0, 3}, // old client caps
-		{1, 0, 1},
-		{2, 3, 2}, // min wins both ways
-		{3, 2, 2},
-	} {
-		_, addr := startServerCfg(t, ServerConfig{MaxVersion: tc.server})
-		c := dialTest(t, addr, DialConfig{MaxVersion: tc.client})
-		cc := c.conns[0]
-		cc.mu.Lock()
-		got := cc.version
-		cc.mu.Unlock()
-		if got != tc.want {
-			t.Errorf("client v%d × server v%d negotiated %d, want %d",
-				tc.client, tc.server, got, tc.want)
+// TestHelloRefusesOtherVersion: a client stating any version but this
+// build's is answered with the typed unsupported error and hung up on —
+// the server never downgrades.
+func TestHelloRefusesOtherVersion(t *testing.T) {
+	srv, addr := startServer(t)
+	fc, frames, errs := rawConn(t, addr)
+	hello, err := appendRequest(nil, request{op: opHello})
+	if err != nil {
+		t.Fatalf("encode hello: %v", err)
+	}
+	hello[len(hello)-1] = protocolVersion - 1
+	if err := fc.WriteFrame(hello); err != nil {
+		t.Fatalf("write hello: %v", err)
+	}
+	select {
+	case frame := <-frames:
+		r, err := decodeResponse(frame)
+		if err != nil {
+			t.Fatalf("reply undecodable: %v", err)
 		}
-		// The negotiated session must still carry data ops.
-		if err := c.Space("x").Put(nil, tspace.Tuple{"a", 1}); err != nil {
-			t.Errorf("Put at negotiated v%d: %v", got, err)
+		if r.op != respErr || r.code != codeUnsupported {
+			t.Fatalf("reply op=%d code=%d, want respErr/codeUnsupported", r.op, r.code)
 		}
+		if err := wireError(r, "hello", "", 0); !errors.Is(err, ErrUnsupported) {
+			t.Fatalf("wireError = %v, want ErrUnsupported", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no reply to a version-3 HELLO")
+	}
+	select {
+	case err := <-errs:
+		if !errors.Is(err, io.EOF) {
+			t.Fatalf("terminal err = %v, want EOF (connection closed)", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("server kept a version-3 peer connected")
+	}
+	if n := srv.Stats().ProtoErrors; n != 0 {
+		t.Fatalf("proto errors = %d: another version is unsupported, not malformed", n)
+	}
+}
+
+// TestDialRefusesOtherVersion: a server answering HELLO with another
+// version fails Dial with ErrUnsupported at once — one connect, the retry
+// budget untouched, since no retry changes what the peer speaks.
+func TestDialRefusesOtherVersion(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	var connects atomic.Int32
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			connects.Add(1)
+			fc := sio.NewFrameConn(nc, maxFrame, time.Second)
+			fc.Start(func(frame []byte, err error) {
+				if err != nil {
+					fc.Close()
+					return
+				}
+				ok := appendOK(nil, 0)
+				ok[len(ok)-1] = protocolVersion - 1
+				fc.WriteFrame(ok) //nolint:errcheck
+			})
+		}
+	}()
+	_, err = Dial(nil, ln.Addr().String(), DialConfig{DialRetries: 4, BaseBackoff: time.Millisecond})
+	if !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("Dial err = %v, want ErrUnsupported", err)
+	}
+	if n := connects.Load(); n != 1 {
+		t.Fatalf("Dial connected %d times, want 1 (the refusal is terminal)", n)
 	}
 }
 
@@ -94,30 +144,6 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 	if c.metrics.batchedPuts.Load() != n {
 		t.Fatalf("client batchedPuts = %d, want %d", c.metrics.batchedPuts.Load(), n)
-	}
-}
-
-// TestBatchFallbackOldServer: a batching client against a pre-v4 server
-// silently degrades to one PUT frame per op — nothing lost, nothing
-// batched.
-func TestBatchFallbackOldServer(t *testing.T) {
-	srv, addr := startServerCfg(t, ServerConfig{MaxVersion: 3})
-	c := dialTest(t, addr, DialConfig{Batch: true})
-	const n = 25
-	for i := 0; i < n; i++ {
-		if err := c.Space("jobs").Put(nil, tspace.Tuple{"job", int64(i)}); err != nil {
-			t.Fatalf("Put %d: %v", i, err)
-		}
-	}
-	if got := c.Space("jobs").Len(); got != n {
-		t.Fatalf("Len = %d, want %d", got, n)
-	}
-	s := srv.Stats()
-	if s.BatchPuts != 0 || s.Ops["batch"] != 0 {
-		t.Fatalf("v3 server saw batches: %+v", s.Ops)
-	}
-	if s.Ops["put"] != n {
-		t.Fatalf("per-op puts = %d, want %d", s.Ops["put"], n)
 	}
 }
 
@@ -333,29 +359,13 @@ func TestConnPoolShards(t *testing.T) {
 	}, "server never learned the announced pool size")
 }
 
-// TestAnnounceSkippedForOldServer: a pre-v4 server must never receive the
-// ANNOUNCE op (its decoder would close the connection).
-func TestAnnounceSkippedForOldServer(t *testing.T) {
-	srv, addr := startServerCfg(t, ServerConfig{MaxVersion: 2})
-	c := dialTest(t, addr, DialConfig{Conns: 2})
-	if err := c.Space("x").Put(nil, tspace.Tuple{"a", 1}); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if n := srv.maxAnnouncedPool(); n != 0 {
-		t.Fatalf("v2 server recorded pool size %d, want 0 (no ANNOUNCE)", n)
-	}
-	if srv.Stats().Ops["announce"] != 0 {
-		t.Fatal("v2 server received an ANNOUNCE frame")
-	}
-}
-
 // TestBatchWireRoundTrip pins the BATCH/respBatch wire encoding itself.
 func TestBatchWireRoundTrip(t *testing.T) {
 	req := request{op: opBatch, id: 42, batch: []batchEntry{
 		{space: "a", tuple: tspace.Tuple{"x", int64(1)}},
 		{space: "b", tuple: tspace.Tuple{true, 2.5, nil}},
 	}}
-	frame, err := encodeRequest(req)
+	frame, err := appendRequest(nil, req)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -380,14 +390,14 @@ func TestBatchWireRoundTrip(t *testing.T) {
 	}
 
 	// Bounds: an empty batch and an oversized one are rejected at encode.
-	if _, err := encodeRequest(request{op: opBatch, id: 1}); !errors.Is(err, ErrProtocol) {
+	if _, err := appendRequest(nil, request{op: opBatch, id: 1}); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("empty batch encode err = %v, want ErrProtocol", err)
 	}
 	over := make([]batchEntry, maxBatchOps+1)
 	for i := range over {
 		over[i] = batchEntry{space: "s", tuple: tspace.Tuple{int64(i)}}
 	}
-	if _, err := encodeRequest(request{op: opBatch, id: 1, batch: over}); !errors.Is(err, ErrProtocol) {
+	if _, err := appendRequest(nil, request{op: opBatch, id: 1, batch: over}); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("oversized batch encode err = %v, want ErrProtocol", err)
 	}
 }

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"errors"
-	"net"
 	"testing"
 	"time"
 
@@ -15,15 +14,7 @@ import (
 // loopback listener, all torn down with the test.
 func startServer(t testing.TB) (*Server, string) {
 	t.Helper()
-	vm := testkit.VM(t, 2, 2)
-	srv := NewServer(vm, ServerConfig{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go srv.Serve(ln) //nolint:errcheck
-	t.Cleanup(srv.Shutdown)
-	return srv, ln.Addr().String()
+	return startServerCfg(t, ServerConfig{})
 }
 
 func dialTest(t testing.TB, addr string, cfg DialConfig) *Client {

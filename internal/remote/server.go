@@ -25,9 +25,6 @@ type ServerConfig struct {
 	// DisableMetrics turns off the per-op latency histograms (the
 	// observability-overhead ablation switch; counters stay on).
 	DisableMetrics bool
-	// MaxVersion caps the protocol version HELLO negotiates (default
-	// protocolVersion); interop tests use it to impersonate older servers.
-	MaxVersion byte
 	// RouteCheck, when set, vets each data op against the cluster routing
 	// policy before execution: tuple is non-nil for Put, template for the
 	// matching ops. Returning a *RedirectError answers the client with a
@@ -74,9 +71,6 @@ func NewServer(vm *core.VM, cfg ServerConfig) *Server {
 	if cfg.Registry == nil {
 		cfg.Registry = tspace.NewRegistry(tspace.KindHash, tspace.Config{})
 	}
-	if cfg.MaxVersion == 0 || cfg.MaxVersion > protocolVersion {
-		cfg.MaxVersion = protocolVersion
-	}
 	s := &Server{
 		vm:    vm,
 		reg:   cfg.Registry,
@@ -99,7 +93,7 @@ func (s *Server) Stats() StatsSnapshot {
 }
 
 // maxAnnouncedPool reports the largest connection-pool size any live
-// client has announced (ANNOUNCE, version ≥4); 0 when none has.
+// client has announced (ANNOUNCE); 0 when none has.
 func (s *Server) maxAnnouncedPool() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -200,7 +194,7 @@ func (s *Server) Shutdown() {
 	}
 	s.ops.Wait()
 	for _, sc := range conns {
-		sc.close()
+		sc.teardown()
 	}
 }
 
@@ -210,7 +204,6 @@ func (s *Server) addConn(c net.Conn) {
 		fc:     sio.NewFrameConn(c, maxFrame, s.cfg.WriteTimeout),
 		tokens: make(map[uint32]parkedToken),
 	}
-	sc.version.Store(minProtocolVersion) // until HELLO negotiates
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
@@ -253,19 +246,22 @@ func (s *Server) handleFrame(sc *serverConn, frame []byte) {
 	req, err := decodeRequest(frame)
 	if err != nil {
 		s.stats.ProtoErrors.Add(1)
-		sc.send(encodeErrResp(req.id, codeProtocol, err.Error()))
+		sc.sendErr(req.id, codeProtocol, err.Error())
 		sc.teardown()
 		return
 	}
 	s.stats.serve(req.op)
 	switch req.op {
 	case opHello:
-		v := req.version
-		if v > s.cfg.MaxVersion {
-			v = s.cfg.MaxVersion
+		if req.version != protocolVersion {
+			// Refused, never downgraded to: whatever the peer sent next
+			// would be decoded by rules it does not follow.
+			sc.sendErr(req.id, codeUnsupported, fmt.Sprintf(
+				"client speaks protocol version %d, this server %d", req.version, protocolVersion))
+			sc.teardown()
+			return
 		}
-		sc.version.Store(uint32(v))
-		sc.sendPooled(appendOK(sio.GetBuf()[:sio.PrefixLen], req.id, req.version, s.cfg.MaxVersion))
+		sc.sendOK(req.id)
 		s.stats.observe(req.op, time.Since(t0))
 		return
 	case opCancel:
@@ -282,6 +278,16 @@ func (s *Server) handleFrame(sc *serverConn, frame []byte) {
 	if s.closed.Load() {
 		sc.sendErr(req.id, codeShutdown, ErrShutdown.Error())
 		return
+	}
+	// A blocking op's cancel token is registered here, on the reader, not
+	// on the thread spawned below: CANCEL is handled on this same goroutine
+	// and trails its target on the stream, so it always finds the token.
+	var tok *tspace.CancelToken
+	if blockingOp(req.op) {
+		tok = tspace.NewCancelToken()
+		if !sc.addToken(req.id, tok, req.op, req.space) {
+			return // connection already gone; nobody to answer
+		}
 	}
 	// Depth is sampled at dispatch: how many requests this connection had
 	// in flight when the frame arrived (1 = strict request/response, more
@@ -304,18 +310,41 @@ func (s *Server) handleFrame(sc *serverConn, frame []byte) {
 	s.vm.Spawn(func(ctx *core.Context) ([]core.Value, error) {
 		defer s.ops.Done()
 		defer sc.inflight.Add(-1)
-		s.serveOp(ctx, sc, req)
+		s.serveOp(ctx, sc, req, tok)
+		if tok != nil {
+			sc.removeToken(req.id)
+		}
 		span.End()
 		s.stats.observe(req.op, time.Since(t0))
 		return nil, nil
 	}, core.WithName("stingd/"+opName(req.op)), core.WithSpanContext(span.Context()))
 }
 
-// serveOp executes one decoded request on a STING thread.
-func (s *Server) serveOp(ctx *core.Context, sc *serverConn, req request) {
+// routeStatus vets one op against the cluster routing policy: code 0 means
+// go ahead, codeRedirect names the owning shard in msg, anything else the
+// check failed to decide.
+func (s *Server) routeStatus(space string, tup tspace.Tuple, tpl tspace.Template) batchStatus {
+	if s.cfg.RouteCheck == nil {
+		return batchStatus{}
+	}
+	err := s.cfg.RouteCheck(space, tup, tpl)
+	if err == nil {
+		return batchStatus{}
+	}
+	var re *RedirectError
+	if errors.As(err, &re) {
+		s.stats.Redirects.Add(1)
+		return batchStatus{code: codeRedirect, msg: redirectMessage(re)}
+	}
+	return batchStatus{code: codeInternal, msg: err.Error()}
+}
+
+// serveOp executes one decoded request on a STING thread; tok is the
+// cancel token of a blocking op, nil otherwise.
+func (s *Server) serveOp(ctx *core.Context, sc *serverConn, req request, tok *tspace.CancelToken) {
 	switch req.op {
 	case opStats:
-		sc.send(encodeStatsResp(req.id, s.Stats()))
+		sc.sendPooled(appendStatsResp(sio.GetBuf()[:sio.PrefixLen], req.id, s.Stats()))
 		return
 	case opLen:
 		sc.sendPooled(appendLenResp(sio.GetBuf()[:sio.PrefixLen], req.id, s.reg.OpenDefault(req.space).Len()))
@@ -327,24 +356,11 @@ func (s *Server) serveOp(ctx *core.Context, sc *serverConn, req request) {
 		s.serveBatch(ctx, sc, req)
 		return
 	}
-	if rc := s.cfg.RouteCheck; rc != nil {
-		var rerr error
-		switch req.op {
-		case opPut:
-			rerr = rc(req.space, req.tuple, nil)
-		case opGet, opRd, opTryGet, opTryRd:
-			rerr = rc(req.space, nil, req.template)
-		}
-		if rerr != nil {
-			var re *RedirectError
-			if errors.As(rerr, &re) {
-				s.stats.Redirects.Add(1)
-				sc.sendErr(req.id, codeRedirect, redirectMessage(re))
-			} else {
-				sc.sendErr(req.id, codeInternal, rerr.Error())
-			}
-			return
-		}
+	// Only the data ops reach here, so exactly one of tuple and template
+	// is set — which is how RouteCheck tells a Put from a match.
+	if st := s.routeStatus(req.space, req.tuple, req.template); st.code != 0 {
+		sc.sendErr(req.id, st.code, st.msg)
+		return
 	}
 	ts := s.reg.OpenDefault(req.space)
 	switch req.op {
@@ -365,7 +381,7 @@ func (s *Server) serveOp(ctx *core.Context, sc *serverConn, req request) {
 		}
 		sc.sendMatch(req, tup, bind, err)
 	case opGet, opRd:
-		s.serveBlocking(ctx, sc, req, ts)
+		s.serveBlocking(ctx, sc, req, ts, tok)
 	default:
 		sc.sendErr(req.id, codeUnknownOp, "unknown op")
 	}
@@ -380,17 +396,8 @@ func (s *Server) serveBatch(ctx *core.Context, sc *serverConn, req request) {
 	sts := make([]batchStatus, len(req.batch))
 	applied := 0
 	for i, e := range req.batch {
-		if rc := s.cfg.RouteCheck; rc != nil {
-			if rerr := rc(e.space, e.tuple, nil); rerr != nil {
-				var re *RedirectError
-				if errors.As(rerr, &re) {
-					s.stats.Redirects.Add(1)
-					sts[i] = batchStatus{code: codeRedirect, msg: redirectMessage(re)}
-				} else {
-					sts[i] = batchStatus{code: codeInternal, msg: rerr.Error()}
-				}
-				continue
-			}
+		if sts[i] = s.routeStatus(e.space, e.tuple, nil); sts[i].code != 0 {
+			continue
 		}
 		if err := s.reg.OpenDefault(e.space).Put(ctx, e.tuple); err != nil {
 			sts[i] = batchStatus{code: codeInternal, msg: err.Error()}
@@ -411,19 +418,9 @@ func (s *Server) serveBatch(ctx *core.Context, sc *serverConn, req request) {
 // named space must support transactions, and validation failures answer
 // codeConflict so the client's Atomic loop retries its body.
 func (s *Server) serveTxnCommit(ctx *core.Context, sc *serverConn, req request) {
-	if rc := s.cfg.RouteCheck; rc != nil {
-		for _, op := range req.txnOps {
-			rerr := rc(op.Space, op.Tup, nil)
-			if rerr == nil {
-				continue
-			}
-			var re *RedirectError
-			if errors.As(rerr, &re) {
-				s.stats.Redirects.Add(1)
-				sc.sendErr(req.id, codeRedirect, redirectMessage(re))
-			} else {
-				sc.sendErr(req.id, codeInternal, rerr.Error())
-			}
+	for _, op := range req.txnOps {
+		if st := s.routeStatus(op.Space, op.Tup, nil); st.code != 0 {
+			sc.sendErr(req.id, st.code, st.msg)
 			return
 		}
 	}
@@ -456,15 +453,11 @@ func (s *Server) serveTxnCommit(ctx *core.Context, sc *serverConn, req request) 
 	sc.sendOK(req.id)
 }
 
-// serveBlocking runs a Get/Rd that may park the thread. The cancel token
-// is registered with the connection so a disconnect withdraws the waiter;
-// a deadline arms a timer that cancels with a timeout reason.
-func (s *Server) serveBlocking(ctx *core.Context, sc *serverConn, req request, ts tspace.TupleSpace) {
-	tok := tspace.NewCancelToken()
-	if !sc.addToken(req.id, tok, req.op, req.space) {
-		return // connection already gone; nobody to answer
-	}
-	defer sc.removeToken(req.id)
+// serveBlocking runs a Get/Rd that may park the thread. tok is registered
+// with the connection (handleFrame), so a CANCEL frame or a disconnect
+// withdraws the waiter; a deadline arms a timer that cancels with a
+// timeout reason.
+func (s *Server) serveBlocking(ctx *core.Context, sc *serverConn, req request, ts tspace.TupleSpace, tok *tspace.CancelToken) {
 	var timedOut atomic.Bool
 	if req.deadline > 0 {
 		timer := time.AfterFunc(req.deadline, func() {
@@ -510,10 +503,6 @@ type serverConn struct {
 	s  *Server
 	fc *sio.FrameConn
 
-	// version is the protocol version negotiated at HELLO; responses that
-	// carry a version byte echo it so version-1 clients keep decoding.
-	version atomic.Uint32
-
 	// inflight counts dispatched requests not yet answered — the sample
 	// the pipeline-depth histogram records at each arrival.
 	inflight atomic.Int64
@@ -522,10 +511,9 @@ type serverConn struct {
 	// an ANNOUNCE arrives).
 	poolSize atomic.Uint32
 
-	mu          sync.Mutex
-	tokens      map[uint32]parkedToken
-	precanceled map[uint32]struct{}
-	gone        bool
+	mu     sync.Mutex
+	tokens map[uint32]parkedToken
+	gone   bool
 }
 
 // parkedToken pairs a blocking op's cancel token with what the op is —
@@ -537,43 +525,22 @@ type parkedToken struct {
 	since time.Time
 }
 
-// maxPrecanceled bounds remembered ahead-of-target cancels so a client
-// spraying CANCEL frames for ids it never uses cannot grow the set.
-const maxPrecanceled = 1024
-
 // addToken registers a blocking op; false means the connection is gone.
-// A cancel that raced ahead of the registration fires the token now.
 func (sc *serverConn) addToken(id uint32, tok *tspace.CancelToken, op byte, space string) bool {
 	sc.mu.Lock()
+	defer sc.mu.Unlock()
 	if sc.gone {
-		sc.mu.Unlock()
 		return false
 	}
 	sc.tokens[id] = parkedToken{tok: tok, op: op, space: space, since: time.Now()}
-	_, pc := sc.precanceled[id]
-	if pc {
-		delete(sc.precanceled, id)
-	}
-	sc.mu.Unlock()
-	if pc {
-		tok.Cancel(ErrCanceled)
-	}
 	return true
 }
 
-// cancelID withdraws the blocking op with the given request id. The CANCEL
-// frame and its target arrive on the same ordered stream, but the target's
-// token registration happens on a spawned STING thread — a cancel decoded
-// before that registration is remembered and applied in addToken.
+// cancelID withdraws the blocking op with the given request id; a stale
+// cancel (the op already answered) finds no token and is a no-op.
 func (sc *serverConn) cancelID(id uint32) {
 	sc.mu.Lock()
 	tok := sc.tokens[id].tok
-	if tok == nil && !sc.gone && len(sc.precanceled) < maxPrecanceled {
-		if sc.precanceled == nil {
-			sc.precanceled = make(map[uint32]struct{})
-		}
-		sc.precanceled[id] = struct{}{}
-	}
 	sc.mu.Unlock()
 	if tok != nil {
 		tok.Cancel(ErrCanceled)
@@ -613,21 +580,10 @@ func (sc *serverConn) teardown() {
 	sc.fc.Close()
 }
 
-func (sc *serverConn) close() { sc.teardown() }
-
-// send writes a response frame, counting bytes; write errors tear the
-// connection down (the reader call-back finishes the cleanup). Cold paths
-// only — the hot paths go through sendPooled.
-func (sc *serverConn) send(frame []byte) {
-	if err := sc.fc.WriteFrame(frame); err != nil {
-		sc.teardown()
-		return
-	}
-	sc.s.stats.BytesOut.Add(uint64(len(frame)) + 4)
-}
-
 // sendPooled writes a response assembled in a pooled buffer (sio.GetBuf
-// with sio.PrefixLen reserved) and returns the buffer to the pool.
+// with sio.PrefixLen reserved), counting bytes, and returns the buffer to
+// the pool; write errors tear the connection down (the reader call-back
+// finishes the cleanup).
 func (sc *serverConn) sendPooled(frame []byte) {
 	err := sc.fc.WriteFramePrefixed(frame)
 	n := len(frame)
@@ -639,9 +595,9 @@ func (sc *serverConn) sendPooled(frame []byte) {
 	sc.s.stats.BytesOut.Add(uint64(n)) // includes the length prefix
 }
 
-// sendOK answers with the negotiated-version OK frame.
+// sendOK acknowledges an op (HELLO included: the frame states the version).
 func (sc *serverConn) sendOK(id uint32) {
-	sc.sendPooled(appendOK(sio.GetBuf()[:sio.PrefixLen], id, byte(sc.version.Load()), sc.s.cfg.MaxVersion))
+	sc.sendPooled(appendOK(sio.GetBuf()[:sio.PrefixLen], id))
 }
 
 // sendErr answers with a typed wire error.

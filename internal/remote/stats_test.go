@@ -60,7 +60,7 @@ func TestStatsWireRoundTripLatency(t *testing.T) {
 			"get": {Count: 4, P50: 0.000040, P95: 0.000200, P99: 0.000200},
 		},
 	}
-	r, err := decodeResponse(encodeStatsResp(3, snap))
+	r, err := decodeResponse(appendStatsResp(nil, 3, snap))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -163,7 +163,7 @@ func TestCountHistogramsResolveBatch(t *testing.T) {
 	for i := 0; i < n; i++ {
 		req.batch = append(req.batch, batchEntry{space: "jobs", tuple: tspace.Tuple{"job", int64(i)}})
 	}
-	payload, err := encodeRequest(req)
+	payload, err := appendRequest(nil, req)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}

@@ -60,28 +60,6 @@ func TestTxnCommitConflictOverWire(t *testing.T) {
 	}
 }
 
-func TestTxnCommitNeedsVersion3(t *testing.T) {
-	_, addr := startServer(t)
-	c := dialTest(t, addr, DialConfig{})
-
-	// Run one op so the connection (and negotiated version) exists, then
-	// force the handshake result down to a pre-TXNCOMMIT version.
-	if err := c.Space("v").Put(nil, tspace.Tuple{"x", 1}); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	cc := c.conns[0]
-	cc.mu.Lock()
-	cc.version = 2
-	cc.mu.Unlock()
-
-	err := c.CommitTxn(nil, []tspace.TxnOp{
-		{Kind: tspace.TxnPut, Space: "v", Tup: tspace.Tuple{"y", int64(2)}},
-	})
-	if !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("err = %v, want ErrUnsupported", err)
-	}
-}
-
 func TestTxnCommitEmptyLog(t *testing.T) {
 	_, addr := startServer(t)
 	c := dialTest(t, addr, DialConfig{})
@@ -95,9 +73,9 @@ func TestTxnOpsRequestCodec(t *testing.T) {
 		{Kind: tspace.TxnRead, Space: "bank", Ver: 3, Tup: tspace.Tuple{"r", int64(1)}},
 		{Kind: tspace.TxnPut, Space: "audit", Tup: tspace.Tuple{"log", "r"}},
 	}}
-	frame, err := encodeRequest(req)
+	frame, err := appendRequest(nil, req)
 	if err != nil {
-		t.Fatalf("encodeRequest: %v", err)
+		t.Fatalf("appendRequest: %v", err)
 	}
 	got, err := decodeRequest(frame)
 	if err != nil {

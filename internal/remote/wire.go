@@ -1,6 +1,6 @@
 // Package remote is the networked tuple-space fabric: it serves STING's
-// first-class tuple spaces (§4.2) over TCP so that processes — and, via
-// sharding in a later PR, whole fleets — coordinate through the same
+// first-class tuple spaces (§4.2) over TCP so that processes — and, sharded
+// by internal/cluster, whole fleets — coordinate through the same
 // content-addressable synchronizing memory a single substrate offers
 // in-process.
 //
@@ -20,6 +20,10 @@
 //	u32   deadline in ms (0 = none; blocking ops only)
 //	str   space name (uvarint length + bytes)
 //	body  op-specific (tuple, template, stats, …) via the tspace codec
+//	ext   zero or more extensions: marker byte, uvarint length, payload
+//
+// There is one protocol version (protocolVersion); HELLO states it and a
+// peer stating another is refused, never downgraded to.
 //
 // Malformed frames never panic the server: decoding returns ErrProtocol,
 // the client receives a protocol error, and the connection closes.
@@ -38,28 +42,20 @@ import (
 	"repro/internal/tspace"
 )
 
-// Protocol versions carried in the HELLO exchange. The client announces
-// the highest version it speaks; the server replies with
-// min(client, server), and both sides speak the negotiated version for the
-// rest of the connection. Version 2 adds trailing TLV extensions to
-// request frames (currently the trace-context extension); they are only
-// sent once the handshake negotiated ≥2, because version-1 decoders
-// reject trailing bytes. Version 3 adds TXNCOMMIT: one frame carrying a
-// whole transaction's buffered write/validate log for a single atomic
-// server-side commit; it is only sent once the handshake negotiated ≥3,
-// because older decoders close the connection on an unknown op. Version 4
-// adds BATCH (many non-blocking Puts coalesced into one frame, answered
-// by one per-entry status frame) and ANNOUNCE (a fire-and-forget client
-// capability note carrying its connection-pool size); both are only sent
-// once the handshake negotiated ≥4.
-const (
-	protocolVersion    = 4
-	minProtocolVersion = 1
-)
+// protocolVersion is the one wire version this package speaks. Every
+// connection opens with a HELLO exchange in which each side states its
+// version, and a peer stating any other is refused with ErrUnsupported —
+// nothing downgrades. Version 4 is: the request ops and response ops
+// below, trailing TLV extensions on request frames (the trace context),
+// TXNCOMMIT (a transaction's buffered log, committed atomically
+// server-side), BATCH (many non-blocking Puts in one frame, answered by
+// one per-entry status frame) and ANNOUNCE (a fire-and-forget note of the
+// client's connection-pool size).
+const protocolVersion = 4
 
-// ProtocolVersion reports the highest wire-protocol version this build
-// speaks — the sting_build_info label, so a mixed-version cluster is
-// visible from a dashboard before an interop bug finds it the hard way.
+// ProtocolVersion reports the wire-protocol version this build speaks —
+// the sting_build_info label, so a mixed-version cluster is visible from a
+// dashboard before a refused HELLO finds it the hard way.
 func ProtocolVersion() int { return protocolVersion }
 
 // maxFrame bounds one frame's payload.
@@ -83,18 +79,18 @@ const (
 	// itself answers with codeCanceled; opCancel has no response of its
 	// own, so a stale cancel (the op already finished) is a silent no-op.
 	opCancel
-	// opTxnCommit (version ≥3) ships a transaction's whole buffered log —
-	// reads to validate, takes, puts, possibly across several spaces of
-	// this server — for one atomic commit. Answers respOK on commit,
+	// opTxnCommit ships a transaction's whole buffered log — reads to
+	// validate, takes, puts, possibly across several spaces of this
+	// server — for one atomic commit. Answers respOK on commit,
 	// codeConflict when validation fails (the client retries its body).
 	opTxnCommit
-	// opBatch (version ≥4) coalesces up to maxBatchOps non-blocking Puts —
+	// opBatch coalesces up to maxBatchOps non-blocking Puts —
 	// each carrying its own space — into one frame sharing one request id.
 	// Answered by a single respBatch with a per-entry status, so one slow
 	// entry (say, a redirect) fails alone instead of poisoning the batch.
 	opBatch
-	// opAnnounce (version ≥4) is a fire-and-forget capability note sent
-	// after the handshake: body is the client's connection-pool size as a
+	// opAnnounce is a fire-and-forget capability note sent after the
+	// handshake: body is the client's connection-pool size as a
 	// uvarint, feeding the server's sting_remote_conn_pool_size gauge. No
 	// response.
 	opAnnounce
@@ -146,7 +142,8 @@ var (
 	// ErrDisconnected is the cancel reason for waiters whose client hung up.
 	ErrDisconnected = errors.New("remote: client disconnected")
 	// ErrUnsupported is returned for operations a remote space cannot
-	// perform (Spawn: thunks do not cross address spaces).
+	// perform (Spawn: thunks do not cross address spaces) and for a peer
+	// whose HELLO states a protocol version other than this build's.
 	ErrUnsupported = errors.New("remote: operation unsupported over the wire")
 	// ErrTimeout is matched (errors.Is) by every *TimeoutError.
 	ErrTimeout = errors.New("remote: deadline exceeded")
@@ -239,9 +236,9 @@ func opName(op byte) string {
 	}
 }
 
-// Request-frame extension markers (version ≥2). Extensions trail the op
-// body as marker byte + uvarint length + payload; unknown markers are
-// skipped, so new extensions never break a peer that negotiated them.
+// Request-frame extension markers. Extensions trail the op body as marker
+// byte + uvarint length + payload; unknown markers are skipped, so a new
+// extension needs no new protocol version.
 const (
 	// extTraceCtx propagates the caller's trace context: trace id (16
 	// bytes) + parent span id (8 bytes), big-endian.
@@ -254,6 +251,7 @@ const extTraceCtxLen = 24
 type batchEntry struct {
 	space string
 	tuple tspace.Tuple
+	cl    *call // client side only: what the entry's enqueuer waits on
 }
 
 // batchStatus is one entry's outcome inside a respBatch frame.
@@ -272,10 +270,9 @@ type request struct {
 	template tspace.Template // opGet/opRd/opTryGet/opTryRd
 	txnOps   []tspace.TxnOp  // opTxnCommit: the buffered commit log
 	target   uint32          // opCancel: the request id to withdraw
-	version  byte            // opHello: the client's announced version
+	version  byte            // opHello: the version the client stated (decode only)
 	batch    []batchEntry    // opBatch: the coalesced puts
 	poolSize uint32          // opAnnounce: client's connection-pool size
-	minVer   byte            // least peer version that knows this op (0 = any)
 
 	// Propagated trace context (extTraceCtx); hasTrace gates both
 	// encoding the extension and opening a server span.
@@ -292,18 +289,25 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-func decodeString(b []byte, limit int) (string, int, error) {
+// decodeBytes parses a uvarint-length-prefixed string of at most limit
+// bytes, returning it as a slice of b and how much of b it took.
+func decodeBytes(b []byte, limit int) ([]byte, int, error) {
 	l, n := binary.Uvarint(b)
 	if n <= 0 {
-		return "", 0, protoErrf("bad string length")
+		return nil, 0, protoErrf("bad string length")
 	}
 	if l > uint64(limit) {
-		return "", 0, protoErrf("string of %d bytes exceeds limit %d", l, limit)
+		return nil, 0, protoErrf("string of %d bytes exceeds limit %d", l, limit)
 	}
 	if uint64(len(b)-n) < l {
-		return "", 0, protoErrf("truncated string")
+		return nil, 0, protoErrf("truncated string")
 	}
-	return string(b[n : n+int(l)]), n + int(l), nil
+	return b[n : n+int(l)], n + int(l), nil
+}
+
+func decodeString(b []byte, limit int) (string, int, error) {
+	raw, n, err := decodeBytes(b, limit)
+	return string(raw), n, err
 }
 
 // Space names are low-cardinality and arrive on every frame, so the hot
@@ -340,23 +344,11 @@ func internName(b []byte) string {
 
 // decodeSpaceName is decodeString through the intern table.
 func decodeSpaceName(b []byte, limit int) (string, int, error) {
-	l, n := binary.Uvarint(b)
-	if n <= 0 {
-		return "", 0, protoErrf("bad string length")
+	raw, n, err := decodeBytes(b, limit)
+	if err != nil {
+		return "", 0, err
 	}
-	if l > uint64(limit) {
-		return "", 0, protoErrf("string of %d bytes exceeds limit %d", l, limit)
-	}
-	if uint64(len(b)-n) < l {
-		return "", 0, protoErrf("truncated string")
-	}
-	return internName(b[n : n+int(l)]), n + int(l), nil
-}
-
-// encodeRequest builds a request frame payload in fresh storage (tests
-// and cold paths); the hot path appends into a pooled buffer instead.
-func encodeRequest(req request) ([]byte, error) {
-	return appendRequest(make([]byte, 0, 64), req)
+	return internName(raw), n, nil
 }
 
 // appendRequest appends a request frame payload to dst — the zero-alloc
@@ -376,11 +368,7 @@ func appendRequest(dst []byte, req request) ([]byte, error) {
 	case opGet, opRd, opTryGet, opTryRd:
 		buf, err = tspace.AppendTemplate(buf, req.template)
 	case opHello:
-		v := req.version
-		if v == 0 {
-			v = protocolVersion
-		}
-		buf = append(buf, v)
+		buf = append(buf, protocolVersion)
 	case opCancel:
 		buf = binary.BigEndian.AppendUint32(buf, req.target)
 	case opTxnCommit:
@@ -457,8 +445,8 @@ func decodeRequest(b []byte) (request, error) {
 		if len(rest) < 1 {
 			return req, protoErrf("hello body of %d bytes", len(rest))
 		}
-		if rest[0] < minProtocolVersion {
-			return req, protoErrf("version %d below minimum %d", rest[0], minProtocolVersion)
+		if rest[0] == 0 {
+			return req, protoErrf("hello states version 0")
 		}
 		req.version = rest[0]
 		consumed = 1
@@ -518,9 +506,9 @@ func decodeRequest(b []byte) (request, error) {
 	return req, nil
 }
 
-// decodeExtensions parses the TLV tail of a version-≥2 request frame:
-// marker byte + uvarint length + payload, repeated. Unknown markers are
-// skipped so future extensions coexist with this decoder.
+// decodeExtensions parses the TLV tail of a request frame: marker byte +
+// uvarint length + payload, repeated. Unknown markers are skipped so
+// future extensions coexist with this decoder.
 func decodeExtensions(req *request, b []byte) error {
 	for len(b) > 0 {
 		marker := b[0]
@@ -551,35 +539,18 @@ func decodeExtensions(req *request, b []byte) error {
 
 // response encoders -------------------------------------------------------
 //
-// The hot path appends into pooled buffers (appendRespHeader + the
-// append* family); the encode* names build fresh storage and remain for
-// tests and cold paths.
+// Each appends one response payload to dst: a pooled buffer with
+// sio.PrefixLen reserved on the serving path, nil in tests.
 
 func appendRespHeader(dst []byte, op byte, id uint32) []byte {
 	dst = append(dst, op)
 	return binary.BigEndian.AppendUint32(dst, id)
 }
 
-func respHeader(op byte, id uint32) []byte {
-	return appendRespHeader(make([]byte, 0, 32), op, id)
-}
-
-// appendOK is the HELLO reply carrying the negotiated version:
-// min(client's announced version, cap), where cap defaults to
-// protocolVersion (ServerConfig.MaxVersion lowers it in interop tests).
-func appendOK(dst []byte, id uint32, clientVersion, capVersion byte) []byte {
-	v := capVersion
-	if v == 0 || v > protocolVersion {
-		v = protocolVersion
-	}
-	if clientVersion < v {
-		v = clientVersion
-	}
-	return append(appendRespHeader(dst, respOK, id), v)
-}
-
-func encodeOK(id uint32, clientVersion byte) []byte {
-	return appendOK(make([]byte, 0, 32), id, clientVersion, 0)
+// appendOK acknowledges an op; the body is the server's protocol version,
+// which is what makes it the HELLO reply too.
+func appendOK(dst []byte, id uint32) []byte {
+	return append(appendRespHeader(dst, respOK, id), protocolVersion)
 }
 
 func appendTupleResp(dst []byte, id uint32, tup tspace.Tuple, bind tspace.Bindings) ([]byte, error) {
@@ -590,12 +561,6 @@ func appendTupleResp(dst []byte, id uint32, tup tspace.Tuple, bind tspace.Bindin
 	return tspace.AppendBindings(buf, bind)
 }
 
-func encodeTupleResp(id uint32, tup tspace.Tuple, bind tspace.Bindings) ([]byte, error) {
-	return appendTupleResp(make([]byte, 0, 64), id, tup, bind)
-}
-
-func encodeNoMatch(id uint32) []byte { return respHeader(respNoMatch, id) }
-
 func appendErrResp(dst []byte, id uint32, code byte, msg string) []byte {
 	buf := append(appendRespHeader(dst, respErr, id), code)
 	if len(msg) > 1024 {
@@ -604,16 +569,8 @@ func appendErrResp(dst []byte, id uint32, code byte, msg string) []byte {
 	return appendString(buf, msg)
 }
 
-func encodeErrResp(id uint32, code byte, msg string) []byte {
-	return appendErrResp(make([]byte, 0, 64), id, code, msg)
-}
-
 func appendLenResp(dst []byte, id uint32, n int) []byte {
 	return binary.AppendVarint(appendRespHeader(dst, respLen, id), int64(n))
-}
-
-func encodeLenResp(id uint32, n int) []byte {
-	return appendLenResp(make([]byte, 0, 32), id, n)
 }
 
 func appendBatchResp(dst []byte, id uint32, sts []batchStatus) []byte {
@@ -632,8 +589,8 @@ func appendBatchResp(dst []byte, id uint32, sts []batchStatus) []byte {
 	return buf
 }
 
-func encodeStatsResp(id uint32, s StatsSnapshot) []byte {
-	buf := respHeader(respStats, id)
+func appendStatsResp(dst []byte, id uint32, s StatsSnapshot) []byte {
+	buf := appendRespHeader(dst, respStats, id)
 	counters := s.counters()
 	keys := make([]string, 0, len(counters))
 	for k := range counters {
@@ -668,7 +625,7 @@ type response struct {
 	message string
 	length  int64
 	stats   StatsSnapshot
-	version byte          // respOK: the version the server negotiated
+	version byte          // respOK: the version the server stated
 	batch   []batchStatus // respBatch: one status per coalesced entry
 }
 
@@ -682,8 +639,8 @@ func decodeResponse(b []byte) (response, error) {
 	rest := b[5:]
 	switch r.op {
 	case respOK:
-		if len(rest) != 1 || rest[0] < minProtocolVersion || rest[0] > protocolVersion {
-			return r, protoErrf("bad hello reply")
+		if len(rest) != 1 || rest[0] == 0 {
+			return r, protoErrf("bad ok body")
 		}
 		r.version = rest[0]
 	case respTuple:

@@ -23,7 +23,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		{op: opLen, id: 6, space: "jobs"},
 	}
 	for _, want := range cases {
-		frame, err := encodeRequest(want)
+		frame, err := appendRequest(nil, want)
 		if err != nil {
 			t.Fatalf("encode %s: %v", opName(want.op), err)
 		}
@@ -42,7 +42,7 @@ func TestRequestRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRequestRejectsMalformed(t *testing.T) {
-	valid, _ := encodeRequest(request{op: opPut, id: 1, space: "s", tuple: tspace.Tuple{"x", 1}})
+	valid, _ := appendRequest(nil, request{op: opPut, id: 1, space: "s", tuple: tspace.Tuple{"x", 1}})
 	cases := map[string][]byte{
 		"empty":            {},
 		"short header":     {opPut, 0, 0},
@@ -68,7 +68,7 @@ func TestDecodeRequestRejectsMalformed(t *testing.T) {
 // (contains a formal) — the decoder must reject formals in tuples.
 func mustEncodeTemplateAsPut(t *testing.T) []byte {
 	t.Helper()
-	frame, err := encodeRequest(request{op: opGet, id: 9, space: "s",
+	frame, err := appendRequest(nil, request{op: opGet, id: 9, space: "s",
 		template: tspace.Template{tspace.F("x")}})
 	if err != nil {
 		t.Fatalf("encode template: %v", err)
@@ -81,9 +81,9 @@ func mustEncodeTemplateAsPut(t *testing.T) []byte {
 func TestResponseRoundTrip(t *testing.T) {
 	tup := tspace.Tuple{"r", int64(1)}
 	bind := tspace.Bindings{"x": int64(1)}
-	frame, err := encodeTupleResp(7, tup, bind)
+	frame, err := appendTupleResp(nil, 7, tup, bind)
 	if err != nil {
-		t.Fatalf("encodeTupleResp: %v", err)
+		t.Fatalf("appendTupleResp: %v", err)
 	}
 	r, err := decodeResponse(frame)
 	if err != nil {
@@ -93,7 +93,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %+v", r)
 	}
 
-	r, err = decodeResponse(encodeErrResp(8, codeTimeout, "late"))
+	r, err = decodeResponse(appendErrResp(nil, 8, codeTimeout, "late"))
 	if err != nil {
 		t.Fatalf("decode err resp: %v", err)
 	}
@@ -101,12 +101,12 @@ func TestResponseRoundTrip(t *testing.T) {
 	if !errors.Is(werr, ErrTimeout) {
 		t.Fatalf("wireError = %v, want timeout", werr)
 	}
-	r, _ = decodeResponse(encodeErrResp(9, codeShutdown, "bye"))
+	r, _ = decodeResponse(appendErrResp(nil, 9, codeShutdown, "bye"))
 	if !errors.Is(wireError(r, "get", "jobs", 0), ErrShutdown) {
 		t.Fatal("shutdown code not mapped")
 	}
 
-	r, err = decodeResponse(encodeLenResp(10, 42))
+	r, err = decodeResponse(appendLenResp(nil, 10, 42))
 	if err != nil || r.length != 42 {
 		t.Fatalf("len resp: %v %+v", err, r)
 	}
@@ -118,7 +118,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		Blocked:     1,
 		SpaceDepths: map[string]int{"jobs": 4, "results": 0},
 	}
-	r, err = decodeResponse(encodeStatsResp(11, snap))
+	r, err = decodeResponse(appendStatsResp(nil, 11, snap))
 	if err != nil {
 		t.Fatalf("stats resp: %v", err)
 	}
@@ -128,17 +128,17 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServerClosesOnMalformedFrame: a garbage frame draws a protocol
-// error response and the connection is closed — satellite requirement.
-func TestServerClosesOnMalformedFrame(t *testing.T) {
-	srv, addr := startServer(t)
+// rawConn dials addr as a bare framed socket — no Client, no HELLO — and
+// delivers what the server sends: each frame, then the terminal error.
+func rawConn(t *testing.T, addr string) (*sio.FrameConn, <-chan []byte, <-chan error) {
+	t.Helper()
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer nc.Close()
 	fc := sio.NewFrameConn(nc, maxFrame, time.Second)
-	frames := make(chan []byte, 2)
+	t.Cleanup(func() { fc.Close() })
+	frames := make(chan []byte, 64)
 	errs := make(chan error, 1)
 	fc.Start(func(frame []byte, err error) {
 		if err != nil {
@@ -147,6 +147,14 @@ func TestServerClosesOnMalformedFrame(t *testing.T) {
 		}
 		frames <- frame
 	})
+	return fc, frames, errs
+}
+
+// TestServerClosesOnMalformedFrame: a garbage frame draws a protocol
+// error response and the connection is closed — satellite requirement.
+func TestServerClosesOnMalformedFrame(t *testing.T) {
+	srv, addr := startServer(t)
+	fc, frames, errs := rawConn(t, addr)
 	if err := fc.WriteFrame([]byte{0xde, 0xad, 0xbe, 0xef}); err != nil {
 		t.Fatalf("write garbage: %v", err)
 	}
@@ -193,17 +201,17 @@ func FuzzDecodeFrame(f *testing.F) {
 		{op: opAnnounce, id: 7, poolSize: 4},
 	}
 	for _, req := range seeds {
-		frame, err := encodeRequest(req)
+		frame, err := appendRequest(nil, req)
 		if err != nil {
 			f.Fatalf("seed encode: %v", err)
 		}
 		f.Add(frame)
 	}
-	if frame, err := encodeTupleResp(6, tspace.Tuple{"r", int64(1)}, tspace.Bindings{"x": int64(1)}); err == nil {
+	if frame, err := appendTupleResp(nil, 6, tspace.Tuple{"r", int64(1)}, tspace.Bindings{"x": int64(1)}); err == nil {
 		f.Add(frame)
 	}
-	f.Add(encodeErrResp(7, codeTimeout, "t"))
-	f.Add(encodeStatsResp(8, StatsSnapshot{Ops: map[string]uint64{"put": 1},
+	f.Add(appendErrResp(nil, 7, codeTimeout, "t"))
+	f.Add(appendStatsResp(nil, 8, StatsSnapshot{Ops: map[string]uint64{"put": 1},
 		SpaceDepths: map[string]int{"jobs": 1}}))
 	f.Add(appendBatchResp(nil, 9, []batchStatus{{code: 0}, {code: codeRedirect, msg: "n2 addr"}}))
 	f.Add([]byte{})
@@ -218,7 +226,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if err == nil {
 			// Anything that decodes must re-encode and decode identically
 			// at the header level.
-			frame, err := encodeRequest(req)
+			frame, err := appendRequest(nil, req)
 			if err != nil {
 				t.Fatalf("re-encode of valid request failed: %v", err)
 			}
@@ -228,7 +236,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			for i := range reqBuf {
 				reqBuf[i] ^= 0xff
 			}
-			frame2, err := encodeRequest(req)
+			frame2, err := appendRequest(nil, req)
 			if err != nil || !bytes.Equal(frame, frame2) {
 				t.Fatalf("decoded request aliases its input buffer (err=%v)", err)
 			}

@@ -1,8 +1,10 @@
 package scheme
 
 import (
+	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -359,24 +361,48 @@ func installRemote(in *Interp) {
 		return List(rows...), nil
 	})
 
-	in.prim("remote-close", 0, 1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
-		mu.Lock()
-		defer mu.Unlock()
+	in.prim("remote-close", 0, 1, func(_ *Interp, ctx *core.Context, a []Value) (Value, error) {
+		only := ""
 		if len(a) == 1 {
-			addr, err := stringArg("remote-close", a[0])
-			if err != nil {
+			var err error
+			if only, err = stringArg("remote-close", a[0]); err != nil {
 				return nil, err
 			}
-			if c, ok := clients[addr]; ok {
-				delete(clients, addr)
-				return Unspecified, c.close()
-			}
-			return Unspecified, nil
 		}
+		var closing []fabricConn
+		mu.Lock()
 		for addr, c := range clients {
-			delete(clients, addr)
-			c.close() //nolint:errcheck
+			if len(a) == 0 || addr == only {
+				delete(clients, addr)
+				closing = append(closing, c)
+			}
 		}
-		return Unspecified, nil
+		mu.Unlock()
+		var err error
+		offThread(ctx, func() {
+			for _, c := range closing {
+				err = errors.Join(err, c.close())
+			}
+		})
+		return Unspecified, err
 	})
+}
+
+// offThread runs fn on a plain goroutine and parks the calling STING
+// thread until it returns. fn may then wait on Go-level synchronization
+// (a sync.WaitGroup, a channel) for threads that need the caller's VP to
+// finish — a fabric Close draining its cancelled fan-out branches.
+func offThread(ctx *core.Context, fn func()) {
+	if ctx == nil {
+		fn()
+		return
+	}
+	var done atomic.Bool
+	tcb := ctx.TCB()
+	go func() {
+		fn()
+		done.Store(true)
+		core.WakeTCB(tcb)
+	}()
+	ctx.BlockUntil(done.Load)
 }

@@ -68,45 +68,44 @@ func waitFor(t *testing.T, cond func() bool, msg string) {
 	t.Fatal(msg)
 }
 
-// TestClusterPrims drives the same prims through a 3-shard cluster
-// address: keyed ops route by first field, wildcard templates fan out,
-// and cluster-health reports every shard.
-func TestClusterPrims(t *testing.T) {
-	const n = 3
-	addrs := make([]string, n)
+// startCluster boots n route-checking fabric shards and returns the
+// "cluster:…" address naming them.
+func startCluster(t *testing.T, n int) string {
+	t.Helper()
 	lns := make([]net.Listener, n)
-	for i := 0; i < n; i++ {
+	var parts []string
+	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatalf("listen: %v", err)
 		}
 		lns[i] = ln
-		addrs[i] = ln.Addr().String()
+		parts = append(parts, fmt.Sprintf("n%d=%s", i+1, ln.Addr()))
 	}
-	spec := ""
-	for i, a := range addrs {
-		if i > 0 {
-			spec += ","
-		}
-		spec += fmt.Sprintf("n%d=%s", i+1, a)
-	}
+	spec := strings.Join(parts, ",")
 	m, err := cluster.ParseSpec(spec)
 	if err != nil {
 		t.Fatalf("spec: %v", err)
 	}
-	for i := 0; i < n; i++ {
+	for i, ln := range lns {
 		vm := testkit.VM(t, 2, 2)
 		check, err := cluster.SelfCheck(m, fmt.Sprintf("n%d", i+1), 0)
 		if err != nil {
 			t.Fatalf("selfcheck: %v", err)
 		}
 		srv := remote.NewServer(vm, remote.ServerConfig{RouteCheck: check})
-		go srv.Serve(lns[i]) //nolint:errcheck
+		go srv.Serve(ln) //nolint:errcheck
 		t.Cleanup(srv.Shutdown)
 	}
+	return "cluster:" + spec
+}
 
+// TestClusterPrims drives the same prims through a 3-shard cluster
+// address: keyed ops route by first field, wildcard templates fan out,
+// and cluster-health reports every shard.
+func TestClusterPrims(t *testing.T) {
+	caddr := startCluster(t, 3)
 	in := newInterp(t, 2, 2)
-	caddr := "cluster:" + spec
 	evalOK(t, in, `(define sp (remote-open "`+caddr+`" "jobs")) (tuple-space? sp)`, "#t")
 	for i := 0; i < 12; i++ {
 		evalOK(t, in, fmt.Sprintf(`(remote-put sp '(%d "payload"))`, i), WriteString(Unspecified))
@@ -127,6 +126,39 @@ func TestClusterPrims(t *testing.T) {
 	evalOK(t, in, `(caddr (car (cluster-health "`+caddr+`")))`, "#t")
 	evalErr(t, in, `(remote-stats "`+caddr+`")`)
 	evalOK(t, in, `(remote-close "`+caddr+`")`, WriteString(Unspecified))
+}
+
+// TestRemoteCloseFromThread: (remote-close) straight after the workers'
+// last fan-out get, on a one-VP machine. Regression: the close waited on a
+// sync.WaitGroup for the gets' cancelled loser branches while holding the
+// only VP they could drain on, and never returned.
+func TestRemoteCloseFromThread(t *testing.T) {
+	caddr := startCluster(t, 3)
+	in := newInterp(t, 1, 1)
+	done := make(chan error, 1)
+	go func() {
+		_, err := in.EvalString(`
+(define farm (remote-open "` + caddr + `" "farm"))
+(define (worker)
+  (let loop ((taken 0))
+    (if (< (caddr (get farm (?id task ?n))) 0)
+        taken
+        (loop (+ taken 1)))))
+(define workers (map (lambda (i) (fork-thread (worker) i)) (iota 3)))
+(for-each (lambda (i) (put farm (list i 'task i))) (iota 12))
+(for-each (lambda (i) (put farm (list (+ 100 i) 'task -1))) (iota 3))
+(for-each thread-wait workers)
+(remote-close)`)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("eval: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("(remote-close) from a STING thread never returned")
+	}
 }
 
 func TestRemoteOpenBadAddress(t *testing.T) {
