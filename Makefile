@@ -19,9 +19,10 @@ test:
 # concurrency-critical paths (wire callbacks, cancel tokens, fan-out
 # racing, hash-bin locking, lock-free histograms, the trace ring); run
 # them under the race detector on every check. stm rides along for its
-# remote-commit torture test, which drives the fabric client's write path.
+# remote-commit torture test, which drives the fabric client's write path;
+# scheme because its Env cells are the memory both engines share.
 race:
-	$(GO) test -race ./internal/remote/... ./internal/cluster/... ./internal/tspace/... ./internal/sio/... ./internal/obs/... ./internal/core/... ./internal/vm/... ./internal/stm/...
+	$(GO) test -race ./internal/remote/... ./internal/cluster/... ./internal/tspace/... ./internal/sio/... ./internal/obs/... ./internal/core/... ./internal/vm/... ./internal/stm/... ./internal/scheme/...
 
 check: build vet test race
 

@@ -118,7 +118,7 @@ func installConcurrency(in *Interp) {
 		if err != nil {
 			return nil, err
 		}
-		core.ThreadTerminate(t, a[1:]...)
+		core.ThreadTerminate(t, append([]Value(nil), a[1:]...)...) // the thread keeps them; a is lent
 		return Unspecified, nil
 	})
 	in.prim("yield-processor", 0, 0, func(_ *Interp, ctx *core.Context, a []Value) (Value, error) {
@@ -277,7 +277,7 @@ func installConcurrency(in *Interp) {
 		if err != nil {
 			return nil, err
 		}
-		if err := ctx.Terminate(t, a[1:]...); err != nil {
+		if err := ctx.Terminate(t, append([]Value(nil), a[1:]...)...); err != nil {
 			return nil, Errorf("terminate!: %v", err)
 		}
 		return Unspecified, nil

@@ -9,9 +9,10 @@
 // writes carries a small literal bound — covering the compiler's whole
 // form repertoire (binding forms, conditionals, bounded named-let and do
 // loops, set!, fluid-let, quasiquote for the fallback path, tuple-space
-// put/get pairs, atomic). Each program runs on a fresh interpreter per
-// engine and the results must agree exactly: value printout, captured
-// output, and error presence + text (thread-id prefixes stripped).
+// put/get pairs, atomic, and the ways compiled code reaches a global).
+// Each program runs on a fresh interpreter per engine and the results must
+// agree exactly: value printout, captured output, and error presence + text
+// (thread-id prefixes stripped).
 package scheme_test
 
 import (
@@ -138,8 +139,36 @@ func (g *diffGen) expr(depth int, vars []string) string {
 	return g.atom(vars)
 }
 
+// globals emits a preamble that exercises how compiled code reaches the
+// global frame: references linked before the define runs, redefinition seen
+// by code compiled earlier (a primitive's name included), unbound reads and
+// writes, a global read from a forked thread, and globals crossing the
+// compiled/declined seam in both directions. Case 0 emits nothing.
+func (g *diffGen) globals() string {
+	e := func() string { return g.expr(2, nil) }
+	switch g.pick(8) {
+	case 1:
+		return fmt.Sprintf("(define (gf) (gg))\n(define (gg) %s)\n(display (gf))\n(define (gg) %s)\n(display (gf))\n", e(), e())
+	case 2:
+		return fmt.Sprintf("(define (gf) (gg))\n(display %s)\n(display (gf))\n", e())
+	case 3:
+		return fmt.Sprintf("(display %s)\n(set! gnope %s)\n", e(), e())
+	case 4:
+		return fmt.Sprintf("(define (gf p) (car p))\n(display (gf (list %s)))\n(define (car x) (list 'mine x))\n(display (gf (list %s)))\n", e(), e())
+	case 5:
+		return fmt.Sprintf("(define gv %s)\n(define gt (create-thread (list gv gv)))\n(set! gv %s)\n(display (thread-value gt))\n(display (thread-value (fork-thread gv)))\n", e(), e())
+	case 6:
+		return fmt.Sprintf("(define (gf) gq)\n(define gq `(q ,%s))\n(display (gf))\n", e())
+	case 7:
+		return fmt.Sprintf("(define gr %s)\n(define (gs v) (set! gr v))\n(display `(r ,gr))\n(gs %s)\n(display `(r ,gr))\n", e(), e())
+	}
+	return ""
+}
+
 // program emits 1–3 toplevel forms, optionally a define used afterwards,
-// and always displays something so output comparison has teeth.
+// and always displays something so output comparison has teeth; a globals
+// preamble may run first (its decisions are read last, so inputs too short
+// to reach them generate what they always did).
 func (g *diffGen) program() string {
 	var b strings.Builder
 	if g.pick(2) == 0 {
@@ -151,7 +180,7 @@ func (g *diffGen) program() string {
 		fmt.Fprintf(&b, "(display %s) (newline)\n", g.expr(3, nil))
 	}
 	b.WriteString(g.expr(3, nil))
-	return b.String()
+	return g.globals() + b.String()
 }
 
 // stripThreadDiff removes the varying "thread N (name): " error prefix —
@@ -193,6 +222,9 @@ func FuzzEngines(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("engines"))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17})
+	for shape := byte(1); shape < 8; shape++ {
+		f.Add(linkSeed(shape))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			data = data[:512]
@@ -204,4 +236,110 @@ func FuzzEngines(f *testing.F) {
 			t.Fatalf("engines diverge on:\n%s\ntree: %+v\nvm:   %+v", src, tree, vm)
 		}
 	})
+}
+
+// linkSeed is the fuzz input whose program is two constant displays behind
+// the globals preamble of the given shape.
+func linkSeed(shape byte) []byte {
+	return []byte{1, 0, 0, 0, 11, 0, 0, 12, shape, 0, 0, 13, 0, 0, 14}
+}
+
+// TestLinkSeedsReachGlobals keeps the seeds above honest: each must
+// generate its preamble, not fall off the end of the decision stream.
+func TestLinkSeedsReachGlobals(t *testing.T) {
+	for i, marker := range []string{"(define (gg) 4)", "(display (gf))", "(set! gnope 4)", "'mine", "(fork-thread gv)", "`(q ,3)", "(gs 4)"} {
+		src := (&diffGen{data: linkSeed(byte(i + 1))}).program()
+		if !strings.Contains(src, marker) || !strings.HasSuffix(src, "(display 1) (newline)\n2") {
+			t.Errorf("seed for shape %d does not generate its preamble (%s) before the two constants:\n%s", i+1, marker, src)
+		}
+	}
+}
+
+// TestLinkingSemantics: compiled code reaches a global through a cell it
+// was linked to when its toplevel form was compiled, the tree-walker
+// through the global frame's map to the same cell. Whichever engine
+// defines, assigns or reads, and in whichever order the forms arrive, both
+// must print what the reference semantics print.
+func TestLinkingSemantics(t *testing.T) {
+	for _, c := range []struct{ name, src, want, wantErr string }{
+		{"forward reference, then redefinition seen by compiled code",
+			`(define (f) (g)) (define (g) 1) (define a (f)) (define (g) 2) (list a (f))`, `(1 2)`, ""},
+		{"call before definition",
+			`(define (f) (g)) (f)`, "", `unbound variable: g`},
+		{"reference before definition",
+			`(define (f) later) (f)`, "", `unbound variable: later`},
+		{"assignment to a name nothing defined",
+			`(set! nope 1)`, "", `set!: unbound variable nope`},
+		{"assignment linked before the define, run before and after it",
+			`(define (f) (set! later 1)) (define r (call-with-error-handler (lambda (e) 'refused) f)) (define later 0) (f) (list r later)`, `(refused 1)`, ""},
+		{"a primitive redefined under a closure compiled earlier",
+			`(define (first-of p) (car p)) (define a (first-of '(1 2))) (define (car x) 'mine) (list a (first-of '(1 2)))`, `(1 mine)`, ""},
+		{"a global read by a forked thread",
+			`(define gv 41) (thread-value (fork-thread (+ gv 1)))`, `42`, ""},
+		{"a delayed thread reads the global when it runs",
+			`(define gv 1) (define t (create-thread gv)) (set! gv 2) (thread-value t)`, `2`, ""},
+		{"a declined form defines what compiled code reads",
+			"(define q `(a ,(+ 1 2))) (define (rq) q) (rq)", `(a 3)`, ""},
+		{"... and what code compiled before it reads",
+			"(define (rq) q) (define q `(b)) (rq)", `(b)`, ""},
+		{"a declined form reads what compiled code defined and assigned",
+			"(define r 5) (define (bump) (set! r (+ r 1))) (bump) `(r ,r)", `(r 6)`, ""},
+		{"a cell linked but never bound stays unbound for the tree-walker",
+			"(define (f) zz) `(,zz)", "", `unbound variable: zz`},
+		{"... and for eval",
+			`(define (f) zz) (eval 'zz)`, "", `unbound variable: zz`},
+	} {
+		for _, engine := range []string{"tree", "vm"} {
+			got := runUnderEngine(t, engine, c.src)
+			if got.val != c.want || got.errTxt != c.wantErr {
+				t.Errorf("%s [%s]:\n%s\n  got  %q, error %q\n  want %q, error %q",
+					c.name, engine, c.src, got.val, got.errTxt, c.want, c.wantErr)
+			}
+		}
+	}
+}
+
+// TestGlobalRedefinedUnderReader: one thread calls (g) in a compiled loop
+// while the toplevel redefines g a thousand times — by a compiled define, a
+// compiled set!, and a define the compiler declines to the tree-walker.
+// Run under -race (make race). Every value the reader sees is one that was
+// stored, in the order it was stored.
+func TestGlobalRedefinedUnderReader(t *testing.T) {
+	m := testkit.VM(t, 2, 2)
+	in := scheme.New(m, scheme.WithOutput(&strings.Builder{}), scheme.WithEngine("vm"))
+	eval := func(src string) scheme.Value {
+		t.Helper()
+		v, err := in.EvalString(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		return v
+	}
+	eval(`
+		(define stop #f)
+		(define (g) 0)
+		(define (watch last reads bad)
+		  (if stop
+		      (list reads bad)
+		      (let ((v (g)))
+		        (watch v (+ reads 1) (if (and (integer? v) (>= v last) (< v 1000)) bad (+ bad 1))))))
+		(define watcher (fork-thread (watch 0 0 0)))`)
+	for i := 1; i < 1000; i++ {
+		switch i % 3 {
+		case 0:
+			eval(fmt.Sprintf("(define (g) %d)", i))
+		case 1:
+			eval(fmt.Sprintf("(set! g (lambda () %d))", i))
+		default:
+			eval(fmt.Sprintf("(define g (car `(,(lambda () %d))))", i))
+		}
+	}
+	got := scheme.WriteString(eval(`(set! stop #t) (thread-value watcher)`))
+	var reads, bad int
+	if _, err := fmt.Sscanf(got, "(%d %d)", &reads, &bad); err != nil {
+		t.Fatalf("watcher returned %s", got)
+	}
+	if reads == 0 || bad != 0 {
+		t.Fatalf("watcher made %d reads, %d of them out of order or never stored", reads, bad)
+	}
 }

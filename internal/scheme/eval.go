@@ -13,11 +13,14 @@ const pollBudget = 256
 // takes one per evaluated node; the bytecode VM takes one per call and
 // backward branch — both feed the same counter, so preemption, stealing
 // and timer-driven requests fire with the same density under either
-// engine.
-func (in *Interp) Safepoint(ctx *core.Context) {
-	if in.step()%pollBudget == 0 {
-		ctx.Poll()
+// engine. It reports whether this step was the one that polled, the
+// boundary at which an engine publishes what it counts locally.
+func (in *Interp) Safepoint(ctx *core.Context) bool {
+	if in.step()%pollBudget != 0 {
+		return false
 	}
+	ctx.Poll()
+	return true
 }
 
 // Eval evaluates expr in env on the STING thread behind ctx. Tail positions

@@ -41,12 +41,10 @@ func intOf(v Value) (int64, error) {
 	}
 }
 
-func foldNums(name string, args []Value, unitI int64,
+// foldNums folds args into acc, an int64 or float64, left to right; the
+// result turns float at the first float operand.
+func foldNums(name string, acc Value, args []Value,
 	fi func(a, b int64) int64, ff func(a, b float64) float64) (Value, error) {
-	if len(args) == 0 {
-		return unitI, nil
-	}
-	acc := args[0]
 	accI, isI := acc.(int64)
 	accF, isF := acc.(float64)
 	if !isI && !isF {
@@ -58,7 +56,7 @@ func foldNums(name string, args []Value, unitI int64,
 	} else {
 		accF = float64(accI)
 	}
-	for _, a := range args[1:] {
+	for _, a := range args {
 		switch x := a.(type) {
 		case int64:
 			if float {
@@ -339,36 +337,35 @@ func installPrimitives(in *Interp) {
 
 	// Arithmetic.
 	in.prim("+", 0, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
-		return foldNums("+", append([]Value{int64(0)}, a...), 0,
+		return foldNums("+", int64(0), a,
 			func(x, y int64) int64 { return x + y },
 			func(x, y float64) float64 { return x + y })
 	})
 	in.prim("*", 0, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
-		return foldNums("*", append([]Value{int64(1)}, a...), 1,
+		return foldNums("*", int64(1), a,
 			func(x, y int64) int64 { return x * y },
 			func(x, y float64) float64 { return x * y })
 	})
 	in.prim("-", 1, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
-		if len(a) == 1 {
-			a = []Value{int64(0), a[0]}
+		acc, rest := Value(int64(0)), a
+		if len(a) > 1 {
+			acc, rest = a[0], a[1:]
 		}
-		return foldNums("-", a, 0,
+		return foldNums("-", acc, rest,
 			func(x, y int64) int64 { return x - y },
 			func(x, y float64) float64 { return x - y })
 	})
 	in.prim("/", 1, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
-		if len(a) == 1 {
-			a = []Value{int64(1), a[0]}
+		first, rest := Value(int64(1)), a
+		if len(a) > 1 {
+			first, rest = a[0], a[1:]
 		}
-		acc, _, err := numOf(a[0])
+		acc, isF, err := numOf(first)
 		if err != nil {
 			return nil, err
 		}
-		allInt := true
-		if _, isF := a[0].(float64); isF {
-			allInt = false
-		}
-		for _, x := range a[1:] {
+		allInt := !isF
+		for _, x := range rest {
 			f, isF, err := numOf(x)
 			if err != nil {
 				return nil, err
@@ -445,7 +442,7 @@ func installPrimitives(in *Interp) {
 		return nil, Errorf("abs: not a number")
 	})
 	in.prim("min", 1, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
-		return foldNums("min", a, 0,
+		return foldNums("min", a[0], a[1:],
 			func(x, y int64) int64 {
 				if y < x {
 					return y
@@ -455,7 +452,7 @@ func installPrimitives(in *Interp) {
 			math.Min)
 	})
 	in.prim("max", 1, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
-		return foldNums("max", a, 0,
+		return foldNums("max", a[0], a[1:],
 			func(x, y int64) int64 {
 				if y > x {
 					return y
@@ -761,7 +758,7 @@ func installPrimitives(in *Interp) {
 		return Unspecified, nil
 	})
 	in.prim("error", 1, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
-		return nil, &Error{Message: DisplayString(a[0]), Irritants: a[1:]}
+		return nil, &Error{Message: DisplayString(a[0]), Irritants: append([]Value(nil), a[1:]...)}
 	})
 	in.prim("values", 0, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
 		if len(a) == 1 {

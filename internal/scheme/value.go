@@ -90,7 +90,11 @@ type CompiledProc interface {
 	Compiled() bool
 }
 
-// PrimFn is the Go implementation of a primitive procedure.
+// PrimFn is the Go implementation of a primitive procedure. args is lent for
+// the duration of the call — the bytecode VM passes a window of its operand
+// stack and reuses it as soon as the call returns — so an implementation may
+// keep any element of args but never the slice itself or a reslice of it: a
+// result, an error or a thread that outlives the call must hold its own copy.
 type PrimFn func(in *Interp, ctx *core.Context, args []Value) (Value, error)
 
 // Primitive is a built-in procedure.

@@ -151,6 +151,10 @@ type Code struct {
 	NParams int
 	HasRest bool
 	NSlots  int // frame size: params (+ rest) + internal-define slots
+
+	// cells[i] is the global cell of the symbol Consts[i], for every i a
+	// global instruction names; filled by link, nil until then.
+	cells []*scheme.Cell
 }
 
 // Disassemble renders the code and its nested procedures for debugging.

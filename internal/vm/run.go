@@ -7,12 +7,33 @@ import (
 	"repro/internal/tspace"
 )
 
+// inlineSlots is how many slots a frame carries inside itself: activations
+// and binding forms that small — nearly all of them — are one allocation.
+const inlineSlots = 4
+
 // frame is one runtime environment rib: the slots of a binding construct or
 // procedure activation, lexically chained. Slots are addressed (depth, slot)
 // so variable access never hashes or allocates.
 type frame struct {
-	slots  []scheme.Value
+	slots  []scheme.Value // inline[:n], or its own array when n > inlineSlots
 	parent *frame
+	inline [inlineSlots]scheme.Value
+}
+
+// newFrame builds a frame of n slots whose first len(vals) hold vals — the
+// caller's operand-stack window, copied, never kept — and the rest the
+// unspecified value.
+func newFrame(n int, vals []scheme.Value, parent *frame) *frame {
+	f := &frame{parent: parent}
+	if n <= inlineSlots {
+		f.slots = f.inline[:n]
+	} else {
+		f.slots = make([]scheme.Value, n)
+	}
+	for i := copy(f.slots, vals); i < n; i++ {
+		f.slots[i] = scheme.Unspecified
+	}
+	return f
 }
 
 func (f *frame) at(depth int) *frame {
@@ -51,7 +72,8 @@ func (c *Closure) callName() string {
 }
 
 // bindFrame builds the activation frame for a call, with the tree-walker's
-// exact arity errors.
+// exact arity errors. args may be the caller's operand-stack window: it is
+// read, not kept.
 func bindFrame(c *Closure, args []scheme.Value) (*frame, error) {
 	code := c.Code
 	if !code.HasRest {
@@ -63,19 +85,11 @@ func bindFrame(c *Closure, args []scheme.Value) (*frame, error) {
 		return nil, scheme.Errorf("%s: want at least %d arguments, got %d",
 			c.callName(), code.NParams, len(args))
 	}
-	slots := make([]scheme.Value, code.NSlots)
-	copy(slots, args[:code.NParams])
-	next := code.NParams
+	fr := newFrame(code.NSlots, args[:code.NParams], c.Env)
 	if code.HasRest {
-		rest := make([]scheme.Value, len(args)-code.NParams)
-		copy(rest, args[code.NParams:])
-		slots[next] = scheme.List(rest...)
-		next++
+		fr.slots[code.NParams] = scheme.List(args[code.NParams:]...)
 	}
-	for i := next; i < code.NSlots; i++ {
-		slots[i] = scheme.Unspecified
-	}
-	return &frame{slots: slots, parent: c.Env}, nil
+	return fr, nil
 }
 
 // nameValue gives an anonymous procedure the name its binding uses, as the
@@ -116,14 +130,31 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 	base := 0
 	var stack []scheme.Value
 	var calls []saved
+	// ops counts dispatched instructions locally; it is published where a
+	// safepoint polls and at return, so a loop that never leaves this exec
+	// still moves the process-wide counter.
 	var ops uint64
 	defer func() { dispatchOps.Add(ops) }()
+	safepoint := func() {
+		if in.Safepoint(ctx) {
+			dispatchOps.Add(ops)
+			ops = 0
+		}
+	}
 
+	// Every slot of stack beyond its length is nil: whatever shortens the
+	// stack clears what it vacates, so a dead operand pins nothing.
 	push := func(v scheme.Value) { stack = append(stack, v) }
 	pop := func() scheme.Value {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+		n := len(stack) - 1
+		v := stack[n]
+		stack[n] = nil
+		stack = stack[:n]
 		return v
+	}
+	drop := func(to int) {
+		clear(stack[to:])
+		stack = stack[:to]
 	}
 
 	for {
@@ -147,28 +178,25 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 			}
 			fr.slots[ins.A] = v
 		case OpGlobal:
-			sym := code.Consts[ins.A].(scheme.Symbol)
-			v, ok := in.Global().Lookup(sym)
+			v, ok := code.cells[ins.A].Load()
 			if !ok {
-				return nil, scheme.Errorf("unbound variable: %s", sym)
+				return nil, scheme.Errorf("unbound variable: %s", code.Consts[ins.A])
 			}
 			push(v)
 		case OpSetGlobal:
-			sym := code.Consts[ins.A].(scheme.Symbol)
-			if !in.Global().Set(sym, pop()) {
-				return nil, scheme.Errorf("set!: unbound variable %s", sym)
+			if !code.cells[ins.A].Set(pop()) {
+				return nil, scheme.Errorf("set!: unbound variable %s", code.Consts[ins.A])
 			}
 			push(scheme.Unspecified)
 		case OpDefGlobal:
-			sym := code.Consts[ins.A].(scheme.Symbol)
 			v := pop()
-			nameValue(v, sym)
-			in.Global().Define(sym, v)
+			nameValue(v, code.Consts[ins.A].(scheme.Symbol))
+			code.cells[ins.A].Define(v)
 			push(scheme.Unspecified)
 		case OpJump:
 			t := int(ins.A)
 			if t < pc {
-				in.Safepoint(ctx) // backward branch: loop safepoint
+				safepoint() // backward branch: loop safepoint
 			}
 			pc = t
 		case OpJumpIfFalse:
@@ -204,30 +232,30 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 			sub := code.Subs[ins.A]
 			push(&Closure{Code: sub, Env: fr, Name: sub.Name, eng: e})
 		case OpCall, OpTailCall:
-			in.Safepoint(ctx)
-			argc := int(ins.A)
-			fnAt := len(stack) - argc - 1
+			safepoint()
+			fnAt := len(stack) - int(ins.A) - 1
 			fn := stack[fnAt]
-			cargs := make([]scheme.Value, argc)
-			for i, a := range stack[fnAt+1:] {
+			// The arguments stay where they were pushed: the callee binds or
+			// borrows this window of the operand stack.
+			window := stack[fnAt+1:]
+			for i, a := range window {
 				// Call sites collapse singleton multiple values, as the
 				// tree-walker's evalArgs does.
 				if mv, ok := a.(*scheme.MultiValues); ok && len(mv.Values) == 1 {
-					a = mv.Values[0]
+					window[i] = mv.Values[0]
 				}
-				cargs[i] = a
 			}
-			stack = stack[:fnAt]
 			if callee, ok := fn.(*Closure); ok && callee.eng == e {
-				nfr, err := bindFrame(callee, cargs)
+				nfr, err := bindFrame(callee, window)
 				if err != nil {
 					return nil, err
 				}
 				if ins.Op == OpTailCall {
-					stack = stack[:base]
+					drop(base)
 				} else {
+					drop(fnAt)
 					calls = append(calls, saved{code: code, pc: pc, fr: fr, base: base})
-					base = len(stack)
+					base = fnAt
 				}
 				code, pc, fr = callee.Code, 0, nfr
 				continue
@@ -235,31 +263,28 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 			// Foreign callee: a primitive, a tree closure, or another
 			// engine's procedure. A tail call degrades to a plain call —
 			// control always flows on to OpReturn.
-			v, err := e.callForeign(ctx, fn, cargs)
+			v, err := e.callForeign(ctx, fn, window)
 			if err != nil {
 				return nil, err
 			}
+			drop(fnAt)
 			push(v)
 		case OpReturn:
 			v := pop()
 			if len(calls) == 0 {
 				return v, nil
 			}
-			s := calls[len(calls)-1]
-			calls = calls[:len(calls)-1]
-			stack = stack[:base]
+			n := len(calls) - 1
+			s := calls[n]
+			calls[n] = saved{}
+			calls = calls[:n]
+			drop(base)
 			code, pc, fr, base = s.code, s.pc, s.fr, s.base
 			push(v)
 		case OpPushFrame:
-			nslots, nstaged := int(ins.A), int(ins.B)
-			slots := make([]scheme.Value, nslots)
-			at := len(stack) - nstaged
-			copy(slots, stack[at:])
-			stack = stack[:at]
-			for i := nstaged; i < nslots; i++ {
-				slots[i] = scheme.Unspecified
-			}
-			fr = &frame{slots: slots, parent: fr}
+			at := len(stack) - int(ins.B)
+			fr = newFrame(int(ins.A), stack[at:], fr)
+			drop(at)
 		case OpPopFrame:
 			fr = fr.parent
 		case OpCaseMatch:
@@ -427,8 +452,10 @@ func (e *Engine) callValue(ctx *core.Context, fn scheme.Value, args []scheme.Val
 	return e.in.Apply(ctx, fn, args)
 }
 
-// callForeign applies a non-bytecode callee from the dispatch loop;
-// primitives inline (they are the hot path), the rest goes through Apply.
+// callForeign applies a non-bytecode callee from the dispatch loop to args,
+// a window of the operand stack. Primitives inline (they are the hot path)
+// and borrow the window, as PrimFn's contract allows; any other procedure
+// makes no such promise and gets a copy through Apply.
 func (e *Engine) callForeign(ctx *core.Context, fn scheme.Value, args []scheme.Value) (scheme.Value, error) {
 	if p, ok := fn.(*scheme.Primitive); ok {
 		if len(args) < p.Min || (p.Max >= 0 && len(args) > p.Max) {
@@ -436,5 +463,5 @@ func (e *Engine) callForeign(ctx *core.Context, fn scheme.Value, args []scheme.V
 		}
 		return p.Fn(e.in, ctx, args)
 	}
-	return e.in.Apply(ctx, fn, args)
+	return e.in.Apply(ctx, fn, append([]scheme.Value(nil), args...))
 }

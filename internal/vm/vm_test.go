@@ -97,6 +97,16 @@ var parityPrograms = []struct{ src, want string }{
 	{`(define v (make-vector 2 'z)) (vector-ref v 1)`, `z`},
 	{`(string-append "ab" "cd")`, `"abcd"`},
 	{`(let ((l (spawn (make-tuple-space) ((+ 1 1) (+ 2 2))))) (map thread-value l))`, `(2 4)`},
+	// Frames wider than the inline slots, rest lists consed off the operand
+	// stack, arguments that are themselves calls.
+	{`((lambda (a b c d e f) (list f e d c b a)) 1 2 3 4 5 6)`, `(6 5 4 3 2 1)`},
+	{`((lambda (a b c d e . r) (list a e r)) 1 2 3 4 5 6 7)`, `(1 5 (6 7))`},
+	{`((lambda (a . r) (list a r)) 1)`, `(1 ())`},
+	{`(define (w a b c d e) (define x (+ a b)) (define y (* c d)) (list x y e)) (w 1 2 3 4 5)`, `(3 12 5)`},
+	{`(let ((a 1) (b 2) (c 3) (d 4) (e 5))
+	    (let loop ((i 0) (acc '())) (if (= i 3) (list a b c d e acc) (loop (+ i 1) (cons i acc)))))`, `(1 2 3 4 5 (2 1 0))`},
+	{`(define (sum . xs) (apply + xs)) (list (sum) (sum (sum 1 2) (sum 3 (sum 4 5))))`, `(0 15)`},
+	{`(call-with-values (lambda () (values 1 2 3)) list)`, `(1 2 3)`},
 }
 
 func TestEngineParity(t *testing.T) {
