@@ -7,6 +7,7 @@ package sting
 //	go test -bench=Fig6 -benchmem .        # the Figure 6 baseline table
 //	go test -bench=Fig4 .                  # the Figure 4 stealing dynamics
 //	go test -bench=Ablation .              # the §3.3/§4.x ablations
+//	go test -bench="Sched(ForkJoin|Yield|Tuple)" .  # the scheduler core at 1/2/4/8 VPs
 
 import (
 	"fmt"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/testkit"
 	"repro/internal/tspace"
 )
 
@@ -35,9 +37,8 @@ func benchEnv(b *testing.B, op func(ctx *core.Context, n int) error) {
 
 // Note: under testing.B's auto-scaling this row accumulates b.N delayed
 // threads (genealogy and group membership keep them reachable), so at
-// millions of iterations allocator/GC pressure inflates ns/op relative to
-// the cmd/stingbench harness, which measures the paper's configuration at
-// a bounded iteration count. The stingbench figure is the reference.
+// millions of iterations allocator/GC pressure inflates ns/op. The figure
+// EXPERIMENTS.md quotes is at a bounded count: -benchtime 20000x.
 func BenchmarkFig6ThreadCreation(b *testing.B) {
 	benchEnv(b, func(ctx *core.Context, n int) error {
 		bench.ThreadCreation(ctx, n)
@@ -221,6 +222,128 @@ func BenchmarkHashProbeDepth(b *testing.B) {
 			})
 		}
 	}
+}
+
+// Scheduler core: the three workloads that exercise the ready-queue
+// machinery itself — fan-out from one VP's queue to idle siblings, yield
+// re-enqueue on a deep queue, and tuple-space wakeups under keyed
+// producer/consumer traffic — at 1, 2, 4 and 8 VPs on the machine's default
+// policy manager, so the measured path is the stock scheduler. The roadmap's
+// substrate exit criterion reads off these rows: Tuple/vps=4 ≤ 1.2 × vps=1.
+
+func benchSched(b *testing.B, run func(b *testing.B, vps int)) {
+	for _, vps := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("vps=%d", vps), func(b *testing.B) { run(b, vps) })
+	}
+}
+
+// BenchmarkSchedForkJoin: one op is one small non-stealable thread forked
+// onto the master's VP and joined. Each child yields once mid-work, so a run
+// pays the re-enqueue path while the queue is thousands deep, and with more
+// than one VP the join is dominated by how cheaply idle VPs drain the
+// master's queue (migrations/op). Threads are forked 2000 to a round, every
+// round on a machine of its own booted outside the timer: a determined
+// thread stays in its group's table, and b.N of them on one VM would time
+// the collector, not the scheduler.
+func BenchmarkSchedForkJoin(b *testing.B) {
+	benchSched(b, func(b *testing.B, vps int) {
+		var migrations uint64
+		for left := b.N; left > 0; left -= 2000 {
+			b.StopTimer()
+			testkit.RunFresh(b, vps, vps, func(vm *core.VM, ctx *core.Context) error {
+				home := ctx.VP()
+				set := make([]*core.Thread, min(left, 2000))
+				b.StartTimer()
+				for i := range set {
+					set[i] = ctx.Fork(func(c *core.Context) ([]core.Value, error) {
+						sink := 0
+						for j := 0; j < 100; j++ {
+							sink += j
+						}
+						c.Yield()
+						for j := 0; j < 100; j++ {
+							sink += j
+						}
+						return []core.Value{sink}, nil
+					}, home, core.WithStealable(false))
+				}
+				ctx.BlockOnGroup(len(set), set)
+				b.StopTimer()
+				migrations += vm.Stats().VPs.Migrations
+				return nil
+			})
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(migrations)/float64(b.N), "migrations/op")
+	})
+}
+
+// BenchmarkSchedYield: one op is one yield-processor by one of 64 resident
+// peers, so every yield re-enqueues its caller on a queue ~64/vps deep —
+// the re-enqueue path the scheduler pays on every context switch.
+func BenchmarkSchedYield(b *testing.B) {
+	const peers = 64
+	benchSched(b, func(b *testing.B, vps int) {
+		testkit.RunFresh(b, vps, vps, func(vm *core.VM, ctx *core.Context) error {
+			set := make([]*core.Thread, peers)
+			b.ResetTimer()
+			for i := range set {
+				set[i] = ctx.Fork(func(c *core.Context) ([]core.Value, error) {
+					for j := i; j < b.N; j += peers {
+						c.Yield()
+					}
+					return nil, nil
+				}, vm.VP(i%vps), core.WithStealable(false))
+			}
+			ctx.BlockOnGroup(len(set), set)
+			return nil
+		})
+	})
+}
+
+// BenchmarkSchedTuple: one op is one keyed hand-off — producer p's Put of
+// {p, i} and consumer p's Get of {p, ?v} — through one hashed space shared
+// by four pairs. Keys never overlap, so a wakeup delivered to a waiter on
+// another key is spurious, and every spurious wakeup is a re-park: blocks/op
+// counts those on top of the parks of Gets that found their key empty.
+func BenchmarkSchedTuple(b *testing.B) {
+	const pairs = 4
+	benchSched(b, func(b *testing.B, vps int) {
+		ts := tspace.New(tspace.KindHash, tspace.Config{Bins: 16})
+		testkit.RunFresh(b, vps, vps, func(vm *core.VM, ctx *core.Context) error {
+			var all []*core.Thread
+			b.ResetTimer()
+			for p := 0; p < pairs; p++ {
+				tag := int64(p)
+				all = append(all, ctx.Fork(func(c *core.Context) ([]core.Value, error) {
+					for i := p; i < b.N; i += pairs {
+						if err := ts.Put(c, tspace.Tuple{tag, int64(i)}); err != nil {
+							return nil, err
+						}
+						if i/pairs%8 == 0 {
+							c.Yield() // let consumers drain so waiters stay parked
+						}
+					}
+					return nil, nil
+				}, vm.VP((2*p)%vps), core.WithStealable(false)))
+				all = append(all, ctx.Fork(func(c *core.Context) ([]core.Value, error) {
+					for i := p; i < b.N; i += pairs {
+						if _, _, err := ts.Get(c, tspace.Template{tag, tspace.F("v")}); err != nil {
+							return nil, err
+						}
+					}
+					return nil, nil
+				}, vm.VP((2*p+1)%vps), core.WithStealable(false)))
+			}
+			for _, t := range all {
+				if _, err := ctx.Value(t); err != nil {
+					return err
+				}
+			}
+			b.ReportMetric(float64(vm.Stats().VPs.Blocks)/float64(b.N), "blocks/op")
+			return nil
+		})
+	})
 }
 
 // Storage-model recycling ablation.

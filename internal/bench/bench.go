@@ -1,13 +1,11 @@
 // Package bench holds the workloads behind every table and figure of the
-// paper's evaluation, shared by the root benchmark suite (bench_test.go)
-// and the stingbench command. Each workload is written against the public
-// substrate operations so the measured path is what a user program pays.
+// paper's evaluation; the root benchmark suite (bench_test.go) times them
+// as testing.B rows and this package's own tests check the claims. Each
+// workload is written against the public substrate operations so the
+// measured path is what a user program pays.
 package bench
 
 import (
-	"fmt"
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/spec"
@@ -58,7 +56,7 @@ func nullThunk(*core.Context) ([]core.Value, error) { return nil, nil }
 
 // ---------------------------------------------------------------------------
 // Figure 6 rows. Each op runs n iterations inside one STING thread and is
-// timed by the caller (testing.B or the harness loop).
+// timed by the caller (testing.B).
 
 // ThreadCreation measures creating a thread that is never scheduled and has
 // no dynamic state (Fig. 6 row 1).
@@ -98,7 +96,7 @@ func ContextSwitch(ctx *core.Context, n int) {
 
 // Stealing measures absorbing a delayed thread's thunk into the caller's
 // TCB (Fig. 6 row 5; the thread creation is not part of the steal cost but
-// is unavoidable per iteration, so the harness subtracts creation time).
+// is unavoidable per iteration, so the row reads net of ThreadCreation's).
 func Stealing(ctx *core.Context, n int) {
 	for i := 0; i < n; i++ {
 		t := ctx.CreateThread(nullThunk)
@@ -177,73 +175,4 @@ func MutexUncontended(ctx *core.Context, n int) {
 		m.Acquire(ctx)
 		m.Release()
 	}
-}
-
-// Fig6Row is one measured row of the baseline table.
-type Fig6Row struct {
-	Name    string
-	PaperUS float64 // the paper's µs on the 1992 R3000
-	NsPerOp float64
-	Note    string
-}
-
-// MeasureFig6 runs every row with n iterations each and returns the table.
-func MeasureFig6(n int) ([]Fig6Row, error) {
-	rows := []Fig6Row{}
-	measure := func(name string, paper float64, note string, body func(ctx *core.Context) error) error {
-		env, err := NewEnv(1, 1)
-		if err != nil {
-			return err
-		}
-		defer env.Close()
-		start := time.Now()
-		if err := env.Run(body); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		rows = append(rows, Fig6Row{
-			Name:    name,
-			PaperUS: paper,
-			NsPerOp: float64(time.Since(start).Nanoseconds()) / float64(n),
-			Note:    note,
-		})
-		return nil
-	}
-
-	if err := measure("Thread Creation", 8.9, "delayed thread, no genealogy use",
-		func(ctx *core.Context) error { ThreadCreation(ctx, n); return nil }); err != nil {
-		return nil, err
-	}
-	if err := measure("Thread Fork and Value", 44.9, "null procedure, full dispatch",
-		func(ctx *core.Context) error { ThreadForkValue(ctx, n); return nil }); err != nil {
-		return nil, err
-	}
-	if err := measure("Scheduling a Thread", 18.9, "ready-queue insert on current VP",
-		func(ctx *core.Context) error { SchedulingThread(ctx, n); return nil }); err != nil {
-		return nil, err
-	}
-	if err := measure("Synchronous Context Switch", 3.77, "yield-processor, resumed at once",
-		func(ctx *core.Context) error { ContextSwitch(ctx, n); return nil }); err != nil {
-		return nil, err
-	}
-	if err := measure("Stealing", 7.7, "inline run of a delayed thunk",
-		func(ctx *core.Context) error { Stealing(ctx, n); return nil }); err != nil {
-		return nil, err
-	}
-	if err := measure("Thread Block and Resume", 27.9, "park + ready-queue wake",
-		func(ctx *core.Context) error { return BlockResume(ctx, n) }); err != nil {
-		return nil, err
-	}
-	if err := measure("Tuple Space", 170, "create + insert + remove singleton",
-		func(ctx *core.Context) error { return TupleSpaceOp(ctx, n) }); err != nil {
-		return nil, err
-	}
-	if err := measure("Speculative Fork (2 threads)", 68.9, "wait-for-one over two nulls",
-		func(ctx *core.Context) error { return SpeculativeFork(ctx, n) }); err != nil {
-		return nil, err
-	}
-	if err := measure("Barrier Synchronization (2 threads)", 144.8, "wait-for-all over two nulls",
-		func(ctx *core.Context) error { BarrierSync(ctx, n); return nil }); err != nil {
-		return nil, err
-	}
-	return rows, nil
 }

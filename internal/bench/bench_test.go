@@ -1,31 +1,12 @@
 package bench
 
 import (
-	"math"
 	"testing"
 	"time"
 )
 
 // The workloads double as integration tests: each must run, produce
 // plausible counters, and satisfy the qualitative claim it exists to check.
-
-func TestMeasureFig6Smoke(t *testing.T) {
-	rows, err := MeasureFig6(200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 9 {
-		t.Fatalf("rows = %d, want 9 (one per Fig. 6 case)", len(rows))
-	}
-	for _, r := range rows {
-		if r.NsPerOp <= 0 {
-			t.Errorf("%s: non-positive measurement %f", r.Name, r.NsPerOp)
-		}
-		if r.PaperUS <= 0 {
-			t.Errorf("%s: missing paper number", r.Name)
-		}
-	}
-}
 
 func TestFig4Claims(t *testing.T) {
 	lifo, err := RunFig4("lifo", 400)
@@ -133,29 +114,6 @@ func TestTSLockAblationRuns(t *testing.T) {
 		if r.Ops != 200 {
 			t.Errorf("ops = %d", r.Ops)
 		}
-	}
-}
-
-// TestSchedTuplePerOpFlatInLength: producers that outrun their consumers
-// leave a backlog as deep as the run is long, and a probe used to cost that
-// depth — 25× the ops cost 40× per op (stingmark observation 1). With
-// depth-independent probes the per-op cost of a long run stays within 2× of
-// a short one; the best of three runs a side keeps scheduler noise out.
-func TestSchedTuplePerOpFlatInLength(t *testing.T) {
-	best := func(n int) float64 {
-		ns := math.Inf(1)
-		for i := 0; i < 3; i++ {
-			r, err := RunSchedTuple(2, 4, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ns = min(ns, r.PerOpNs)
-		}
-		return ns
-	}
-	short, long := best(800), best(20000)
-	if long > 2*short {
-		t.Errorf("per-op cost %.0f ns at n = 20000, %.0f ns at n = 800: more than 2×", long, short)
 	}
 }
 

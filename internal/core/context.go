@@ -178,13 +178,14 @@ func (ctx *Context) BlockUntilDeadline(cond func() bool, deadline time.Time) boo
 }
 
 // BlockSelf blocks the current thread on the given blocker description
-// until another thread wakes it with WakeThread/ThreadRun. The blocker is
-// recorded for debuggers only; the substrate imposes no protocol on it.
+// until another thread wakes it with ThreadRun. The blocker is recorded for
+// debuggers only; the substrate imposes no protocol on it. ThreadRun leaves
+// a permit that BlockSelf consumes, so a wake that lands between the
+// caller's own check and this call is not lost: the call returns at once.
 func (ctx *Context) BlockSelf(blocker any) {
 	tcb := ctx.tcb
-	tcb.resumeRequested.Store(false)
 	_ = blocker
-	ctx.blockUntil(func() bool { return tcb.resumeRequested.Load() },
+	ctx.blockUntil(func() bool { return tcb.resumeRequested.CompareAndSwap(true, false) },
 		ExecBlocked, EnqUserBlock)
 }
 
@@ -193,7 +194,6 @@ func (ctx *Context) BlockSelf(blocker any) {
 // until another thread applies ThreadRun to it.
 func (ctx *Context) SuspendSelf(quantum time.Duration) {
 	tcb := ctx.tcb
-	tcb.resumeRequested.Store(false)
 	var deadline time.Time
 	if quantum > 0 {
 		deadline = time.Now().Add(quantum)
@@ -201,7 +201,7 @@ func (ctx *Context) SuspendSelf(quantum time.Duration) {
 		defer timer.Stop()
 	}
 	ctx.blockUntil(func() bool {
-		if tcb.resumeRequested.Load() {
+		if tcb.resumeRequested.CompareAndSwap(true, false) {
 			return true
 		}
 		return quantum > 0 && !time.Now().Before(deadline)

@@ -59,6 +59,54 @@ func TestPingPongStress(t *testing.T) {
 	}
 }
 
+// TestThreadRunBeforeBlockSelfIsNotLost: thread-run on a thread that is
+// evaluating and has not blocked yet leaves a permit, so the BlockSelf that
+// follows returns instead of erasing the wake and parking for good (the
+// lost wakeup behind TestPingPongStress's hang). The permit is consumed:
+// a second BlockSelf parks until the next ThreadRun. One VP, cooperative
+// switches only, so the interleaving is the same on every run.
+func TestThreadRunBeforeBlockSelfIsNotLost(t *testing.T) {
+	vm := testVM(t, 1, 1)
+	var started, ran, firstReturned atomic.Bool
+	_, err := vm.Run(func(ctx *Context) ([]Value, error) {
+		target := ctx.Fork(func(c *Context) ([]Value, error) {
+			started.Store(true)
+			for !ran.Load() {
+				c.Yield()
+			}
+			c.BlockSelf("first")
+			firstReturned.Store(true)
+			c.BlockSelf("second")
+			return nil, nil
+		}, nil, WithStealable(false))
+		for !started.Load() {
+			ctx.Yield()
+		}
+		if err := ThreadRun(target, ctx.VP()); err != nil {
+			return nil, err
+		}
+		ran.Store(true)
+		for target.Exec() != ExecBlocked {
+			ctx.Yield()
+		}
+		if !firstReturned.Load() {
+			t.Error("BlockSelf parked although ThreadRun had already been delivered")
+			_ = ThreadRun(target, ctx.VP()) // release it so the run ends
+			for target.Exec() != ExecBlocked {
+				ctx.Yield()
+			}
+		}
+		if err := ThreadRun(target, ctx.VP()); err != nil {
+			return nil, err
+		}
+		ctx.Wait(target)
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWaitStormManyWaitersOneTarget: many threads block on one target; its
 // single determine must wake every one of them exactly once.
 func TestWaitStormManyWaitersOneTarget(t *testing.T) {

@@ -379,7 +379,6 @@ func (t *Thread) requestTransition(bit uint32, values []Value) {
 	t.mu.Unlock()
 	if tcb != nil {
 		tcb.asyncReq.Store(true)
-		tcb.resumeRequested.Store(true)
 		wakeTCB(tcb, EnqUserBlock)
 	}
 }

@@ -485,6 +485,9 @@ func TestRandomForkTreeProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		depth := 1 + rng.Intn(4)
 		width := 1 + rng.Intn(3)
+		// The thunks run on four VPs and a *rand.Rand is not safe for
+		// concurrent use: draw every (level, slot) laziness bit up front.
+		lazyBits := rng.Uint32()
 		var build func(c *Context, d int) (int, error)
 		build = func(c *Context, d int) (int, error) {
 			if d == 0 {
@@ -492,7 +495,7 @@ func TestRandomForkTreeProperty(t *testing.T) {
 			}
 			kids := make([]*Thread, width)
 			for i := range kids {
-				lazy := rng.Intn(2) == 0
+				lazy := lazyBits>>(d*width+i)&1 == 0
 				thunk := func(cc *Context) ([]Value, error) {
 					n, err := build(cc, d-1)
 					return []Value{n}, err

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
+	"repro/internal/testkit"
 	"repro/internal/tspace"
 )
 
@@ -87,10 +88,17 @@ func TestServerRecordsOpLatency(t *testing.T) {
 	if _, _, err := sp.TryGet(nil, tspace.Template{"job", 0}); err != nil {
 		t.Fatalf("TryGet: %v", err)
 	}
-	snap, err := c.Stats(nil)
-	if err != nil {
-		t.Fatalf("Stats: %v", err)
-	}
+	// A request thread records its op's latency after it has answered, so
+	// the STATS op can overtake the digest of a reply already received: ask
+	// until all four ops show.
+	var snap StatsSnapshot
+	testkit.Eventually(t, 5*time.Second, func() bool {
+		var err error
+		if snap, err = c.Stats(nil); err != nil {
+			t.Fatalf("Stats: %v", err)
+		}
+		return snap.OpLatency["put"].Count >= 3 && snap.OpLatency["tryget"].Count >= 1
+	}, "latency digests of three puts and a tryget never recorded")
 	put, ok := snap.OpLatency["put"]
 	if !ok || put.Count < 3 {
 		t.Fatalf("put latency digest = %+v (snapshot %+v)", put, snap.OpLatency)

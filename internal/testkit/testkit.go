@@ -47,6 +47,19 @@ func VMWith(t testing.TB, procs int, cfg core.VMConfig) *core.VM {
 	return vm
 }
 
+// RunFresh boots a machine of its own, runs body on a root thread of a
+// vps-wide VM, and shuts the machine down before returning rather than at
+// cleanup. Benchmarks want that: testing.B calls a benchmark once per b.N it
+// tries, and the idle processors of earlier rounds would otherwise poll
+// beside the round being timed.
+func RunFresh(t testing.TB, procs, vps int, body func(vm *core.VM, ctx *core.Context) error) {
+	t.Helper()
+	m := core.NewMachine(core.MachineConfig{Processors: procs})
+	defer m.Shutdown()
+	vm := VMOn(t, m, vps)
+	RunIn(t, vm, func(ctx *core.Context) error { return body(vm, ctx) })
+}
+
 // Run runs thunk as a root thread and fails the test on error.
 func Run(t testing.TB, vm *core.VM, thunk core.Thunk) []core.Value {
 	t.Helper()

@@ -61,6 +61,48 @@ func TestProbeAllocsIndependentOfDepth(t *testing.T) {
 	}
 }
 
+// TestProbeTimeIndependentOfDepth is the wall-clock side of the same
+// property: taking the oldest tuple under a key and restoring it costs about
+// the same with 64 resident tuples under that key or 2,048. A scan that
+// inspects every candidate would cost 32× (17.7 µs vs 289 ns was measured
+// before the entry list); the bound is 8×, single-threaded and best of five
+// a side, so a loaded box does not trip it.
+func TestProbeTimeIndependentOfDepth(t *testing.T) {
+	vm := testkit.VM(t, 1, 1)
+	perPair := func(depth int) time.Duration {
+		const pairs = 2000
+		ts := New(KindHash, Config{})
+		best := time.Duration(math.MaxInt64)
+		testkit.RunIn(t, vm, func(ctx *core.Context) error {
+			for i := 0; i < depth; i++ {
+				if err := ts.Put(ctx, Tuple{"k", int64(i)}); err != nil {
+					return err
+				}
+			}
+			for rep := 0; rep < 5; rep++ {
+				start := time.Now()
+				for i := 0; i < pairs; i++ {
+					tup, _, err := ts.TryGet(ctx, Template{"k", F("n")})
+					if err != nil {
+						return err
+					}
+					if err := ts.Put(ctx, tup); err != nil {
+						return err
+					}
+				}
+				best = min(best, time.Since(start)/pairs)
+			}
+			return nil
+		})
+		return best
+	}
+	shallow, deep := perPair(64), perPair(2048)
+	t.Logf("TryGet+Put: %v at depth 64, %v at depth 2048", shallow, deep)
+	if deep > 8*shallow {
+		t.Errorf("TryGet+Put costs %v at depth 2048, %v at depth 64: more than 8×", deep, shallow)
+	}
+}
+
 // TestSharedBinAllocsMatchDefault: the master/slave shape under
 // Config{Bins: 1}, where "task" and "result" share the one bin, allocates
 // per take exactly what it does with the default bins — the other class is
