@@ -36,6 +36,20 @@ func (ctx *Context) VP() *VP { return ctx.tcb.vp.Load() }
 // VM returns the virtual machine the current VP belongs to.
 func (ctx *Context) VM() *VM { return ctx.VP().vm }
 
+// Step charges one evaluation step against the thread's safe-point quantum
+// and enters the thread controller (Poll) every budget-th step, reporting
+// whether this step was the one that polled. The count lives in the TCB and
+// only its thread touches it, so a safe point is a plain increment.
+func (ctx *Context) Step(budget uint64) bool {
+	tcb := ctx.tcb
+	if tcb.steps++; tcb.steps < budget {
+		return false
+	}
+	tcb.steps = 0
+	ctx.Poll()
+	return true
+}
+
 // Poll is the lightweight TC entry: it honours a pending preemption and any
 // transition requests other threads have recorded for the current thread.
 // Long-running computations are expected to call Poll at safe points — the

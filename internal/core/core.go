@@ -14,11 +14,12 @@
 // # Execution model
 //
 // Go's runtime owns the real processors, so the physical machine is
-// simulated: every STING thread is backed by a goroutine that runs only
-// while it holds a grant token from a VP; each physical processor is a
-// scheduler goroutine multiplexing VPs; each VP multiplexes threads through
-// its policy manager. Control transfer is a synchronous channel handshake,
-// so at most one thread per VP is ever runnable, exactly as in the paper.
+// simulated: each physical processor is a scheduler loop multiplexing VPs;
+// each VP multiplexes threads through its policy manager. A dispatched
+// thread runs as a call on the goroutine carrying its PP's loop, and gets a
+// goroutine of its own only at its first park; from then on control
+// transfer is a synchronous channel handshake (a grant token from a VP). At
+// most one thread per VP is ever runnable, exactly as in the paper.
 // Preemption is flag-based and honoured at thread-controller entry points
 // ("a thread can enter the controller because of preemption"; requested
 // state changes "take place only when the target thread next makes a TC

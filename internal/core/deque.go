@@ -9,8 +9,8 @@ import "sync/atomic"
 // default policy manager and the policy package build on.
 //
 // Ownership discipline: exactly one goroutine chain — the VP's thread
-// controller (runSlice and the TCB it is hosting, serialized by the
-// grant-token handshake) — may call the owner operations (PushBottom,
+// controller (runSlice and the thread it is evaluating, inline or serialized
+// by the grant-token handshake) — may call the owner operations (PushBottom,
 // PopBottom, StealTop-as-owner, Inbox.Drain). Any goroutine may call Steal
 // and Inbox.Push.
 

@@ -21,7 +21,14 @@ type Machine struct {
 	vpPolicy  VPPolicy
 
 	stopped atomic.Bool
-	done    sync.WaitGroup
+	done    sync.WaitGroup // one count per PP loop, however many carriers it used
+
+	// spare is the pool of idle carriers: goroutines parked at their base
+	// frame, stacks intact, until a PP loop needs carrying. Unbuffered, so a
+	// send succeeds only when one is waiting; closed at Shutdown. spares
+	// counts the waiting carriers, at most maxSpareCarriers.
+	spare  chan *PP
+	spares atomic.Int32
 }
 
 // MachineConfig parameterizes physical-machine construction.
@@ -55,7 +62,7 @@ func NewMachine(cfg MachineConfig) *Machine {
 	if cfg.IdleWait <= 0 {
 		cfg.IdleWait = 100 * time.Microsecond
 	}
-	m := &Machine{defaultPM: cfg.DefaultPolicy, vpPolicy: cfg.VPPolicy}
+	m := &Machine{defaultPM: cfg.DefaultPolicy, vpPolicy: cfg.VPPolicy, spare: make(chan *PP)}
 	if m.vpPolicy == nil {
 		m.vpPolicy = &RoundRobinVPs{}
 	}
@@ -68,12 +75,41 @@ func NewMachine(cfg MachineConfig) *Machine {
 	}
 	for i := 0; i < n; i++ {
 		pp := newPP(m, i, cfg.SliceBudget, cfg.IdleWait)
-		pp.fair = n > 1
 		m.pps = append(m.pps, pp)
 		m.done.Add(1)
-		go pp.loop()
+		go m.carrier(pp)
 	}
 	return m
+}
+
+// carrier is the base frame of every goroutine that runs a PP loop. When a
+// thread it was evaluating inline parks, the thread keeps the goroutine and
+// the loop moves to another carrier; once that thread finishes, the stale
+// loop frames unwind back here and the goroutine joins the spare pool.
+func (m *Machine) carrier(pp *PP) {
+	for ok := true; ok; {
+		pp.loop()
+		if m.spares.Add(1) > maxSpareCarriers {
+			m.spares.Add(-1)
+			return
+		}
+		pp, ok = <-m.spare
+		m.spares.Add(-1)
+	}
+}
+
+// maxSpareCarriers bounds the idle pool, as TCBCacheLimit's default bounds
+// a VP's cache: a burst of parked threads leaves at most this many idle
+// goroutines behind once they finish.
+const maxSpareCarriers = 64
+
+// carry runs pp's loop on a spare carrier, starting one if none is idle.
+func (m *Machine) carry(pp *PP) {
+	select {
+	case m.spare <- pp:
+	default:
+		go m.carrier(pp)
+	}
 }
 
 // Processors returns the machine's physical processors.
@@ -121,9 +157,9 @@ func (m *Machine) MoveVP(vp *VP, target *PP) {
 	target.attach(vp)
 }
 
-// Shutdown stops every physical processor and poisons the TCB caches. It
-// does not wait for in-flight threads: callers should join the threads they
-// care about first (VM.Run does).
+// Shutdown stops every physical processor and releases the spare carriers.
+// It does not wait for in-flight threads: callers should join the threads
+// they care about first (VM.Run does).
 func (m *Machine) Shutdown() {
 	if m.stopped.Swap(true) {
 		return
@@ -132,10 +168,12 @@ func (m *Machine) Shutdown() {
 		pp.kickNow()
 	}
 	m.done.Wait()
+	// Every loop has stopped, so no thread runs and none can park and ask
+	// for a carrier.
+	close(m.spare)
 	for _, vm := range m.VMs() {
 		for _, vp := range vm.VPs() {
 			vp.stopped.Store(true)
-			vp.drainCache()
 		}
 	}
 }
@@ -165,8 +203,8 @@ func (*RoundRobinVPs) Attached(*PP, *VP) {}
 // Detached implements VPPolicy.
 func (*RoundRobinVPs) Detached(*PP, *VP) {}
 
-// PP is a physical processor: a scheduler goroutine that hosts VPs one
-// slice at a time.
+// PP is a physical processor: a scheduler loop that hosts VPs one slice at
+// a time, carried by one goroutine at a time (see Machine.carrier).
 type PP struct {
 	id      int
 	machine *Machine
@@ -179,7 +217,6 @@ type PP struct {
 
 	sliceBudget int
 	idleWait    time.Duration
-	fair        bool // yield the OS thread between slices (multi-PP machines)
 
 	slices atomic.Uint64
 	idles  atomic.Uint64
@@ -262,9 +299,9 @@ func (pp *PP) kickNow() {
 
 // loop is the processor's scheduler: it visits VPs according to the
 // machine's VP policy, granting each a slice of dispatches, and sleeps
-// briefly when every VP is idle.
+// briefly when every VP is idle. It returns early, without counting the
+// loop done, when a thread parked and the loop moved to another carrier.
 func (pp *PP) loop() {
-	defer pp.machine.done.Done()
 	m := pp.machine
 	for !m.stopped.Load() {
 		progress := false
@@ -278,9 +315,11 @@ func (pp *PP) loop() {
 				break
 			}
 			pp.slices.Add(1)
-			if vp.runSlice(pp.sliceBudget) {
-				progress = true
+			did, carried := vp.runSlice(pp)
+			if !carried {
+				return
 			}
+			progress = progress || did
 		}
 		if !progress {
 			pp.idles.Add(1)
@@ -288,14 +327,7 @@ func (pp *PP) loop() {
 			case <-pp.kick:
 			case <-time.After(pp.idleWait):
 			}
-		} else if pp.fair {
-			// The grant-token handshake is pure channel ping-pong, which the
-			// Go runtime runs as a runnext chain that can monopolize an OS
-			// thread for a full ~10ms preemption slice. When GOMAXPROCS is
-			// lower than the PP count that starves sibling PPs, so a busy PP
-			// yields the thread once per slice (~32 dispatches) to bound
-			// cross-PP latency.
-			runtime.Gosched()
 		}
 	}
+	m.done.Done()
 }

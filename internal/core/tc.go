@@ -18,8 +18,7 @@ func (ctx *Context) CreateThread(thunk Thunk, opts ...ThreadOption) *Thread {
 	// The new thread captures the creator's *current* dynamic environment
 	// (fluid-let extent included) and trace context (with-span extent
 	// included); explicit WithFluid/WithSpanContext options override.
-	opts = append([]ThreadOption{WithFluid(ctx.tcb.fluid), WithSpanContext(ctx.tcb.spanCtx)}, opts...)
-	return newThread(ctx.VM(), ctx.Thread(), thunk, opts...)
+	return newThread(ctx.VM(), ctx.Thread(), thunk, ctx.tcb.fluid, ctx.tcb.spanCtx, opts...)
 }
 
 // Fork creates a thread to evaluate thunk and schedules it on vp (the

@@ -8,8 +8,8 @@ import (
 	"repro/internal/storage"
 )
 
-// park states for the grant-token protocol between a TCB's backing
-// goroutine and the VP schedulers.
+// park states for the grant-token protocol between a thread and the VP
+// schedulers.
 const (
 	pRunning     int32 = iota // the thread holds a VP's grant token
 	pWakePending              // a wake arrived while the thread was running
@@ -19,10 +19,12 @@ const (
 
 // TCB is the dynamic context of an evaluating thread: its stack and heap
 // areas, preemption state, wait-count for group blocking, and the virtual
-// processor currently hosting it. TCBs — including their storage areas and
-// backing goroutine — are cached on VPs and recycled for immediate reuse
-// when a thread terminates, which keeps thread startup cheap and the
-// storage in the processor's working set.
+// processor currently hosting it. TCBs — including their storage areas —
+// are cached on VPs and recycled for immediate reuse when a thread
+// terminates, which keeps thread startup cheap and the storage in the
+// processor's working set. A TCB owns no goroutine: its thread runs on the
+// goroutine carrying its PP's loop and keeps that goroutine only if it
+// parks (see switchOut).
 type TCB struct {
 	thread atomic.Pointer[Thread] // bound thread; nil when cached
 	vp     atomic.Pointer[VP]     // VP currently hosting the thread
@@ -30,9 +32,17 @@ type TCB struct {
 
 	areas *storage.AreaPair
 
+	ctx Context // handed to the thunk; bound to this TCB for good
+
 	// resume carries the grant token: a VP sends itself to hand the CPU to
-	// this TCB's goroutine. Capacity 1 decouples deposit from consumption.
+	// a thread that has parked. Capacity 1 decouples deposit from
+	// consumption.
 	resume chan *VP
+
+	// carrier is the PP whose loop the thread is running inline on; nil
+	// once the thread has parked and kept a goroutine of its own.
+	// Owner-only.
+	carrier *PP
 
 	park atomic.Int32 // pRunning/pWakePending/pParked/pCached
 	exec atomic.Int32 // ExecState, diagnostic
@@ -62,8 +72,7 @@ type TCB struct {
 
 	polls    uint64 // owner-only TC-entry counter
 	preempts uint64 // owner-only preemptions taken
-
-	dead bool // backing goroutine gone (runtime.Goexit); never recycle
+	steps    uint64 // owner-only safe-point steps since the last Step poll
 }
 
 // errGoexit marks threads whose goroutine was torn down from under them.
@@ -75,8 +84,8 @@ func newTCB(home *VP, stackBytes, heapBytes uint64) *TCB {
 		areas:  storage.NewAreaPair(stackBytes, heapBytes),
 		resume: make(chan *VP, 1),
 	}
+	tcb.ctx.tcb = tcb
 	tcb.park.Store(pCached)
-	go tcb.loop()
 	return tcb
 }
 
@@ -95,8 +104,8 @@ func (tcb *TCB) Areas() *storage.AreaPair { return tcb.areas }
 // Polls returns the number of thread-controller entries this TCB has made;
 // preemption and transition requests are honoured at these points. Both
 // execution engines — the tree-walker and the bytecode VM — drive this
-// counter through the same shared safe-point budget, so the two produce the
-// same poll density for the same program.
+// counter through the same per-thread safe-point quantum (Context.Step), so
+// the two produce the same poll density for the same program.
 func (tcb *TCB) Polls() uint64 { return tcb.polls }
 
 // Preempts returns the number of preemptions this TCB has taken at its safe
@@ -108,55 +117,48 @@ func (tcb *TCB) Preempts() uint64 { return tcb.preempts }
 // honoured — it clears at the next safe point outside without-preemption.
 func (tcb *TCB) PreemptPending() bool { return tcb.preemptPending.Load() }
 
-// loop is the TCB's backing goroutine: it repeatedly waits to be bound to a
-// thread, runs the thread's thunk to completion, and returns itself to its
-// home VP's cache. A nil grant poisons the goroutine at machine shutdown.
-func (tcb *TCB) loop() {
-	defer func() {
-		// A runtime.Goexit escaping the thunk (e.g. t.Fatalf inside a test
-		// thread) would otherwise strand the thread undetermined and its
-		// host VP waiting forever. Determine the thread, mark the TCB dead
-		// so it is never recycled, and release the VP.
-		if tcb.park.Load() == pCached {
-			return // normal exit (machine shutdown poison)
-		}
-		tcb.dead = true
-		if t := tcb.thread.Load(); t != nil && !t.Determined() {
-			t.determine(nil, errGoexit)
-		}
-		tcb.exec.Store(int32(ExecDone))
-		tcb.park.Store(pCached)
-		if host := tcb.vp.Load(); host != nil {
-			host.yield <- yieldMsg{tcb: tcb, reason: yieldDone}
-		}
-	}()
-	for {
-		vp := <-tcb.resume
-		if vp == nil {
-			return // machine shut down
-		}
-		tcb.vp.Store(vp)
-		tcb.park.Store(pRunning)
-		tcb.exec.Store(int32(ExecRunning))
-		t := tcb.thread.Load()
-		ctx := &Context{tcb: tcb}
-		tcb.fluid = t.fluid
-		tcb.spanCtx = t.spanCtx
-		tcb.stolen = tcb.stolen[:0]
-		values, err := runThunk(t, ctx)
-		t.determine(values, err)
-		tcb.exec.Store(int32(ExecDone))
-		tcb.park.Store(pCached)
-		host := tcb.vp.Load()
+// evaluate runs t's thunk on tcb right here, on the goroutine carrying pp's
+// loop: a thread that never parks costs a call, not a goroutine switch. It
+// reports whether this goroutine still carries pp — false when the thread
+// parked on the way, kept the goroutine, and has now finished elsewhere, so
+// the caller must unwind to its carrier base.
+func (tcb *TCB) evaluate(pp *PP, t *Thread) bool {
+	tcb.exec.Store(int32(ExecRunning))
+	tcb.park.Store(pRunning)
+	tcb.fluid = t.fluid
+	tcb.spanCtx = t.spanCtx
+	tcb.stolen = tcb.stolen[:0]
+	tcb.carrier = pp
+	values, err := runThunk(t, &tcb.ctx)
+	t.determine(values, err)
+	return tcb.finish()
+}
+
+// finish retires a determined thread: inline, the TCB goes straight back to
+// the cache; detached, the VP hosting it is told to recycle it. It reports
+// whether this goroutine still carries a PP loop.
+func (tcb *TCB) finish() bool {
+	tcb.exec.Store(int32(ExecDone))
+	tcb.park.Store(pCached)
+	host := tcb.vp.Load()
+	if tcb.carrier == nil {
 		host.yield <- yieldMsg{tcb: tcb, reason: yieldDone}
+		return false
 	}
+	host.current.Store(nil)
+	host.putTCB(tcb)
+	return true
 }
 
 // runThunk applies the thread's thunk, converting a termination request or a
 // stray panic into the thread's error result. Panics in user code become
 // thread errors — they cross the thread boundary as exceptions, not as
-// crashes of the whole machine.
+// crashes of the whole machine. A runtime.Goexit (t.Fatalf inside a test
+// thread) cannot be stopped, but it must not strand the thread undetermined
+// or its VP without a loop: the thread is determined with errGoexit, its
+// TCB retired, and a PP loop it was carrying restarts on a spare carrier.
 func runThunk(t *Thread, ctx *Context) (values []Value, err error) {
+	exiting := true
 	defer func() {
 		if r := recover(); r != nil {
 			if ex, ok := r.(threadExitPanic); ok {
@@ -166,9 +168,17 @@ func runThunk(t *Thread, ctx *Context) (values []Value, err error) {
 				return
 			}
 			values, err = nil, &PanicError{Value: r}
+		} else if exiting {
+			t.determine(nil, errGoexit)
+			tcb := ctx.tcb
+			if pp := tcb.carrier; tcb.finish() {
+				pp.machine.carry(pp)
+			}
 		}
 	}()
-	return t.thunk(ctx)
+	values, err = t.thunk(ctx)
+	exiting = false
+	return values, err
 }
 
 // parkWait gives up the VP until a waker reschedules this TCB. It must be
@@ -182,11 +192,7 @@ func (tcb *TCB) parkWait(st ExecState) {
 		return
 	}
 	tcb.exec.Store(int32(st))
-	host := tcb.vp.Load()
-	host.yield <- yieldMsg{tcb: tcb, reason: yieldParked}
-	vp := <-tcb.resume
-	tcb.vp.Store(vp)
-	tcb.exec.Store(int32(ExecRunning))
+	tcb.switchOut()
 }
 
 // yieldTo re-enqueues the TCB (self-wake) and hands the VP back; used by
@@ -198,7 +204,22 @@ func (tcb *TCB) yieldTo(st EnqueueState) {
 	tcb.exec.Store(int32(ExecReady))
 	host.pm.EnqueueThread(host, tcb, st)
 	host.NotifyWork()
-	host.yield <- yieldMsg{tcb: tcb, reason: yieldParked}
+	tcb.switchOut()
+}
+
+// switchOut hands the hosting VP back and waits for a VP to grant the CPU
+// again. At its first park a thread is still running inline on its PP's
+// carrier: it keeps this goroutine and passes the PP loop to a spare
+// carrier. From then on it answers the VP waiting in dispatch.
+func (tcb *TCB) switchOut() {
+	host := tcb.vp.Load()
+	if pp := tcb.carrier; pp != nil {
+		tcb.carrier = nil
+		host.current.Store(nil)
+		pp.machine.carry(pp)
+	} else {
+		host.yield <- yieldMsg{tcb: tcb, reason: yieldParked}
+	}
 	vp := <-tcb.resume
 	tcb.vp.Store(vp)
 	tcb.exec.Store(int32(ExecRunning))

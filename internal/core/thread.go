@@ -116,18 +116,19 @@ func WithSpanContext(sc obs.SpanContext) ThreadOption {
 	return func(t *Thread) { t.spanCtx = sc }
 }
 
-// newThread builds the thread object. parent may be nil (root threads).
-func newThread(vm *VM, parent *Thread, thunk Thunk, opts ...ThreadOption) *Thread {
+// newThread builds the thread object. parent may be nil (root threads);
+// fluid and sc are the inherited dynamic environment and trace context,
+// which explicit options override.
+func newThread(vm *VM, parent *Thread, thunk Thunk, fluid *FluidEnv, sc obs.SpanContext, opts ...ThreadOption) *Thread {
 	t := &Thread{
-		id:     threadIDs.Add(1),
-		vm:     vm,
-		thunk:  thunk,
-		parent: parent,
+		id:      threadIDs.Add(1),
+		vm:      vm,
+		thunk:   thunk,
+		parent:  parent,
+		fluid:   fluid,
+		spanCtx: sc,
 	}
 	t.stealable.Store(true)
-	if parent != nil {
-		t.fluid = parent.fluid
-	}
 	for _, o := range opts {
 		o(t)
 	}

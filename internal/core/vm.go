@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -222,7 +223,7 @@ func (vm *VM) Stats() VMStatsSnapshot {
 // VPs) and returns it. It is the entry point for code running outside any
 // STING thread; inside a thread, use Context.Fork.
 func (vm *VM) Spawn(thunk Thunk, opts ...ThreadOption) *Thread {
-	t := newThread(vm, nil, thunk, opts...)
+	t := newThread(vm, nil, thunk, nil, obs.SpanContext{}, opts...)
 	vp := vm.VP(int(t.id))
 	scheduleThread(t, vp, EnqNew)
 	return t
@@ -230,7 +231,7 @@ func (vm *VM) Spawn(thunk Thunk, opts ...ThreadOption) *Thread {
 
 // SpawnOn is Spawn with explicit VP placement.
 func (vm *VM) SpawnOn(vp *VP, thunk Thunk, opts ...ThreadOption) *Thread {
-	t := newThread(vm, nil, thunk, opts...)
+	t := newThread(vm, nil, thunk, nil, obs.SpanContext{}, opts...)
 	scheduleThread(t, vp, EnqNew)
 	return t
 }

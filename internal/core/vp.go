@@ -15,7 +15,8 @@ const (
 	yieldDone                      // thunk finished; recycle the TCB
 )
 
-// yieldMsg travels from a hosted thread to the VP that granted it the CPU.
+// yieldMsg travels from a hosted thread that has a goroutine of its own to
+// the VP that granted it the CPU.
 type yieldMsg struct {
 	tcb    *TCB
 	reason yieldReason
@@ -51,8 +52,8 @@ type VP struct {
 	vm    *VM
 	pm    PolicyManager
 
-	// yield is the channel on which the currently hosted thread returns
-	// control; it is the VP's half of the grant-token handshake.
+	// yield is the channel on which a hosted thread that has parked before
+	// returns control; it is the VP's half of the grant-token handshake.
 	yield chan yieldMsg
 
 	pp atomic.Pointer[PP] // physical processor currently hosting this VP
@@ -173,14 +174,14 @@ func (vp *VP) NotifyWork() {
 	}
 }
 
-// runSlice is the VP's thread controller loop, executed while a physical
-// processor hosts the VP: up to budget dispatches are performed. It reports
-// whether any work was done.
-func (vp *VP) runSlice(budget int) bool {
-	did := false
-	for i := 0; i < budget; i++ {
+// runSlice is the VP's thread controller loop, executed while pp hosts the
+// VP: up to pp's budget of dispatches are performed. It reports whether any
+// work was done, and whether this goroutine still carries pp's loop (see
+// TCB.evaluate).
+func (vp *VP) runSlice(pp *PP) (did, carried bool) {
+	for i := 0; i < pp.sliceBudget; i++ {
 		if vp.stopped.Load() {
-			return did
+			return did, true
 		}
 		r := vp.pm.GetNextThread(vp)
 		if r == nil {
@@ -188,31 +189,36 @@ func (vp *VP) runSlice(budget int) bool {
 			vp.pm.VPIdle(vp)
 			r = vp.pm.GetNextThread(vp)
 			if r == nil {
-				return did
+				return did, true
 			}
 		}
 		// Draining the queue counts as progress even when the entry turns
 		// out to be dead (stolen or terminated while queued), or an idle
 		// nap could starve a long backlog of dead entries.
 		did = true
-		vp.dispatch(r)
+		if !vp.dispatch(pp, r) {
+			return did, false
+		}
 	}
-	return did
+	return did, true
 }
 
-// dispatch grants the VP to a runnable: a Thread is moved to Evaluating and
-// bound to a (possibly recycled) TCB; a TCB is resumed where it parked.
-func (vp *VP) dispatch(r Runnable) bool {
+// dispatch grants the VP to a runnable: a Thread is moved to Evaluating,
+// bound to a (possibly recycled) TCB and evaluated on this goroutine; a TCB
+// is resumed where it parked. It reports whether this goroutine still
+// carries pp's loop.
+func (vp *VP) dispatch(pp *PP, r Runnable) bool {
 	switch x := r.(type) {
 	case *Thread:
 		if !x.casState(Scheduled, Evaluating) {
-			return false // stolen or terminated while queued
+			return true // stolen or terminated while queued
 		}
 		tcb := vp.takeTCB()
 		x.mu.Lock()
 		x.tcb = tcb
 		x.mu.Unlock()
 		tcb.thread.Store(x)
+		tcb.vp.Store(vp)
 		tcb.resumeRequested.Store(false)
 		if x.req.Load() != 0 {
 			tcb.asyncReq.Store(true) // requests recorded before dispatch
@@ -220,41 +226,40 @@ func (vp *VP) dispatch(r Runnable) bool {
 		vp.stats.Dispatches.Add(1)
 		x.spanEvent("evaluating")
 		emit(TraceDispatch, x.id, vp.index)
-		vp.host(tcb, x)
-		return true
+		vp.grant(tcb, x)
+		return tcb.evaluate(pp, x)
 	case *TCB:
 		t := x.thread.Load()
 		if t == nil {
-			return false // raced with completion; TCB already recycled
+			return true // raced with completion; TCB already recycled
 		}
 		vp.stats.Dispatches.Add(1)
 		emit(TraceDispatch, t.id, vp.index)
-		vp.host(x, t)
+		vp.grant(x, t)
+		x.resume <- vp
+		msg := <-vp.yield
+		vp.current.Store(nil)
+		if msg.reason == yieldDone {
+			vp.putTCB(msg.tcb)
+		}
 		return true
 	default:
 		panic(fmt.Sprintf("core: policy manager returned %T", r))
 	}
 }
 
-// host hands the CPU to tcb and waits for it to come back. The thread's
-// quantum deadline is stamped on the TCB before the grant; the thread
-// notices expiry at its next TC entry (Poll), which is exactly the paper's
-// preemption semantics — a thread enters the controller because of
-// preemption, and state changes take place at TC calls. Deadline
+// grant makes tcb the VP's current thread and stamps its quantum deadline.
+// The thread notices expiry at its next TC entry (Poll), which is exactly
+// the paper's preemption semantics — a thread enters the controller because
+// of preemption, and state changes take place at TC calls. Deadline
 // accounting rather than an asynchronous timer keeps preemption reliable
 // even on a single-CPU host.
-func (vp *VP) host(tcb *TCB, t *Thread) {
+func (vp *VP) grant(tcb *TCB, t *Thread) {
 	vp.current.Store(tcb)
 	if q := QuantumFor(t, vp.defaultQuantum); q > 0 {
 		tcb.quantumEnd = time.Now().Add(q).UnixNano()
 	} else {
 		tcb.quantumEnd = 0
-	}
-	tcb.resume <- vp
-	msg := <-vp.yield
-	vp.current.Store(nil)
-	if msg.reason == yieldDone {
-		vp.putTCB(msg.tcb)
 	}
 }
 
@@ -276,11 +281,8 @@ func (vp *VP) takeTCB() *TCB {
 
 // putTCB recycles a finished TCB: its areas are reset and it returns to the
 // cache for immediate reuse; beyond the limit (or with recycling disabled)
-// the backing goroutine is poisoned and the TCB dropped.
+// it is dropped.
 func (vp *VP) putTCB(tcb *TCB) {
-	if tcb.dead {
-		return // backing goroutine is gone; drop the TCB entirely
-	}
 	tcb.thread.Store(nil)
 	tcb.resumeRequested.Store(false)
 	tcb.preemptPending.Store(false)
@@ -291,22 +293,8 @@ func (vp *VP) putTCB(tcb *TCB) {
 		vp.mu.Lock()
 		if len(vp.tcbCache) < vp.cacheLimit {
 			vp.tcbCache = append(vp.tcbCache, tcb)
-			vp.mu.Unlock()
-			return
 		}
 		vp.mu.Unlock()
-	}
-	tcb.resume <- nil // poison the backing goroutine
-}
-
-// drainCache poisons every cached TCB goroutine (machine shutdown).
-func (vp *VP) drainCache() {
-	vp.mu.Lock()
-	cached := vp.tcbCache
-	vp.tcbCache = nil
-	vp.mu.Unlock()
-	for _, tcb := range cached {
-		tcb.resume <- nil
 	}
 }
 

@@ -5,23 +5,17 @@ import (
 )
 
 // pollBudget is how many evaluation steps run between thread-controller
-// polls — the interpreter's safe-point density.
+// polls, per thread — the interpreter's safe-point density.
 const pollBudget = 256
 
-// Safepoint charges one evaluation step against the machine-wide poll
-// budget and polls the thread controller when it elapses. The tree-walker
+// Safepoint charges one evaluation step against the thread's safe-point
+// quantum and polls the thread controller when it elapses. The tree-walker
 // takes one per evaluated node; the bytecode VM takes one per call and
-// backward branch — both feed the same counter, so preemption, stealing
-// and timer-driven requests fire with the same density under either
-// engine. It reports whether this step was the one that polled, the
+// backward branch — both feed the same per-thread counter, so preemption,
+// stealing and timer-driven requests fire with the same density under
+// either engine. It reports whether this step was the one that polled, the
 // boundary at which an engine publishes what it counts locally.
-func (in *Interp) Safepoint(ctx *core.Context) bool {
-	if in.step()%pollBudget != 0 {
-		return false
-	}
-	ctx.Poll()
-	return true
-}
+func (in *Interp) Safepoint(ctx *core.Context) bool { return ctx.Step(pollBudget) }
 
 // Eval evaluates expr in env on the STING thread behind ctx. Tail positions
 // iterate rather than recurse, so loops written as tail calls run in

@@ -33,8 +33,7 @@ type Interp struct {
 	engine     Engine
 	engineName string
 
-	stepCount atomic.Uint64
-	gensyms   atomic.Uint64
+	gensyms atomic.Uint64
 }
 
 // Option configures an interpreter.
@@ -95,10 +94,6 @@ func (in *Interp) Spaces() *tspace.Registry { return in.spaces }
 // whole programs under one root span context (set after construction so
 // the prelude load stays untraced).
 func (in *Interp) SetToplevelOptions(opts ...core.ThreadOption) { in.toplevelOpts = opts }
-
-// steps supports the evaluator's poll budget; shared across threads so
-// safe-point density holds machine-wide.
-func (in *Interp) step() uint64 { return in.stepCount.Add(1) }
 
 // EvalString parses and evaluates src on a fresh root STING thread,
 // returning the value of the last form.

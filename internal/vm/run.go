@@ -117,7 +117,7 @@ type saved struct {
 }
 
 // exec runs a compiled closure to completion. Safepoints — calls, tail
-// calls, backward branches — feed the interpreter's shared poll budget, so
+// calls, backward branches — feed the thread's safe-point quantum, so
 // preemption and stealing fire with the tree-walker's density.
 func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (scheme.Value, error) {
 	in := e.in
