@@ -1,4 +1,5 @@
-# Tier-1 gate plus the whole tree under the race detector. `make` = build+vet+test+race.
+# Tier-1 gate plus the whole tree under the race detector and the stingmark
+# smoke. `make` = build+vet+test+race+stingmark-smoke.
 
 GO ?= go
 
@@ -18,7 +19,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-check: build vet test race
+# stingmark-smoke compiles benchmark/, a separate module that imports
+# repro/internal/... and that `go build ./...` never reaches, so a change
+# that removes a name it uses fails here rather than only in CI.
+check: build vet test race stingmark-smoke
 
 # Code lines (non-test .go, neither blank nor //-only) per package and in
 # total — the one counting rule deletion PRs quote.

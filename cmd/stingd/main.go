@@ -413,7 +413,7 @@ func restoreSnapshot(vm *core.VM, reg *tspace.Registry, path string) (tuples, sp
 		return 0, 0, err
 	}
 	defer f.Close() //nolint:errcheck
-	store := persist.NewStore(nil)
+	store := persist.NewStore()
 	if err := store.Restore(f); err != nil {
 		return 0, 0, err
 	}
@@ -431,7 +431,7 @@ func restoreSnapshot(vm *core.VM, reg *tspace.Registry, path string) (tuples, sp
 // writeSnapshot captures the registry's passive tuples to path atomically
 // (temp file + rename).
 func writeSnapshot(reg *tspace.Registry, path string) (tuples, spaces int, err error) {
-	store := persist.NewStore(nil)
+	store := persist.NewStore()
 	spaces, tuples, err = persist.SnapshotRegistry(reg, store)
 	if err != nil {
 		return tuples, spaces, err

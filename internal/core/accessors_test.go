@@ -21,9 +21,6 @@ func TestAccessorsAndEdges(t *testing.T) {
 		if tcb.VP() != ctx.VP() {
 			t.Error("TCB.VP mismatch")
 		}
-		if tcb.Areas() == nil {
-			t.Error("no areas")
-		}
 		before := tcb.Polls()
 		ctx.Poll()
 		if tcb.Polls() <= before {

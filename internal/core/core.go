@@ -1,8 +1,7 @@
 // Package core implements the STING coordination substrate: first-class
 // lightweight threads, thread control blocks (TCBs), virtual processors
 // (VPs) closed over customizable policy managers, virtual machines (VMs)
-// closed over address spaces, and the physical machine on which VPs are
-// multiplexed.
+// that group VPs, and the physical machine on which VPs are multiplexed.
 //
 // The package is a reproduction, in Go, of the substrate described in
 // Jagannathan & Philbin, "A Customizable Substrate for Concurrent

@@ -98,10 +98,13 @@ func (m *Machine) carrier(pp *PP) {
 	}
 }
 
-// maxSpareCarriers bounds the idle pool, as TCBCacheLimit's default bounds
-// a VP's cache: a burst of parked threads leaves at most this many idle
-// goroutines behind once they finish.
+// maxSpareCarriers bounds the idle pool, as tcbCacheLimit bounds a VP's
+// cache: a burst of parked threads leaves at most this many idle goroutines
+// behind once they finish.
 const maxSpareCarriers = 64
+
+// tcbCacheLimit bounds each VP's TCB recycle cache.
+const tcbCacheLimit = 64
 
 // carry runs pp's loop on a spare carrier, starting one if none is idle.
 func (m *Machine) carry(pp *PP) {

@@ -261,19 +261,6 @@ func TestPPStatsAdvance(t *testing.T) {
 	}
 }
 
-func TestAddressSpaceRegistry(t *testing.T) {
-	as := NewAddressSpace(4096)
-	if as.Root() == nil {
-		t.Fatal("no root area")
-	}
-	if got := as.Resolve(as.Root().ID()); got != as.Root() {
-		t.Fatal("root not resolvable")
-	}
-	if as.Resolve(999999) != nil {
-		t.Fatal("bogus id resolved")
-	}
-}
-
 func TestVMIsolationOfRootGroups(t *testing.T) {
 	m := testMachine(t, 1)
 	vm1, _ := m.NewVM(VMConfig{VPs: 1, Name: "a"})
@@ -281,7 +268,20 @@ func TestVMIsolationOfRootGroups(t *testing.T) {
 	if vm1.RootGroup() == vm2.RootGroup() {
 		t.Fatal("VMs share a root group")
 	}
-	if vm1.Space() == vm2.Space() {
-		t.Fatal("VMs share an address space")
+}
+
+// TestFreshTCBAllocs pins what a TCB costs: a fresh one is the TCB and its
+// resume channel, and a recycle-cache hit allocates nothing.
+func TestFreshTCBAllocs(t *testing.T) {
+	m := testMachine(t, 1)
+	off, _ := m.NewVM(VMConfig{VPs: 1, VP: VPConfig{DisableTCBRecycling: true}})
+	on, _ := m.NewVM(VMConfig{VPs: 1})
+	fresh := testing.AllocsPerRun(100, func() { off.VP(0).putTCB(off.VP(0).takeTCB()) })
+	if fresh > 2 {
+		t.Errorf("fresh TCB = %v allocs, want ≤ 2", fresh)
+	}
+	hit := testing.AllocsPerRun(100, func() { on.VP(0).putTCB(on.VP(0).takeTCB()) })
+	if hit != 0 {
+		t.Errorf("cache hit = %v allocs, want 0", hit)
 	}
 }

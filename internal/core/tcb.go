@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/internal/storage"
 )
 
 // park states for the grant-token protocol between a thread and the VP
@@ -17,12 +16,12 @@ const (
 	pCached                   // the TCB is unbound, parked in a VP's cache
 )
 
-// TCB is the dynamic context of an evaluating thread: its stack and heap
-// areas, preemption state, wait-count for group blocking, and the virtual
-// processor currently hosting it. TCBs — including their storage areas —
-// are cached on VPs and recycled for immediate reuse when a thread
-// terminates, which keeps thread startup cheap and the storage in the
-// processor's working set. A TCB owns no goroutine: its thread runs on the
+// TCB is the dynamic context of an evaluating thread: its preemption state,
+// wait-count for group blocking, and the virtual processor currently hosting
+// it. TCBs are cached on VPs and recycled for immediate reuse when a thread
+// terminates, which keeps thread startup cheap. The paper's per-thread
+// stack and heap areas, scavenged per thread, are not reproduced: Go's
+// collector owns the memory. A TCB owns no goroutine: its thread runs on the
 // goroutine carrying its PP's loop and keeps that goroutine only if it
 // parks (see switchOut).
 type TCB struct {
@@ -30,14 +29,13 @@ type TCB struct {
 	vp     atomic.Pointer[VP]     // VP currently hosting the thread
 	homeVP *VP                    // VP whose cache owns this TCB
 
-	areas *storage.AreaPair
-
 	ctx Context // handed to the thunk; bound to this TCB for good
 
-	// resume carries the grant token: a VP sends itself to hand the CPU to
-	// a thread that has parked. Capacity 1 decouples deposit from
-	// consumption.
-	resume chan *VP
+	// resume carries the grant token: a VP stores itself in vp and signals
+	// here to hand the CPU to a thread that has parked. Capacity 1
+	// decouples deposit from consumption; the empty element keeps the
+	// channel a single allocation.
+	resume chan struct{}
 
 	// carrier is the PP whose loop the thread is running inline on; nil
 	// once the thread has parked and kept a goroutine of its own.
@@ -78,11 +76,10 @@ type TCB struct {
 // errGoexit marks threads whose goroutine was torn down from under them.
 var errGoexit = errors.New("core: thread goroutine exited without determining")
 
-func newTCB(home *VP, stackBytes, heapBytes uint64) *TCB {
+func newTCB(home *VP) *TCB {
 	tcb := &TCB{
 		homeVP: home,
-		areas:  storage.NewAreaPair(stackBytes, heapBytes),
-		resume: make(chan *VP, 1),
+		resume: make(chan struct{}, 1),
 	}
 	tcb.ctx.tcb = tcb
 	tcb.park.Store(pCached)
@@ -97,9 +94,6 @@ func (tcb *TCB) VP() *VP { return tcb.vp.Load() }
 
 // Thread returns the thread bound to this TCB (nil when cached).
 func (tcb *TCB) Thread() *Thread { return tcb.thread.Load() }
-
-// Areas returns the stack/heap pair backing the thread's private storage.
-func (tcb *TCB) Areas() *storage.AreaPair { return tcb.areas }
 
 // Polls returns the number of thread-controller entries this TCB has made;
 // preemption and transition requests are honoured at these points. Both
@@ -220,8 +214,7 @@ func (tcb *TCB) switchOut() {
 	} else {
 		host.yield <- yieldMsg{tcb: tcb, reason: yieldParked}
 	}
-	vp := <-tcb.resume
-	tcb.vp.Store(vp)
+	<-tcb.resume
 	tcb.exec.Store(int32(ExecRunning))
 }
 

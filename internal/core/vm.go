@@ -6,62 +6,18 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/internal/storage"
 )
 
 var vmIDs atomic.Uint64
 
-// AddressSpace is the storage context a virtual machine is closed over: a
-// root environment area shared by the VM's threads plus a registry of all
-// areas, used to resolve inter-area references for the scavenger. Multiple
-// address spaces — one per VM — coexist on a physical machine.
-type AddressSpace struct {
-	id   uint64
-	root *storage.Area
-
-	mu    sync.Mutex
-	areas map[uint32]*storage.Area
-}
-
-// NewAddressSpace creates an address space with a root area of the given
-// size.
-func NewAddressSpace(rootBytes uint64) *AddressSpace {
-	as := &AddressSpace{
-		id:    vmIDs.Add(1),
-		root:  storage.NewArea(storage.HeapArea, rootBytes),
-		areas: make(map[uint32]*storage.Area),
-	}
-	as.Register(as.root)
-	return as
-}
-
-// Root returns the shared root-environment area.
-func (as *AddressSpace) Root() *storage.Area { return as.root }
-
-// Register makes an area resolvable for cross-area reference bookkeeping.
-func (as *AddressSpace) Register(a *storage.Area) {
-	as.mu.Lock()
-	as.areas[a.ID()] = a
-	as.mu.Unlock()
-}
-
-// Resolve finds a registered area by id (used by storage.Area.SetRefs).
-func (as *AddressSpace) Resolve(id uint32) *storage.Area {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	return as.areas[id]
-}
-
-// VM is a virtual machine: a collection of virtual processors closed over
-// an address space. Virtual machines are denotable objects; several can
-// execute on one physical machine. The VM's public state includes the
-// vector of its virtual processors, which programs may enumerate to place
-// threads explicitly.
+// VM is a virtual machine: a collection of virtual processors. Virtual
+// machines are denotable objects; several can execute on one physical
+// machine. The VM's public state includes the vector of its virtual
+// processors, which programs may enumerate to place threads explicitly.
 type VM struct {
 	id      uint64
 	name    string
 	machine *Machine
-	space   *AddressSpace
 
 	mu  sync.Mutex
 	vps []*VP
@@ -86,13 +42,11 @@ type VMConfig struct {
 	// Different VPs may receive different managers. Nil selects the
 	// machine's default factory.
 	PolicyFactory func(vp *VP) PolicyManager
-	// VP carries per-VP parameters (quantum, cache, area sizes).
+	// VP carries per-VP parameters (quantum, TCB recycling).
 	VP VPConfig
 	// Topology names the VP interconnection used for self-relative
 	// addressing; nil means a ring.
 	Topology Topology
-	// RootBytes sizes the VM's shared root area.
-	RootBytes uint64
 }
 
 // NewVM creates a virtual machine on m and assigns its VPs round-robin over
@@ -105,14 +59,10 @@ func (m *Machine) NewVM(cfg VMConfig) (*VM, error) {
 	if n <= 0 {
 		n = len(m.pps)
 	}
-	if cfg.RootBytes == 0 {
-		cfg.RootBytes = 1 << 20
-	}
 	vm := &VM{
 		id:        vmIDs.Add(1),
 		name:      cfg.Name,
 		machine:   m,
-		space:     NewAddressSpace(cfg.RootBytes),
 		vpConfig:  cfg.VP,
 		pmFactory: cfg.PolicyFactory,
 		topology:  cfg.Topology,
@@ -146,9 +96,6 @@ func (vm *VM) Name() string { return vm.name }
 
 // Machine returns the physical machine hosting the VM.
 func (vm *VM) Machine() *Machine { return vm.machine }
-
-// Space returns the VM's address space.
-func (vm *VM) Space() *AddressSpace { return vm.space }
 
 // RootGroup returns the group that root threads of this VM belong to.
 func (vm *VM) RootGroup() *Group { return vm.rootGroup }

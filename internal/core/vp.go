@@ -63,7 +63,6 @@ type VP struct {
 	handlers map[Interrupt]InterruptHandler
 
 	defaultQuantum time.Duration
-	cacheLimit     int
 	recycleTCBs    bool
 
 	current atomic.Pointer[TCB] // hosted TCB, diagnostics
@@ -78,30 +77,11 @@ type VPConfig struct {
 	// DefaultQuantum is the preemption quantum applied to threads that do
 	// not set their own; zero disables preemption by default.
 	DefaultQuantum time.Duration
-	// TCBCacheLimit bounds the recycle cache (default 64).
-	TCBCacheLimit int
 	// DisableTCBRecycling turns the cache off (ablation switch).
 	DisableTCBRecycling bool
-	// StackBytes / HeapBytes size fresh thread areas.
-	StackBytes, HeapBytes uint64
-}
-
-func (c *VPConfig) withDefaults() VPConfig {
-	out := *c
-	if out.TCBCacheLimit <= 0 {
-		out.TCBCacheLimit = 64
-	}
-	if out.StackBytes == 0 {
-		out.StackBytes = 16 * 1024
-	}
-	if out.HeapBytes == 0 {
-		out.HeapBytes = 64 * 1024
-	}
-	return out
 }
 
 func newVP(vm *VM, index int, pm PolicyManager, cfg VPConfig) *VP {
-	cfg = cfg.withDefaults()
 	vp := &VP{
 		id:             vpIDs.Add(1),
 		index:          index,
@@ -110,7 +90,6 @@ func newVP(vm *VM, index int, pm PolicyManager, cfg VPConfig) *VP {
 		yield:          make(chan yieldMsg),
 		handlers:       make(map[Interrupt]InterruptHandler),
 		defaultQuantum: cfg.DefaultQuantum,
-		cacheLimit:     cfg.TCBCacheLimit,
 		recycleTCBs:    !cfg.DisableTCBRecycling,
 	}
 	return vp
@@ -236,7 +215,8 @@ func (vp *VP) dispatch(pp *PP, r Runnable) bool {
 		vp.stats.Dispatches.Add(1)
 		emit(TraceDispatch, t.id, vp.index)
 		vp.grant(x, t)
-		x.resume <- vp
+		x.vp.Store(vp)
+		x.resume <- struct{}{}
 		msg := <-vp.yield
 		vp.current.Store(nil)
 		if msg.reason == yieldDone {
@@ -275,23 +255,20 @@ func (vp *VP) takeTCB() *TCB {
 	}
 	vp.mu.Unlock()
 	vp.stats.TCBMisses.Add(1)
-	cfg := vp.vm.vpConfig.withDefaults()
-	return newTCB(vp, cfg.StackBytes, cfg.HeapBytes)
+	return newTCB(vp)
 }
 
-// putTCB recycles a finished TCB: its areas are reset and it returns to the
-// cache for immediate reuse; beyond the limit (or with recycling disabled)
-// it is dropped.
+// putTCB recycles a finished TCB: it returns to the cache for immediate
+// reuse; beyond the limit (or with recycling disabled) it is dropped.
 func (vp *VP) putTCB(tcb *TCB) {
 	tcb.thread.Store(nil)
 	tcb.resumeRequested.Store(false)
 	tcb.preemptPending.Store(false)
 	tcb.asyncReq.Store(false)
 	tcb.quantumEnd = 0
-	tcb.areas.Reset()
 	if vp.recycleTCBs && !vp.stopped.Load() {
 		vp.mu.Lock()
-		if len(vp.tcbCache) < vp.cacheLimit {
+		if len(vp.tcbCache) < tcbCacheLimit {
 			vp.tcbCache = append(vp.tcbCache, tcb)
 		}
 		vp.mu.Unlock()

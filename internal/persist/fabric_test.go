@@ -34,7 +34,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := NewStore(nil)
+	s := NewStore()
 	spaces, tuples, err := SnapshotRegistry(reg, s)
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
@@ -47,7 +47,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 	if err := s.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	fresh := NewStore(nil)
+	fresh := NewStore()
 	if err := fresh.Restore(&buf); err != nil {
 		t.Fatal(err)
 	}

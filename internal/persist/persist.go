@@ -1,11 +1,10 @@
 // Package persist implements the substrate hook for long-lived persistent
 // objects (§2's program model: "the necessary functionality to handle
 // persistent long-lived objects, multiple address spaces"). A Store is a
-// named-root table attached to a virtual machine's address space: threads
-// bind values under names that outlive any thread, and the whole table can
-// be snapshotted to and restored from a byte stream. Storage-model
-// integration: persistent roots are retained in the address space's root
-// area, so area scavenges treat them as live.
+// named-root table: threads bind values under names that outlive any
+// thread, and the whole table can be snapshotted to and restored from a
+// byte stream. Roots are ordinary Go values kept alive by the table; Go's
+// collector owns the memory.
 package persist
 
 import (
@@ -16,7 +15,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/storage"
 )
 
 // ErrNoSuchRoot is returned when recalling an unbound name.
@@ -35,22 +33,11 @@ func init() {
 type Store struct {
 	mu    sync.Mutex
 	roots map[string]core.Value
-	refs  map[string]storage.Ref
-	area  *storage.Area // root area of the owning address space (may be nil)
 }
 
-// NewStore creates a store; space may be nil (pure in-memory table) or the
-// owning VM's address space, in which case each root is pinned in the root
-// area so scavenges see it as live.
-func NewStore(space *core.AddressSpace) *Store {
-	s := &Store{
-		roots: make(map[string]core.Value),
-		refs:  make(map[string]storage.Ref),
-	}
-	if space != nil {
-		s.area = space.Root()
-	}
-	return s
+// NewStore creates an empty store.
+func NewStore() *Store {
+	return &Store{roots: make(map[string]core.Value)}
 }
 
 // validate enforces the persistable-value discipline.
@@ -88,15 +75,6 @@ func (s *Store) Put(name string, v core.Value) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.roots[name] = v
-	if s.area != nil {
-		if old, ok := s.refs[name]; ok {
-			s.area.Release(old)
-		}
-		if ref, err := s.area.Alloc(16); err == nil {
-			s.area.Retain(ref)
-			s.refs[name] = ref
-		}
-	}
 	return nil
 }
 
@@ -116,12 +94,6 @@ func (s *Store) Delete(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.roots, name)
-	if s.area != nil {
-		if ref, ok := s.refs[name]; ok {
-			s.area.Release(ref)
-			delete(s.refs, name)
-		}
-	}
 }
 
 // Names lists the bound roots.

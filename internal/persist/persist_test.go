@@ -11,7 +11,7 @@ import (
 )
 
 func TestPutGetDelete(t *testing.T) {
-	s := NewStore(nil)
+	s := NewStore()
 	if err := s.Put("x", int64(42)); err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestPutGetDelete(t *testing.T) {
 }
 
 func TestIntNormalization(t *testing.T) {
-	s := NewStore(nil)
+	s := NewStore()
 	_ = s.Put("n", 7) // plain int normalizes to int64
 	v, _ := s.Get("n")
 	if v != int64(7) {
@@ -35,7 +35,7 @@ func TestIntNormalization(t *testing.T) {
 }
 
 func TestUnsupportedValues(t *testing.T) {
-	s := NewStore(nil)
+	s := NewStore()
 	if err := s.Put("ch", make(chan int)); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("err = %v", err)
 	}
@@ -50,7 +50,7 @@ func TestUnsupportedValues(t *testing.T) {
 }
 
 func TestSnapshotRestore(t *testing.T) {
-	s := NewStore(nil)
+	s := NewStore()
 	_ = s.Put("name", "sting")
 	_ = s.Put("year", int64(1992))
 	_ = s.Put("authors", []core.Value{"jagannathan", "philbin"})
@@ -61,7 +61,7 @@ func TestSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fresh := NewStore(nil)
+	fresh := NewStore()
 	if err := fresh.Restore(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -86,31 +86,11 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
-func TestRootsSurviveScavenge(t *testing.T) {
-	// Roots pinned in the address-space root area must survive scavenges.
-	space := core.NewAddressSpace(1 << 16)
-	s := NewStore(space)
-	_ = s.Put("kept", "value")
-	before := space.Root().Stats()
-	space.Root().Scavenge()
-	after := space.Root().Stats()
-	if after.Scavenges != before.Scavenges+1 {
-		t.Fatal("scavenge did not run")
-	}
-	if v, err := s.Get("kept"); err != nil || v != "value" {
-		t.Fatalf("root lost after scavenge: %v %v", v, err)
-	}
-	// The pinned ref is still live in the area.
-	if after.Reclaimed != before.Reclaimed {
-		t.Fatalf("root area reclaimed pinned objects: %+v", after)
-	}
-}
-
 func TestThreadsShareRootsAcrossLifetimes(t *testing.T) {
 	// The point of persistence: a value outlives the thread that bound it
 	// and a later thread (even on another VM run) recalls it.
 	vm := testkit.VM(t, 2, 2)
-	store := NewStore(vm.Space())
+	store := NewStore()
 	testkit.RunIn(t, vm, func(ctx *core.Context) error {
 		w := ctx.Fork(func(*core.Context) ([]core.Value, error) {
 			return nil, store.Put("result", int64(99))

@@ -164,7 +164,6 @@ func sfLambda(in *Interp, ctx *core.Context, form *Pair, env *Env) (*tailNext, V
 	if err != nil {
 		return nil, nil, err
 	}
-	in.account(ctx, closureBytes)
 	return nil, &Closure{Params: params, Rest: restParam, Body: rest[1:], Env: env}, nil
 }
 

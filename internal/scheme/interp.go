@@ -54,7 +54,7 @@ func WithDiag(d *diag.Diagnoser) Option { return func(in *Interp) { in.diag = d 
 // environment installed.
 func New(vm *core.VM, opts ...Option) *Interp {
 	in := &Interp{vm: vm, global: NewEnv(nil), out: os.Stdout,
-		store: persist.NewStore(vm.Space())}
+		store: persist.NewStore()}
 	for _, o := range opts {
 		o(in)
 	}
@@ -64,7 +64,6 @@ func New(vm *core.VM, opts ...Option) *Interp {
 	installPrimitives(in)
 	installConcurrency(in)
 	installIO(in)
-	installStorage(in)
 	installStrings(in)
 	installRemote(in)
 	installObs(in)

@@ -13,6 +13,7 @@ import (
 // inside the language, not only from an external scraper:
 //
 //	(vp-stats)                 → assoc list of the calling thread's VP counters
+//	(vm-stats)                 → assoc list of the VM's counters, summed over its VPs
 //	(named-space name [kind])  → tuple space from the interpreter's registry
 //	(space-depth name)         → tuples currently in the named space
 //
@@ -38,6 +39,22 @@ func installObs(in *Interp) {
 			List(Symbol("tcb-hits"), int64(s.TCBHits)),
 			List(Symbol("tcb-misses"), int64(s.TCBMisses)),
 			List(Symbol("migrations"), int64(s.Migrations)),
+		), nil
+	})
+
+	in.prim("vm-stats", 0, 0, func(_ *Interp, ctx *core.Context, _ []Value) (Value, error) {
+		s := ctx.VM().Stats()
+		return List(
+			List(Symbol("threads-created"), int64(s.ThreadsCreated)),
+			List(Symbol("threads-determined"), int64(s.ThreadsDetermined)),
+			List(Symbol("steals"), int64(s.Steals)),
+			List(Symbol("switches"), int64(s.VPs.Switches)),
+			List(Symbol("blocks"), int64(s.VPs.Blocks)),
+			List(Symbol("preemptions"), int64(s.VPs.Preemptions)),
+			List(Symbol("dispatches"), int64(s.VPs.Dispatches)),
+			List(Symbol("tcb-hits"), int64(s.VPs.TCBHits)),
+			List(Symbol("tcb-misses"), int64(s.VPs.TCBMisses)),
+			List(Symbol("migrations"), int64(s.VPs.Migrations)),
 		), nil
 	})
 

@@ -109,8 +109,7 @@ func stringArg(name string, v Value) (*SString, error) {
 // installPrimitives populates the standard environment.
 func installPrimitives(in *Interp) {
 	// Pairs and lists.
-	in.prim("cons", 2, 2, func(in *Interp, ctx *core.Context, a []Value) (Value, error) {
-		in.account(ctx, consBytes)
+	in.prim("cons", 2, 2, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
 		return Cons(a[0], a[1]), nil
 	})
 	in.prim("car", 1, 1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
@@ -143,8 +142,7 @@ func installPrimitives(in *Interp) {
 		p.Cdr = a[1]
 		return Unspecified, nil
 	})
-	in.prim("list", 0, -1, func(in *Interp, ctx *core.Context, a []Value) (Value, error) {
-		in.account(ctx, uint32(consBytes*len(a)))
+	in.prim("list", 0, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
 		return List(a...), nil
 	})
 	in.prim("length", 1, 1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {

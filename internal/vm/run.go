@@ -228,7 +228,6 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 			n := len(stack)
 			stack[n-1], stack[n-2] = stack[n-2], stack[n-1]
 		case OpClosure:
-			in.AccountClosure(ctx)
 			sub := code.Subs[ins.A]
 			push(&Closure{Code: sub, Env: fr, Name: sub.Name, eng: e})
 		case OpCall, OpTailCall:

@@ -4,11 +4,12 @@
 //
 // The substrate provides first-class lightweight threads multiplexed on
 // first-class virtual processors, each closed over a replaceable policy
-// manager; thread stealing; per-thread storage areas with independent
-// scavenging; mutexes with active/passive spin; first-class tuple spaces;
-// futures; speculative wait-for-one / barrier wait-for-all; synchronizing
-// streams; simulated non-blocking I/O; and a Scheme interpreter as the
-// computation language.
+// manager; thread stealing; TCB recycling on the virtual processor; mutexes
+// with active/passive spin; first-class tuple spaces; futures; speculative
+// wait-for-one / barrier wait-for-all; synchronizing streams; simulated
+// non-blocking I/O; and a Scheme interpreter as the computation language.
+// The paper's per-thread storage areas with independent scavenging are not
+// reproduced: Go's collector owns memory.
 //
 // # Quickstart
 //
@@ -23,8 +24,8 @@
 //	})
 //
 // The facade re-exports the substrate types; the implementation lives in
-// the internal packages (core, policy, storage, synch, tspace, futures,
-// spec, streams, sio, scheme), one per subsystem of the paper.
+// the internal packages (core, policy, synch, tspace, futures, spec,
+// streams, sio, scheme), one per subsystem of the paper.
 package sting
 
 import (
@@ -52,7 +53,7 @@ type (
 	Machine = core.Machine
 	// MachineConfig parameterizes machine construction.
 	MachineConfig = core.MachineConfig
-	// VM is a virtual machine: VPs closed over an address space.
+	// VM is a virtual machine: a vector of VPs and a root thread group.
 	VM = core.VM
 	// VMConfig parameterizes virtual-machine construction.
 	VMConfig = core.VMConfig
