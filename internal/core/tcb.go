@@ -180,13 +180,14 @@ func runThunk(t *Thread, ctx *Context) (values []Value, err error) {
 // makes parkWait return immediately without yielding (the pending-wake fast
 // path), so the caller re-checks its condition.
 func (tcb *TCB) parkWait(st ExecState) {
+	host := tcb.vp.Load()
 	if !tcb.park.CompareAndSwap(pRunning, pParked) {
 		// A wake raced in; consume it and keep running.
 		tcb.park.Store(pRunning)
 		return
 	}
 	tcb.exec.Store(int32(st))
-	tcb.switchOut()
+	tcb.switchOut(host)
 }
 
 // yieldTo re-enqueues the TCB (self-wake) and hands the VP back; used by
@@ -198,15 +199,16 @@ func (tcb *TCB) yieldTo(st EnqueueState) {
 	tcb.exec.Store(int32(ExecReady))
 	host.pm.EnqueueThread(host, tcb, st)
 	host.NotifyWork()
-	tcb.switchOut()
+	tcb.switchOut(host)
 }
 
-// switchOut hands the hosting VP back and waits for a VP to grant the CPU
-// again. At its first park a thread is still running inline on its PP's
-// carrier: it keeps this goroutine and passes the PP loop to a spare
-// carrier. From then on it answers the VP waiting in dispatch.
-func (tcb *TCB) switchOut() {
-	host := tcb.vp.Load()
+// switchOut hands host, the VP the thread is leaving, back and waits for a
+// VP to grant the CPU again. At its first park a thread is still running
+// inline on its PP's carrier: it keeps this goroutine and passes the PP loop
+// to a spare carrier. From then on it answers the VP waiting in dispatch.
+// The caller reads host before the TCB can reach a run queue: from then on
+// another VP may dequeue it and store itself in tcb.vp ahead of the resume.
+func (tcb *TCB) switchOut(host *VP) {
 	if pp := tcb.carrier; pp != nil {
 		tcb.carrier = nil
 		host.current.Store(nil)
