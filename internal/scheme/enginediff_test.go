@@ -71,7 +71,7 @@ func (g *diffGen) expr(depth int, vars []string) string {
 		return g.atom(vars)
 	}
 	sub := func() string { return g.expr(depth-1, vars) }
-	switch g.pick(18) {
+	switch g.pick(21) {
 	case 0: // arithmetic (quotient/modulo included: divide-by-zero must error identically)
 		op := []string{"+", "-", "*", "quotient", "modulo", "min", "max"}[g.pick(7)]
 		return fmt.Sprintf("(%s %s %s)", op, sub(), sub())
@@ -135,6 +135,25 @@ func (g *diffGen) expr(depth int, vars []string) string {
 			return "(atomic " + body + ")"
 		}
 		return body
+	case 18: // a closure escapes the let or the call that bound its variable
+		v := fmt.Sprintf("c%d", depth)
+		inner := append(append([]string{}, vars...), v)
+		if g.pick(2) == 0 {
+			return fmt.Sprintf("((let ((%s %s)) (lambda () (list %s %s))))",
+				v, sub(), v, g.expr(depth-1, inner))
+		}
+		return fmt.Sprintf("(((lambda (%s) (lambda () (list %s %s))) %s))",
+			v, v, g.expr(depth-1, inner), sub())
+	case 19: // sibling closures: one assigns the variable the other reads
+		v := fmt.Sprintf("b%d", depth)
+		inner := append(append([]string{}, vars...), v)
+		return fmt.Sprintf("(let ((%s %s)) (let ((put%d (lambda (y) (set! %s y))) (see%d (lambda () %s))) (put%d %s) (list (see%d) %s)))",
+			v, sub(), depth, v, depth, v, depth, g.expr(depth-1, inner), depth, v)
+	case 20: // closures made in a do body share the loop's binding
+		n := 1 + g.pick(4)
+		inner := append(append([]string{}, vars...), "i")
+		return fmt.Sprintf("(do ((i 0 (+ i 1)) (fs%d '())) ((>= i %d) (map (lambda (f) (f)) fs%d)) (set! fs%d (cons (lambda () (list i %s)) fs%d)))",
+			depth, n, depth, depth, g.expr(depth-1, inner), depth)
 	}
 	return g.atom(vars)
 }
@@ -225,6 +244,9 @@ func FuzzEngines(f *testing.F) {
 	for shape := byte(1); shape < 8; shape++ {
 		f.Add(linkSeed(shape))
 	}
+	for _, seed := range captureSeeds {
+		f.Add(seed.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			data = data[:512]
@@ -251,6 +273,28 @@ func TestLinkSeedsReachGlobals(t *testing.T) {
 		src := (&diffGen{data: linkSeed(byte(i + 1))}).program()
 		if !strings.Contains(src, marker) || !strings.HasSuffix(src, "(display 1) (newline)\n2") {
 			t.Errorf("seed for shape %d does not generate its preamble (%s) before the two constants:\n%s", i+1, marker, src)
+		}
+	}
+}
+
+// captureSeeds are fuzz inputs whose program is one capture case of expr,
+// each marked by a fragment only that case writes.
+var captureSeeds = []struct {
+	data   []byte
+	marker string
+}{
+	{[]byte{1, 0, 1, 18, 0}, "((let ((c3 "},
+	{[]byte{1, 0, 1, 18, 1}, "(((lambda (c3) (lambda () (list c3 "},
+	{[]byte{1, 0, 1, 19, 0, 0, 15, 0, 0, 18}, "(put3 8) (list (see3) b3)"},
+	{[]byte{1, 0, 1, 20, 2}, "(set! fs3 (cons (lambda () (list i "},
+}
+
+// TestCaptureSeedsReachCaptures keeps the seeds above honest: each must
+// generate its capture case.
+func TestCaptureSeedsReachCaptures(t *testing.T) {
+	for _, seed := range captureSeeds {
+		if src := (&diffGen{data: seed.data}).program(); !strings.Contains(src, seed.marker) {
+			t.Errorf("seed %v does not generate its capture case (%s):\n%s", seed.data, seed.marker, src)
 		}
 	}
 }

@@ -211,3 +211,58 @@ func TestWithoutPreemptionUnderVM(t *testing.T) {
 	}
 	evalOn(t, in, `(without-interrupts (* 2 3))`, `6`)
 }
+
+// TestCaptureSemantics pins, under both engines, the cases where turning
+// frames into flat closures could silently change what a program means: a
+// binding that is stored after a closure has copied it (do steps, letrec,
+// named let, internal defines), assigned variables shared by closures, and
+// a lexical read by a thread or a promise after the toplevel assigns it.
+func TestCaptureSemantics(t *testing.T) {
+	for _, c := range []struct{ name, src, want string }{
+		{"closures made in a do loop share its one binding",
+			`(do ((i 0 (+ i 1)) (fs '() (cons (lambda () i) fs)))
+			     ((= i 3) (map (lambda (f) (f)) fs)))`, `(3 3 3)`},
+		{"closures made in a named let each see their own call's binding",
+			`(let loop ((i 0) (fs '()))
+			   (if (= i 3) (map (lambda (f) (f)) fs) (loop (+ i 1) (cons (lambda () i) fs))))`, `(2 1 0)`},
+		{"a counter's closures share one assigned variable",
+			`(define (make-counter)
+			   (let ((n 0)) (cons (lambda () (set! n (+ n 1)) n) (lambda () n))))
+			 (define c (make-counter))
+			 ((car c)) ((car c))
+			 (list ((cdr c)) ((car c)) ((cdr c)))`, `(2 3 3)`},
+		{"mutually recursive letrec",
+			`(letrec ((even? (lambda (n) (if (= n 0) #t (odd? (- n 1)))))
+			          (odd? (lambda (n) (if (= n 0) #f (even? (- n 1))))))
+			   (list (even? 10) (odd? 10) (even? 7)))`, `(#t #f #f)`},
+		{"a nested lambda calls an internal define that comes after it",
+			`(define (f) (define (g) (h 2)) (define (h x) (* x 21)) (g)) (f)`, `42`},
+		{"a delayed thread reads the lexical when it runs",
+			`(let ((x 1)) (let ((t (create-thread x))) (set! x 2) (thread-value t)))`, `2`},
+		{"a promise reads the lexical when it is forced",
+			`(let ((x 1)) (let ((p (delay (* x 10)))) (set! x 5) (force p)))`, `50`},
+	} {
+		for _, engine := range []string{"tree", "vm"} {
+			t.Run(engine+"/"+c.name, func(t *testing.T) {
+				evalOn(t, newEngine(t, engine, 1, 2), c.src, c.want)
+			})
+		}
+	}
+}
+
+// TestCrossThreadLexicalSet: two threads assign one captured lexical, each
+// its own values, while reading it. A captured and assigned variable is a
+// box whose loads and stores are atomic, so `go test -race` is clean, and
+// once both are joined the variable holds one thread's last value.
+func TestCrossThreadLexicalSet(t *testing.T) {
+	in := newEngine(t, "vm", 2, 2)
+	evalOn(t, in, `
+		(let ((x 0))
+		  (define (writer sign)
+		    (do ((i 0 (+ i 1)) (seen 0 (if (integer? x) (+ seen 1) seen)))
+		        ((= i 2000) seen)
+		      (set! x (* sign i))))
+		  (let ((a (fork-thread (writer 1))) (b (fork-thread (writer -1))))
+		    (list (thread-value a) (thread-value b) (or (= x 1999) (= x -1999)))))`,
+		`(2000 2000 #t)`)
+}

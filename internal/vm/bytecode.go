@@ -31,13 +31,19 @@ const (
 	OpConst Opcode = iota
 	// OpUnspec pushes the unspecified value.
 	OpUnspec
-	// OpLocal pushes the slot B of the frame A levels up. [] → [v]
+	// OpLocal pushes local A, stack[base+A]. [] → [v]
 	OpLocal
-	// OpSetLocal stores into slot B of the frame A levels up. [v] → [unspecified]
+	// OpFree pushes the current closure's free value A. [] → [v]
+	OpFree
+	// OpSetLocal pops into local A, naming an unnamed closure after
+	// Consts[B] when B >= 0. [v] → []
 	OpSetLocal
-	// OpInitSlot pops into slot A of the current frame, naming an unnamed
-	// closure after Consts[B] when B >= 0. [v] → []
-	OpInitSlot
+	// OpBox binds local A to a new box holding the popped value. [v] → []
+	OpBox
+	// OpUnbox replaces the box on top by its value. [box] → [v]
+	OpUnbox
+	// OpSetBox stores into a box, naming as OpSetLocal does. [v box] → []
+	OpSetBox
 	// OpGlobal pushes the global named Consts[A]; unbound is an error.
 	OpGlobal
 	// OpSetGlobal assigns the nearest binding of Consts[A]. [v] → [unspecified]
@@ -64,7 +70,8 @@ const (
 	OpDup
 	// OpSwap exchanges the two top values.
 	OpSwap
-	// OpClosure pushes a closure over Subs[A] capturing the current frame.
+	// OpClosure pushes a closure over Subs[A] holding the B values on top
+	// (its free variables, in Subs[A].Free order). [f1..fB] → [closure]
 	OpClosure
 	// OpCall calls with A arguments: [fn a1..aA] → [result]. A safepoint.
 	OpCall
@@ -73,16 +80,11 @@ const (
 	OpTailCall
 	// OpReturn pops the current activation: its top of stack is the result.
 	OpReturn
-	// OpPushFrame pushes a new frame of A slots, popping B staged values
-	// into slots 0..B-1 (binding-form entry). [v1..vB] → []
-	OpPushFrame
-	// OpPopFrame restores the parent frame (binding-form exit).
-	OpPopFrame
 	// OpCaseMatch peeks the case key: when it is eqv? to any datum in
 	// Consts[A] ([]Value) the key pops and execution falls through to the
 	// clause body, else it jumps to B with the key kept.
 	OpCaseMatch
-	// OpPromise pushes a promise over the nullary Subs[A] (delay).
+	// OpPromise wraps a nullary closure in a promise (delay). [clo] → [p]
 	OpPromise
 
 	// STING concurrency instructions. Thunk operands are compiled closures.
@@ -114,13 +116,13 @@ const (
 
 var opNames = [...]string{
 	OpConst: "const", OpUnspec: "unspec", OpLocal: "local",
-	OpSetLocal: "set-local", OpInitSlot: "init-slot", OpGlobal: "global",
+	OpFree: "free", OpSetLocal: "set-local", OpBox: "box", OpUnbox: "unbox",
+	OpSetBox: "set-box", OpGlobal: "global",
 	OpSetGlobal: "set-global", OpDefGlobal: "def-global", OpJump: "jump",
 	OpJumpIfFalse: "jump-if-false", OpJumpTruthyKeep: "jump-truthy-keep",
 	OpJumpFalsyKeep: "jump-falsy-keep", OpJumpFalsyPop: "jump-falsy-pop",
 	OpPop: "pop", OpDup: "dup", OpSwap: "swap", OpClosure: "closure",
 	OpCall: "call", OpTailCall: "tail-call", OpReturn: "return",
-	OpPushFrame: "push-frame", OpPopFrame: "pop-frame",
 	OpCaseMatch: "case-match", OpPromise: "promise", OpFork: "fork",
 	OpCreateThread: "create-thread", OpFuture: "future", OpSpawn: "spawn",
 	OpNoPreempt: "no-preempt", OpNoInterrupt: "no-interrupt",
@@ -150,7 +152,10 @@ type Code struct {
 	Subs    []*Code
 	NParams int
 	HasRest bool
-	NSlots  int // frame size: params (+ rest) + internal-define slots
+	NSlots  int // locals: params (+ rest), then every binding form's slots
+	// Free names the variables a closure over this code copies, in order;
+	// Boxed, the locals of this code that are captured and assigned.
+	Free, Boxed []scheme.Symbol
 
 	// cells[i] is the global cell of the symbol Consts[i], for every i a
 	// global instruction names; filled by link, nil until then.
@@ -169,7 +174,8 @@ func (c *Code) disasm(b *strings.Builder, indent string) {
 	if name == "" {
 		name = "<anon>"
 	}
-	fmt.Fprintf(b, "%s%s: params=%d rest=%v slots=%d\n", indent, name, c.NParams, c.HasRest, c.NSlots)
+	fmt.Fprintf(b, "%s%s: params=%d rest=%v slots=%d free=%v boxed=%v\n",
+		indent, name, c.NParams, c.HasRest, c.NSlots, c.Free, c.Boxed)
 	for i, op := range c.Ops {
 		fmt.Fprintf(b, "%s  %3d  %-16s %d %d", indent, i, op.Op, op.A, op.B)
 		switch op.Op {

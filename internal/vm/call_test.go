@@ -13,21 +13,23 @@ import (
 	"repro/internal/vm"
 )
 
-// callShapes are the three things compiled code does most. Each is a
+// callShapes are the four things compiled code does most. Each is a
 // procedure (spin n) that repeats its shape n times in a tail loop, so the
-// loop's own cost — one frame per turn, `=` and `-` on fixnums small enough
-// to box for free — is the same everywhere and `bare` measures it alone.
+// loop's own cost — a tail call whose locals reuse the activation's stack
+// window, `=` and `-` on fixnums small enough to box for free — is the same
+// everywhere and `bare` measures it alone.
 var callShapes = []struct {
 	name, defs string
 	extra      float64 // allocations per turn beyond bare's
 }{
 	{"bare", `(define (spin n) (if (= n 0) 0 (spin (- n 1))))`, 0},
 	{"call", `(define (pick a b c d) c)
-	          (define (spin n) (if (= n 0) 0 (begin (pick n n n n) (spin (- n 1)))))`, 1},
+	          (define (spin n) (if (= n 0) 0 (begin (pick n n n n) (spin (- n 1)))))`, 0},
 	{"global", `(define g '(1 2))
 	            (define (spin n) (if (= n 0) 0 (begin g g g g (spin (- n 1)))))`, 0},
 	{"prim", `(define p '(1 2))
 	          (define (spin n) (if (= n 0) 0 (begin (< n n) (car p) (spin (- n 1)))))`, 0},
+	{"closure", `(define (spin n) (if (= n 0) 0 (begin ((lambda () n)) (spin (- n 1)))))`, 1},
 }
 
 // spinner defines shape's procedures on a fresh vm-engine interpreter and
@@ -50,13 +52,14 @@ func spinner(t testing.TB, in *scheme.Interp, defs string) func(ctx *core.Contex
 	}
 }
 
-// TestCallPathAllocs gates the calling convention: a warm vm→vm call of at
-// most four slots allocates exactly one object — its frame — and a global
-// reference or a primitive call whose result needs no box allocates nothing.
-// Measured as the slope between 50 and 250 turns, which cancels what one
-// exec allocates once (its operand stack, the entry frame), rounded to whole
-// objects: a turn allocates an integer number, and the odd allocation a
-// preemption tick or the race detector adds to a 200-turn run is not one.
+// TestCallPathAllocs gates the calling convention: a warm vm→vm call, tail
+// or not, allocates nothing — its locals live in the operand stack's window
+// — nor does a global reference or a primitive call whose result needs no
+// box; making a closure over at most four free variables allocates exactly
+// one object, the closure. Measured as the slope between 50 and 250 turns,
+// which cancels what one exec allocates once (its operand stack), rounded to
+// whole objects: a turn allocates an integer number, and the odd allocation
+// a preemption tick or the race detector adds to a 200-turn run is not one.
 func TestCallPathAllocs(t *testing.T) {
 	perTurn := func(defs string) (slope float64) {
 		in := newEngine(t, "vm", 1, 1)
@@ -70,8 +73,8 @@ func TestCallPathAllocs(t *testing.T) {
 		return slope
 	}
 	bare := perTurn(callShapes[0].defs)
-	if bare != 1 {
-		t.Errorf("a tail-call turn with two primitive calls allocates %v objects, want 1 (its frame)", bare)
+	if bare != 0 {
+		t.Errorf("a tail-call turn with two primitive calls allocates %v objects, want 0", bare)
 	}
 	for _, s := range callShapes[1:] {
 		if got := perTurn(s.defs) - bare; got != s.extra {
@@ -99,6 +102,7 @@ func BenchmarkVMLoop(b *testing.B)      { benchShape(b, callShapes[0].defs) }
 func BenchmarkVMCall(b *testing.B)      { benchShape(b, callShapes[1].defs) }
 func BenchmarkVMGlobalRef(b *testing.B) { benchShape(b, callShapes[2].defs) }
 func BenchmarkVMPrimCall(b *testing.B)  { benchShape(b, callShapes[3].defs) }
+func BenchmarkVMClosure(b *testing.B)   { benchShape(b, callShapes[4].defs) }
 
 // BenchmarkComputePass runs stingmark's scheme_compute pass — fib, tak,
 // nqueens, mandel read, compiled and run — under each engine: the quick

@@ -3,6 +3,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/scheme"
@@ -21,14 +22,28 @@ func unsupportedf(format string, args ...any) error {
 // (wrapped) for anything outside the compiled subset: quasiquote, internal
 // defines that are not a body prefix, and malformed special forms (the
 // tree-walker reproduces their exact error behavior).
+//
+// The capture analysis is the compiler's own first run: it records, for
+// every binding, whether a nested procedure refers to it and whether
+// anything assigns it, and collects each procedure's free variables. When
+// some binding is both captured and assigned, a second run boxes exactly
+// those; the two runs make the same bindings in the same order.
 func Compile(expr scheme.Value) (code *Code, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = unsupportedf("compiler panic: %v", r)
 		}
 	}()
-	fc := newFn("", 0, false)
 	c := &compiler{}
+	if code, err = c.toplevel(expr); err != nil || !c.anyBoxed() {
+		return code, err
+	}
+	c = &compiler{boxed: c.uses}
+	return c.toplevel(expr)
+}
+
+func (c *compiler) toplevel(expr scheme.Value) (*Code, error) {
+	fc := newFn("", 0, false)
 	if err := c.expr(fc, nil, expr, true); err != nil {
 		return nil, err
 	}
@@ -43,7 +58,10 @@ type fnCode struct {
 	name     scheme.Symbol
 	nparams  int
 	hasRest  bool
-	nslots   int
+	top      int // locals in use at the point being compiled
+	nslots   int // the most locals ever in use at once
+	free     []scheme.Symbol
+	boxed    []scheme.Symbol
 	ops      []Instr
 	consts   []scheme.Value
 	constIdx map[scheme.Value]int32
@@ -83,65 +101,177 @@ func (f *fnCode) konst(v scheme.Value) int32 {
 
 func (f *fnCode) code() *Code {
 	return &Code{Name: f.name, Ops: f.ops, Consts: f.consts, Subs: f.subs,
-		NParams: f.nparams, HasRest: f.hasRest, NSlots: f.nslots}
+		NParams: f.nparams, HasRest: f.hasRest, NSlots: f.nslots,
+		Free: f.free, Boxed: f.boxed}
+}
+
+// freeIndex answers sym's index among f's free variables, adding it.
+func (f *fnCode) freeIndex(sym scheme.Symbol) int32 {
+	i := slices.Index(f.free, sym)
+	if i < 0 {
+		i = len(f.free)
+		f.free = append(f.free, sym)
+	}
+	return int32(i)
 }
 
 // ---------------------------------------------------------------------------
-// lexical scopes: one scope per runtime frame, so compile-time (depth, slot)
-// addresses match the frame chain exactly.
+// lexical scopes: a procedure's scope and the scopes of the binding forms
+// inside it all take slots from that procedure's locals; a binding form's
+// slots are free again once its body is compiled.
+
+// binding is one lexical variable: its local slot and its place in the
+// order the compiler makes bindings in.
+type binding struct {
+	slot, id int
+	boxed    bool
+}
 
 type scope struct {
 	parent *scope
-	names  map[scheme.Symbol]int
+	fn     *fnCode // the procedure whose locals hold this scope's slots
+	mark   int     // fn.top when the scope opened
+	names  map[scheme.Symbol]*binding
 	// pending marks internal-define slots whose define has not executed
-	// yet; a same-function reference to one would diverge from the
+	// yet; a same-procedure reference to one would diverge from the
 	// tree-walker (which resolves it to an outer binding), so it declines.
-	// Crossing into a nested procedure lifts the restriction: by the time
-	// the closure can run, the defines have executed.
+	// A nested procedure may refer to one: the define is an assignment, so
+	// the variable is boxed and the closure sees the value once it is set.
 	pending map[scheme.Symbol]bool
-	// fnTop marks a procedure's frame scope (params + body defines).
-	fnTop bool
 }
 
-func newScope(parent *scope, fnTop bool) *scope {
-	return &scope{parent: parent, names: make(map[scheme.Symbol]int),
-		pending: make(map[scheme.Symbol]bool), fnTop: fnTop}
+func newScope(parent *scope, fn *fnCode) *scope {
+	return &scope{parent: parent, fn: fn, mark: fn.top,
+		names: make(map[scheme.Symbol]*binding), pending: make(map[scheme.Symbol]bool)}
 }
 
-// resolve walks the scope chain for sym. blocked means the binding is a
-// pending define slot referenced from the same procedure.
-func resolve(sc *scope, sym scheme.Symbol) (depth, slot int, blocked, found bool) {
-	crossedFn := false
-	d := 0
-	for s := sc; s != nil; s = s.parent {
-		if i, ok := s.names[sym]; ok {
-			return d, i, s.pending[sym] && !crossedFn, true
-		}
-		if s.fnTop {
-			crossedFn = true
-		}
-		d++
+// leave frees the scope's slots for the code compiled after it.
+func (sc *scope) leave() { sc.fn.top = sc.mark }
+
+// What the analysis run records about a binding.
+const (
+	captured uint8 = 1 << iota // a nested procedure refers to it
+	assigned                   // set!, or stored after a closure may have copied it
+)
+
+type compiler struct {
+	uses  []uint8 // per binding id, in this run
+	boxed []uint8 // per binding id, from the analysis run; nil in that run
+}
+
+func (c *compiler) anyBoxed() bool {
+	return slices.Contains(c.uses, captured|assigned)
+}
+
+// bind makes sym a new binding in sc, in the next free slot.
+func (c *compiler) bind(sc *scope, sym scheme.Symbol) *binding {
+	fn := sc.fn
+	b := &binding{slot: fn.top, id: len(c.uses)}
+	b.boxed = b.id < len(c.boxed) && c.boxed[b.id] == captured|assigned
+	if b.boxed {
+		fn.boxed = append(fn.boxed, sym)
 	}
-	return 0, 0, false, false
+	c.uses = append(c.uses, 0)
+	fn.top++
+	fn.nslots = max(fn.nslots, fn.top)
+	sc.names[sym] = b
+	return b
+}
+
+// lookup finds the binding sym names at sc, in procedure fc; nil is a
+// global. local is false when the binding belongs to an enclosing procedure
+// and is reached through fc's free variables; pending, when it is a define
+// of fc's that has not run yet.
+func (c *compiler) lookup(fc *fnCode, sc *scope, sym scheme.Symbol) (b *binding, local, pending bool) {
+	for s := sc; s != nil; s = s.parent {
+		if b, ok := s.names[sym]; ok {
+			if s.fn != fc {
+				c.uses[b.id] |= captured
+				return b, false, false
+			}
+			return b, true, s.pending[sym]
+		}
+	}
+	return nil, false, false
+}
+
+// load pushes what holds sym at sc: a global's value, or a lexical's slot
+// or free variable — its box, when it is boxed.
+func (c *compiler) load(fc *fnCode, sc *scope, sym scheme.Symbol) (b *binding, pending bool) {
+	b, local, pending := c.lookup(fc, sc, sym)
+	switch {
+	case b == nil:
+		fc.emit(OpGlobal, fc.konst(sym), 0)
+	case local:
+		fc.emit(OpLocal, int32(b.slot), 0)
+	default:
+		fc.emit(OpFree, fc.freeIndex(sym), 0)
+	}
+	return b, pending
+}
+
+// ref pushes sym's value. Only a closure being made may load a pending
+// define, which is boxed: the closure sees the value once it is set.
+func (c *compiler) ref(fc *fnCode, sc *scope, sym scheme.Symbol) error {
+	b, pending := c.load(fc, sc, sym)
+	if pending {
+		return unsupportedf("reference to pending define %s", sym)
+	}
+	if b != nil && b.boxed {
+		fc.emit(OpUnbox, 0, 0)
+	}
+	return nil
+}
+
+// assign pops into the lexical sym, naming an unnamed closure after
+// Consts[name] when name >= 0; ok is false when sym is a global.
+func (c *compiler) assign(fc *fnCode, sc *scope, sym scheme.Symbol, name int32) (ok bool, err error) {
+	b, local, pending := c.lookup(fc, sc, sym)
+	switch {
+	case pending:
+		return true, unsupportedf("set! of pending define %s", sym)
+	case b == nil:
+		return false, nil
+	}
+	c.uses[b.id] |= assigned
+	if local && !b.boxed {
+		fc.emit(OpSetLocal, int32(b.slot), name)
+		return true, nil
+	}
+	// Boxed, or captured and so boxed once the analysis run is done.
+	c.load(fc, sc, sym)
+	fc.emit(OpSetBox, 0, name)
+	return true, nil
+}
+
+// initial pops into b's slot: the value it is bound to, boxed if need be.
+func initial(fc *fnCode, b *binding) {
+	if b.boxed {
+		fc.emit(OpBox, int32(b.slot), 0)
+	} else {
+		fc.emit(OpSetLocal, int32(b.slot), -1)
+	}
+}
+
+// bindValues binds names in sc to the len(names) values on top of the
+// stack, the last name to the top one.
+func (c *compiler) bindValues(fc *fnCode, sc *scope, names []scheme.Symbol) {
+	bs := make([]*binding, len(names))
+	for i, n := range names {
+		bs[i] = c.bind(sc, n)
+	}
+	for i := len(bs) - 1; i >= 0; i-- {
+		initial(fc, bs[i])
+	}
 }
 
 // ---------------------------------------------------------------------------
 // compiler
 
-type compiler struct{}
-
 func (c *compiler) expr(fc *fnCode, sc *scope, x scheme.Value, tail bool) error {
 	switch v := x.(type) {
 	case scheme.Symbol:
-		if d, slot, blocked, ok := resolve(sc, v); ok {
-			if blocked {
-				return unsupportedf("reference to pending define %s", v)
-			}
-			fc.emit(OpLocal, int32(d), int32(slot))
-			return nil
-		}
-		fc.emit(OpGlobal, fc.konst(v), 0)
-		return nil
+		return c.ref(fc, sc, v)
 	case *scheme.Pair:
 		if head, ok := v.Car.(scheme.Symbol); ok && scheme.IsSpecialForm(head) {
 			return c.form(fc, sc, head, v, tail)
@@ -250,11 +380,10 @@ func (c *compiler) form(fc *fnCode, sc *scope, head scheme.Symbol, form *scheme.
 		if err := c.expr(fc, sc, rest[1], false); err != nil {
 			return err
 		}
-		if d, slot, blocked, ok := resolve(sc, sym); ok {
-			if blocked {
-				return unsupportedf("set! of pending define %s", sym)
-			}
-			fc.emit(OpSetLocal, int32(d), int32(slot))
+		if ok, err := c.assign(fc, sc, sym, -1); err != nil {
+			return err
+		} else if ok {
+			fc.emit(OpUnspec, 0, 0)
 		} else {
 			fc.emit(OpSetGlobal, fc.konst(sym), 0)
 		}
@@ -266,12 +395,7 @@ func (c *compiler) form(fc *fnCode, sc *scope, head scheme.Symbol, form *scheme.
 		if len(rest) < 1 {
 			return unsupportedf("bad lambda")
 		}
-		idx, err := c.lambdaSub(fc, sc, "", rest[0], rest[1:])
-		if err != nil {
-			return err
-		}
-		fc.emit(OpClosure, idx, 0)
-		return nil
+		return c.lambdaSub(fc, sc, "", rest[0], rest[1:])
 
 	case "begin", "block":
 		return c.seq(fc, sc, rest, tail)
@@ -361,13 +485,13 @@ func (c *compiler) form(fc *fnCode, sc *scope, head scheme.Symbol, form *scheme.
 		if len(rest) != 1 {
 			return unsupportedf("bad delay")
 		}
-		idx, err := c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) error {
+		err := c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) error {
 			return c.expr(sub, subSc, rest[0], true)
 		})
 		if err != nil {
 			return err
 		}
-		fc.emit(OpPromise, idx, 0)
+		fc.emit(OpPromise, 0, 0)
 		return nil
 
 	case "quasiquote":
@@ -377,13 +501,12 @@ func (c *compiler) form(fc *fnCode, sc *scope, head scheme.Symbol, form *scheme.
 		if len(rest) < 1 || len(rest) > 2 {
 			return unsupportedf("bad fork-thread")
 		}
-		idx, err := c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) error {
+		err := c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) error {
 			return c.expr(sub, subSc, rest[0], true)
 		})
 		if err != nil {
 			return err
 		}
-		fc.emit(OpClosure, idx, 0)
 		hasVP := int32(0)
 		if len(rest) == 2 {
 			hasVP = 1
@@ -398,13 +521,12 @@ func (c *compiler) form(fc *fnCode, sc *scope, head scheme.Symbol, form *scheme.
 		if len(rest) != 1 {
 			return unsupportedf("bad %s", head)
 		}
-		idx, err := c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) error {
+		err := c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) error {
 			return c.expr(sub, subSc, rest[0], true)
 		})
 		if err != nil {
 			return err
 		}
-		fc.emit(OpClosure, idx, 0)
 		if head == "future" {
 			fc.emit(OpFuture, 0, 0)
 		} else {
@@ -425,13 +547,12 @@ func (c *compiler) form(fc *fnCode, sc *scope, head scheme.Symbol, form *scheme.
 		}
 		for _, e := range exprs {
 			e := e
-			idx, err := c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) error {
+			err := c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) error {
 				return c.expr(sub, subSc, e, true)
 			})
 			if err != nil {
 				return err
 			}
-			fc.emit(OpClosure, idx, 0)
 		}
 		fc.emit(OpSpawn, int32(len(exprs)), 0)
 		return nil
@@ -440,13 +561,12 @@ func (c *compiler) form(fc *fnCode, sc *scope, head scheme.Symbol, form *scheme.
 		// The body becomes a thunk; the tree-walker evaluates these bodies
 		// in the enclosing env, so internal defines decline (fallback keeps
 		// the define-into-enclosing-frame semantics).
-		idx, err := c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) error {
+		err := c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) error {
 			return c.seq(sub, subSc, rest, false)
 		})
 		if err != nil {
 			return err
 		}
-		fc.emit(OpClosure, idx, 0)
 		if head == "without-preemption" {
 			fc.emit(OpNoPreempt, 0, 0)
 		} else {
@@ -461,13 +581,12 @@ func (c *compiler) form(fc *fnCode, sc *scope, head scheme.Symbol, form *scheme.
 		if err := c.expr(fc, sc, rest[0], false); err != nil {
 			return err
 		}
-		idx, err := c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) error {
+		err := c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) error {
 			return c.seq(sub, subSc, rest[1:], false)
 		})
 		if err != nil {
 			return err
 		}
-		fc.emit(OpClosure, idx, 0)
 		fc.emit(OpWithMutex, 0, 0)
 		return nil
 
@@ -482,13 +601,12 @@ func (c *compiler) form(fc *fnCode, sc *scope, head scheme.Symbol, form *scheme.
 		return c.fluidLet(fc, sc, names, inits, rest[1:])
 
 	case "atomic":
-		idx, err := c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) error {
+		err := c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) error {
 			return c.seq(sub, subSc, rest, false)
 		})
 		if err != nil {
 			return err
 		}
-		fc.emit(OpClosure, idx, 0)
 		fc.emit(OpAtomic, 0, 0)
 		return nil
 
@@ -524,11 +642,9 @@ func (c *compiler) globalDefine(fc *fnCode, rest []scheme.Value) error {
 		if !ok {
 			return unsupportedf("bad define")
 		}
-		idx, err := c.lambdaSub(fc, nil, name, target.Cdr, rest[1:])
-		if err != nil {
+		if err := c.lambdaSub(fc, nil, name, target.Cdr, rest[1:]); err != nil {
 			return err
 		}
-		fc.emit(OpClosure, idx, 0)
 		fc.emit(OpDefGlobal, fc.konst(name), 0)
 		return nil
 	default:
@@ -605,19 +721,11 @@ func (c *compiler) let(fc *fnCode, sc *scope, rest []scheme.Value, tail bool) er
 			return err
 		}
 	}
-	fc.emit(OpPushFrame, int32(len(names)+len(defs)), int32(len(names)))
-	newSc := newScope(sc, false)
-	for i, n := range names {
-		newSc.names[n] = i
-	}
-	addDefineSlots(newSc, defs, len(names))
-	if err := c.compileBody(fc, newSc, items, tail); err != nil {
-		return err
-	}
-	if !tail {
-		fc.emit(OpPopFrame, 0, 0)
-	}
-	return nil
+	newSc := newScope(sc, fc)
+	defer newSc.leave()
+	c.bindValues(fc, newSc, names)
+	c.defineSlots(fc, newSc, defs)
+	return c.compileBody(fc, newSc, items, tail)
 }
 
 func (c *compiler) letStar(fc *fnCode, sc *scope, rest []scheme.Value, tail bool) error {
@@ -666,25 +774,23 @@ func (c *compiler) letrec(fc *fnCode, sc *scope, rest []scheme.Value, tail bool)
 	if err != nil {
 		return err
 	}
-	fc.emit(OpPushFrame, int32(len(names)+len(defs)), 0)
-	newSc := newScope(sc, false)
-	for i, n := range names {
-		newSc.names[n] = i // letrec slots read Unspecified before init — tree parity
+	newSc := newScope(sc, fc)
+	defer newSc.leave()
+	for _, n := range names {
+		// letrec slots read Unspecified before init — tree parity
+		fc.emit(OpUnspec, 0, 0)
+		initial(fc, c.bind(newSc, n))
 	}
-	addDefineSlots(newSc, defs, len(names))
+	c.defineSlots(fc, newSc, defs)
 	for i, init := range inits {
 		if err := c.expr(fc, newSc, init, false); err != nil {
 			return err
 		}
-		fc.emit(OpInitSlot, int32(i), fc.konst(names[i]))
+		if _, err := c.assign(fc, newSc, names[i], fc.konst(names[i])); err != nil {
+			return err
+		}
 	}
-	if err := c.compileBody(fc, newSc, items, tail); err != nil {
-		return err
-	}
-	if !tail {
-		fc.emit(OpPopFrame, 0, 0)
-	}
-	return nil
+	return c.compileBody(fc, newSc, items, tail)
 }
 
 func (c *compiler) cond(fc *fnCode, sc *scope, clauses []scheme.Value, tail bool) error {
@@ -785,9 +891,10 @@ func (c *compiler) caseForm(fc *fnCode, sc *scope, rest []scheme.Value, tail boo
 }
 
 // doLoop compiles (do ((v init step)...) (test result...) body...) with the
-// tree-walker's runtime shape: ONE frame reused across iterations (closures
-// made in the body share the live bindings), simultaneous step assignment,
-// and a backward branch — a safepoint — per iteration.
+// tree-walker's runtime shape: ONE binding per variable for the whole loop
+// (a step is an assignment, so closures made in the body share the live,
+// boxed binding), simultaneous step assignment, and a backward branch — a
+// safepoint — per iteration.
 func (c *compiler) doLoop(fc *fnCode, sc *scope, rest []scheme.Value) error {
 	if len(rest) < 2 {
 		return unsupportedf("bad do")
@@ -796,11 +903,8 @@ func (c *compiler) doLoop(fc *fnCode, sc *scope, rest []scheme.Value) error {
 	if err != nil {
 		return unsupportedf("bad do")
 	}
-	type doVar struct {
-		name scheme.Symbol
-		step scheme.Value // nil = no step
-	}
-	vars := make([]doVar, len(specs))
+	names := make([]scheme.Symbol, len(specs))
+	steps := make([]scheme.Value, len(specs)) // nil = no step
 	for i, sp := range specs {
 		parts, err := scheme.ListToSlice(sp)
 		if err != nil || len(parts) < 2 || len(parts) > 3 {
@@ -810,9 +914,9 @@ func (c *compiler) doLoop(fc *fnCode, sc *scope, rest []scheme.Value) error {
 		if !ok {
 			return unsupportedf("bad do variable")
 		}
-		vars[i] = doVar{name: name}
+		names[i] = name
 		if len(parts) == 3 {
-			vars[i].step = parts[2]
+			steps[i] = parts[2]
 		}
 		if err := c.expr(fc, sc, parts[1], false); err != nil {
 			return err
@@ -822,11 +926,9 @@ func (c *compiler) doLoop(fc *fnCode, sc *scope, rest []scheme.Value) error {
 	if err != nil || len(testParts) < 1 {
 		return unsupportedf("bad do test clause")
 	}
-	fc.emit(OpPushFrame, int32(len(vars)), int32(len(vars)))
-	newSc := newScope(sc, false)
-	for i, v := range vars {
-		newSc.names[v.name] = i
-	}
+	newSc := newScope(sc, fc)
+	defer newSc.leave()
+	c.bindValues(fc, newSc, names)
 	top := int32(len(fc.ops))
 	if err := c.expr(fc, newSc, testParts[0], false); err != nil {
 		return err
@@ -835,7 +937,6 @@ func (c *compiler) doLoop(fc *fnCode, sc *scope, rest []scheme.Value) error {
 	if err := c.seq(fc, newSc, testParts[1:], false); err != nil {
 		return err
 	}
-	fc.emit(OpPopFrame, 0, 0)
 	jEnd := fc.emit(OpJump, 0, 0)
 	fc.patchA(jBody)
 	for _, b := range rest[2:] {
@@ -844,18 +945,20 @@ func (c *compiler) doLoop(fc *fnCode, sc *scope, rest []scheme.Value) error {
 		}
 		fc.emit(OpPop, 0, 0)
 	}
-	var stepped []int
-	for i, v := range vars {
-		if v.step == nil {
+	var stepped []scheme.Symbol
+	for i, step := range steps {
+		if step == nil {
 			continue
 		}
-		if err := c.expr(fc, newSc, v.step, false); err != nil {
+		if err := c.expr(fc, newSc, step, false); err != nil {
 			return err
 		}
-		stepped = append(stepped, i)
+		stepped = append(stepped, names[i])
 	}
 	for i := len(stepped) - 1; i >= 0; i-- {
-		fc.emit(OpInitSlot, int32(stepped[i]), -1)
+		if _, err := c.assign(fc, newSc, stepped[i], -1); err != nil {
+			return err
+		}
 	}
 	fc.emit(OpJump, top, 0) // backward branch: per-iteration safepoint
 	fc.patchA(jEnd)
@@ -871,7 +974,7 @@ func (c *compiler) fluidLet(fc *fnCode, sc *scope, names []scheme.Symbol, inits 
 	if err := c.expr(fc, sc, inits[0], false); err != nil {
 		return err
 	}
-	idx, err := c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) error {
+	err := c.thunkSub(fc, sc, func(sub *fnCode, subSc *scope) error {
 		if len(names) == 1 {
 			return c.seq(sub, subSc, body, false)
 		}
@@ -880,7 +983,6 @@ func (c *compiler) fluidLet(fc *fnCode, sc *scope, names []scheme.Symbol, inits 
 	if err != nil {
 		return err
 	}
-	fc.emit(OpClosure, idx, 0)
 	fc.emit(OpFluid, fc.konst(names[0]), 0)
 	return nil
 }
@@ -968,11 +1070,9 @@ func (c *compiler) tupleForm(fc *fnCode, sc *scope, head scheme.Symbol, rest []s
 		for i, f := range spec.formals {
 			params[i] = scheme.Symbol(f)
 		}
-		idx, err := c.procSub(fc, sc, "", params, "", rest[2:])
-		if err != nil {
+		if err := c.procSub(fc, sc, "", params, "", rest[2:]); err != nil {
 			return err
 		}
-		fc.emit(OpClosure, idx, 0)
 	}
 	fc.emit(OpTuple, fc.konst(spec), 0)
 	return nil
@@ -1065,9 +1165,12 @@ func bodyItems(forms []scheme.Value) ([]bodyItem, []bodyItem, error) {
 	return items, items[:n], nil
 }
 
-func addDefineSlots(sc *scope, defs []bodyItem, base int) {
-	for k, d := range defs {
-		sc.names[d.name] = base + k
+// defineSlots binds a body's internal defines, pending and unspecified —
+// boxed, when a nested procedure may read one before or after its define.
+func (c *compiler) defineSlots(fc *fnCode, sc *scope, defs []bodyItem) {
+	for _, d := range defs {
+		fc.emit(OpUnspec, 0, 0)
+		initial(fc, c.bind(sc, d.name))
 		sc.pending[d.name] = true
 	}
 }
@@ -1091,8 +1194,10 @@ func (c *compiler) compileBody(fc *fnCode, sc *scope, items []bodyItem, tail boo
 			} else {
 				fc.emit(OpUnspec, 0, 0)
 			}
-			fc.emit(OpInitSlot, int32(sc.names[it.name]), fc.konst(it.name))
 			delete(sc.pending, it.name)
+			if _, err := c.assign(fc, sc, it.name, fc.konst(it.name)); err != nil {
+				return err
+			}
 			if last {
 				fc.emit(OpUnspec, 0, 0)
 			}
@@ -1137,55 +1242,60 @@ func parseParams(v scheme.Value) ([]scheme.Symbol, scheme.Symbol, error) {
 	}
 }
 
-// lambdaSub compiles a procedure from source params + body, returning its
-// Subs index.
-func (c *compiler) lambdaSub(fc *fnCode, sc *scope, name scheme.Symbol, paramsDatum scheme.Value, body []scheme.Value) (int32, error) {
+// lambdaSub compiles a procedure from source params + body and emits the
+// making of its closure.
+func (c *compiler) lambdaSub(fc *fnCode, sc *scope, name scheme.Symbol, paramsDatum scheme.Value, body []scheme.Value) error {
 	params, restSym, err := parseParams(paramsDatum)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	return c.procSub(fc, sc, name, params, restSym, body)
 }
 
 // procSub compiles a procedure with known params (internal defines
-// allowed), returning its Subs index. restSym names the rest parameter
-// (slot NParams); empty means a fixed arity.
-func (c *compiler) procSub(fc *fnCode, sc *scope, name scheme.Symbol, params []scheme.Symbol, restSym scheme.Symbol, body []scheme.Value) (int32, error) {
+// allowed) and emits the making of its closure. restSym names the rest
+// parameter (slot NParams); empty means a fixed arity.
+func (c *compiler) procSub(fc *fnCode, sc *scope, name scheme.Symbol, params []scheme.Symbol, restSym scheme.Symbol, body []scheme.Value) error {
 	items, defs, err := bodyItems(body)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	base := len(params)
+	nparams := len(params)
 	if restSym != "" {
-		base++
+		params = append(params[:nparams:nparams], restSym)
 	}
-	sub := newFn(name, len(params), restSym != "")
-	sub.nslots = base + len(defs)
-	subSc := newScope(sc, true)
-	for i, p := range params {
-		subSc.names[p] = i
-	}
-	if restSym != "" {
-		subSc.names[restSym] = len(params)
-	}
-	addDefineSlots(subSc, defs, base)
-	if err := c.compileBody(sub, subSc, items, true); err != nil {
-		return 0, err
-	}
-	sub.emit(OpReturn, 0, 0)
-	fc.subs = append(fc.subs, sub.code())
-	return int32(len(fc.subs) - 1), nil
+	return c.sub(fc, sc, newFn(name, nparams, restSym != ""),
+		func(sub *fnCode, subSc *scope) error {
+			for _, p := range params {
+				if b := c.bind(subSc, p); b.boxed {
+					sub.emit(OpLocal, int32(b.slot), 0)
+					initial(sub, b)
+				}
+			}
+			c.defineSlots(sub, subSc, defs)
+			return c.compileBody(sub, subSc, items, true)
+		})
 }
 
 // thunkSub compiles a nullary procedure whose body is generated by gen
-// (used by the forms that wrap their bodies as thunks).
-func (c *compiler) thunkSub(fc *fnCode, sc *scope, gen func(sub *fnCode, subSc *scope) error) (int32, error) {
-	sub := newFn("", 0, false)
-	subSc := newScope(sc, true)
-	if err := gen(sub, subSc); err != nil {
-		return 0, err
+// (used by the forms that wrap their bodies as thunks) and emits the making
+// of its closure.
+func (c *compiler) thunkSub(fc *fnCode, sc *scope, gen func(sub *fnCode, subSc *scope) error) error {
+	return c.sub(fc, sc, newFn("", 0, false), gen)
+}
+
+// sub compiles the procedure sub, its body generated by gen, then emits
+// into fc, at sc, the pushing of its free variables' values — their
+// boxes, where boxed — and the closure over them.
+func (c *compiler) sub(fc *fnCode, sc *scope, sub *fnCode, gen func(sub *fnCode, subSc *scope) error) error {
+	if err := gen(sub, newScope(sc, sub)); err != nil {
+		return err
 	}
 	sub.emit(OpReturn, 0, 0)
+	for _, sym := range sub.free {
+		c.load(fc, sc, sym)
+	}
 	fc.subs = append(fc.subs, sub.code())
-	return int32(len(fc.subs) - 1), nil
+	fc.emit(OpClosure, int32(len(fc.subs)-1), int32(len(sub.free)))
+	return nil
 }

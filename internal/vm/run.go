@@ -1,56 +1,30 @@
 package vm
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/scheme"
 	"repro/internal/synch"
 	"repro/internal/tspace"
 )
 
-// inlineSlots is how many slots a frame carries inside itself: activations
-// and binding forms that small — nearly all of them — are one allocation.
-const inlineSlots = 4
+// inlineFree is how many captured values a closure carries inside itself:
+// closures that small — nearly all of them — are one allocation.
+const inlineFree = 4
 
-// frame is one runtime environment rib: the slots of a binding construct or
-// procedure activation, lexically chained. Slots are addressed (depth, slot)
-// so variable access never hashes or allocates.
-type frame struct {
-	slots  []scheme.Value // inline[:n], or its own array when n > inlineSlots
-	parent *frame
-	inline [inlineSlots]scheme.Value
-}
-
-// newFrame builds a frame of n slots whose first len(vals) hold vals — the
-// caller's operand-stack window, copied, never kept — and the rest the
-// unspecified value.
-func newFrame(n int, vals []scheme.Value, parent *frame) *frame {
-	f := &frame{parent: parent}
-	if n <= inlineSlots {
-		f.slots = f.inline[:n]
-	} else {
-		f.slots = make([]scheme.Value, n)
-	}
-	for i := copy(f.slots, vals); i < n; i++ {
-		f.slots[i] = scheme.Unspecified
-	}
-	return f
-}
-
-func (f *frame) at(depth int) *frame {
-	for ; depth > 0; depth-- {
-		f = f.parent
-	}
-	return f
-}
-
-// Closure is a compiled procedure: code plus its captured frame chain. It
-// implements scheme.Procedure, so the tree-walker — Apply, map, thread
-// thunks — calls it like any other procedure value.
+// Closure is a compiled procedure: code plus the values of its free
+// variables, copied when the closure was made (flat closure). A variable
+// that is both captured and assigned is copied as its box, a
+// *scheme.Cell, so every closure and the binding's own activation share
+// it. Closure implements scheme.Procedure, so the tree-walker — Apply, map,
+// thread thunks — calls it like any other procedure value.
 type Closure struct {
-	Code *Code
-	Env  *frame
-	Name scheme.Symbol
-	eng  *Engine
+	Code   *Code
+	Name   scheme.Symbol
+	eng    *Engine
+	free   []scheme.Value // inline[:n], or its own array past inlineFree
+	inline [inlineFree]scheme.Value
 }
 
 // ApplyProc implements scheme.Procedure.
@@ -71,25 +45,26 @@ func (c *Closure) callName() string {
 	return "#[procedure]"
 }
 
-// bindFrame builds the activation frame for a call, with the tree-walker's
-// exact arity errors. args may be the caller's operand-stack window: it is
-// read, not kept.
-func bindFrame(c *Closure, args []scheme.Value) (*frame, error) {
-	code := c.Code
+// bind makes stack[base:] — a call's arguments — into the activation of c:
+// it checks arity with the tree-walker's exact errors, conses the rest list
+// in place, and extends the window to the procedure's NSlots locals.
+func bind(c *Closure, stack []scheme.Value, base int) ([]scheme.Value, error) {
+	code, nargs := c.Code, len(stack)-base
 	if !code.HasRest {
-		if len(args) != code.NParams {
+		if nargs != code.NParams {
 			return nil, scheme.Errorf("%s: want %d arguments, got %d",
-				c.callName(), code.NParams, len(args))
+				c.callName(), code.NParams, nargs)
 		}
-	} else if len(args) < code.NParams {
+	} else if nargs < code.NParams {
 		return nil, scheme.Errorf("%s: want at least %d arguments, got %d",
-			c.callName(), code.NParams, len(args))
+			c.callName(), code.NParams, nargs)
+	} else {
+		at := base + code.NParams
+		rest := scheme.List(stack[at:]...)
+		clear(stack[at:])
+		stack = append(stack[:at], rest)
 	}
-	fr := newFrame(code.NSlots, args[:code.NParams], c.Env)
-	if code.HasRest {
-		fr.slots[code.NParams] = scheme.List(args[code.NParams:]...)
-	}
-	return fr, nil
+	return slices.Grow(stack, code.NSlots)[:base+code.NSlots], nil
 }
 
 // nameValue gives an anonymous procedure the name its binding uses, as the
@@ -110,25 +85,25 @@ func nameValue(v scheme.Value, name scheme.Symbol) {
 // saved is one suspended activation on the explicit call stack; vm→vm calls
 // never recurse in Go, so non-tail Scheme recursion is heap-bounded.
 type saved struct {
-	code *Code
+	clo  *Closure
 	pc   int
-	fr   *frame
 	base int
 }
 
-// exec runs a compiled closure to completion. Safepoints — calls, tail
-// calls, backward branches — feed the thread's safe-point quantum, so
-// preemption and stealing fire with the tree-walker's density.
+// exec runs a compiled closure to completion. An activation's locals are
+// the NSlots values at stack[base:], below its operands, and die when it
+// returns. Safepoints — calls, tail calls, backward branches — feed the
+// thread's safe-point quantum, so preemption and stealing fire with the
+// tree-walker's density.
 func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (scheme.Value, error) {
 	in := e.in
-	fr, err := bindFrame(clo, args)
+	stack, err := bind(clo, append(make([]scheme.Value, 0, len(args)+16), args...), 0)
 	if err != nil {
 		return nil, err
 	}
 	code := clo.Code
 	pc := 0
 	base := 0
-	var stack []scheme.Value
 	var calls []saved
 	// ops counts dispatched instructions locally; it is published where a
 	// safepoint polls and at return, so a loop that never leaves this exec
@@ -167,16 +142,29 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 		case OpUnspec:
 			push(scheme.Unspecified)
 		case OpLocal:
-			push(fr.at(int(ins.A)).slots[ins.B])
+			push(stack[base+int(ins.A)])
+		case OpFree:
+			push(clo.free[ins.A])
 		case OpSetLocal:
-			fr.at(int(ins.A)).slots[ins.B] = pop()
-			push(scheme.Unspecified)
-		case OpInitSlot:
 			v := pop()
 			if ins.B >= 0 {
 				nameValue(v, code.Consts[ins.B].(scheme.Symbol))
 			}
-			fr.slots[ins.A] = v
+			stack[base+int(ins.A)] = v
+		case OpBox:
+			box := new(scheme.Cell)
+			box.Define(pop())
+			stack[base+int(ins.A)] = box
+		case OpUnbox:
+			top := len(stack) - 1
+			stack[top], _ = stack[top].(*scheme.Cell).Load()
+		case OpSetBox:
+			box := pop().(*scheme.Cell)
+			v := pop()
+			if ins.B >= 0 {
+				nameValue(v, code.Consts[ins.B].(scheme.Symbol))
+			}
+			box.Define(v)
 		case OpGlobal:
 			v, ok := code.cells[ins.A].Load()
 			if !ok {
@@ -229,13 +217,18 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 			stack[n-1], stack[n-2] = stack[n-2], stack[n-1]
 		case OpClosure:
 			sub := code.Subs[ins.A]
-			push(&Closure{Code: sub, Env: fr, Name: sub.Name, eng: e})
+			nc := &Closure{Code: sub, Name: sub.Name, eng: e}
+			at := len(stack) - int(ins.B)
+			nc.free = append(nc.inline[:0], stack[at:]...)
+			drop(at)
+			push(nc)
 		case OpCall, OpTailCall:
 			safepoint()
 			fnAt := len(stack) - int(ins.A) - 1
 			fn := stack[fnAt]
-			// The arguments stay where they were pushed: the callee binds or
-			// borrows this window of the operand stack.
+			// The arguments stay where they were pushed: a vm callee's
+			// activation takes this window of the operand stack over, a
+			// primitive borrows it.
 			window := stack[fnAt+1:]
 			for i, a := range window {
 				// Call sites collapse singleton multiple values, as the
@@ -245,18 +238,20 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 				}
 			}
 			if callee, ok := fn.(*Closure); ok && callee.eng == e {
-				nfr, err := bindFrame(callee, window)
-				if err != nil {
+				// The arguments slide down to the new activation's base —
+				// over the callee, or over the whole current activation for
+				// a tail call — and become its first locals.
+				if ins.Op == OpTailCall {
+					drop(base + copy(stack[base:], window))
+				} else {
+					calls = append(calls, saved{clo: clo, pc: pc, base: base})
+					base = fnAt
+					drop(fnAt + copy(stack[fnAt:], window))
+				}
+				if stack, err = bind(callee, stack, base); err != nil {
 					return nil, err
 				}
-				if ins.Op == OpTailCall {
-					drop(base)
-				} else {
-					drop(fnAt)
-					calls = append(calls, saved{code: code, pc: pc, fr: fr, base: base})
-					base = fnAt
-				}
-				code, pc, fr = callee.Code, 0, nfr
+				clo, code, pc = callee, callee.Code, 0
 				continue
 			}
 			// Foreign callee: a primitive, a tree closure, or another
@@ -278,14 +273,8 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 			calls[n] = saved{}
 			calls = calls[:n]
 			drop(base)
-			code, pc, fr, base = s.code, s.pc, s.fr, s.base
+			clo, code, pc, base = s.clo, s.clo.Code, s.pc, s.base
 			push(v)
-		case OpPushFrame:
-			at := len(stack) - int(ins.B)
-			fr = newFrame(int(ins.A), stack[at:], fr)
-			drop(at)
-		case OpPopFrame:
-			fr = fr.parent
 		case OpCaseMatch:
 			key := stack[len(stack)-1]
 			matched := false
@@ -301,8 +290,7 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 				pc = int(ins.B)
 			}
 		case OpPromise:
-			sub := code.Subs[ins.A]
-			push(scheme.NewPromise(&Closure{Code: sub, Env: fr, Name: sub.Name, eng: e}))
+			push(scheme.NewPromise(pop()))
 		case OpFork:
 			vp := ctx.VP()
 			if ins.A == 1 {

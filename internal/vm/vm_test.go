@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -97,9 +98,11 @@ var parityPrograms = []struct{ src, want string }{
 	{`(define v (make-vector 2 'z)) (vector-ref v 1)`, `z`},
 	{`(string-append "ab" "cd")`, `"abcd"`},
 	{`(let ((l (spawn (make-tuple-space) ((+ 1 1) (+ 2 2))))) (map thread-value l))`, `(2 4)`},
-	// Frames wider than the inline slots, rest lists consed off the operand
+	// Activations wider than a closure's inline free slots, closures over
+	// more free variables than that, rest lists consed off the operand
 	// stack, arguments that are themselves calls.
 	{`((lambda (a b c d e f) (list f e d c b a)) 1 2 3 4 5 6)`, `(6 5 4 3 2 1)`},
+	{`((lambda (a b c d e f) ((lambda () (set! e 0) (list f e d c b a)))) 1 2 3 4 5 6)`, `(6 0 4 3 2 1)`},
 	{`((lambda (a b c d e . r) (list a e r)) 1 2 3 4 5 6 7)`, `(1 5 (6 7))`},
 	{`((lambda (a . r) (list a r)) 1)`, `(1 ())`},
 	{`(define (w a b c d e) (define x (+ a b)) (define y (* c d)) (list x y e)) (w 1 2 3 4 5)`, `(3 12 5)`},
@@ -286,5 +289,50 @@ func TestPendingDefineDeclines(t *testing.T) {
 	}
 	if scheme.WriteString(tv) != scheme.WriteString(vv) {
 		t.Fatalf("tree=%s vm=%s", scheme.WriteString(tv), scheme.WriteString(vv))
+	}
+}
+
+// TestCaptureAnalysis checks what the compiler's analysis finds for each
+// procedure: the free variables its closures copy, in order, and the
+// locals it boxes — exactly those both captured by a nested procedure and
+// assigned, a binding stored after its closure is made (letrec, named let,
+// internal define, do step) counting as assigned.
+func TestCaptureAnalysis(t *testing.T) {
+	for _, c := range []struct {
+		src         string
+		path        []int // Subs indexes from the toplevel code to the procedure checked
+		free, boxed string
+	}{
+		{`(lambda (a b) (lambda () (+ a b)))`, []int{0}, `[]`, `[]`},
+		{`(lambda (a b) (lambda () (+ a b)))`, []int{0, 0}, `[a b]`, `[]`},
+		{`(lambda (a) (lambda () (lambda () a)))`, []int{0, 0}, `[a]`, `[]`},
+		{`(lambda (a) (lambda () (lambda () a)))`, []int{0, 0, 0}, `[a]`, `[]`},
+		{`(lambda (x) (set! x 1) x)`, []int{0}, `[]`, `[]`},
+		{`(lambda (n) (lambda () (set! n (+ n 1)) n))`, []int{0}, `[]`, `[n]`},
+		{`(lambda (n) (lambda () (set! n (+ n 1)) n))`, []int{0, 0}, `[n]`, `[]`},
+		{`(let loop ((i 0)) (if (< i 3) (loop (+ i 1)) i))`, nil, `[]`, `[loop]`},
+		{`(let loop ((i 0)) (if (< i 3) (loop (+ i 1)) i))`, []int{0}, `[loop]`, `[]`},
+		{`(do ((i 0 (+ i 1)) (j 0)) ((= i 3)) (lambda () (+ i j)))`, nil, `[]`, `[i]`},
+		{`(lambda () (define (g) (h)) (define (h) 1) (g))`, []int{0}, `[]`, `[h]`},
+		{`(lambda () (define (g) (h)) (define (h) 1) (g))`, []int{0, 0}, `[h]`, `[]`},
+		{`(lambda (x y) (fork-thread (+ y x)))`, []int{0, 0}, `[y x]`, `[]`},
+		{`(lambda (x) (delay x))`, []int{0, 0}, `[x]`, `[]`},
+		{`(lambda (ts) (get ts (k ?v) (lambda () v)))`, []int{0, 0, 0}, `[v]`, `[]`},
+		{`(lambda (x) (let ((y x)) (without-preemption (set! y 2)) y))`, []int{0}, `[]`, `[y]`},
+	} {
+		expr, err := scheme.ReadAll(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, err := vm.Compile(expr[0])
+		if err != nil {
+			t.Fatalf("%s: %v", c.src, err)
+		}
+		for _, i := range c.path {
+			code = code.Subs[i]
+		}
+		if free, boxed := fmt.Sprint(code.Free), fmt.Sprint(code.Boxed); free != c.free || boxed != c.boxed {
+			t.Errorf("%s at %v: free %s boxed %s, want free %s boxed %s", c.src, c.path, free, boxed, c.free, c.boxed)
+		}
 	}
 }
