@@ -1,8 +1,9 @@
 // Command stingd is the tuple-space fabric daemon: it serves named tuple
 // spaces over TCP so separate processes coordinate through STING's
-// content-addressable synchronizing memory. Every request runs as a STING
-// thread on one VM — blocking Get/Rd park through the substrate's
-// block/wakeup machinery, not on OS threads.
+// content-addressable synchronizing memory. A request that cannot block is
+// answered on its connection's reader; a Get/Rd that must wait runs as a
+// STING thread on one VM and parks through the substrate's block/wakeup
+// machinery, not on an OS thread.
 //
 // Usage:
 //
@@ -364,7 +365,7 @@ wait:
 	srv.Shutdown()
 	if opts.snapshot != "" {
 		// After Shutdown the registry is quiescent: waiters withdrawn,
-		// in-flight request threads done.
+		// in-flight requests answered.
 		tuples, spaces, err := writeSnapshot(reg, opts.snapshot)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "stingd: snapshot write:", err)

@@ -40,7 +40,7 @@ func TestFanoutSpansOnePerBranchAllClosed(t *testing.T) {
 	c.Quiesce() // losing branches drain (CANCEL round trips) before counting
 	root.End()
 	for _, srv := range tc.servers {
-		srv.Shutdown() // server-side request threads end their spans
+		srv.Shutdown() // waits for in-flight requests, so server spans are ended
 	}
 
 	if got := obs.OpenSpans(); got != base {

@@ -174,8 +174,9 @@ func distributeBatch(items []batchEntry, resp response, err error) {
 // for concurrent use from many STING threads (and from plain goroutines —
 // pass a nil context and waits fall back to channels). Concurrent callers
 // pipeline over each connection: every request carries an id, the server
-// answers in completion order, and the reader call-back demultiplexes —
-// a parked blocking Get never head-of-line-blocks later ops. A thread
+// answers non-parking ops in frame order and a parked Get or Rd whenever
+// it completes, and the reader call-back demultiplexes — a parked blocking
+// Get never head-of-line-blocks later ops. A thread
 // waiting for a response parks through the substrate's block/wakeup
 // machinery; the reader goroutine completes the call and wakes the TCB,
 // mirroring how sio device completions resume their initiators.
@@ -742,20 +743,27 @@ func (b *batcher) run() {
 func (b *batcher) flush(items []batchEntry) {
 	cl := newCall()
 	cl.subs = items
+	// Counted before the write and taken back if it fails: the reply can
+	// complete every entry, and their callers read the counters, before
+	// send returns.
+	m := b.cc.c.metrics
+	m.batchFlushes.Add(1)
+	m.batchedPuts.Add(uint64(len(items)))
 	_, err := b.cc.send(nil, cl, request{op: opBatch, batch: items})
-	switch {
-	case err == nil:
-		b.cc.c.metrics.batchFlushes.Add(1)
-		b.cc.c.metrics.batchedPuts.Add(uint64(len(items)))
-	case errors.Is(err, sio.ErrFrameTooLarge) && len(items) > 1:
+	if err == nil {
+		return
+	}
+	m.batchFlushes.Add(^uint64(0))
+	m.batchedPuts.Add(-uint64(len(items)))
+	if errors.Is(err, sio.ErrFrameTooLarge) && len(items) > 1 {
 		// Entries fit individually but not together: split and retry.
 		mid := len(items) / 2
 		b.flush(items[:mid])
 		b.flush(items[mid:])
-	default:
-		for _, it := range items {
-			it.cl.complete(response{}, err)
-		}
+		return
+	}
+	for _, it := range items {
+		it.cl.complete(response{}, err)
 	}
 }
 

@@ -35,18 +35,19 @@ type ServerConfig struct {
 	RouteCheck func(space string, tuple tspace.Tuple, template tspace.Template) error
 }
 
-// Server serves a registry of named tuple spaces over TCP. Every request
-// runs as a STING thread on the server's VM: decoding happens on the
-// connection's call-back goroutine, but the tuple-space operation — and
-// any blocking it entails — happens on substrate threads parked through
-// the ordinary block/wakeup machinery. Disconnects and shutdown withdraw
-// parked waiters through tspace.CancelToken, so no registration outlives
-// its connection.
+// Server serves a registry of named tuple spaces over TCP. A request that
+// cannot park — Put, TryGet, TryRd, LEN, STATS, and a Get or Rd whose
+// tuple is already present — is answered on the connection's reader
+// goroutine and costs no thread. A Get or Rd that misses, a match that
+// must demand a thread element, BATCH and TXN_COMMIT run as STING threads
+// on the server's VM, parked through the ordinary block/wakeup machinery.
+// Disconnects and shutdown withdraw parked waiters through
+// tspace.CancelToken, so no registration outlives its connection.
 //
-// Requests pipeline freely: the reader dispatches each frame to its own
-// thread without waiting for earlier responses, so a parked blocking Get
-// never head-of-line-blocks the ops queued behind it, and responses go
-// out in completion order (the request id pairs them up client-side).
+// Requests pipeline freely. Non-parking ops on one connection are answered
+// in frame order; a parked Get or Rd answers whenever its tuple arrives,
+// so it never head-of-line-blocks the ops queued behind it (the request id
+// pairs responses up client-side).
 type Server struct {
 	vm    *core.VM
 	reg   *tspace.Registry
@@ -58,7 +59,7 @@ type Server struct {
 	conns  map[*serverConn]struct{}
 	closed atomic.Bool
 
-	ops sync.WaitGroup // in-flight request threads
+	ops sync.WaitGroup // in-flight requests, on the reader or a thread
 }
 
 // NewServer creates a server for vm. The VM's policy managers schedule the
@@ -174,7 +175,7 @@ func (s *Server) Addr() net.Addr {
 
 // Shutdown drains the server: stop accepting, withdraw every parked
 // waiter with ErrShutdown (clients receive a shutdown error, not silence),
-// wait for in-flight request threads, then close the connections.
+// wait for in-flight requests, then close the connections.
 func (s *Server) Shutdown() {
 	if s.closed.Swap(true) {
 		return
@@ -236,11 +237,12 @@ func (s *Server) removeConn(sc *serverConn) {
 	}
 }
 
-// handleFrame runs on the connection's reader goroutine: decode, then hand
-// the operation to a STING thread. Protocol errors answer best-effort and
-// close the connection — a malformed peer gets no second frame. Service
-// latency is measured from frame arrival to response completion, so
-// blocking ops include their park time — the latency a client observes.
+// handleFrame runs on the connection's reader goroutine: decode, then
+// answer the op there or hand it to a STING thread. Protocol errors answer
+// best-effort and close the connection — a malformed peer gets no second
+// frame. Service latency is measured from frame arrival to response
+// completion, so blocking ops include their park time — the latency a
+// client observes.
 func (s *Server) handleFrame(sc *serverConn, frame []byte) {
 	t0 := time.Now()
 	req, err := decodeRequest(frame)
@@ -279,16 +281,6 @@ func (s *Server) handleFrame(sc *serverConn, frame []byte) {
 		sc.sendErr(req.id, codeShutdown, ErrShutdown.Error())
 		return
 	}
-	// A blocking op's cancel token is registered here, on the reader, not
-	// on the thread spawned below: CANCEL is handled on this same goroutine
-	// and trails its target on the stream, so it always finds the token.
-	var tok *tspace.CancelToken
-	if blockingOp(req.op) {
-		tok = tspace.NewCancelToken()
-		if !sc.addToken(req.id, tok, req.op, req.space) {
-			return // connection already gone; nobody to answer
-		}
-	}
 	// Depth is sampled at dispatch: how many requests this connection had
 	// in flight when the frame arrived (1 = strict request/response, more
 	// = the client is pipelining).
@@ -298,26 +290,65 @@ func (s *Server) handleFrame(sc *serverConn, frame []byte) {
 	}
 	// A propagated trace context opens a server span measured from frame
 	// arrival, so it covers queueing and — for blocking ops — park time:
-	// the latency the client's span observes. The request thread inherits
+	// the latency the client's span observes. A request thread inherits
 	// the span's context, making in-process work it forks children of it.
 	var span *obs.Span
 	if req.hasTrace {
 		span = obs.StartSpanAt(obs.SpanContext{Trace: req.trace, Span: req.parentSpan},
-			"server/"+opName(req.op), obs.SpanServer, t0.UnixNano())
+			spanNames[req.op], obs.SpanServer, t0.UnixNano())
 		span.SetAttr("space", req.space)
 	}
 	s.ops.Add(1)
+	// An op that cannot park is answered here, in frame order; a thread is
+	// spawned only for one that must block or demand a thread element.
+	if req.op != opBatch && req.op != opTxnCommit && s.serveOp(nil, sc, req, nil) {
+		s.finish(sc, req.op, span, t0)
+		return
+	}
+	s.spawnOp(sc, req, span, t0)
+}
+
+// spawnOp serves req on a STING thread. A blocking op's cancel token is
+// registered here, on the reader, not on the thread: CANCEL is handled on
+// this same goroutine and trails its target on the stream, so it always
+// finds the token.
+func (s *Server) spawnOp(sc *serverConn, req request, span *obs.Span, t0 time.Time) {
+	var tok *tspace.CancelToken
+	if blockingOp(req.op) {
+		tok = tspace.NewCancelToken()
+		if !sc.addToken(req.id, tok, req.op, req.space) {
+			s.finish(sc, req.op, span, t0) // connection gone; nobody to answer
+			return
+		}
+	}
 	s.vm.Spawn(func(ctx *core.Context) ([]core.Value, error) {
-		defer s.ops.Done()
-		defer sc.inflight.Add(-1)
 		s.serveOp(ctx, sc, req, tok)
 		if tok != nil {
 			sc.removeToken(req.id)
 		}
-		span.End()
-		s.stats.observe(req.op, time.Since(t0))
+		s.finish(sc, req.op, span, t0)
 		return nil, nil
-	}, core.WithName("stingd/"+opName(req.op)), core.WithSpanContext(span.Context()))
+	}, core.WithName(threadNames[req.op]), core.WithSpanContext(span.Context()))
+}
+
+// finish closes a request's bookkeeping once it is answered, on the reader
+// or on its thread.
+func (s *Server) finish(sc *serverConn, op byte, span *obs.Span, t0 time.Time) {
+	span.End()
+	s.stats.observe(op, time.Since(t0))
+	sc.inflight.Add(-1)
+	s.ops.Done()
+}
+
+// threadNames and spanNames name request threads and server spans per op,
+// built once so that naming allocates nothing per request.
+var threadNames, spanNames = prefixedOpNames("stingd/"), prefixedOpNames("server/")
+
+func prefixedOpNames(prefix string) (names [opAnnounce + 1]string) {
+	for op := range names {
+		names[op] = prefix + opName(byte(op))
+	}
+	return names
 }
 
 // routeStatus vets one op against the cluster routing policy: code 0 means
@@ -339,52 +370,65 @@ func (s *Server) routeStatus(space string, tup tspace.Tuple, tpl tspace.Template
 	return batchStatus{code: codeInternal, msg: err.Error()}
 }
 
-// serveOp executes one decoded request on a STING thread; tok is the
-// cancel token of a blocking op, nil otherwise.
-func (s *Server) serveOp(ctx *core.Context, sc *serverConn, req request, tok *tspace.CancelToken) {
+// serveOp executes one decoded request; tok is the cancel token of a
+// blocking op, nil otherwise. On the reader ctx is nil, and serveOp then
+// answers only what needs no thread: it reports false, having sent
+// nothing, for a Get or Rd that misses and for a match or Put that meets a
+// thread element (tspace.ErrNeedsThread).
+func (s *Server) serveOp(ctx *core.Context, sc *serverConn, req request, tok *tspace.CancelToken) bool {
 	switch req.op {
 	case opStats:
 		sc.sendPooled(appendStatsResp(sio.GetBuf()[:sio.PrefixLen], req.id, s.Stats()))
-		return
+		return true
 	case opLen:
 		sc.sendPooled(appendLenResp(sio.GetBuf()[:sio.PrefixLen], req.id, s.reg.OpenDefault(req.space).Len()))
-		return
+		return true
 	case opTxnCommit:
 		s.serveTxnCommit(ctx, sc, req)
-		return
+		return true
 	case opBatch:
 		s.serveBatch(ctx, sc, req)
-		return
+		return true
 	}
 	// Only the data ops reach here, so exactly one of tuple and template
 	// is set — which is how RouteCheck tells a Put from a match.
 	if st := s.routeStatus(req.space, req.tuple, req.template); st.code != 0 {
 		sc.sendErr(req.id, st.code, st.msg)
-		return
+		return true
 	}
 	ts := s.reg.OpenDefault(req.space)
 	switch req.op {
 	case opPut:
-		if err := ts.Put(ctx, req.tuple); err != nil {
+		err := ts.Put(ctx, req.tuple)
+		switch {
+		case err == tspace.ErrNeedsThread:
+			return false
+		case err != nil:
 			sc.sendErr(req.id, codeInternal, err.Error())
-			return
+		default:
+			sc.sendOK(req.id)
 		}
-		sc.sendOK(req.id)
-	case opTryGet, opTryRd:
+	case opGet, opRd, opTryGet, opTryRd:
+		if ctx != nil && blockingOp(req.op) {
+			s.serveBlocking(ctx, sc, req, ts, tok)
+			return true
+		}
 		var tup tspace.Tuple
 		var bind tspace.Bindings
 		var err error
-		if req.op == opTryGet {
+		if req.op == opTryGet || req.op == opGet {
 			tup, bind, err = ts.TryGet(ctx, req.template)
 		} else {
 			tup, bind, err = ts.TryRd(ctx, req.template)
 		}
+		if err == tspace.ErrNeedsThread || err == tspace.ErrNoMatch && blockingOp(req.op) {
+			return false
+		}
 		sc.sendMatch(req, tup, bind, err)
-	case opGet, opRd:
-		s.serveBlocking(ctx, sc, req, ts, tok)
 	default:
 		sc.sendErr(req.id, codeUnknownOp, "unknown op")
 	}
+	return true
 }
 
 // serveBatch applies one BATCH frame: every entry is route-checked and

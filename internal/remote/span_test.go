@@ -50,7 +50,7 @@ func TestClientServerSpanParentage(t *testing.T) {
 		t.Fatalf("client thread: %v", err)
 	}
 	root.End()
-	srv.Shutdown() // waits for request threads, so server spans are ended
+	srv.Shutdown() // waits for in-flight requests, so server spans are ended
 
 	if got := obs.OpenSpans(); got != base {
 		t.Fatalf("OpenSpans = %d, want %d (leaked span)", got, base)
@@ -115,5 +115,57 @@ func TestUntracedClientSendsNoSpans(t *testing.T) {
 			names[i] = s.Name
 		}
 		t.Fatalf("untraced ops recorded spans: %v", names)
+	}
+}
+
+// TestReaderServedPutSpan: a traced Put is answered on the connection's
+// reader, with no request thread, and still closes exactly one server/put
+// span parented on the client's span.
+func TestReaderServedPutSpan(t *testing.T) {
+	buf := obs.NewSpanBuffer(64)
+	obs.SetSpanSink(buf.Record)
+	defer obs.SetSpanSink(nil)
+	base := obs.OpenSpans()
+
+	srv, addr := startServer(t)
+	root := obs.StartSpan(obs.SpanContext{}, "remote-test-root", obs.SpanInternal)
+	var before, after uint64
+	th := srv.vm.Spawn(func(ctx *core.Context) ([]core.Value, error) {
+		c, err := Dial(ctx, addr, DialConfig{})
+		if err != nil {
+			return nil, err
+		}
+		defer c.Close() //nolint:errcheck
+		before = threadsCreated(srv)
+		err = c.Space("jobs").Put(ctx, tspace.Tuple{"job", int64(1)})
+		after = threadsCreated(srv)
+		return nil, err
+	}, core.WithName("traced-client"), core.WithSpanContext(root.Context()))
+	if _, err := core.JoinThread(th); err != nil {
+		t.Fatalf("client thread: %v", err)
+	}
+	root.End()
+	srv.Shutdown()
+
+	if after != before {
+		t.Fatalf("traced Put forked %d server threads, want 0", after-before)
+	}
+	if got := obs.OpenSpans(); got != base {
+		t.Fatalf("OpenSpans = %d, want %d (leaked span)", got, base)
+	}
+	var client, server []*obs.SpanData
+	for _, s := range buf.Drain() {
+		switch s.Kind {
+		case obs.SpanClient:
+			client = append(client, s)
+		case obs.SpanServer:
+			server = append(server, s)
+		}
+	}
+	if len(client) != 1 || len(server) != 1 {
+		t.Fatalf("spans: %d client, %d server, want 1 each", len(client), len(server))
+	}
+	if s := server[0]; s.Name != "server/put" || s.Parent != client[0].Span || s.Trace != client[0].Trace {
+		t.Fatalf("server span %q (parent %v), want server/put under client span %v", s.Name, s.Parent, client[0].Span)
 	}
 }

@@ -88,7 +88,7 @@ func TestServerRecordsOpLatency(t *testing.T) {
 	if _, _, err := sp.TryGet(nil, tspace.Template{"job", 0}); err != nil {
 		t.Fatalf("TryGet: %v", err)
 	}
-	// A request thread records its op's latency after it has answered, so
+	// The server records an op's latency after it has answered, so
 	// the STATS op can overtake the digest of a reply already received: ask
 	// until all four ops show.
 	var snap StatsSnapshot

@@ -145,3 +145,52 @@ func TestWaiterUnregister(t *testing.T) {
 		return nil
 	})
 }
+
+// TestNilContextNeedsThread pins the nil-context rule: a probe made with no
+// context that meets an active entry (one deposited by Spawn) answers
+// ErrNeedsThread and takes nothing, so a probe from a thread still finds
+// the entry and demands its value.
+func TestNilContextNeedsThread(t *testing.T) {
+	seven := func(*core.Context) ([]core.Value, error) { return []core.Value{int64(7)}, nil }
+	for _, kind := range []Kind{KindHash, KindBag, KindSet, KindQueue, KindSharedVar} {
+		t.Run(kind.String(), func(t *testing.T) {
+			vm := testkit.VM(t, 2, 2)
+			ts := New(kind, Config{})
+			testkit.RunIn(t, vm, func(ctx *core.Context) error {
+				if _, err := ts.Spawn(ctx, seven); err != nil {
+					return err
+				}
+				tpl := Template{F("v")}
+				if _, _, err := ts.TryGet(nil, tpl); err != ErrNeedsThread {
+					t.Errorf("nil-context TryGet: %v, want ErrNeedsThread", err)
+				}
+				if _, _, err := ts.TryRd(nil, tpl); err != ErrNeedsThread {
+					t.Errorf("nil-context TryRd: %v, want ErrNeedsThread", err)
+				}
+				if n := ts.Len(); n != 1 {
+					t.Errorf("Len after nil-context probes = %d, want 1", n)
+				}
+				if _, b, err := ts.TryGet(ctx, tpl); err != nil || b["v"] != int64(7) {
+					t.Errorf("TryGet from a thread: %v %v", b, err)
+				}
+				return nil
+			})
+		})
+	}
+	t.Run("vector", func(t *testing.T) {
+		vm := testkit.VM(t, 1, 1)
+		ts := New(KindVector, Config{VectorSize: 2})
+		testkit.RunIn(t, vm, func(ctx *core.Context) error {
+			if err := ts.Put(nil, Tuple{1, "old"}); err != nil {
+				return err
+			}
+			if err := ts.Put(nil, Tuple{1, ctx.Fork(seven, nil)}); err != ErrNeedsThread {
+				t.Errorf("nil-context Put of a thread: %v, want ErrNeedsThread", err)
+			}
+			if _, b, err := ts.TryRd(nil, Template{1, F("v")}); err != nil || b["v"] != "old" {
+				t.Errorf("slot after refused Put: %v %v", b, err)
+			}
+			return nil
+		})
+	})
+}

@@ -25,7 +25,8 @@ type TupleSpace interface {
 	// exists.
 	Rd(ctx *core.Context, tpl Template) (Tuple, Bindings, error)
 	// TryGet and TryRd are the non-blocking probes; they return ErrNoMatch
-	// when nothing matches.
+	// when nothing matches. Put and the probes accept a nil ctx; they then
+	// return ErrNeedsThread rather than demand a thread element.
 	TryGet(ctx *core.Context, tpl Template) (Tuple, Bindings, error)
 	TryRd(ctx *core.Context, tpl Template) (Tuple, Bindings, error)
 	// Spawn deposits a tuple whose elements are threads evaluating the

@@ -22,6 +22,10 @@ var (
 	// ErrBadTemplate is returned when a template is not supported by the
 	// space's specialized representation.
 	ErrBadTemplate = errors.New("tspace: template unsupported by this representation")
+	// ErrNeedsThread is returned by a call made with no context that would
+	// have to demand a thread element's value. Nothing was taken or
+	// stored; the same call from a thread can proceed.
+	ErrNeedsThread = errors.New("tspace: demanding a thread element needs a thread")
 )
 
 // Tuple is an ordered group of values. Threads may appear as elements; a
@@ -149,9 +153,13 @@ func asInt64(v core.Value) (int64, bool) {
 // resolve demands the value of thread elements so matching sees immediate
 // data; other values pass through. The demand steals scheduled threads and
 // blocks on evaluating ones — the paper's quasi-demand-driven fine-grained
-// synchronization on tuple data.
+// synchronization on tuple data. With no context there is nothing to steal
+// or block with, so a thread element yields ErrNeedsThread.
 func resolve(ctx *core.Context, v core.Value) (core.Value, error) {
 	if t, ok := v.(*core.Thread); ok {
+		if ctx == nil {
+			return nil, ErrNeedsThread
+		}
 		return ctx.Value1(t)
 	}
 	return v, nil
