@@ -27,17 +27,13 @@ func NewEnv(procs, vps int) (*Env, error) {
 	vm, err := m.NewVM(core.VMConfig{
 		Name:          "bench",
 		VPs:           vps,
-		PolicyFactory: asFactory(policy.Unified(true)),
+		PolicyFactory: policy.Unified(true),
 	})
 	if err != nil {
 		m.Shutdown()
 		return nil, err
 	}
 	return &Env{M: m, VM: vm}, nil
-}
-
-func asFactory(f policy.Factory) func(vp *core.VP) core.PolicyManager {
-	return func(vp *core.VP) core.PolicyManager { return f(vp) }
 }
 
 // Close shuts the environment down.

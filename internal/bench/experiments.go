@@ -74,7 +74,7 @@ func RunFig4(regime string, limit int) (Fig4Result, error) {
 	defer m.Shutdown()
 	vm, err := m.NewVM(core.VMConfig{
 		VPs:           1,
-		PolicyFactory: asFactory(policy.Unified(lifo)),
+		PolicyFactory: policy.Unified(lifo),
 	})
 	if err != nil {
 		return Fig4Result{}, err
@@ -196,7 +196,7 @@ func RunPMAblation(policyName, workload string, procs, vps int) (PMAblationResul
 	}
 	m := core.NewMachine(core.MachineConfig{Processors: procs})
 	defer m.Shutdown()
-	vm, err := m.NewVM(core.VMConfig{VPs: vps, PolicyFactory: asFactory(factory)})
+	vm, err := m.NewVM(core.VMConfig{VPs: vps, PolicyFactory: factory})
 	if err != nil {
 		return PMAblationResult{}, err
 	}

@@ -187,7 +187,7 @@ func TestTBTarget(t *testing.T) {
 }
 
 func TestDefaultPMHintsAndLen(t *testing.T) {
-	pm := newDefaultPM()
+	pm := defaultPolicy(nil).(*workQueue)
 	if pm.Len() != 0 {
 		t.Fatal("fresh PM non-empty")
 	}

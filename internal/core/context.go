@@ -380,14 +380,8 @@ func (ctx *Context) WithoutInterrupts(body func()) {
 // InterruptsDisabled reports whether the thread is inside WithoutInterrupts.
 func (ctx *Context) InterruptsDisabled() bool { return ctx.tcb.noInterrupt > 0 }
 
-// SetPriority adjusts the current thread's priority via the VP's policy
-// manager (the paper's pm-priority hint).
-func (ctx *Context) SetPriority(p int) {
-	t := ctx.Thread()
-	t.priority.Store(int32(p))
-	vp := ctx.VP()
-	vp.pm.SetPriority(vp, t, p)
-}
+// SetPriority adjusts the current thread's priority (see VP.SetPriority).
+func (ctx *Context) SetPriority(p int) { ctx.VP().SetPriority(ctx.Thread(), p) }
 
 // SetQuantum adjusts the current thread's preemption quantum via the VP's
 // policy manager (the paper's pm-quantum hint).

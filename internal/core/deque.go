@@ -5,8 +5,8 @@ import "sync/atomic"
 // This file is the lock-free substrate under the scheduler's ready queues:
 // a Chase–Lev work-stealing deque for runnable threads plus a multi-producer
 // intake stack for enqueues arriving from foreign goroutines (wakers,
-// cross-VP forks). Together they form the WorkQueue (workqueue.go) the
-// default policy manager and the policy package build on.
+// cross-VP forks). Together they form the work-stealing policy manager
+// (workQueue, workqueue.go).
 //
 // Ownership discipline: exactly one goroutine chain — the VP's thread
 // controller (runSlice and the thread it is evaluating, inline or serialized
@@ -35,6 +35,7 @@ type Deque struct {
 	top    atomic.Int64 // next index thieves take; only ever increments
 	bottom atomic.Int64 // next index the owner pushes
 	array  atomic.Pointer[dequeArray]
+	swept  int64 // owner-only: slots below this index are cleared
 }
 
 const dequeInitialSize = 64
@@ -111,6 +112,24 @@ func (d *Deque) Steal() (item *Thread, retry bool) {
 	return item, false
 }
 
+// Sweep clears the slots of entries taken from the top, so the ring does not
+// keep their threads alive: PopBottom clears its own slot, but a steal
+// cannot, as the owner may already be reusing it. It does nothing unless
+// the deque is empty, when top cannot move and no slot is live. Owner only.
+func (d *Deque) Sweep() {
+	a := d.array.Load()
+	t := d.top.Load()
+	if a == nil || t < d.bottom.Load() {
+		return
+	}
+	if t-d.swept > a.mask {
+		d.swept = t - a.mask - 1
+	}
+	for ; d.swept < t; d.swept++ {
+		a.slots[d.swept&a.mask].Store(nil)
+	}
+}
+
 // Len reports how many entries are in the deque. Safe from any goroutine;
 // the value is a snapshot and may be momentarily negative under a racing
 // PopBottom, which callers treat as zero.
@@ -171,14 +190,16 @@ type Inbox struct {
 	n    atomic.Int64
 }
 
-// Push appends one enqueue. Safe from any goroutine.
+// Push appends one enqueue. Safe from any goroutine. The count goes up
+// before the node is visible, so a drain racing the push cannot take the
+// node uncounted and leave Len short once the push has returned.
 func (in *Inbox) Push(r Runnable, st EnqueueState) {
 	node := &inboxNode{r: r, st: st}
+	in.n.Add(1)
 	for {
 		h := in.head.Load()
 		node.next = h
 		if in.head.CompareAndSwap(h, node) {
-			in.n.Add(1)
 			return
 		}
 	}

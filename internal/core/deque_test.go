@@ -36,6 +36,35 @@ func TestDequeOwnerOrder(t *testing.T) {
 	}
 }
 
+// TestDequeSweep checks that stolen slots keep their threads until the
+// deque is empty, and that Sweep then clears every one of them.
+func TestDequeSweep(t *testing.T) {
+	var d Deque
+	held := func() (n int) {
+		a := d.array.Load()
+		for i := range a.slots {
+			if a.slots[i].Load() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	for i := 0; i < 3; i++ {
+		d.PushBottom(&Thread{id: uint64(i + 1)})
+	}
+	d.Steal()
+	d.Sweep() // not empty: must leave the live slots alone
+	if got := held(); got != 3 {
+		t.Fatalf("after one steal and a sweep of a non-empty deque: %d slots held, want 3", got)
+	}
+	d.Steal()
+	d.Steal()
+	d.Sweep()
+	if got := held(); got != 0 {
+		t.Fatalf("after Sweep of an empty deque: %d slots still hold threads", got)
+	}
+}
+
 // TestDequeTorture races one owner (pushing and popping its own bottom)
 // against several thieves and checks that every pushed thread is delivered
 // exactly once — no losses, no duplicates. Run under -race this also proves
@@ -156,26 +185,25 @@ func TestInboxScavenge(t *testing.T) {
 	}
 }
 
-// TestWorkQueueYieldDeferred checks DeferYield routes yielded TCBs behind
-// ready work and the FIFO flag flips dispatch order.
+// TestWorkQueueYieldDeferred checks deferYield routes yielded TCBs behind
+// ready work in the default (LIFO) configuration.
 func TestWorkQueueYieldDeferred(t *testing.T) {
-	var q WorkQueue
-	q.DeferYield = true
+	q := defaultPolicy(nil)
 	tcb := &TCB{}
 	a, b := &Thread{id: 1}, &Thread{id: 2}
-	q.Enqueue(tcb, EnqYield)
-	q.Enqueue(a, EnqNew)
-	q.Enqueue(b, EnqNew)
-	if got := q.Next(); got != Runnable(b) { // LIFO
+	q.EnqueueThread(nil, tcb, EnqYield)
+	q.EnqueueThread(nil, a, EnqNew)
+	q.EnqueueThread(nil, b, EnqNew)
+	if got := q.GetNextThread(nil); got != Runnable(b) { // LIFO
 		t.Fatalf("first = %v, want b", got)
 	}
-	if got := q.Next(); got != Runnable(a) {
+	if got := q.GetNextThread(nil); got != Runnable(a) {
 		t.Fatalf("second = %v, want a", got)
 	}
-	if got := q.Next(); got != Runnable(tcb) { // deferred last
+	if got := q.GetNextThread(nil); got != Runnable(tcb) { // deferred last
 		t.Fatalf("third = %v, want the yielded TCB", got)
 	}
-	if q.Next() != nil {
+	if q.GetNextThread(nil) != nil {
 		t.Fatal("queue should be empty")
 	}
 }

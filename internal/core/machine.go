@@ -17,8 +17,7 @@ type Machine struct {
 	pps []*PP
 	vms []*VM
 
-	defaultPM func(vp *VP) PolicyManager
-	vpPolicy  VPPolicy
+	vpPolicy VPPolicy
 
 	stopped atomic.Bool
 	done    sync.WaitGroup // one count per PP loop, however many carriers it used
@@ -35,10 +34,6 @@ type Machine struct {
 type MachineConfig struct {
 	// Processors is the number of physical processors (default GOMAXPROCS).
 	Processors int
-	// DefaultPolicy builds the policy manager for VPs whose VM does not
-	// specify one. Nil installs a local LIFO manager with idle-time
-	// migration, the substrate's default.
-	DefaultPolicy func(vp *VP) PolicyManager
 	// VPPolicy schedules VPs on PPs; nil installs round-robin.
 	VPPolicy VPPolicy
 	// SliceBudget is how many thread dispatches a VP may perform per visit
@@ -62,16 +57,9 @@ func NewMachine(cfg MachineConfig) *Machine {
 	if cfg.IdleWait <= 0 {
 		cfg.IdleWait = 100 * time.Microsecond
 	}
-	m := &Machine{defaultPM: cfg.DefaultPolicy, vpPolicy: cfg.VPPolicy, spare: make(chan *PP)}
+	m := &Machine{vpPolicy: cfg.VPPolicy, spare: make(chan *PP)}
 	if m.vpPolicy == nil {
 		m.vpPolicy = &RoundRobinVPs{}
-	}
-	if m.defaultPM == nil {
-		m.defaultPM = func(vp *VP) PolicyManager {
-			pm := newDefaultPM()
-			pm.wq.Owner = vp
-			return pm
-		}
 	}
 	for i := 0; i < n; i++ {
 		pp := newPP(m, i, cfg.SliceBudget, cfg.IdleWait)

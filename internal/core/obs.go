@@ -66,18 +66,12 @@ func hitRatio(hits, misses uint64) float64 {
 }
 
 // queueDepth interrogates the VP's policy manager for its ready backlog.
-// Managers opt in by exposing Len (single queue) or Lens (segregated
-// evaluating/scheduled queues); others report nothing rather than lying.
+// Managers opt in by exposing Len; others report nothing rather than lying.
 func queueDepth(vp *VP) (int, bool) {
-	switch pm := vp.pm.(type) {
-	case interface{ Lens() (int, int) }:
-		a, b := pm.Lens()
-		return a + b, true
-	case interface{ Len() int }:
+	if pm, ok := vp.pm.(interface{ Len() int }); ok {
 		return pm.Len(), true
-	default:
-		return 0, false
 	}
+	return 0, false
 }
 
 // TraceCollector exposes a trace ring's occupancy and overflow accounting.

@@ -40,7 +40,8 @@ type VMConfig struct {
 	VPs int
 	// PolicyFactory builds the policy manager each VP is closed over.
 	// Different VPs may receive different managers. Nil selects the
-	// machine's default factory.
+	// substrate's default, a LIFO work-stealing manager with idle-time
+	// migration (WorkStealing(vp, false, true, true)).
 	PolicyFactory func(vp *VP) PolicyManager
 	// VP carries per-VP parameters (quantum, TCB recycling).
 	VP VPConfig
@@ -74,7 +75,7 @@ func (m *Machine) NewVM(cfg VMConfig) (*VM, error) {
 		vm.topology = Ring{}
 	}
 	if vm.pmFactory == nil {
-		vm.pmFactory = m.defaultPM
+		vm.pmFactory = defaultPolicy
 	}
 	vm.rootGroup = NewGroup(vm.name+"/root", nil)
 	for i := 0; i < n; i++ {

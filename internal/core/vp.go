@@ -144,6 +144,14 @@ func (vp *VP) Deliver(irq Interrupt) bool {
 	return true
 }
 
+// SetPriority gives t a new priority, the paper's pm-priority hint. The
+// value lives on the thread; vp's policy manager is told so that it can
+// re-rank t if t is queued there.
+func (vp *VP) SetPriority(t *Thread, p int) {
+	t.priority.Store(int32(p))
+	vp.pm.SetPriority(vp, t, p)
+}
+
 // NotifyWork kicks the physical processor hosting this VP so newly enqueued
 // work is noticed promptly. Policy managers call this (indirectly, via the
 // controller) after every enqueue.

@@ -1,6 +1,9 @@
 package core
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // localQ is an owner-only queue with amortized-O(1) pops at both ends: the
 // head index advances instead of shifting the slice, and the buffer compacts
@@ -56,49 +59,57 @@ func (l *localQ) compact() {
 	}
 }
 
-// WorkQueue is the work-stealing ready-queue core shared by the default
-// policy manager and the local managers in the policy package. It segregates
-// runnables by what thieves may take:
+// workQueue is the substrate's one work-stealing policy manager: the
+// default manager, and what policy.LocalLIFO and policy.Unified build. It
+// segregates runnables by what thieves may take:
 //
 //   - unpinned threads not yet evaluating → the Chase–Lev deque (stealable);
 //   - pinned threads and evaluating TCBs → an owner-local ready list
 //     (never stolen: pinning is a placement promise, and TCBs stay put for
 //     the locality regime of §3.3);
 //   - yielded/preempted TCBs → an owner-local deferred list dispatched after
-//     everything else when DeferYield is set, so yield-processor actually
+//     everything else when deferYield is set, so yield-processor actually
 //     lets other ready work run and still resumes the caller at once on an
-//     otherwise-idle VP.
+//     otherwise-idle VP (the Fig. 6 synchronous-context-switch case).
 //
 // All enqueues go through the lock-free Inbox because wakers and cross-VP
 // forks run on foreign goroutines; the owner classifies them at dispatch
-// time. Owner operations (Next, StealHalfFrom) may only be called from the
-// VP's thread-controller chain.
-type WorkQueue struct {
+// time. GetNextThread and VPIdle run only on the owner VP's controller
+// chain.
+type workQueue struct {
 	inbox    Inbox
 	deq      Deque
 	ready    localQ // owner-only
 	deferred localQ // owner-only
 	nLocal   atomic.Int64
 
-	// DeferYield routes EnqYield/EnqPreempted TCBs to the deferred list.
-	// When false they join the ready list like any woken TCB (the local-LIFO
-	// evaluating-first regime).
-	DeferYield bool
-	// FIFO dispatches the deque and ready list oldest-first instead of
-	// newest-first.
-	FIFO bool
-	// Owner, when set, is kicked after a thief re-pushes scavenged items the
-	// owner may have gone idle without seeing.
-	Owner *VP
+	owner      *VP  // kicked when a thief re-pushes scavenged inbox items
+	fifo       bool // dispatch oldest-first instead of newest-first
+	deferYield bool // yielded/preempted TCBs wait behind all other work
+	migrate    bool // VPIdle steals from siblings
 }
 
-// Enqueue records one runnable. Safe from any goroutine.
-func (q *WorkQueue) Enqueue(r Runnable, st EnqueueState) {
+// WorkStealing returns the work-stealing policy manager for vp. Its three
+// settings are the paper's Structure and Granularity choices for per-VP
+// queues: fifo dispatches oldest-first instead of newest-first; deferYield
+// sends yielded and preempted threads behind all other ready work instead
+// of back onto the evaluating list; migrate lets the VP batch-steal from
+// its siblings when idle. The substrate's default is
+// WorkStealing(vp, false, true, true).
+func WorkStealing(vp *VP, fifo, deferYield, migrate bool) PolicyManager {
+	return &workQueue{owner: vp, fifo: fifo, deferYield: deferYield, migrate: migrate}
+}
+
+func defaultPolicy(vp *VP) PolicyManager { return WorkStealing(vp, false, true, true) }
+
+// EnqueueThread implements PolicyManager. Lock-free; safe from any
+// goroutine.
+func (q *workQueue) EnqueueThread(vp *VP, r Runnable, st EnqueueState) {
 	q.inbox.Push(r, st)
 }
 
 // drain classifies everything pending in the inbox. Owner only.
-func (q *WorkQueue) drain() {
+func (q *workQueue) drain() {
 	q.inbox.Drain(func(r Runnable, st EnqueueState) {
 		switch x := r.(type) {
 		case *Thread:
@@ -109,7 +120,7 @@ func (q *WorkQueue) drain() {
 			}
 			q.deq.PushBottom(x)
 		default:
-			if tcb, ok := r.(*TCB); ok && q.DeferYield &&
+			if tcb, ok := r.(*TCB); ok && q.deferYield &&
 				(st == EnqYield || st == EnqPreempted) {
 				q.deferred.push(tcb)
 			} else {
@@ -120,12 +131,13 @@ func (q *WorkQueue) drain() {
 	})
 }
 
-// Next returns the next runnable to dispatch, or nil. Owner only.
-func (q *WorkQueue) Next() Runnable {
+// GetNextThread implements PolicyManager: the ready list, then the deque,
+// then deferred work. Owner only.
+func (q *workQueue) GetNextThread(vp *VP) Runnable {
 	q.drain()
 	if q.ready.len() > 0 {
 		var r Runnable
-		if q.FIFO {
+		if q.fifo {
 			r = q.ready.popFront()
 		} else {
 			r = q.ready.popBack()
@@ -133,7 +145,7 @@ func (q *WorkQueue) Next() Runnable {
 		q.nLocal.Add(-1)
 		return r
 	}
-	if q.FIFO {
+	if q.fifo {
 		for {
 			t, retry := q.deq.Steal() // owner taking its own top: oldest first
 			if t != nil {
@@ -146,6 +158,7 @@ func (q *WorkQueue) Next() Runnable {
 	} else if t := q.deq.PopBottom(); t != nil {
 		return t
 	}
+	q.deq.Sweep()
 	if q.deferred.len() > 0 {
 		r := q.deferred.popFront()
 		q.nLocal.Add(-1)
@@ -154,15 +167,59 @@ func (q *WorkQueue) Next() Runnable {
 	return nil
 }
 
-// StealableLen reports how many entries a thief could currently take. The
+// SetPriority implements PolicyManager (ignored: the queue has no
+// priorities).
+func (q *workQueue) SetPriority(vp *VP, t *Thread, priority int) {}
+
+// SetQuantum implements PolicyManager (the thread carries its quantum).
+func (q *workQueue) SetQuantum(vp *VP, t *Thread, quantum time.Duration) {}
+
+// AllocateVP implements PolicyManager.
+func (q *workQueue) AllocateVP(vm *VM) *VP {
+	vp, err := vm.AddVP()
+	if err != nil {
+		return nil
+	}
+	return vp
+}
+
+// VPIdle implements PolicyManager: when migrate is set, batch-steal half of
+// the stealable queue of the most loaded sibling VP that runs a
+// work-stealing manager. Each element moves under its own top-CAS, so there
+// is no window for the victim to drain between a counting pass and a
+// stealing pass, and pinned threads and evaluating TCBs are never eligible.
+func (q *workQueue) VPIdle(vp *VP) {
+	if !q.migrate {
+		return
+	}
+	var victim *workQueue
+	var most int
+	for _, sib := range vp.vm.VPs() {
+		if sib == vp {
+			continue
+		}
+		sq, ok := sib.pm.(*workQueue)
+		if !ok {
+			continue
+		}
+		if n := sq.stealableLen(); n > most {
+			most, victim = n, sq
+		}
+	}
+	if victim == nil || q.stealHalfFrom(victim, vp) == 0 {
+		vp.stats.FailedSteals.Add(1)
+	}
+}
+
+// stealableLen reports how many entries a thief could currently take. The
 // inbox counts too: enqueues the busy owner has not drained yet must stay
 // visible to thieves, or a VP hosting a long-running forker hides its whole
 // fan-out. Safe from any goroutine.
-func (q *WorkQueue) StealableLen() int { return q.deq.Len() + q.inbox.Len() }
+func (q *workQueue) stealableLen() int { return q.deq.Len() + q.inbox.Len() }
 
 // Len reports the total queued entries (diagnostics, obs runq depth). Safe
 // from any goroutine.
-func (q *WorkQueue) Len() int {
+func (q *workQueue) Len() int {
 	n := int64(q.deq.Len()+q.inbox.Len()) + q.nLocal.Load()
 	if n < 0 {
 		return 0
@@ -170,25 +227,14 @@ func (q *WorkQueue) Len() int {
 	return int(n)
 }
 
-// Lens splits Len into the owner-local portion (ready + deferred: TCBs and
-// pinned threads) and the thief-visible portion (deque + inbox) for
-// diagnostics that report evaluating/scheduled depths separately. Safe from
-// any goroutine.
-func (q *WorkQueue) Lens() (local, stealable int) {
-	if n := q.nLocal.Load(); n > 0 {
-		local = int(n)
-	}
-	return local, q.deq.Len() + q.inbox.Len()
-}
-
-// StealHalfFrom batch-steals up to half of victim's stealable entries into
+// stealHalfFrom batch-steals up to half of victim's stealable entries into
 // q's deque and returns how many moved. The deque is tried first; if the
 // victim's owner is occupied mid-thunk (a forking master never reaches its
 // drain), the thief scavenges unpinned not-yet-evaluating threads straight
 // out of the victim's inbox, re-pushing everything else. The caller must own
 // q; victim may be under concurrent owner and thief traffic. Steal stats are
 // recorded on vp.
-func (q *WorkQueue) StealHalfFrom(victim *WorkQueue, vp *VP) int {
+func (q *workQueue) stealHalfFrom(victim *workQueue, vp *VP) int {
 	n := victim.deq.StealHalfInto(&q.deq, 0)
 	if n == 0 {
 		if avail := victim.inbox.Len(); avail > 0 {
@@ -204,8 +250,8 @@ func (q *WorkQueue) StealHalfFrom(victim *WorkQueue, vp *VP) int {
 				}
 				return false
 			})
-			if returned > 0 && victim.Owner != nil {
-				victim.Owner.NotifyWork()
+			if returned > 0 {
+				victim.owner.NotifyWork()
 			}
 		}
 	}

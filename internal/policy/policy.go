@@ -3,18 +3,31 @@
 // obtain its scheduling, thread-placement, and migration regime (§3.3 of
 // the paper); the thread controller never changes when the policy does.
 //
-// The managers here cover the paper's classification space:
+// Every manager here is one of two mechanisms with its parameters set:
 //
-//	Locality:      GlobalFIFO shares one queue per factory; the rest keep
-//	               per-VP queues.
-//	Granularity:   LocalLIFO and WorkStealing segregate evaluating threads
-//	               (TCBs) from scheduled threads; GlobalFIFO and RoundRobin
-//	               treat all runnables alike.
-//	Structure:     FIFO, LIFO, priority heap, and earliest-deadline-first.
-//	Serialization: LocalLIFO dispatches evaluating threads from a queue
-//	               only its own VP locks briefly, while its scheduled queue
-//	               is shared with migrating siblings; GlobalFIFO contends
-//	               on one lock by design.
+//   - a per-VP work-stealing queue (core.WorkStealing), built by LocalLIFO,
+//     Unified and the substrate's default. It takes a dispatch order
+//     (LIFO or FIFO), a yield rule (yielded threads go behind all ready
+//     work, or back among the evaluating threads) and a steal switch
+//     (idle VPs batch-steal from siblings, or not);
+//   - one locked queue shared by all the VPs of a factory, ordered by a
+//     key with ties broken by arrival, built by GlobalFIFO (arrival only),
+//     RoundRobin (arrival, plus a default preemption quantum), Priority
+//     (the thread's priority) and Realtime (the thread's deadline).
+//
+// The paper's classification dimensions map onto those parameters:
+//
+//	Locality:      per-VP (work stealing) or shared (one queue).
+//	Granularity:   the work-stealing queue keeps evaluating threads (TCBs)
+//	               apart from scheduled ones and never steals them; the
+//	               yield rule picks whether yielded TCBs rejoin them
+//	               (LocalLIFO) or wait behind all ready work (Unified). The
+//	               shared queue treats all runnables alike.
+//	Structure:     LIFO or FIFO dispatch; or the shared queue's key:
+//	               arrival, priority, earliest deadline first.
+//	Serialization: the work-stealing queue takes no lock (its owner pops,
+//	               thieves CAS); the shared queue contends on one mutex by
+//	               design.
 //
 // The guidance encoded follows the paper: LIFO local queues suit
 // tree-structured result-parallel programs; round-robin preemptive global
@@ -22,66 +35,48 @@
 // deadlines suit soft-realtime threads.
 package policy
 
-import (
-	"time"
+import "repro/internal/core"
 
-	"repro/internal/core"
-)
-
-// Factory builds one policy manager per VP. Implementations that share
-// state across VPs (global queues) return managers closed over the shared
-// structure.
+// Factory builds one policy manager per VP. Shared-queue factories return
+// the same manager to every VP. A Factory can be assigned to
+// core.VMConfig.PolicyFactory as it is.
 type Factory func(vp *core.VP) core.PolicyManager
 
-// noopHints provides the hint methods managers that ignore priorities and
-// quanta embed.
-type noopHints struct{}
+// LocalLIFOConfig tunes the LocalLIFO factory.
+type LocalLIFOConfig struct {
+	// Migrate allows idle VPs to take scheduled threads from siblings.
+	// Evaluating threads (TCBs) are never migrated under this manager —
+	// the granularity constraint that lets the evaluating queue go
+	// effectively unlocked.
+	Migrate bool
+	// FIFO dispatches scheduled threads oldest-first instead of LIFO
+	// (used by the Fig. 4 steal-dynamics experiment, where FIFO order
+	// suppresses stealing in the primes program).
+	FIFO bool
+}
 
-// SetPriority implements core.PolicyManager (priority ignored).
-func (noopHints) SetPriority(*core.VP, *core.Thread, int) {}
-
-// SetQuantum implements core.PolicyManager (the thread object carries it).
-func (noopHints) SetQuantum(*core.VP, *core.Thread, time.Duration) {}
-
-// allocVP implements pm-allocate-vp by growing the VM.
-type allocVP struct{}
-
-// AllocateVP implements core.PolicyManager.
-func (allocVP) AllocateVP(vm *core.VM) *core.VP {
-	vp, err := vm.AddVP()
-	if err != nil {
-		return nil
+// LocalLIFO returns the canonical result-parallel factory: per-VP
+// work-stealing queues, LIFO dispatch (so tree-structured programs unfold
+// depth-first and stealing is effective), optional idle-time batch migration
+// of scheduled threads. Evaluating threads are dispatched first, however
+// they re-entered the queue. This is the regime the paper recommends when
+// many short threads exhibit strong data dependencies.
+func LocalLIFO(cfg LocalLIFOConfig) Factory {
+	return func(vp *core.VP) core.PolicyManager {
+		return core.WorkStealing(vp, cfg.FIFO, false, cfg.Migrate)
 	}
-	return vp
 }
 
-// deque is a tiny runnable deque used by the local managers.
-type deque struct {
-	items []core.Runnable
-}
-
-func (d *deque) pushBack(r core.Runnable)  { d.items = append(d.items, r) }
-func (d *deque) pushFront(r core.Runnable) { d.items = append([]core.Runnable{r}, d.items...) }
-
-func (d *deque) popBack() core.Runnable {
-	n := len(d.items)
-	if n == 0 {
-		return nil
+// Unified returns a factory whose managers keep a single per-VP queue of
+// runnables — the paper's "single queue regardless of state" granularity
+// choice, and the configuration its baseline timings were measured under
+// ("timings were derived using a single LIFO queue"). With lifo set,
+// dispatch takes the newest runnable; without it, dispatch is oldest-first
+// round-robin. Either way yielding and preempted threads go behind all
+// ready work, and idle siblings batch-steal. Unified(true) is the
+// substrate's default manager.
+func Unified(lifo bool) Factory {
+	return func(vp *core.VP) core.PolicyManager {
+		return core.WorkStealing(vp, !lifo, true, true)
 	}
-	r := d.items[n-1]
-	d.items[n-1] = nil
-	d.items = d.items[:n-1]
-	return r
 }
-
-func (d *deque) popFront() core.Runnable {
-	if len(d.items) == 0 {
-		return nil
-	}
-	r := d.items[0]
-	d.items[0] = nil
-	d.items = d.items[1:]
-	return r
-}
-
-func (d *deque) len() int { return len(d.items) }

@@ -178,8 +178,7 @@ func installConcurrency(in *Interp) {
 		if err != nil {
 			return nil, err
 		}
-		vp := ctx.VP()
-		vp.PM().SetPriority(vp, t, int(p))
+		ctx.VP().SetPriority(t, int(p))
 		return Unspecified, nil
 	})
 
