@@ -44,10 +44,11 @@ diag-smoke:
 cluster-smoke:
 	./scripts/cluster_smoke.sh
 
-# Boot a 2-shard cluster with SLO evaluation on (one objective engineered
-# to breach), drive traffic, and assert /debug/slo + the /readyz gate +
-# the stingtop -once -json rollup (cluster p99 from merged buckets,
-# merged count = shard sum).
+# Boot a 2-shard cluster with no SLO flags, drive traffic, and assert that
+# stingtop -slo … -once -json alone breaches a cluster quantile objective
+# and a summed-gauge objective no single node breaches, with both nodes
+# ready, no SLO endpoint on either, a cluster p99 from merged buckets and
+# merged count = shard sum.
 top-smoke:
 	./scripts/top_smoke.sh
 

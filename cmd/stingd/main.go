@@ -13,11 +13,6 @@
 //	stingd -stats-every 10s                 print the counter table periodically
 //	stingd -http :9090                      serve /metrics, /healthz, /readyz,
 //	                                        /debug/trace, /debug/spans, /debug/diag
-//	stingd -slo slo.rules -http :9090       evaluate SLO objectives over the
-//	                                        in-process time-series store every
-//	                                        -sample (default 1s); states at
-//	                                        /debug/slo and as sting_slo_* metrics;
-//	                                        -ready-slo gates /readyz on breaches
 //	stingd -diag-slo 5s                     report waiters parked past 5s as
 //	                                        stalled at /debug/diag; kill -QUIT
 //	                                        dumps the flight recorder to stderr
@@ -49,7 +44,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/diag"
 	"repro/internal/obs"
-	"repro/internal/obs/tsdb"
 	"repro/internal/persist"
 	"repro/internal/remote"
 	"repro/internal/tspace"
@@ -74,9 +68,6 @@ func main() {
 		diagSLO     = flag.Duration("diag-slo", 30*time.Second, "parked age past which a waiter is reported as stalled")
 		diagWatch   = flag.Duration("diag-watchdog", 10*time.Second, "scheduler-watchdog heartbeat interval (0: off)")
 		diagTopK    = flag.Int("diag-topk", 10, "hot keys reported per space at /debug/diag")
-		sloSpec     = flag.String("slo", "", "SLO objectives: a rules file path or inline \"name: expr\" rules (;-separated); evaluated every -sample, served at /debug/slo and as sting_slo_* metrics")
-		sampleEvery = flag.Duration("sample", time.Second, "time-series sampling interval (windowed rates, trailing-window quantiles, SLO evaluation; 0: off; needs -http)")
-		readySLO    = flag.Bool("ready-slo", false, "flip /readyz to 503 while any -slo objective is in breach")
 	)
 	flag.Parse()
 
@@ -100,9 +91,6 @@ func main() {
 		diagSLO:    *diagSLO,
 		diagWatch:  *diagWatch,
 		diagTopK:   *diagTopK,
-		slo:        *sloSpec,
-		sample:     *sampleEvery,
-		readySLO:   *readySLO,
 	}))
 }
 
@@ -119,25 +107,6 @@ type serverOpts struct {
 	diagSample, diagSLO    time.Duration
 	diagWatch              time.Duration
 	diagTopK               int
-	slo                    string
-	sample                 time.Duration
-	readySLO               bool
-}
-
-// loadSLOSpec resolves the -slo flag: an existing file is read as a rules
-// document, anything else parses as inline rules.
-func loadSLOSpec(spec string) ([]*tsdb.Objective, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	if data, err := os.ReadFile(spec); err == nil {
-		return tsdb.ParseObjectives(string(data))
-	} else if strings.ContainsAny(spec, "/\\") || strings.HasSuffix(spec, ".slo") {
-		// Looks like a path but is unreadable: surface the file error
-		// instead of a confusing parse error on the path string.
-		return nil, err
-	}
-	return tsdb.ParseObjectives(spec)
 }
 
 // runDumpStats is the client mode: one STATS round trip, rendered.
@@ -246,24 +215,6 @@ func runServer(opts serverOpts) int {
 			opts.diagSample, opts.diagSLO)
 	}
 
-	objectives, err := loadSLOSpec(opts.slo)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "stingd:", err)
-		return 2
-	}
-	var sloEngine *tsdb.SLOEngine
-	if len(objectives) > 0 {
-		if opts.httpAddr == "" {
-			fmt.Fprintln(os.Stderr, "stingd: -slo needs -http (the SLO engine lives on the observability surface)")
-			return 2
-		}
-		if opts.sample <= 0 {
-			fmt.Fprintln(os.Stderr, "stingd: -slo needs -sample > 0 (objectives are evaluated on the sampling tick)")
-			return 2
-		}
-		sloEngine = tsdb.NewSLOEngine(objectives)
-	}
-
 	var draining atomic.Bool
 	var spans *obs.SpanBuffer
 	if opts.httpAddr != "" || opts.traceOut != "" {
@@ -275,45 +226,27 @@ func runServer(opts serverOpts) int {
 	if opts.httpAddr != "" {
 		trace := core.NewTraceBuffer(obsTraceCap)
 		core.SetTracer(trace.Record)
-		h, sampler := buildObsHandler(vm, reg, srv, obsWiring{
-			trace:       trace,
-			spans:       spans,
-			d:           d,
-			node:        nodeName,
-			pprof:       opts.pprof,
-			draining:    &draining,
-			slo:         sloEngine,
-			sampleEvery: opts.sample,
-			readySLO:    opts.readySLO,
+		h := buildObsHandler(vm, reg, srv, obsWiring{
+			trace:    trace,
+			spans:    spans,
+			d:        d,
+			node:     nodeName,
+			pprof:    opts.pprof,
+			draining: &draining,
 		})
 		obsAddr, err := serveObs(opts.httpAddr, h)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "stingd:", err)
 			return 1
 		}
-		if sampler != nil {
-			sampler.Start()
-			defer sampler.Stop()
-		}
 		endpoints := "/metrics /healthz /readyz /debug/trace /debug/spans"
 		if d != nil {
 			endpoints += " /debug/diag"
-		}
-		if sloEngine != nil {
-			endpoints += " /debug/slo"
 		}
 		if opts.pprof {
 			endpoints += " /debug/pprof/"
 		}
 		fmt.Printf("stingd: observability on http://%s (%s)\n", obsAddr, endpoints)
-		if sloEngine != nil {
-			gate := "advisory"
-			if opts.readySLO {
-				gate = "gating /readyz"
-			}
-			fmt.Printf("stingd: slo engine: %d objectives, evaluated every %v (%s)\n",
-				len(objectives), opts.sample, gate)
-		}
 	}
 
 	if opts.statsEvery > 0 {
@@ -357,10 +290,10 @@ wait:
 		}
 	}
 	fmt.Printf("stingd: %v — draining\n", sig)
-	draining.Store(true) // /healthz flips to 503 before the drain starts
+	draining.Store(true) // /readyz flips to 503 before the drain starts
 	close(watchStop)
 	if d != nil {
-		d.Record("drain", "", "", "healthz flipped to 503; shutting down", 0)
+		d.Record("drain", "", "", "readyz flipped to 503; shutting down", 0)
 	}
 	srv.Shutdown()
 	if opts.snapshot != "" {

@@ -2,18 +2,15 @@ package main
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"strconv"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/diag"
 	"repro/internal/obs"
-	"repro/internal/obs/tsdb"
 	"repro/internal/remote"
 	"repro/internal/scheme"
 	"repro/internal/stm"
@@ -30,9 +27,7 @@ const obsTraceCap = 65536
 const obsSpanCap = 16384
 
 // obsWiring carries buildObsHandler's optional surfaces: span ring and
-// diagnoser may be nil (the feature is off), slo holds the parsed SLO
-// engine (nil: no /debug/slo), sampleEvery > 0 starts the time-series
-// sampler, and readySLO gates /readyz on SLO breaches.
+// diagnoser may be nil (the feature is off).
 type obsWiring struct {
 	trace    *core.TraceBuffer
 	spans    *obs.SpanBuffer
@@ -40,27 +35,20 @@ type obsWiring struct {
 	node     string
 	pprof    bool
 	draining *atomic.Bool
-
-	slo         *tsdb.SLOEngine
-	sampleEvery time.Duration
-	readySLO    bool
 }
 
 // buildObsHandler assembles the daemon's observability surface: one obs
 // registry fed by the VM, the space registry, the fabric server, the
-// trace ring, the span ring, the runtime diagnoser, and the time-series
-// sampler + SLO engine, behind the /metrics, /healthz, /readyz,
-// /debug/trace, /debug/spans, /debug/diag, /debug/slo handler. The
-// returned sampler (nil when sampling is off) must be Started by the
-// caller and Stopped on drain. Factored out of runServer so tests can
-// drive it without sockets.
+// trace ring, the span ring and the runtime diagnoser, behind the
+// /metrics, /healthz, /readyz, /debug/trace, /debug/spans, /debug/diag
+// handler. Factored out of runServer so tests can drive it without
+// sockets. Windows and SLOs over these metrics are stingtop's job.
 //
 // Liveness vs readiness: /healthz answers only "is the process alive and
-// serving HTTP" — it stays 200 through drains and SLO breaches, so an
-// orchestrator never kills a node for being busy. /readyz is the
-// load-bearing signal: 503 while draining, and (when readySLO) while any
-// SLO is in breach, with per-component detail in the body.
-func buildObsHandler(vm *core.VM, reg *tspace.Registry, srv *remote.Server, w obsWiring) (http.Handler, *tsdb.Sampler) {
+// serving HTTP" — it stays 200 through drains, so an orchestrator never
+// kills a node for being busy. /readyz is the load-bearing signal: 503
+// while draining.
+func buildObsHandler(vm *core.VM, reg *tspace.Registry, srv *remote.Server, w obsWiring) http.Handler {
 	r := obs.NewRegistry()
 	r.Register("core", core.VMCollector{VM: vm})
 	r.Register("tspace", tspace.RegistryCollector{Registry: reg})
@@ -88,32 +76,14 @@ func buildObsHandler(vm *core.VM, reg *tspace.Registry, srv *remote.Server, w ob
 		r.Register("diag", w.d.Collector())
 		h.Diag = diag.Handler{D: w.d}
 	}
-	var sampler *tsdb.Sampler
-	if w.sampleEvery > 0 {
-		sampler = tsdb.NewSampler(r, tsdb.NewStore(0), w.sampleEvery)
-		r.Register("tsdb", sampler.Collector())
-		if w.slo != nil {
-			slo := w.slo
-			sampler.OnSample(func(now time.Time, st *tsdb.Store) { slo.Evaluate(now, st) })
-			r.Register("slo", slo.Collector())
-			h.SLO = tsdb.Handler{Engine: slo, Node: w.node}
-		}
-	}
 	h.Ready = func() []obs.ReadyStatus {
-		out := []obs.ReadyStatus{{Component: "drain"}}
+		s := obs.ReadyStatus{Component: "drain"}
 		if w.draining.Load() {
-			out[0].Err = errors.New("draining")
+			s.Err = errors.New("draining")
 		}
-		if w.readySLO && w.slo != nil {
-			s := obs.ReadyStatus{Component: "slo"}
-			if breaching := w.slo.Breaching(); len(breaching) > 0 {
-				s.Err = fmt.Errorf("in breach: %v", breaching)
-			}
-			out = append(out, s)
-		}
-		return out
+		return []obs.ReadyStatus{s}
 	}
-	return h, sampler
+	return h
 }
 
 // writeSpanDump drains the span ring to path in the JSON dump format

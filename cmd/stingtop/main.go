@@ -1,8 +1,9 @@
 // Command stingtop is the cluster dashboard: it polls every node's
-// existing /metrics and /debug/slo endpoints (no new wire protocol),
-// merges histogram buckets across shards into true cluster-wide
-// quantiles, and renders a live terminal table — one row per node plus a
-// rollup row — refreshed in place.
+// existing /metrics endpoint (no new wire protocol) into one time-series
+// store, keeps each node's series and their cluster sum side by side
+// (histograms merged bucket by bucket into true cluster-wide quantiles),
+// evaluates SLO objectives over that store, and renders a live terminal
+// table — one row per node plus a rollup row — refreshed in place.
 //
 // Usage:
 //
@@ -10,9 +11,13 @@
 //	                                        (each node's "http" field names
 //	                                        its observability endpoint)
 //	stingtop -nodes n1=:9091,n2=:9092       poll explicit obs endpoints
-//	stingtop -interval 2s                   refresh period (live mode)
-//	stingtop -once -json                    scrape twice ~1s apart, print one
-//	                                        JSON document, exit — the
+//	stingtop -interval 2s                   refresh period, and the window
+//	                                        rates and quantiles cover
+//	stingtop -slo slo.rules                 evaluate SLO objectives over the
+//	                                        cluster series ({node=…} picks one
+//	                                        node's) after every round
+//	stingtop -once -json                    scrape twice -interval apart, print
+//	                                        one JSON document, exit — the
 //	                                        scripting/CI mode
 //
 // The cluster row's latency quantiles come from bucket-exact histogram
@@ -26,19 +31,21 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs/tsdb"
 )
 
 func main() {
 	var (
 		nodesSpec = flag.String("nodes", "", "cluster: nodes.json path (uses each node's \"http\" field) or \"id=host:port,…\" of observability endpoints")
-		interval  = flag.Duration("interval", 2*time.Second, "refresh period in live mode")
-		window    = flag.Duration("window", time.Second, "gap between the two scrapes in -once mode (the rate window)")
+		interval  = flag.Duration("interval", 2*time.Second, "refresh period, the gap between -once's two scrapes, and the rate window")
 		timeout   = flag.Duration("timeout", 2*time.Second, "per-request scrape timeout")
 		once      = flag.Bool("once", false, "scrape twice, print one report, exit")
-		jsonOut   = flag.Bool("json", false, "print the report as JSON (implies -once unless watching a terminal)")
+		jsonOut   = flag.Bool("json", false, "print the report as JSON (implies -once)")
+		sloSpec   = flag.String("slo", "", "SLO objectives: a rules file path or inline \"name: expr\" rules (;-separated), evaluated after every round")
 	)
 	flag.Parse()
 	if *nodesSpec == "" {
@@ -50,13 +57,35 @@ func main() {
 		fmt.Fprintf(os.Stderr, "stingtop: %v\n", err)
 		os.Exit(2)
 	}
+	objectives, err := loadSLOSpec(*sloSpec)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "stingtop: %v\n", err)
+		os.Exit(2)
+	}
+	t := newTop(pollers, objectives, *interval)
 	if *jsonOut {
 		*once = true
 	}
 	if *once {
-		os.Exit(runOnce(pollers, *window, *jsonOut))
+		os.Exit(runOnce(t, *interval, *jsonOut))
 	}
-	runLive(pollers, *interval)
+	runLive(t, *interval)
+}
+
+// loadSLOSpec resolves the -slo flag: an existing file is read as a rules
+// document, anything else parses as inline rules.
+func loadSLOSpec(spec string) ([]*tsdb.Objective, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	if data, err := os.ReadFile(spec); err == nil {
+		return tsdb.ParseObjectives(string(data))
+	} else if strings.ContainsAny(spec, "/\\") || strings.HasSuffix(spec, ".slo") {
+		// Looks like a path but is unreadable: surface the file error
+		// instead of a confusing parse error on the path string.
+		return nil, err
+	}
+	return tsdb.ParseObjectives(spec)
 }
 
 // buildPollers resolves the -nodes spec into one poller per node. A
@@ -82,29 +111,13 @@ func buildPollers(spec string, timeout time.Duration) ([]*poller, error) {
 	return out, nil
 }
 
-// report is the -once document: every node row plus the cluster rollup.
-type report struct {
-	Nodes   []nodeRow  `json:"nodes"`
-	Cluster clusterRow `json:"cluster"`
-}
-
-// gather advances every poller and builds the current report.
-func gather(pollers []*poller) report {
-	rows := make([]nodeRow, len(pollers))
-	for i, p := range pollers {
-		prev, cur := p.advance()
-		rows[i] = buildRow(p.id, p.endpoint, prev, cur)
-	}
-	return report{Nodes: rows, Cluster: rollup(rows)}
-}
-
-// runOnce scrapes twice `window` apart (so rates have a denominator) and
-// prints one report. Exit status 1 when any node is unreachable — CI
+// runOnce scrapes twice `interval` apart (so rates have a denominator)
+// and prints one report. Exit status 1 when any node is unreachable — CI
 // smoke tests key off it.
-func runOnce(pollers []*poller, window time.Duration, jsonOut bool) int {
-	gather(pollers) // first scrape primes the rate baseline
-	time.Sleep(window)
-	rep := gather(pollers)
+func runOnce(t *top, interval time.Duration, jsonOut bool) int {
+	t.gather() // the first round primes the rate baseline
+	time.Sleep(interval)
+	rep := t.gather()
 	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -124,9 +137,9 @@ func runOnce(pollers []*poller, window time.Duration, jsonOut bool) int {
 }
 
 // runLive redraws the dashboard every interval until interrupted.
-func runLive(pollers []*poller, interval time.Duration) {
+func runLive(t *top, interval time.Duration) {
 	for {
-		rep := gather(pollers)
+		rep := t.gather()
 		fmt.Print("\x1b[H\x1b[2J") // home + clear
 		fmt.Printf("stingtop  %s  (refresh %s, Ctrl-C to quit)\n\n",
 			time.Now().Format("15:04:05"), interval)

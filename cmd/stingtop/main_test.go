@@ -2,7 +2,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,11 +14,11 @@ import (
 )
 
 // fakeNode serves a synthetic observability surface: /metrics rendered by
-// the repo's own writer, a /debug/slo report, and a /readyz verdict.
+// the repo's own writer and a /readyz verdict.
 type fakeNode struct {
 	mu      func() []obs.Metric
-	slo     *tsdb.SLOReport
 	ready   bool
+	down    bool // answer /metrics with a 503
 	scrapes int
 }
 
@@ -26,6 +26,10 @@ func (f *fakeNode) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		f.scrapes++
+		if f.down {
+			http.Error(w, "draining", http.StatusServiceUnavailable)
+			return
+		}
 		var buf bytes.Buffer
 		if err := obs.WritePrometheus(&buf, f.mu()); err != nil {
 			http.Error(w, err.Error(), 500)
@@ -33,11 +37,6 @@ func (f *fakeNode) handler() http.Handler {
 		}
 		w.Write(buf.Bytes()) //nolint:errcheck
 	})
-	if f.slo != nil {
-		mux.HandleFunc("/debug/slo", func(w http.ResponseWriter, r *http.Request) {
-			tsdbServeJSON(w, f.slo)
-		})
-	}
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		if !f.ready {
 			w.WriteHeader(http.StatusServiceUnavailable)
@@ -45,11 +44,6 @@ func (f *fakeNode) handler() http.Handler {
 		w.Write([]byte("x")) //nolint:errcheck
 	})
 	return mux
-}
-
-func tsdbServeJSON(w http.ResponseWriter, rep *tsdb.SLOReport) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(rep)
 }
 
 func TestRollupMergesShards(t *testing.T) {
@@ -74,9 +68,7 @@ func TestRollupMergesShards(t *testing.T) {
 			obs.Counter("sting_remote_ops_total", "o", ops1, obs.L("op", "get")),
 			obs.HistogramSample("sting_remote_op_latency_seconds", "l", h1, obs.L("op", "get")),
 		}
-	}, slo: &tsdb.SLOReport{Node: "n1", State: "breach", SLOs: []tsdb.Status{
-		{Name: "lat", State: "breach"},
-	}}}
+	}}
 	n2 := &fakeNode{ready: false, mu: func() []obs.Metric {
 		ops2 += 10
 		return []obs.Metric{
@@ -84,21 +76,31 @@ func TestRollupMergesShards(t *testing.T) {
 			obs.Counter("sting_remote_ops_total", "o", ops2, obs.L("op", "put")),
 			obs.HistogramSample("sting_remote_op_latency_seconds", "l", h2, obs.L("op", "put")),
 		}
-	}, slo: &tsdb.SLOReport{Node: "n2", State: "ok", SLOs: []tsdb.Status{
-		{Name: "lat", State: "ok"},
-	}}}
+	}}
 
 	s1 := httptest.NewServer(n1.handler())
 	defer s1.Close()
 	s2 := httptest.NewServer(n2.handler())
 	defer s2.Close()
 
-	pollers := []*poller{
+	// vps and ops judge the cluster series: 4+2 VPs breach "< 6" although
+	// neither node does, the case only the summed series can catch. The
+	// {node=…} objectives judge one node each.
+	objectives, err := tsdb.ParseObjectives(`
+vps: sting_vm_vps{vm=srv} value < 6
+ops: sting_remote_ops_total{op=get} rate > 0/s over 10s
+n1-vps: sting_vm_vps{vm=srv,node=n1} value < 6
+n2-put: remote.put{node=n2} p99 < 1ms over 10s
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := newTop([]*poller{
 		newPoller("n1", s1.Listener.Addr().String(), time.Second),
 		newPoller("n2", s2.Listener.Addr().String(), time.Second),
-	}
-	gather(pollers) // prime rate baselines
-	rep := gather(pollers)
+	}, objectives, time.Second)
+	tp.gather() // prime rate baselines
+	rep := tp.gather()
 
 	if len(rep.Nodes) != 2 || !rep.Nodes[0].Up || !rep.Nodes[1].Up {
 		t.Fatalf("nodes = %+v", rep.Nodes)
@@ -142,32 +144,95 @@ func TestRollupMergesShards(t *testing.T) {
 	if c.VPs != 6 {
 		t.Fatalf("cluster vps = %g, want 6", c.VPs)
 	}
+	states := map[string]string{}
+	for _, s := range rep.SLOs {
+		states[s.Name] = s.State
+	}
+	if states["vps"] != "breach" || states["ops"] != "ok" || states["n1-vps"] != "ok" || states["n2-put"] != "breach" {
+		t.Fatalf("slo states = %v, want vps and n2-put in breach, ops and n1-vps ok", states)
+	}
 	if c.SLOState != "breach" {
 		t.Fatalf("cluster slo state = %q, want breach (worst-of)", c.SLOState)
 	}
-	if len(c.Breaching) != 1 || c.Breaching[0] != "n1/lat" {
-		t.Fatalf("breaching = %v, want [n1/lat]", c.Breaching)
+	if len(c.Breaching) != 2 || c.Breaching[0] != "vps" || c.Breaching[1] != "n2-put" {
+		t.Fatalf("breaching = %v, want [vps n2-put]", c.Breaching)
 	}
 	if c.NodesUp != 2 || c.NodesTotal != 2 {
 		t.Fatalf("nodes up = %d/%d", c.NodesUp, c.NodesTotal)
 	}
 }
 
-func TestDownNodeRendersAsDown(t *testing.T) {
-	p := newPoller("gone", "127.0.0.1:1", 200*time.Millisecond)
-	prev, cur := p.advance()
-	row := buildRow("gone", p.endpoint, prev, cur)
-	if row.Up || row.Err == "" {
-		t.Fatalf("row = %+v, want down with error", row)
+func TestRollupSpansDownRound(t *testing.T) {
+	// Both nodes count the same series; n2 starts with a large since-boot
+	// count, misses round 2 and answers again in round 3. The cluster
+	// counter must advance by n2's real increment only, so its rate is the
+	// sum of the node rows' rates and a cluster rate objective holds.
+	var ops1, ops2 float64
+	n1 := &fakeNode{ready: true, mu: func() []obs.Metric {
+		ops1 += 50
+		return []obs.Metric{obs.Counter("sting_remote_ops_total", "o", ops1, obs.L("op", "put"))}
+	}}
+	n2 := &fakeNode{ready: true, mu: func() []obs.Metric {
+		ops2 += 10
+		return []obs.Metric{obs.Counter("sting_remote_ops_total", "o", 1e12+ops2, obs.L("op", "put"))}
+	}}
+	s1 := httptest.NewServer(n1.handler())
+	defer s1.Close()
+	s2 := httptest.NewServer(n2.handler())
+	defer s2.Close()
+	objectives, err := tsdb.ParseObjectives("ops: sting_remote_ops_total{op=put} rate < 1e10/s over 1m")
+	if err != nil {
+		t.Fatal(err)
 	}
-	c := rollup([]nodeRow{row})
-	if c.NodesUp != 0 || c.NodesTotal != 1 {
-		t.Fatalf("rollup of down node = %+v", c)
+	tp := newTop([]*poller{
+		newPoller("n1", s1.Listener.Addr().String(), time.Second),
+		newPoller("n2", s2.Listener.Addr().String(), time.Second),
+	}, objectives, time.Minute)
+	tp.gather()
+	n2.down = true
+	if rep := tp.gather(); rep.Nodes[1].Up || rep.Cluster.NodesUp != 1 {
+		t.Fatalf("round 2 nodes = %+v, want n2 down", rep.Nodes)
+	}
+	n2.down = false
+	rep := tp.gather()
+	r1, r2, c := rep.Nodes[0], rep.Nodes[1], rep.Cluster
+	if !r2.Up || r1.OpsRate <= 0 || r2.OpsRate <= 0 {
+		t.Fatalf("round 3 rows = %+v, want both up with moving counters", rep.Nodes)
+	}
+	if want := r1.OpsRate + r2.OpsRate; math.Abs(c.OpsRate-want) > 1e-9*want {
+		t.Fatalf("cluster ops rate = %g, want %g + %g", c.OpsRate, r1.OpsRate, r2.OpsRate)
+	}
+	if len(rep.SLOs) != 1 || rep.SLOs[0].State != "ok" {
+		t.Fatalf("slos = %+v, want the cluster rate objective ok", rep.SLOs)
+	}
+}
+
+func TestDownNodeRendersAsDown(t *testing.T) {
+	// One node refuses connections; the other answers /metrics with a
+	// non-200 whose body is not an exposition.
+	draining := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "draining now", http.StatusServiceUnavailable)
+	}))
+	defer draining.Close()
+	tp := newTop([]*poller{
+		newPoller("gone", "127.0.0.1:1", 200*time.Millisecond),
+		newPoller("draining", draining.Listener.Addr().String(), time.Second),
+	}, nil, time.Second)
+	rep := tp.gather()
+	gone, drn := rep.Nodes[0], rep.Nodes[1]
+	if gone.Up || gone.Err == "" {
+		t.Fatalf("row = %+v, want down with error", gone)
+	}
+	if drn.Up || !strings.Contains(drn.Err, "503") {
+		t.Fatalf("row = %+v, want down with the 503 status in Err", drn)
+	}
+	if c := rep.Cluster; c.NodesUp != 0 || c.NodesTotal != 2 {
+		t.Fatalf("rollup of down nodes = %+v", c)
 	}
 	var buf bytes.Buffer
-	renderTable(&buf, report{Nodes: []nodeRow{row}, Cluster: c})
-	if !strings.Contains(buf.String(), "DOWN") {
-		t.Fatalf("table missing DOWN row:\n%s", buf.String())
+	renderTable(&buf, rep)
+	if strings.Count(buf.String(), "DOWN") != 2 {
+		t.Fatalf("table missing DOWN rows:\n%s", buf.String())
 	}
 }
 

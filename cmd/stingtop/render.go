@@ -44,10 +44,10 @@ func nodeLine(r nodeRow) string {
 	if r.Engine != "" {
 		ver += "/" + r.Engine
 	}
-	return fmt.Sprintf("%s\t%s\t%s\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f/%.0f\t%s\t%s\t%s",
+	return fmt.Sprintf("%s\t%s\t%s\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f/%.0f\t%s\t%s\t",
 		r.ID, state, ver, r.VPs, r.RunqDepth, r.StealRate, r.TupleDepth, r.Waiters,
 		r.OpsRate, r.StmCommitRate, r.StmAbortRate,
-		fmtDur(r.RemoteP50), fmtDur(r.RemoteP99), orDash(r.SLOState))
+		fmtDur(r.RemoteP50), fmtDur(r.RemoteP99))
 }
 
 // fmtDur renders a latency in seconds at human scale (µs/ms/s).

@@ -30,10 +30,10 @@ type Node struct {
 	ID   string `json:"id"`
 	Addr string `json:"addr"`
 	// HTTP is the node's observability endpoint (the stingd -http
-	// address): where /metrics, /readyz, and /debug/slo live. Optional —
-	// the fabric never needs it — but stingtop discovers the cluster's
-	// dashboards through it, so the same nodes.json the cluster routes
-	// over is the dashboard's only configuration.
+	// address): where /metrics and /readyz live. Optional — the fabric
+	// never needs it — but stingtop discovers the cluster's dashboards
+	// through it, so the same nodes.json the cluster routes over is the
+	// dashboard's only configuration.
 	HTTP string `json:"http,omitempty"`
 	// Weight is the node's relative capacity under rendezvous hashing;
 	// zero or negative means 1. A weight-2 node owns roughly twice the

@@ -16,7 +16,6 @@ import (
 //	               503 otherwise, with per-component detail in the body
 //	/debug/trace   Chrome trace_event JSON of TraceEvents (open in Perfetto)
 //	/debug/spans   finished spans: JSON dump (default) or ?format=chrome
-//	/debug/slo     the SLO engine's evaluated objectives (see obs/tsdb)
 //	/debug/pprof/  the runtime profiler, when EnablePprof is set
 //
 // /debug/trace and /debug/spans honour ?limit=N (the most recent N
@@ -25,14 +24,14 @@ import (
 // silent default. Zero-value fields degrade gracefully: a nil Registry
 // serves an empty exposition, a nil Healthy always reports healthy, a nil
 // TraceEvents or Spans makes its endpoint a 404, a nil Diag makes
-// /debug/diag a 404, a nil SLO makes /debug/slo a 404, and a nil Ready
-// makes /readyz mirror /healthz (liveness is the only signal available).
+// /debug/diag a 404, and a nil Ready makes /readyz mirror /healthz
+// (liveness is the only signal available).
 type Handler struct {
 	Registry *Registry
 	// Healthy reports liveness — is the process alive and serving at all.
 	// Return an error to flip /healthz to 503. Deliberately narrow:
-	// draining and SLO state belong to readiness, not liveness, so an
-	// orchestrator never restarts a process for being busy.
+	// draining belongs to readiness, not liveness, so an orchestrator
+	// never restarts a process for being busy.
 	Healthy func() error
 	// Ready reports per-component readiness for /readyz: any non-nil
 	// Err flips the endpoint to 503, and every component's state is
@@ -48,9 +47,6 @@ type Handler struct {
 	// /debug/diag (see internal/diag). Opaque here to keep obs
 	// dependency-free.
 	Diag http.Handler
-	// SLO, when set, serves the SLO engine's evaluated objectives under
-	// /debug/slo (see internal/obs/tsdb). Opaque for the same reason.
-	SLO http.Handler
 	// EnablePprof exposes net/http/pprof under /debug/pprof/. Off by
 	// default: the profiler is a diagnostic surface, not a metric one.
 	EnablePprof bool
@@ -65,12 +61,6 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		h.serveHealth(w)
 	case r.URL.Path == "/readyz":
 		h.serveReady(w)
-	case r.URL.Path == "/debug/slo":
-		if h.SLO == nil {
-			http.Error(w, "slo engine not enabled", http.StatusNotFound)
-			return
-		}
-		h.SLO.ServeHTTP(w, r)
 	case r.URL.Path == "/debug/trace":
 		h.serveTrace(w, r)
 	case r.URL.Path == "/debug/spans":
@@ -92,9 +82,6 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, "sting observability\n/metrics\n/healthz\n/readyz\n/debug/trace\n/debug/spans\n")
 		if h.Diag != nil {
 			fmt.Fprint(w, "/debug/diag\n")
-		}
-		if h.SLO != nil {
-			fmt.Fprint(w, "/debug/slo\n")
 		}
 		if h.EnablePprof {
 			fmt.Fprint(w, "/debug/pprof/\n")
@@ -124,8 +111,8 @@ func (h *Handler) serveHealth(w http.ResponseWriter) {
 	fmt.Fprint(w, "ok\n")
 }
 
-// ReadyStatus is one readiness component's report: a name ("drain",
-// "slo", …) and its current error, nil when the component is ready.
+// ReadyStatus is one readiness component's report: a name ("drain", …)
+// and its current error, nil when the component is ready.
 type ReadyStatus struct {
 	Component string
 	Err       error

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"strings"
@@ -37,6 +38,38 @@ func TestRegistryGatherSortedAndReplaceable(t *testing.T) {
 	r.Unregister("a")
 	if n := len(r.Gather()); n != 0 {
 		t.Fatalf("after unregister: %d metrics, want 0", n)
+	}
+}
+
+// TestRegistryGatherUnderMutation gathers while another goroutine
+// registers and unregisters sources, as /metrics does while an embedder
+// changes the process-wide registry; run it under -race.
+func TestRegistryGatherUnderMutation(t *testing.T) {
+	r := NewRegistry()
+	r.Register("base", CollectorFunc(func() []Metric {
+		return []Metric{Gauge("g", "", 1)}
+	}))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			name := fmt.Sprintf("dyn%d", i%4)
+			r.Register(name, CollectorFunc(func() []Metric {
+				return []Metric{Counter("dyn_total", "", float64(i))}
+			}))
+			r.Unregister(name)
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			if n := len(r.Gather()); n != 1 {
+				t.Fatalf("after the churn: %d metrics, want 1", n)
+			}
+			return
+		default:
+			r.Gather()
+		}
 	}
 }
 

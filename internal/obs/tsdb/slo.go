@@ -27,6 +27,11 @@ import (
 // `client.<op>`, and `stm.commit` are aliases for the corresponding
 // latency histogram families. Lines starting with # and blank lines are
 // skipped; objectives may also be ;-separated on one line.
+//
+// Labels match exactly, and the node label picks the scope: stingtop
+// stores each node's series with node=<id> and one cluster series (the
+// nodes' sum or merged histogram) without it, so `remote.put p99` judges
+// the whole cluster and `remote.put{node=n1} p99` one node.
 
 // SLOState is an objective's evaluated condition.
 type SLOState int
@@ -55,7 +60,7 @@ func (s SLOState) String() string {
 }
 
 // ParseSLOState is the inverse of SLOState.String; unknown strings parse
-// as nodata so a newer node's state never panics an older stingtop.
+// as nodata.
 func ParseSLOState(s string) SLOState {
 	switch s {
 	case "ok":
@@ -69,13 +74,26 @@ func ParseSLOState(s string) SLOState {
 	}
 }
 
+// WorstState folds statuses into the rollup state: the maximum severity,
+// with nodata only surfacing when nothing has data at all.
+func WorstState(statuses []Status) SLOState {
+	worst := StateNoData
+	for _, s := range statuses {
+		if st := ParseSLOState(s.State); st > worst {
+			worst = st
+		}
+	}
+	return worst
+}
+
 // WarnRatio is how close to the threshold a value must get (as a fraction
 // of the threshold, in the breaching direction) before the state turns
 // warn: 0.8 means warn at 80% of the way there.
 const WarnRatio = 0.8
 
 // budgetRing caps how many evaluation outcomes feed the error-budget
-// accounting: at a 1s sample interval this is ~8.5 minutes of history.
+// accounting: at stingtop's default 2s refresh this is ~17 minutes of
+// history.
 const budgetRing = 512
 
 // selector names one series: a metric family plus exact labels.
@@ -89,7 +107,7 @@ func (s selector) String() string { return seriesKey(s.Name, s.Labels) }
 // Objective is one parsed SLO rule.
 type Objective struct {
 	Name      string
-	Expr      string // the raw rule text, echoed in /debug/slo
+	Expr      string // the raw rule text, echoed in stingtop's report
 	Metric    selector
 	Agg       string // p50 p90 p95 p99 max mean rate value
 	Op        string // < <= > >=
@@ -101,7 +119,7 @@ type Objective struct {
 	Budget float64
 }
 
-// Status is one objective's evaluated state, the /debug/slo row.
+// Status is one objective's evaluated state, one row of stingtop's report.
 type Status struct {
 	Name          string    `json:"name"`
 	Expr          string    `json:"expr"`
@@ -299,12 +317,10 @@ type sloTrack struct {
 	ring     [budgetRing]bool // true = breached
 	ringN    int
 	ringHead int
-	last     Status
 }
 
-// SLOEngine evaluates objectives against a Store — hook it to a Sampler
-// via OnSample so every sample tick re-evaluates. All methods are safe
-// for concurrent use.
+// SLOEngine evaluates objectives against a Store; stingtop re-evaluates
+// after every scrape round. All methods are safe for concurrent use.
 type SLOEngine struct {
 	mu     sync.Mutex
 	tracks []*sloTrack
@@ -314,12 +330,7 @@ type SLOEngine struct {
 func NewSLOEngine(objectives []*Objective) *SLOEngine {
 	e := &SLOEngine{}
 	for _, o := range objectives {
-		t := &sloTrack{obj: o}
-		t.last = Status{
-			Name: o.Name, Expr: o.Expr, State: StateNoData.String(),
-			Threshold: o.Threshold, WindowSeconds: o.Window.Seconds(), BudgetTarget: o.Budget,
-		}
-		e.tracks = append(e.tracks, t)
+		e.tracks = append(e.tracks, &sloTrack{obj: o})
 	}
 	return e
 }
@@ -347,8 +358,7 @@ func measure(o *Objective, st *Store) (float64, bool) {
 		}
 		return num / den, true
 	case "value":
-		last, _, _, _, ok := st.GaugeStats(o.Metric.Name, o.Metric.Labels, o.Window)
-		return last, ok
+		return st.GaugeStats(o.Metric.Name, o.Metric.Labels)
 	default: // histogram aggregations
 		snap, ok := st.WindowHistogram(o.Metric.Name, o.Metric.Labels, o.Window)
 		if !ok || snap.Count == 0 {
@@ -443,66 +453,12 @@ func (e *SLOEngine) Evaluate(now time.Time, st *Store) []Status {
 			}
 			burn = frac / allowed
 		}
-		t.last = Status{
+		out = append(out, Status{
 			Name: o.Name, Expr: o.Expr, State: state.String(), Value: v,
 			Threshold: o.Threshold, WindowSeconds: o.Window.Seconds(),
 			EvalsTotal: t.evals, BreachesTotal: t.breaches,
 			BudgetTarget: o.Budget, BudgetBurn: burn, LastEval: now,
-		}
-		out = append(out, t.last)
+		})
 	}
 	return out
-}
-
-// Statuses returns the most recent evaluation without re-measuring.
-func (e *SLOEngine) Statuses() []Status {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]Status, 0, len(e.tracks))
-	for _, t := range e.tracks {
-		out = append(out, t.last)
-	}
-	return out
-}
-
-// Breaching returns the names of objectives currently in breach — the
-// readiness gate's input.
-func (e *SLOEngine) Breaching() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var out []string
-	for _, t := range e.tracks {
-		if t.last.State == StateBreach.String() {
-			out = append(out, t.obj.Name)
-		}
-	}
-	return out
-}
-
-// Collector exposes the evaluated states as metrics, so SLO breaches are
-// themselves scrapeable (and mergeable by stingtop):
-//
-//	sting_slo_state{slo}             -1 nodata, 0 ok, 1 warn, 2 breach
-//	sting_slo_value{slo}             the measured value
-//	sting_slo_threshold{slo}         the objective's threshold
-//	sting_slo_evals_total{slo}       evaluations with data
-//	sting_slo_breaches_total{slo}    evaluations that breached
-//	sting_slo_error_budget_burn{slo} breach fraction ÷ allowed fraction
-func (e *SLOEngine) Collector() obs.Collector {
-	return obs.CollectorFunc(func() []obs.Metric {
-		statuses := e.Statuses()
-		out := make([]obs.Metric, 0, len(statuses)*6)
-		for _, s := range statuses {
-			l := obs.L("slo", s.Name)
-			out = append(out,
-				obs.Gauge("sting_slo_state", "SLO state: -1 nodata, 0 ok, 1 warn, 2 breach.", float64(ParseSLOState(s.State)), l),
-				obs.Gauge("sting_slo_value", "Current measured SLO value.", s.Value, l),
-				obs.Gauge("sting_slo_threshold", "SLO threshold.", s.Threshold, l),
-				obs.Counter("sting_slo_evals_total", "SLO evaluations with data.", float64(s.EvalsTotal), l),
-				obs.Counter("sting_slo_breaches_total", "SLO evaluations in breach.", float64(s.BreachesTotal), l),
-				obs.Gauge("sting_slo_error_budget_burn", "Error-budget burn: breach fraction over allowed fraction.", s.BudgetBurn, l),
-			)
-		}
-		return out
-	})
 }

@@ -150,30 +150,6 @@ func TestSLOEngineEvaluateAndBudget(t *testing.T) {
 	if sts[0].BudgetBurn != 2 {
 		t.Fatalf("budget burn = %g, want 2", sts[0].BudgetBurn)
 	}
-	if got := e.Breaching(); len(got) != 1 || got[0] != "lat" {
-		t.Fatalf("Breaching = %v, want [lat]", got)
-	}
-
-	// Statuses without re-measuring returns the same rows.
-	again := e.Statuses()
-	if again[0].State != "breach" || again[0].EvalsTotal != 1 {
-		t.Fatalf("Statuses = %+v", again[0])
-	}
-
-	// Collector exposes state -1..2 per objective with the slo label.
-	mets := e.Collector().Collect()
-	found := false
-	for _, m := range mets {
-		if m.Name == "sting_slo_state" && len(m.Labels) == 1 && m.Labels[0] == obs.L("slo", "lat") {
-			found = true
-			if m.Value != 2 {
-				t.Fatalf("sting_slo_state{slo=lat} = %g, want 2", m.Value)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("sting_slo_state{slo=lat} not exposed")
-	}
 }
 
 func TestSLORateRatio(t *testing.T) {

@@ -1,28 +1,28 @@
-// Package tsdb is the substrate's in-process time-series layer: a
-// dependency-free store that retains a trailing window of every metric a
-// registry exposes, so questions that a point-in-time /metrics scrape
-// cannot answer — "what was the p99 over the last minute", "what is the
-// abort *rate*, not the abort count since boot" — become answerable
-// without an external Prometheus.
+// Package tsdb is the substrate's time-series layer: a dependency-free
+// store that retains a trailing window of scraped metrics, so questions
+// that a point-in-time /metrics scrape cannot answer — "what was the p99
+// over the last minute", "what is the abort *rate*, not the abort count
+// since boot" — become answerable without an external Prometheus.
 //
-// A Sampler polls an obs.Registry on a fixed interval and appends each
-// sample into per-series fixed-size ring buffers: counters keep their raw
-// cumulative values (windowed rates are computed reset-safely from
-// consecutive deltas), gauges keep raw values (last/min/max/avg over any
-// trailing window), and histograms retain whole bucket snapshots, so a
-// quantile is computable over any trailing window by subtracting the
-// snapshot at the window's start from the one at its end.
+// The store lives in stingtop, not in the server: every scrape goes
+// through ParsePrometheus and Ingest into per-series fixed-size ring
+// buffers. Counters keep their raw cumulative values (windowed rates are
+// computed reset-safely from consecutive deltas), gauges keep raw values,
+// and histograms retain whole bucket snapshots, so a quantile is
+// computable over any trailing window by subtracting the snapshot at the
+// window's start from the one at its end.
 //
-// The same bucket arithmetic powers the cross-node rollup: MergeHistograms
-// adds shard histograms bucket-by-bucket, which is exact for identically
-// bounded histograms (every histogram in this repository uses
-// obs.LatencyBuckets), so `stingtop` computes true cluster-wide quantiles
-// instead of averaging per-shard ones.
+// The same bucket arithmetic powers the cross-node rollup: Increase takes
+// each node's growth since its last scrape, SumSeries adds the nodes'
+// scalars, and MergeHistograms their histograms bucket-by-bucket,
+// which is exact for identically bounded histograms (every histogram in
+// this repository uses obs.LatencyBuckets), so a cluster quantile is the
+// true quantile of the union of observations, not an average of per-shard
+// ones.
 //
 // On top sits the SLO engine (slo.go): declarative objectives evaluated
-// against the store every sample into ok/warn/breach states with
-// error-budget burn accounting, exposed at /debug/slo and as sting_slo_*
-// metrics so breaches are themselves scrapeable.
+// against the store after every scrape round into ok/warn/breach states
+// with error-budget burn accounting.
 package tsdb
 
 import (
@@ -33,8 +33,8 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultCapacity is the per-series ring size: at the default 1s sample
-// interval it retains 10 minutes of history, comfortably covering the
+// DefaultCapacity is the per-series ring size: at stingtop's default 2s
+// refresh it retains 20 minutes of history, comfortably covering the
 // longest SLO windows anyone writes while bounding memory per series.
 const DefaultCapacity = 600
 
@@ -97,8 +97,7 @@ func (s *Series) histAt(i int) HistPoint { return s.hist[(s.head+i)%len(s.hist)]
 func (s *Series) Len() int { return s.n }
 
 // Store holds every series' ring. All methods are safe for concurrent
-// use; Ingest is called by the Sampler, queries by the SLO engine and the
-// HTTP surface.
+// use.
 type Store struct {
 	mu     sync.RWMutex
 	cap    int
@@ -241,41 +240,16 @@ func (st *Store) Rate(name string, labels []obs.Label, window time.Duration) (ra
 	return sum / elapsed, true
 }
 
-// GaugeStats summarizes a gauge (or counter value) series over the
-// trailing window: last, min, max, and mean of the in-window samples.
-func (st *Store) GaugeStats(name string, labels []obs.Label, window time.Duration) (last, min, max, mean float64, ok bool) {
+// GaugeStats returns the newest sample of a gauge (or counter value)
+// series.
+func (st *Store) GaugeStats(name string, labels []obs.Label) (float64, bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	s := st.lookup(name, labels)
 	if s == nil || s.n == 0 || s.pts == nil {
-		return 0, 0, 0, 0, false
+		return 0, false
 	}
-	newest := s.at(s.n - 1)
-	cutoff := newest.T.Add(-window)
-	var sum float64
-	count := 0
-	for i := s.n - 1; i >= 0; i-- {
-		p := s.at(i)
-		if p.T.Before(cutoff) {
-			break
-		}
-		if count == 0 {
-			min, max = p.V, p.V
-		} else {
-			if p.V < min {
-				min = p.V
-			}
-			if p.V > max {
-				max = p.V
-			}
-		}
-		sum += p.V
-		count++
-	}
-	if count == 0 {
-		return 0, 0, 0, 0, false
-	}
-	return newest.V, min, max, sum / float64(count), true
+	return s.at(s.n - 1).V, true
 }
 
 // WindowHistogram returns the histogram of observations that landed
@@ -360,6 +334,60 @@ func boundsEqual(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// Increase returns the counters and histograms of cur, one node's scrape,
+// as their increase since prev, the same node's previous scrape: a counter
+// keeps its positive delta and a histogram its SubtractHistogram, so a
+// reset costs the one increment that spanned it, as in Store.Rate. A
+// series absent from prev increases by its whole value; gauges are
+// dropped. Summing the nodes' increases each round keeps a cluster counter
+// continuous while nodes come and go.
+func Increase(cur, prev []obs.Metric) []obs.Metric {
+	old := make(map[string]obs.Metric, len(prev))
+	for _, m := range prev {
+		old[seriesKey(m.Name, m.Labels)] = m
+	}
+	var out []obs.Metric
+	for _, m := range cur {
+		o := old[seriesKey(m.Name, m.Labels)]
+		switch m.Kind {
+		case obs.KindCounter:
+			m.Value = max(m.Value-o.Value, 0)
+		case obs.KindHistogram:
+			m.Hist = SubtractHistogram(m.Hist, o.Hist)
+		default:
+			continue
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+// SumSeries folds several gathered snapshots (one per node) into one
+// series per (family, labels): scalars are summed and histograms merged
+// with MergeHistograms. It is how stingtop sums the nodes' gauges and
+// increases into its cluster series; labels must come in the same order
+// from every node, which they do from identical collectors.
+func SumSeries(snaps ...[]obs.Metric) []obs.Metric {
+	idx := make(map[string]int)
+	var out []obs.Metric
+	for _, ms := range snaps {
+		for _, m := range ms {
+			k := seriesKey(m.Name, m.Labels)
+			i, ok := idx[k]
+			switch {
+			case !ok:
+				idx[k] = len(out)
+				out = append(out, m)
+			case m.Kind == obs.KindHistogram:
+				out[i].Hist = MergeHistograms(out[i].Hist, m.Hist)
+			default:
+				out[i].Value += m.Value
+			}
+		}
+	}
+	return out
 }
 
 // MergeHistograms adds snapshots bucket-by-bucket into one cluster-wide

@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -77,17 +76,14 @@ func TestRateWindowedAndResetSafe(t *testing.T) {
 func TestGaugeStats(t *testing.T) {
 	st := NewStore(16)
 	base := t0()
+	if _, ok := st.GaugeStats("g", nil); ok {
+		t.Fatal("GaugeStats of an unknown series should not be ok")
+	}
 	for i, v := range []float64{5, 1, 9, 3} {
 		st.Ingest(base.Add(time.Duration(i)*time.Second), []obs.Metric{obs.Gauge("g", "", v)})
 	}
-	last, min, max, mean, ok := st.GaugeStats("g", nil, time.Hour)
-	if !ok || last != 3 || min != 1 || max != 9 || mean != 4.5 {
-		t.Fatalf("GaugeStats = %g %g %g %g %v; want 3 1 9 4.5 true", last, min, max, mean, ok)
-	}
-	// 1s window: only the newest two samples (9, 3).
-	_, min, max, _, ok = st.GaugeStats("g", nil, time.Second)
-	if !ok || min != 3 || max != 9 {
-		t.Fatalf("windowed GaugeStats min/max = %g/%g, want 3/9", min, max)
+	if last, ok := st.GaugeStats("g", nil); !ok || last != 3 {
+		t.Fatalf("GaugeStats = %g, %v; want the newest sample 3, true", last, ok)
 	}
 }
 
@@ -208,16 +204,75 @@ func TestMergeHistogramsUnionBounds(t *testing.T) {
 	}
 }
 
+func TestSumSeries(t *testing.T) {
+	h1 := obs.NewHistogram(obs.LatencyBuckets...)
+	h1.Observe(0.001)
+	h2 := obs.NewHistogram(obs.LatencyBuckets...)
+	h2.Observe(0.5)
+	h2.Observe(0.5)
+	n1 := []obs.Metric{
+		obs.Counter("ops_total", "", 3, obs.L("op", "put")),
+		obs.HistogramSample("h_seconds", "", h1, obs.L("op", "put")),
+	}
+	n2 := []obs.Metric{
+		obs.Counter("ops_total", "", 4, obs.L("op", "put")),
+		obs.Counter("ops_total", "", 1, obs.L("op", "get")),
+		obs.HistogramSample("h_seconds", "", h2, obs.L("op", "put")),
+	}
+	sum := SumSeries(n1, n2)
+	if len(sum) != 3 {
+		t.Fatalf("SumSeries = %d series, want 3 (one per family and label set)", len(sum))
+	}
+	if sum[0].Value != 7 || sum[2].Value != 1 {
+		t.Fatalf("summed counters = %g, %g; want 7, 1", sum[0].Value, sum[2].Value)
+	}
+	if sum[1].Hist.Count != 3 || sum[1].Hist.Quantile(0.99) < 0.1 {
+		t.Fatalf("merged histogram = count %d p99 %g, want 3 with the slow tail", sum[1].Hist.Count, sum[1].Hist.Quantile(0.99))
+	}
+}
+
+func TestIncrease(t *testing.T) {
+	h := obs.NewHistogram(obs.LatencyBuckets...)
+	h.Observe(0.001)
+	prev := []obs.Metric{
+		obs.Counter("ops_total", "", 10, obs.L("op", "put")),
+		obs.Counter("ops_total", "", 9, obs.L("op", "get")),
+		obs.HistogramSample("h_seconds", "", h),
+	}
+	h.Observe(0.5)
+	h.Observe(0.5)
+	cur := []obs.Metric{
+		obs.Counter("ops_total", "", 15, obs.L("op", "put")),
+		obs.Counter("ops_total", "", 4, obs.L("op", "get")), // reset
+		obs.Counter("new_total", "", 3),
+		obs.Gauge("depth", "", 7),
+		obs.HistogramSample("h_seconds", "", h),
+	}
+	inc := Increase(cur, prev)
+	if len(inc) != 4 {
+		t.Fatalf("Increase = %d series, want 4 (the gauge dropped)", len(inc))
+	}
+	if inc[0].Value != 5 || inc[1].Value != 0 || inc[2].Value != 3 {
+		t.Fatalf("increases = %g, %g, %g; want 5, 0 (reset), 3 (new series)", inc[0].Value, inc[1].Value, inc[2].Value)
+	}
+	if inc[3].Hist.Count != 2 || inc[3].Hist.Quantile(0.5) < 0.1 {
+		t.Fatalf("histogram increase = count %d, want the 2 new slow observations", inc[3].Hist.Count)
+	}
+	if all := Increase(cur, nil); all[0].Value != 15 || all[3].Hist.Count != 3 {
+		t.Fatalf("Increase with no previous scrape = %g / %d, want the whole values", all[0].Value, all[3].Hist.Count)
+	}
+}
+
 func TestStoreLabelOrderInsensitive(t *testing.T) {
 	st := NewStore(8)
 	base := t0()
 	m := obs.Gauge("g", "", 7, obs.L("a", "1"), obs.L("b", "2"))
 	st.Ingest(base, []obs.Metric{m})
-	last, _, _, _, ok := st.GaugeStats("g", []obs.Label{obs.L("b", "2"), obs.L("a", "1")}, time.Hour)
+	last, ok := st.GaugeStats("g", []obs.Label{obs.L("b", "2"), obs.L("a", "1")})
 	if !ok || last != 7 {
 		t.Fatalf("reordered-label lookup = %g, %v; want 7, true", last, ok)
 	}
-	if _, _, _, _, ok := st.GaugeStats("g", []obs.Label{obs.L("a", "1")}, time.Hour); ok {
+	if _, ok := st.GaugeStats("g", []obs.Label{obs.L("a", "1")}); ok {
 		t.Fatal("subset labels must not match")
 	}
 }
@@ -264,67 +319,4 @@ func TestHistogramRingWraparound(t *testing.T) {
 	if !ok || snap.Count != 6 {
 		t.Fatalf("over-retention window Count = %d, %v; want 6 (full snapshot), true", snap.Count, ok)
 	}
-}
-
-func TestSamplerCollectsAndCounts(t *testing.T) {
-	reg := obs.NewRegistry()
-	var v float64
-	reg.Register("t", obs.CollectorFunc(func() []obs.Metric {
-		v++
-		return []obs.Metric{obs.Counter("ticks_total", "", v)}
-	}))
-	s := NewSampler(reg, NewStore(8), time.Second)
-	base := t0()
-	for i := 0; i < 3; i++ {
-		s.SampleOnce(base.Add(time.Duration(i) * time.Second))
-	}
-	if s.Samples() != 3 {
-		t.Fatalf("Samples = %d, want 3", s.Samples())
-	}
-	rate, ok := s.Store.Rate("ticks_total", nil, time.Hour)
-	if !ok || rate != 1 {
-		t.Fatalf("sampled rate = %g, %v; want 1, true", rate, ok)
-	}
-	var fromHook uint64
-	s.OnSample(func(now time.Time, st *Store) { fromHook++ })
-	s.SampleOnce(base.Add(3 * time.Second))
-	if fromHook != 1 {
-		t.Fatalf("hook ran %d times, want 1", fromHook)
-	}
-	mets := s.Collector().Collect()
-	if len(mets) != 3 {
-		t.Fatalf("sampler collector emitted %d metrics, want 3", len(mets))
-	}
-}
-
-// TestSamplerRaceUnderRegistryMutation exercises the sampler loop while
-// collectors are registered and unregistered concurrently — the shape of
-// a node enabling spans/diag surfaces at runtime. Run with -race.
-func TestSamplerRaceUnderRegistryMutation(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Register("base", obs.CollectorFunc(func() []obs.Metric {
-		return []obs.Metric{obs.Gauge("g", "", 1)}
-	}))
-	s := NewSampler(reg, NewStore(32), time.Millisecond)
-	s.Start()
-	s.Start() // double-start is a no-op
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 200; i++ {
-			name := fmt.Sprintf("dyn%d", i%4)
-			reg.Register(name, obs.CollectorFunc(func() []obs.Metric {
-				return []obs.Metric{obs.Counter("dyn_total", "", float64(i))}
-			}))
-			reg.Unregister(name)
-		}
-	}()
-	// Queries race the sampling loop too.
-	for i := 0; i < 50; i++ {
-		s.Store.GaugeStats("g", nil, time.Minute)
-		s.Store.SeriesNames()
-	}
-	<-done
-	s.Stop()
-	s.Stop() // double-stop is a no-op
 }

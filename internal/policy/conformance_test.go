@@ -154,7 +154,9 @@ func conformPinned(t *testing.T, f Factory) {
 
 // conformBlockOnGroup: BlockOnGroup(k) returns once k of the threads are
 // determined, and not before. Three threads finish at once; five park on a
-// gate that an opener thread raises before waking them.
+// gate. Three more waiters block on the same set, and an opener raises the
+// gate only once all three are parked, so each gated thread carries every
+// waiter's barrier: every waiter must wake and see all n determined.
 func conformBlockOnGroup(t *testing.T, f Factory) {
 	const n, quick = 8, 3
 	vm := vmWithPolicy(t, 2, 4, f)
@@ -185,15 +187,35 @@ func conformBlockOnGroup(t *testing.T, f Factory) {
 		if d := determined(); d != quick {
 			t.Errorf("after BlockOnGroup(%d) with the gate shut: %d determined", quick, d)
 		}
-		opener := ctx.Fork(func(*core.Context) ([]core.Value, error) {
+		seen := make([]atomic.Int32, 3)
+		waiters := make([]*core.Thread, len(seen))
+		for j := range waiters {
+			j := j
+			waiters[j] = ctx.Fork(func(c *core.Context) ([]core.Value, error) {
+				c.BlockOnGroup(n, threads)
+				seen[j].Store(int32(determined()))
+				return nil, nil
+			}, vm.VP(j), core.WithStealable(false))
+		}
+		// The opener is a goroutine, so its polling needs nothing from the
+		// policy under test. It opens the gate only once every waiter is
+		// parked in BlockOnGroup, which registers its barriers before it
+		// parks: each gated thread then carries all three waiters' barriers.
+		opened := make(chan struct{})
+		go func() {
+			defer close(opened)
+			for _, w := range waiters {
+				for w.Exec() != core.ExecBlocked {
+					runtime.Gosched()
+				}
+			}
 			gate.Store(true)
 			for i := range parked {
 				if tcb := parked[i].Load(); tcb != nil {
 					core.WakeTCB(tcb)
 				}
 			}
-			return nil, nil
-		}, nil, core.WithStealable(false))
+		}()
 		ctx.BlockOnGroup(quick+1, threads)
 		if !gate.Load() || determined() < quick+1 {
 			t.Errorf("BlockOnGroup(%d) returned early: gate %v, %d determined", quick+1, gate.Load(), determined())
@@ -202,7 +224,13 @@ func conformBlockOnGroup(t *testing.T, f Factory) {
 		if d := determined(); d != n {
 			t.Errorf("after BlockOnGroup(%d): %d determined", n, d)
 		}
-		ctx.Wait(opener)
+		ctx.BlockOnGroup(len(waiters), waiters)
+		for j := range seen {
+			if d := seen[j].Load(); d != n {
+				t.Errorf("waiter %d woke seeing %d determined, want %d", j, d, n)
+			}
+		}
+		<-opened
 		return nil
 	})
 }

@@ -390,34 +390,9 @@ var (
 	ObsTraceEvents = core.ObsTraceEvents
 )
 
-// Time series and SLOs (internal/obs/tsdb): an in-process store that
-// retains a trailing window of every registered metric — windowed rates,
-// trailing-window quantiles, cross-shard histogram merging — plus a
-// declarative SLO engine evaluated on every sample tick.
-type (
-	// TSDBStore retains per-series ring buffers of sampled metrics.
-	TSDBStore = tsdb.Store
-	// TSDBSampler polls a registry into a TSDBStore on an interval.
-	TSDBSampler = tsdb.Sampler
-	// SLOEngine evaluates declarative objectives against a TSDBStore.
-	SLOEngine = tsdb.SLOEngine
-	// SLOObjective is one parsed objective rule.
-	SLOObjective = tsdb.Objective
-	// SLOStatus is one objective's evaluated state.
-	SLOStatus = tsdb.Status
-	// SLOState is the ok/warn/breach/nodata condition of an objective.
-	SLOState = tsdb.SLOState
-)
-
+// Scrape side (internal/obs/tsdb): reading an exposition back and merging
+// shard histograms, the primitives behind stingtop's cluster rollup.
 var (
-	// NewTSDBStore creates a time-series store (capacity ≤0: default).
-	NewTSDBStore = tsdb.NewStore
-	// NewTSDBSampler builds a sampler over a registry feeding a store.
-	NewTSDBSampler = tsdb.NewSampler
-	// ParseSLOObjectives parses a rules document (one rule per line).
-	ParseSLOObjectives = tsdb.ParseObjectives
-	// NewSLOEngine builds an engine over parsed objectives.
-	NewSLOEngine = tsdb.NewSLOEngine
 	// ParsePrometheus reads a text exposition back into metric samples.
 	ParsePrometheus = tsdb.ParsePrometheus
 	// MergeHistograms adds histogram snapshots bucket-by-bucket — the
