@@ -46,7 +46,7 @@ func (g *diffGen) pick(n int) int { return g.next() % n }
 
 // atom emits a leaf expression; vars lists the lexicals in scope.
 func (g *diffGen) atom(vars []string) string {
-	switch g.pick(6) {
+	switch g.pick(7) {
 	case 0:
 		return fmt.Sprintf("%d", g.pick(21)-10)
 	case 1:
@@ -60,6 +60,9 @@ func (g *diffGen) atom(vars []string) string {
 			return vars[g.pick(len(vars))]
 		}
 		return fmt.Sprintf("%d", g.pick(10))
+	case 6: // where int64 arithmetic wraps and float64 stops holding integers exactly
+		return []string{"9007199254740993", "9007199254740991", "-9007199254740993", "-9007199254740991",
+			"4611686018427387904", "-4611686018427387904", "9223372036854775807", "-9223372036854775808"}[g.pick(8)]
 	default:
 		return fmt.Sprintf("%d", g.pick(10))
 	}
@@ -78,8 +81,8 @@ func (g *diffGen) expr(depth int, vars []string) string {
 	case 1: // comparisons
 		op := []string{"=", "<", ">", "<=", ">=", "eq?", "equal?"}[g.pick(7)]
 		return fmt.Sprintf("(%s %s %s)", op, sub(), sub())
-	case 2: // list ops — car/cdr on non-pairs must error identically
-		op := []string{"car", "cdr", "length", "reverse", "pair?", "null?", "not"}[g.pick(7)]
+	case 2: // unary ops — car/cdr on non-pairs, - and abs on non-numbers must error identically
+		op := []string{"car", "cdr", "length", "reverse", "pair?", "null?", "not", "-", "abs"}[g.pick(9)]
 		return fmt.Sprintf("(%s %s)", op, sub())
 	case 3:
 		return fmt.Sprintf("(cons %s %s)", sub(), sub())
@@ -318,6 +321,10 @@ func TestLinkingSemantics(t *testing.T) {
 			`(define (f) (set! later 1)) (define r (call-with-error-handler (lambda (e) 'refused) f)) (define later 0) (f) (list r later)`, `(refused 1)`, ""},
 		{"a primitive redefined under a closure compiled earlier",
 			`(define (first-of p) (car p)) (define a (first-of '(1 2))) (define (car x) 'mine) (list a (first-of '(1 2)))`, `(1 mine)`, ""},
+		{"+ redefined under a closure compiled earlier",
+			`(define (add a b) (+ a b)) (define a (add 1 1)) (define (+ x y) 'mine) (list a (add 1 1))`, `(2 mine)`, ""},
+		{"+ rebound lexically",
+			`(let ((+ -)) (+ 5 3))`, `2`, ""},
 		{"a global read by a forked thread",
 			`(define gv 41) (thread-value (fork-thread (+ gv 1)))`, `42`, ""},
 		{"a delayed thread reads the global when it runs",

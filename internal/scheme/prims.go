@@ -11,7 +11,12 @@ import (
 )
 
 func (in *Interp) prim(name string, min, max int, fn PrimFn) {
-	in.global.Define(Symbol(name), &Primitive{Name: Symbol(name), Min: min, Max: max, Fn: fn})
+	in.fixnumPrim(name, min, max, fn, nil)
+}
+
+// fixnumPrim defines a primitive that also carries an int64 kernel.
+func (in *Interp) fixnumPrim(name string, min, max int, fn PrimFn, kernel FixnumFn) {
+	in.global.Define(Symbol(name), &Primitive{Name: Symbol(name), Min: min, Max: max, Fn: fn, Fixnum: kernel})
 }
 
 // numeric helpers -----------------------------------------------------------
@@ -39,6 +44,37 @@ func intOf(v Value) (int64, error) {
 	default:
 		return 0, Errorf("not an integer: %s", WriteString(v))
 	}
+}
+
+// The int64 operations of the arithmetic and comparison primitives. The
+// primitive's Fn and its Fixnum kernel call the same function on int64
+// operands, so the boxed and the unboxed path cannot disagree. Overflow
+// wraps, as int64 arithmetic does.
+func addInt(x, y int64) int64 { return x + y }
+func subInt(x, y int64) int64 { return x - y }
+func mulInt(x, y int64) int64 { return x * y }
+func quoInt(x, y int64) int64 { return x / y }
+func remInt(x, y int64) int64 { return x % y }
+func modInt(x, y int64) int64 {
+	m := x % y
+	if (m < 0 && y > 0) || (m > 0 && y < 0) {
+		m += y
+	}
+	return m
+}
+
+func numEq[T int64 | float64](x, y T) bool { return x == y }
+func numLt[T int64 | float64](x, y T) bool { return x < y }
+func numGt[T int64 | float64](x, y T) bool { return x > y }
+func numLe[T int64 | float64](x, y T) bool { return x <= y }
+func numGe[T int64 | float64](x, y T) bool { return x >= y }
+
+// foldInts is foldNums on int64 operands alone.
+func foldInts(acc int64, args []int64, fi func(a, b int64) int64) int64 {
+	for _, x := range args {
+		acc = fi(acc, x)
+	}
+	return acc
 }
 
 // foldNums folds args into acc, an int64 or float64, left to right; the
@@ -81,8 +117,19 @@ func foldNums(name string, acc Value, args []Value,
 	return accI, nil
 }
 
-func compareChain(args []Value, cmp func(a, b float64) bool) (Value, error) {
+// compareChain answers whether every adjacent pair is in order: a pair of
+// integers by ci, exactly (float64 holds integers exactly only up to
+// 2^53), any pair with a float in it by cf.
+func compareChain(args []Value, ci func(a, b int64) bool, cf func(a, b float64) bool) (Value, error) {
 	for i := 0; i+1 < len(args); i++ {
+		x, xok := args[i].(int64)
+		y, yok := args[i+1].(int64)
+		if xok && yok {
+			if !ci(x, y) {
+				return false, nil
+			}
+			continue
+		}
 		a, _, err := numOf(args[i])
 		if err != nil {
 			return nil, err
@@ -91,7 +138,7 @@ func compareChain(args []Value, cmp func(a, b float64) bool) (Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !cmp(a, b) {
+		if !cf(a, b) {
 			return false, nil
 		}
 	}
@@ -334,24 +381,24 @@ func installPrimitives(in *Interp) {
 	})
 
 	// Arithmetic.
-	in.prim("+", 0, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
-		return foldNums("+", int64(0), a,
-			func(x, y int64) int64 { return x + y },
-			func(x, y float64) float64 { return x + y })
-	})
-	in.prim("*", 0, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
-		return foldNums("*", int64(1), a,
-			func(x, y int64) int64 { return x * y },
-			func(x, y float64) float64 { return x * y })
-	})
-	in.prim("-", 1, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
+	in.fixnumPrim("+", 0, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
+		return foldNums("+", int64(0), a, addInt, func(x, y float64) float64 { return x + y })
+	}, func(a []int64) (int64, Value, bool) { return foldInts(0, a, addInt), nil, true })
+	in.fixnumPrim("*", 0, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
+		return foldNums("*", int64(1), a, mulInt, func(x, y float64) float64 { return x * y })
+	}, func(a []int64) (int64, Value, bool) { return foldInts(1, a, mulInt), nil, true })
+	in.fixnumPrim("-", 1, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
 		acc, rest := Value(int64(0)), a
 		if len(a) > 1 {
 			acc, rest = a[0], a[1:]
 		}
-		return foldNums("-", acc, rest,
-			func(x, y int64) int64 { return x - y },
-			func(x, y float64) float64 { return x - y })
+		return foldNums("-", acc, rest, subInt, func(x, y float64) float64 { return x - y })
+	}, func(a []int64) (int64, Value, bool) {
+		acc, rest := int64(0), a
+		if len(a) > 1 {
+			acc, rest = a[0], a[1:]
+		}
+		return foldInts(acc, rest, subInt), nil, true
 	})
 	in.prim("/", 1, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
 		first, rest := Value(int64(1)), a
@@ -381,52 +428,32 @@ func installPrimitives(in *Interp) {
 		}
 		return acc, nil
 	})
-	in.prim("quotient", 2, 2, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
-		x, err := intOf(a[0])
-		if err != nil {
-			return nil, err
-		}
-		y, err := intOf(a[1])
-		if err != nil {
-			return nil, err
-		}
-		if y == 0 {
-			return nil, Errorf("quotient: division by zero")
-		}
-		return x / y, nil
-	})
-	in.prim("remainder", 2, 2, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
-		x, err := intOf(a[0])
-		if err != nil {
-			return nil, err
-		}
-		y, err := intOf(a[1])
-		if err != nil {
-			return nil, err
-		}
-		if y == 0 {
-			return nil, Errorf("remainder: division by zero")
-		}
-		return x % y, nil
-	})
-	in.prim("modulo", 2, 2, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
-		x, err := intOf(a[0])
-		if err != nil {
-			return nil, err
-		}
-		y, err := intOf(a[1])
-		if err != nil {
-			return nil, err
-		}
-		if y == 0 {
-			return nil, Errorf("modulo: division by zero")
-		}
-		m := x % y
-		if (m < 0 && y > 0) || (m > 0 && y < 0) {
-			m += y
-		}
-		return m, nil
-	})
+	// quotient, remainder and modulo: two integers, a nonzero divisor.
+	for _, d := range []struct {
+		name string
+		op   func(x, y int64) int64
+	}{{"quotient", quoInt}, {"remainder", remInt}, {"modulo", modInt}} {
+		name, op := d.name, d.op
+		in.fixnumPrim(name, 2, 2, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
+			x, err := intOf(a[0])
+			if err != nil {
+				return nil, err
+			}
+			y, err := intOf(a[1])
+			if err != nil {
+				return nil, err
+			}
+			if y == 0 {
+				return nil, Errorf("%s: division by zero", name)
+			}
+			return op(x, y), nil
+		}, func(a []int64) (int64, Value, bool) {
+			if a[1] == 0 {
+				return 0, nil, false
+			}
+			return op(a[0], a[1]), nil, true
+		})
+	}
 	in.prim("abs", 1, 1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
 		switch x := a[0].(type) {
 		case int64:
@@ -520,21 +547,23 @@ func installPrimitives(in *Interp) {
 		f, _, err := numOf(a[0])
 		return f, err
 	})
-	in.prim("=", 2, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
-		return compareChain(a, func(x, y float64) bool { return x == y })
-	})
-	in.prim("<", 2, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
-		return compareChain(a, func(x, y float64) bool { return x < y })
-	})
-	in.prim(">", 2, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
-		return compareChain(a, func(x, y float64) bool { return x > y })
-	})
-	in.prim("<=", 2, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
-		return compareChain(a, func(x, y float64) bool { return x <= y })
-	})
-	in.prim(">=", 2, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
-		return compareChain(a, func(x, y float64) bool { return x >= y })
-	})
+	compare := func(name string, ci func(x, y int64) bool, cf func(x, y float64) bool) {
+		in.fixnumPrim(name, 2, -1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
+			return compareChain(a, ci, cf)
+		}, func(a []int64) (int64, Value, bool) {
+			for i := 0; i+1 < len(a); i++ {
+				if !ci(a[i], a[i+1]) {
+					return 0, false, true
+				}
+			}
+			return 0, true, true
+		})
+	}
+	compare("=", numEq[int64], numEq[float64])
+	compare("<", numLt[int64], numLt[float64])
+	compare(">", numGt[int64], numGt[float64])
+	compare("<=", numLe[int64], numLe[float64])
+	compare(">=", numGe[int64], numGe[float64])
 
 	// Strings, symbols, characters.
 	in.prim("string-length", 1, 1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {

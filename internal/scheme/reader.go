@@ -347,12 +347,17 @@ func (r *Reader) readAtom() (Value, error) {
 	return parseAtom(tok)
 }
 
+// parseAtom reads a token as an integer, a float or a symbol. A number has
+// an ASCII digit in it, so a token without one is a symbol without trying
+// either parse (a failed parse allocates its error).
 func parseAtom(tok string) (Value, error) {
+	if strings.IndexFunc(tok, func(r rune) bool { return r >= '0' && r <= '9' }) < 0 {
+		return Symbol(tok), nil
+	}
 	if i, err := strconv.ParseInt(tok, 10, 64); err == nil {
 		return i, nil
 	}
-	if f, err := strconv.ParseFloat(tok, 64); err == nil &&
-		strings.IndexFunc(tok, func(r rune) bool { return r >= '0' && r <= '9' }) >= 0 {
+	if f, err := strconv.ParseFloat(tok, 64); err == nil {
 		return f, nil
 	}
 	return Symbol(tok), nil

@@ -1,6 +1,7 @@
 package scheme
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -128,6 +129,32 @@ func TestReaderNumbersAndSymbols(t *testing.T) {
 		}
 		if got := WriteString(v); got != want {
 			t.Errorf("read %q = %s, want %s", src, got, want)
+		}
+	}
+}
+
+// TestParseAtomKinds pins what each token reads as — integer, float or
+// symbol, and which value — including the tokens a float parser accepts
+// but the reader keeps as symbols (no digit) and those it rejects.
+func TestParseAtomKinds(t *testing.T) {
+	for tok, want := range map[string]Value{
+		"+": Symbol("+"), "-": Symbol("-"), "...": Symbol("..."),
+		"inf": Symbol("inf"), "nan": Symbol("nan"), "-inf": Symbol("-inf"),
+		"Infinity": Symbol("Infinity"), "+inf.0": Symbol("+inf.0"),
+		"+nan.0": Symbol("+nan.0"), "1+": Symbol("1+"), "0x10": Symbol("0x10"),
+		"x1": Symbol("x1"), "vector->list": Symbol("vector->list"),
+		"1e400": Symbol("1e400"),
+
+		"-5":                   int64(-5),
+		"-9223372036854775808": int64(math.MinInt64),
+		"9223372036854775808":  float64(1 << 63),
+		"1e3":                  float64(1000),
+		".5":                   float64(0.5),
+		"0x1p4":                float64(16),
+	} {
+		got, err := parseAtom(tok)
+		if err != nil || got != want {
+			t.Errorf("parseAtom(%q) = %#v (%T), %v; want %#v (%T)", tok, got, got, err, want, want)
 		}
 	}
 }

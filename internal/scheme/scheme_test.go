@@ -1,7 +1,10 @@
 package scheme
 
 import (
+	"fmt"
+	"math"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 
@@ -112,6 +115,51 @@ func TestArithmetic(t *testing.T) {
 	}
 	for _, c := range cases {
 		evalOK(t, in, c[0], c[1])
+	}
+}
+
+// TestFixnumKernelsMatchFn: a primitive's int64 kernel answers what its Fn
+// answers on the same integers, at every arity up to three, over values
+// where int64 wraps and float64 stops holding integers exactly; where Fn
+// errs (a zero divisor) the kernel declines.
+func TestFixnumKernelsMatchFn(t *testing.T) {
+	in := newInterp(t, 1, 1)
+	edge := []int64{0, 1, -1, 3, -7, 256, 1 << 53, 1<<53 + 1, -(1<<53 + 1), math.MaxInt64, math.MinInt64}
+	var kernels []Symbol
+	in.global.mu.Lock()
+	prims := make([]*Primitive, 0, len(in.global.vars))
+	for _, c := range in.global.vars {
+		if v, _ := c.Load(); v != nil {
+			if p, ok := v.(*Primitive); ok && p.Fixnum != nil {
+				prims = append(prims, p)
+			}
+		}
+	}
+	in.global.mu.Unlock()
+	for _, p := range prims {
+		kernels = append(kernels, p.Name)
+		for n := p.Min; n <= 3 && (p.Max < 0 || n <= p.Max); n++ {
+			ints, vals := make([]int64, n), make([]Value, n)
+			combos := int(math.Pow(float64(len(edge)), float64(n)))
+			for combo := 0; combo < combos; combo++ {
+				for i, c := 0, combo; i < n; i, c = i+1, c/len(edge) {
+					ints[i], vals[i] = edge[c%len(edge)], edge[c%len(edge)]
+				}
+				want, err := p.Fn(in, nil, vals)
+				k, v, ok := p.Fixnum(ints)
+				got := v
+				if v == nil {
+					got = k
+				}
+				if ok != (err == nil) || ok && got != want {
+					t.Errorf("(%s %v): kernel %v (ok %v), Fn %v (%v)", p.Name, ints, got, ok, want, err)
+				}
+			}
+		}
+	}
+	sort.Slice(kernels, func(i, j int) bool { return kernels[i] < kernels[j] })
+	if got := fmt.Sprint(kernels); got != "[* + - < <= = > >= modulo quotient remainder]" {
+		t.Errorf("primitives with an int64 kernel: %s", got)
 	}
 }
 

@@ -97,12 +97,21 @@ type CompiledProc interface {
 // result, an error or a thread that outlives the call must hold its own copy.
 type PrimFn func(in *Interp, ctx *core.Context, args []Value) (Value, error)
 
+// FixnumFn is a primitive's kernel on int64 arguments alone, for a caller
+// that keeps its integers unboxed (the bytecode VM). It is only called with
+// an argument count the primitive's Min and Max allow, and args is lent as
+// PrimFn's is. It answers an integer n, or a non-nil v (a comparison's
+// boolean); ok false declines the call (a zero divisor), and the
+// primitive's Fn answers it instead.
+type FixnumFn func(args []int64) (n int64, v Value, ok bool)
+
 // Primitive is a built-in procedure.
 type Primitive struct {
-	Name Symbol
-	Min  int
-	Max  int // -1 = variadic
-	Fn   PrimFn
+	Name   Symbol
+	Min    int
+	Max    int // -1 = variadic
+	Fn     PrimFn
+	Fixnum FixnumFn // optional: Fn on int64 arguments, with no boxing
 }
 
 // MultiValues carries multiple return values (the paper notes expressions

@@ -13,11 +13,11 @@ import (
 	"repro/internal/vm"
 )
 
-// callShapes are the four things compiled code does most. Each is a
-// procedure (spin n) that repeats its shape n times in a tail loop, so the
-// loop's own cost — a tail call whose locals reuse the activation's stack
-// window, `=` and `-` on fixnums small enough to box for free — is the same
-// everywhere and `bare` measures it alone.
+// callShapes are the things compiled code does most. Each is a procedure
+// (spin n) that repeats its shape n times in a tail loop, so the loop's own
+// cost — a tail call whose locals reuse the activation's stack window, `=`
+// and `-` on unboxed integers — is the same everywhere and `bare` measures
+// it alone.
 var callShapes = []struct {
 	name, defs string
 	extra      float64 // allocations per turn beyond bare's
@@ -30,6 +30,7 @@ var callShapes = []struct {
 	{"prim", `(define p '(1 2))
 	          (define (spin n) (if (= n 0) 0 (begin (< n n) (car p) (spin (- n 1)))))`, 0},
 	{"closure", `(define (spin n) (if (= n 0) 0 (begin ((lambda () n)) (spin (- n 1)))))`, 1},
+	{"arith", `(define (spin n) (if (= n 0) 0 (begin (+ (* n 1000) -7) (quotient (- 0 n) 3) (spin (- n 1)))))`, 0},
 }
 
 // spinner defines shape's procedures on a fresh vm-engine interpreter and
@@ -54,12 +55,14 @@ func spinner(t testing.TB, in *scheme.Interp, defs string) func(ctx *core.Contex
 
 // TestCallPathAllocs gates the calling convention: a warm vm→vm call, tail
 // or not, allocates nothing — its locals live in the operand stack's window
-// — nor does a global reference or a primitive call whose result needs no
-// box; making a closure over at most four free variables allocates exactly
-// one object, the closure. Measured as the slope between 50 and 250 turns,
-// which cancels what one exec allocates once (its operand stack), rounded to
-// whole objects: a turn allocates an integer number, and the odd allocation
-// a preemption tick or the race detector adds to a 200-turn run is not one.
+// — nor does a global reference, a primitive call whose result needs no box,
+// or integer arithmetic of any magnitude, whose results stay unboxed in the
+// operand stack; making a closure over at most four free variables
+// allocates exactly one object, the closure. Measured as the slope between
+// 50 and 250 turns, which cancels what one exec allocates once (its operand
+// stack), rounded to whole objects: a turn allocates an integer number, and
+// the odd allocation a preemption tick or the race detector adds to a
+// 200-turn run is not one.
 func TestCallPathAllocs(t *testing.T) {
 	perTurn := func(defs string) (slope float64) {
 		in := newEngine(t, "vm", 1, 1)
@@ -103,6 +106,7 @@ func BenchmarkVMCall(b *testing.B)      { benchShape(b, callShapes[1].defs) }
 func BenchmarkVMGlobalRef(b *testing.B) { benchShape(b, callShapes[2].defs) }
 func BenchmarkVMPrimCall(b *testing.B)  { benchShape(b, callShapes[3].defs) }
 func BenchmarkVMClosure(b *testing.B)   { benchShape(b, callShapes[4].defs) }
+func BenchmarkVMArith(b *testing.B)     { benchShape(b, callShapes[5].defs) }
 
 // BenchmarkComputePass runs stingmark's scheme_compute pass — fib, tak,
 // nqueens, mandel read, compiled and run — under each engine: the quick

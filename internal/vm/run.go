@@ -45,26 +45,152 @@ func (c *Closure) callName() string {
 	return "#[procedure]"
 }
 
-// bind makes stack[base:] — a call's arguments — into the activation of c:
-// it checks arity with the tree-walker's exact errors, conses the rest list
-// in place, and extends the window to the procedure's NSlots locals.
-func bind(c *Closure, stack []scheme.Value, base int) ([]scheme.Value, error) {
-	code, nargs := c.Code, len(stack)-base
+// fixnumT is the type of an unboxed slot's sentinel: a slot of the operand
+// stack whose value is fixnum holds an integer, in the same slot of nums.
+type fixnumT struct{}
+
+var fixnum scheme.Value = fixnumT{}
+
+// operands is exec's operand stack. An integer that an arithmetic primitive
+// computes in the dispatch loop is not boxed: its slot holds fixnum, and
+// nums its value. It is boxed in place only where a Value leaves the loop
+// — a primitive's window, a closure's free values, a box, a global, a
+// thread, exec's result — so what a primitive borrows is still a []Value.
+// nums is nil until the first integer call, then spans vals' capacity; it
+// holds no pointers, so nothing has to clear it.
+type operands struct {
+	vals []scheme.Value
+	nums []int64
+}
+
+func unboxed(v scheme.Value) bool { _, ok := v.(fixnumT); return ok }
+
+// fit makes nums span vals' capacity.
+func (s *operands) fit() {
+	if n := cap(s.vals) - len(s.nums); n > 0 {
+		s.nums = append(s.nums, make([]int64, n)...)
+	}
+}
+
+func (s *operands) push(v scheme.Value) {
+	s.vals = append(s.vals, v)
+	if s.nums != nil && len(s.nums) < cap(s.vals) {
+		s.fit()
+	}
+}
+
+func (s *operands) pushInt(n int64) {
+	s.vals = append(s.vals, fixnum)
+	s.fit()
+	s.nums[len(s.vals)-1] = n
+}
+
+// pushSlot pushes a copy of slot i, unboxed if it is.
+func (s *operands) pushSlot(i int) {
+	s.push(s.vals[i])
+	if s.nums != nil {
+		s.nums[len(s.vals)-1] = s.nums[i]
+	}
+}
+
+// value answers slot i as a Value, boxing it in place if it is unboxed.
+func (s *operands) value(i int) scheme.Value {
+	if unboxed(s.vals[i]) {
+		s.vals[i] = s.nums[i]
+	}
+	return s.vals[i]
+}
+
+// box boxes, in place, every slot from i up: they are leaving the loop.
+func (s *operands) box(i int) {
+	for ; i < len(s.vals); i++ {
+		s.value(i)
+	}
+}
+
+// pop removes the top slot and answers it as a Value.
+func (s *operands) pop() scheme.Value {
+	v := s.value(len(s.vals) - 1)
+	s.discard()
+	return v
+}
+
+// discard removes the top slot.
+func (s *operands) discard() {
+	n := len(s.vals) - 1
+	s.vals[n] = nil
+	s.vals = s.vals[:n]
+}
+
+// drop shortens the stack to n slots. Every slot of vals beyond its length
+// is nil: whatever shortens the stack clears what it vacates, so a dead
+// operand pins nothing.
+func (s *operands) drop(n int) {
+	for i := n; i < len(s.vals); i++ {
+		s.vals[i] = nil
+	}
+	s.vals = s.vals[:n]
+}
+
+// move copies slot from over slot to.
+func (s *operands) move(to, from int) {
+	s.vals[to] = s.vals[from]
+	if unboxed(s.vals[from]) {
+		s.nums[to] = s.nums[from]
+	}
+}
+
+// slide moves the slots from i up down to slot to and drops the rest.
+func (s *operands) slide(to, i int) {
+	n := copy(s.vals[to:], s.vals[i:])
+	if s.nums != nil {
+		copy(s.nums[to:], s.nums[i:len(s.vals)])
+	}
+	s.drop(to + n)
+}
+
+// ints answers whether every slot from i up is an integer, unboxed or not,
+// and leaves each one's value in nums.
+func (s *operands) ints(i int) bool {
+	s.fit()
+	for ; i < len(s.vals); i++ {
+		switch x := s.vals[i].(type) {
+		case fixnumT:
+		case int64:
+			s.nums[i] = x
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// bind makes the slots from base up — a call's arguments — into the
+// activation of c: it checks arity with the tree-walker's exact errors,
+// conses the rest list in place, and extends the window to the procedure's
+// NSlots locals.
+func bind(c *Closure, s *operands, base int) error {
+	code, nargs := c.Code, len(s.vals)-base
 	if !code.HasRest {
 		if nargs != code.NParams {
-			return nil, scheme.Errorf("%s: want %d arguments, got %d",
+			return scheme.Errorf("%s: want %d arguments, got %d",
 				c.callName(), code.NParams, nargs)
 		}
 	} else if nargs < code.NParams {
-		return nil, scheme.Errorf("%s: want at least %d arguments, got %d",
+		return scheme.Errorf("%s: want at least %d arguments, got %d",
 			c.callName(), code.NParams, nargs)
 	} else {
 		at := base + code.NParams
-		rest := scheme.List(stack[at:]...)
-		clear(stack[at:])
-		stack = append(stack[:at], rest)
+		s.box(at)
+		rest := scheme.List(s.vals[at:]...)
+		s.drop(at)
+		s.push(rest)
 	}
-	return slices.Grow(stack, code.NSlots)[:base+code.NSlots], nil
+	s.vals = slices.Grow(s.vals, code.NSlots)[:base+code.NSlots]
+	if s.nums != nil {
+		s.fit()
+	}
+	return nil
 }
 
 // nameValue gives an anonymous procedure the name its binding uses, as the
@@ -91,14 +217,14 @@ type saved struct {
 }
 
 // exec runs a compiled closure to completion. An activation's locals are
-// the NSlots values at stack[base:], below its operands, and die when it
-// returns. Safepoints — calls, tail calls, backward branches — feed the
+// the NSlots slots of the operand stack from base up, below its operands,
+// and die when it returns. Safepoints — calls, tail calls, backward branches — feed the
 // thread's safe-point quantum, so preemption and stealing fire with the
 // tree-walker's density.
 func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (scheme.Value, error) {
 	in := e.in
-	stack, err := bind(clo, append(make([]scheme.Value, 0, len(args)+16), args...), 0)
-	if err != nil {
+	s := operands{vals: append(make([]scheme.Value, 0, len(args)+16), args...)}
+	if err := bind(clo, &s, 0); err != nil {
 		return nil, err
 	}
 	code := clo.Code
@@ -116,21 +242,9 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 			ops = 0
 		}
 	}
-
-	// Every slot of stack beyond its length is nil: whatever shortens the
-	// stack clears what it vacates, so a dead operand pins nothing.
-	push := func(v scheme.Value) { stack = append(stack, v) }
-	pop := func() scheme.Value {
-		n := len(stack) - 1
-		v := stack[n]
-		stack[n] = nil
-		stack = stack[:n]
-		return v
-	}
-	drop := func(to int) {
-		clear(stack[to:])
-		stack = stack[:to]
-	}
+	// top is the top slot as it is: a truth test reads an unboxed integer
+	// as true without boxing it, as IsTruthy reads anything but #f.
+	top := func() scheme.Value { return s.vals[len(s.vals)-1] }
 
 	for {
 		ins := code.Ops[pc]
@@ -138,29 +252,30 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 		ops++
 		switch ins.Op {
 		case OpConst:
-			push(code.Consts[ins.A])
+			s.push(code.Consts[ins.A])
 		case OpUnspec:
-			push(scheme.Unspecified)
+			s.push(scheme.Unspecified)
 		case OpLocal:
-			push(stack[base+int(ins.A)])
+			s.pushSlot(base + int(ins.A))
 		case OpFree:
-			push(clo.free[ins.A])
+			s.push(clo.free[ins.A])
 		case OpSetLocal:
-			v := pop()
+			n := len(s.vals) - 1
 			if ins.B >= 0 {
-				nameValue(v, code.Consts[ins.B].(scheme.Symbol))
+				nameValue(s.vals[n], code.Consts[ins.B].(scheme.Symbol))
 			}
-			stack[base+int(ins.A)] = v
+			s.move(base+int(ins.A), n)
+			s.discard()
 		case OpBox:
 			box := new(scheme.Cell)
-			box.Define(pop())
-			stack[base+int(ins.A)] = box
+			box.Define(s.pop())
+			s.vals[base+int(ins.A)] = box
 		case OpUnbox:
-			top := len(stack) - 1
-			stack[top], _ = stack[top].(*scheme.Cell).Load()
+			n := len(s.vals) - 1
+			s.vals[n], _ = s.vals[n].(*scheme.Cell).Load()
 		case OpSetBox:
-			box := pop().(*scheme.Cell)
-			v := pop()
+			box := s.pop().(*scheme.Cell)
+			v := s.pop()
 			if ins.B >= 0 {
 				nameValue(v, code.Consts[ins.B].(scheme.Symbol))
 			}
@@ -170,17 +285,17 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 			if !ok {
 				return nil, scheme.Errorf("unbound variable: %s", code.Consts[ins.A])
 			}
-			push(v)
+			s.push(v)
 		case OpSetGlobal:
-			if !code.cells[ins.A].Set(pop()) {
+			if !code.cells[ins.A].Set(s.pop()) {
 				return nil, scheme.Errorf("set!: unbound variable %s", code.Consts[ins.A])
 			}
-			push(scheme.Unspecified)
+			s.push(scheme.Unspecified)
 		case OpDefGlobal:
-			v := pop()
+			v := s.pop()
 			nameValue(v, code.Consts[ins.A].(scheme.Symbol))
 			code.cells[ins.A].Define(v)
-			push(scheme.Unspecified)
+			s.push(scheme.Unspecified)
 		case OpJump:
 			t := int(ins.A)
 			if t < pc {
@@ -188,95 +303,118 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 			}
 			pc = t
 		case OpJumpIfFalse:
-			if !scheme.IsTruthy(pop()) {
+			v := top()
+			s.discard()
+			if !scheme.IsTruthy(v) {
 				pc = int(ins.A)
 			}
 		case OpJumpTruthyKeep:
-			if scheme.IsTruthy(stack[len(stack)-1]) {
+			if scheme.IsTruthy(top()) {
 				pc = int(ins.A)
 			} else {
-				pop()
+				s.discard()
 			}
 		case OpJumpFalsyKeep:
-			if !scheme.IsTruthy(stack[len(stack)-1]) {
+			if !scheme.IsTruthy(top()) {
 				pc = int(ins.A)
 			} else {
-				pop()
+				s.discard()
 			}
 		case OpJumpFalsyPop:
-			if !scheme.IsTruthy(stack[len(stack)-1]) {
-				pop()
+			if !scheme.IsTruthy(top()) {
+				s.discard()
 				pc = int(ins.A)
 			}
 		case OpPop:
-			pop()
+			s.discard()
 		case OpDup:
-			push(stack[len(stack)-1])
+			s.pushSlot(len(s.vals) - 1)
 		case OpSwap:
-			n := len(stack)
-			stack[n-1], stack[n-2] = stack[n-2], stack[n-1]
+			n := len(s.vals)
+			s.vals[n-1], s.vals[n-2] = s.vals[n-2], s.vals[n-1]
+			if s.nums != nil {
+				s.nums[n-1], s.nums[n-2] = s.nums[n-2], s.nums[n-1]
+			}
 		case OpClosure:
 			sub := code.Subs[ins.A]
 			nc := &Closure{Code: sub, Name: sub.Name, eng: e}
-			at := len(stack) - int(ins.B)
-			nc.free = append(nc.inline[:0], stack[at:]...)
-			drop(at)
-			push(nc)
+			at := len(s.vals) - int(ins.B)
+			s.box(at)
+			nc.free = append(nc.inline[:0], s.vals[at:]...)
+			s.drop(at)
+			s.push(nc)
 		case OpCall, OpTailCall:
 			safepoint()
-			fnAt := len(stack) - int(ins.A) - 1
-			fn := stack[fnAt]
+			fnAt := len(s.vals) - int(ins.A) - 1
+			fn := s.vals[fnAt]
 			// The arguments stay where they were pushed: a vm callee's
 			// activation takes this window of the operand stack over, a
 			// primitive borrows it.
-			window := stack[fnAt+1:]
-			for i, a := range window {
+			for i, a := range s.vals[fnAt+1:] {
 				// Call sites collapse singleton multiple values, as the
 				// tree-walker's evalArgs does.
 				if mv, ok := a.(*scheme.MultiValues); ok && len(mv.Values) == 1 {
-					window[i] = mv.Values[0]
+					s.vals[fnAt+1+i] = mv.Values[0]
 				}
 			}
 			if callee, ok := fn.(*Closure); ok && callee.eng == e {
-				// The arguments slide down to the new activation's base —
-				// over the callee, or over the whole current activation for
-				// a tail call — and become its first locals.
+				// The arguments, unboxed ones included, slide down to the
+				// new activation's base — over the callee, or over the whole
+				// current activation for a tail call — and become its first
+				// locals.
 				if ins.Op == OpTailCall {
-					drop(base + copy(stack[base:], window))
+					s.slide(base, fnAt+1)
 				} else {
 					calls = append(calls, saved{clo: clo, pc: pc, base: base})
 					base = fnAt
-					drop(fnAt + copy(stack[fnAt:], window))
+					s.slide(fnAt, fnAt+1)
 				}
-				if stack, err = bind(callee, stack, base); err != nil {
+				if err := bind(callee, &s, base); err != nil {
 					return nil, err
 				}
 				clo, code, pc = callee, callee.Code, 0
 				continue
 			}
+			// A primitive with an int64 kernel, called on integers only,
+			// runs on them unboxed, and its integer result stays unboxed.
+			// Anything else — a float, a zero divisor, a bad argument
+			// count, a rebound name — takes the generic path below.
+			if p, ok := fn.(*scheme.Primitive); ok && p.Fixnum != nil &&
+				int(ins.A) >= p.Min && (p.Max < 0 || int(ins.A) <= p.Max) && s.ints(fnAt+1) {
+				if n, v, ok := p.Fixnum(s.nums[fnAt+1 : len(s.vals)]); ok {
+					s.drop(fnAt)
+					if v != nil {
+						s.push(v)
+					} else {
+						s.pushInt(n)
+					}
+					continue
+				}
+			}
 			// Foreign callee: a primitive, a tree closure, or another
 			// engine's procedure. A tail call degrades to a plain call —
 			// control always flows on to OpReturn.
-			v, err := e.callForeign(ctx, fn, window)
+			s.box(fnAt)
+			v, err := e.callForeign(ctx, s.vals[fnAt], s.vals[fnAt+1:])
 			if err != nil {
 				return nil, err
 			}
-			drop(fnAt)
-			push(v)
+			s.drop(fnAt)
+			s.push(v)
 		case OpReturn:
-			v := pop()
+			n := len(s.vals) - 1
 			if len(calls) == 0 {
-				return v, nil
+				return s.value(n), nil
 			}
-			n := len(calls) - 1
-			s := calls[n]
-			calls[n] = saved{}
-			calls = calls[:n]
-			drop(base)
-			clo, code, pc, base = s.clo, s.clo.Code, s.pc, s.base
-			push(v)
+			c := len(calls) - 1
+			r := calls[c]
+			calls[c] = saved{}
+			calls = calls[:c]
+			s.move(base, n) // the result lands where the callee was
+			s.drop(base + 1)
+			clo, code, pc, base = r.clo, r.clo.Code, r.pc, r.base
 		case OpCaseMatch:
-			key := stack[len(stack)-1]
+			key := s.value(len(s.vals) - 1)
 			matched := false
 			for _, d := range code.Consts[ins.A].([]scheme.Value) {
 				if scheme.Eqv(key, d) {
@@ -285,33 +423,33 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 				}
 			}
 			if matched {
-				pop()
+				s.discard()
 			} else {
 				pc = int(ins.B)
 			}
 		case OpPromise:
-			push(scheme.NewPromise(pop()))
+			s.push(scheme.NewPromise(s.pop()))
 		case OpFork:
 			vp := ctx.VP()
 			if ins.A == 1 {
-				v, err := scheme.CoerceVP(ctx, pop())
+				v, err := scheme.CoerceVP(ctx, s.pop())
 				if err != nil {
 					return nil, err
 				}
 				vp = v
 			}
-			push(ctx.Fork(in.CloseThunk(pop()), vp))
+			s.push(ctx.Fork(in.CloseThunk(s.pop()), vp))
 		case OpCreateThread:
-			push(ctx.CreateThread(in.CloseThunk(pop())))
+			s.push(ctx.CreateThread(in.CloseThunk(s.pop())))
 		case OpFuture:
-			push(ctx.Fork(in.CloseThunk(pop()), nil))
+			s.push(ctx.Fork(in.CloseThunk(s.pop()), nil))
 		case OpSpawn:
 			n := int(ins.A)
 			thunks := make([]core.Thunk, n)
 			for i := n - 1; i >= 0; i-- {
-				thunks[i] = in.CloseThunk(pop())
+				thunks[i] = in.CloseThunk(s.pop())
 			}
-			tsv := pop()
+			tsv := s.pop()
 			ts, ok := tsv.(tspace.TupleSpace)
 			if !ok {
 				return nil, scheme.Errorf("spawn: not a tuple space: %s", scheme.WriteString(tsv))
@@ -324,28 +462,28 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 			for i, t := range threads {
 				out[i] = t
 			}
-			push(scheme.List(out...))
+			s.push(scheme.List(out...))
 		case OpNoPreempt:
-			thunk := pop()
+			thunk := s.pop()
 			var v scheme.Value
 			var callErr error
 			ctx.WithoutPreemption(func() { v, callErr = e.callValue(ctx, thunk, nil) })
 			if callErr != nil {
 				return nil, callErr
 			}
-			push(v)
+			s.push(v)
 		case OpNoInterrupt:
-			thunk := pop()
+			thunk := s.pop()
 			var v scheme.Value
 			var callErr error
 			ctx.WithoutInterrupts(func() { v, callErr = e.callValue(ctx, thunk, nil) })
 			if callErr != nil {
 				return nil, callErr
 			}
-			push(v)
+			s.push(v)
 		case OpWithMutex:
-			thunk := pop()
-			mv := pop()
+			thunk := s.pop()
+			mv := s.pop()
 			m, ok := mv.(*synch.Mutex)
 			if !ok {
 				return nil, scheme.Errorf("with-mutex: not a mutex: %s", scheme.WriteString(mv))
@@ -358,10 +496,10 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 			if err != nil {
 				return nil, err
 			}
-			push(v)
+			s.push(v)
 		case OpFluid:
-			thunk := pop()
-			v := pop()
+			thunk := s.pop()
+			v := s.pop()
 			sym := code.Consts[ins.A].(scheme.Symbol)
 			var out scheme.Value
 			var callErr error
@@ -369,27 +507,27 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 			if callErr != nil {
 				return nil, callErr
 			}
-			push(out)
+			s.push(out)
 		case OpAtomic:
-			thunk := pop()
+			thunk := s.pop()
 			v, err := in.RunAtomic(ctx, func() (scheme.Value, error) {
 				return e.callValue(ctx, thunk, nil)
 			})
 			if err != nil {
 				return nil, err
 			}
-			push(v)
+			s.push(v)
 		case OpTuple:
 			spec := code.Consts[ins.A].(*tupleSpec)
 			var body scheme.Value
 			if spec.hasBody {
-				body = pop()
+				body = s.pop()
 			}
 			exprVals := make([]scheme.Value, spec.nexpr)
 			for i := spec.nexpr - 1; i >= 0; i-- {
-				exprVals[i] = pop()
+				exprVals[i] = s.pop()
 			}
-			tsv := pop()
+			tsv := s.pop()
 			ts, ok := tsv.(tspace.TupleSpace)
 			if !ok {
 				return nil, scheme.Errorf("%s: not a tuple space: %s", spec.name, scheme.WriteString(tsv))
@@ -412,7 +550,7 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 				return nil, err
 			}
 			if !spec.hasBody {
-				push(scheme.List(tup...))
+				s.push(scheme.List(tup...))
 				break
 			}
 			bargs := make([]scheme.Value, len(spec.formals))
@@ -423,7 +561,7 @@ func (e *Engine) exec(ctx *core.Context, clo *Closure, args []scheme.Value) (sch
 			if err != nil {
 				return nil, err
 			}
-			push(v)
+			s.push(v)
 		default:
 			return nil, scheme.Errorf("vm: bad opcode %s", ins.Op)
 		}

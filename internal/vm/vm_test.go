@@ -110,6 +110,74 @@ var parityPrograms = []struct{ src, want string }{
 	    (let loop ((i 0) (acc '())) (if (= i 3) (list a b c d e acc) (loop (+ i 1) (cons i acc)))))`, `(1 2 3 4 5 (2 1 0))`},
 	{`(define (sum . xs) (apply + xs)) (list (sum) (sum (sum 1 2) (sum 3 (sum 4 5))))`, `(0 15)`},
 	{`(call-with-values (lambda () (values 1 2 3)) list)`, `(1 2 3)`},
+	// Two integers compare exactly, past the 2^53 that float64 holds; an
+	// integer against a float compares as float64. The unboxed path (a
+	// direct call) and the generic one (through apply) agree.
+	{`(list (= 9007199254740993 9007199254740992) (eqv? 9007199254740993 9007199254740992)
+	        (< 9007199254740992 9007199254740993) (>= -9223372036854775808 9223372036854775807)
+	        (= 9007199254740993 9007199254740992.) (apply = '(9007199254740993 9007199254740992))
+	        (apply < '(1 2 3 3)) (< 1 2 3 4))`, `(#f #f #t #f #t #f #f #t)`},
+	// int64 arithmetic wraps the same way on both paths.
+	{`(list (* 9223372036854775807 2) (apply * '(9223372036854775807 2))
+	        (- -9223372036854775808) (quotient -9223372036854775808 -1)
+	        (+ 9223372036854775807 1) (modulo -7 2) (remainder -7 2) (- 5))`,
+		`(-2 -2 -9223372036854775808 -9223372036854775808 -9223372036854775808 1 -1 -5)`},
+}
+
+// TestFixnumEscapes: an integer the VM computes stays unboxed in its
+// operand stack and is boxed wherever it leaves the dispatch loop. A value
+// above the 0–255 Go caches and a negative one reach every such place — a
+// primitive's arguments, a rest list, a closure's free values, a box by
+// binding and by set!, a global by define and by set!, a case key, a
+// promise, a fluid binding, a tuple template and a tuple put/get, a fork's
+// VP designator and its thunk, exec's own result — plus cons,
+// vector-set!, apply and values. Each site is read back by a thunk that
+// map runs in an exec of its own, which has no unboxed slots: an integer
+// that escaped unboxed would reach it as the sentinel, with nothing to
+// unbox it from. Every site must answer the integer itself, under either
+// engine.
+func TestFixnumEscapes(t *testing.T) {
+	const defs = `
+		(define gs 0)
+		(define (rest . xs) xs)
+		(define (ret x) (+ x 0))
+		(define (sites x)
+		  (let* ((y (+ x 0)) (ts (make-tuple-space)) (v (make-vector 1 0))
+		         (l (list y)) (r (rest y)) (p (cons y y)) (a (apply list y '()))
+		         (cv (call-with-values (lambda () (values y y)) list))
+		         (c (case y ((1000007 -1234567) y) (else 'missed)))
+		         (pr (delay y))
+		         (fl (fluid-let ((fz y)) (fork-thread (fluid 'fz))))
+		         (th (fork-thread y y)))
+		    (vector-set! v 0 y)
+		    (set! gs y)
+		    (put ts (list 'k y))
+		    (let* ((m (rd ts (k ,y))) (w (get ts (k ?w) w)))
+		      (list (lambda () (car l)) (lambda () (car r)) (lambda () y)
+		            (let ((b y)) (if #f (set! b 0)) (lambda () b))
+		            (let ((b 0)) (set! b y) (lambda () b))
+		            (lambda () gs) (lambda () gd) (lambda () c)
+		            (lambda () (force pr)) (lambda () (thread-value fl))
+		            (lambda () (cadr m)) (lambda () w) (lambda () (thread-value th))
+		            (lambda () (apply ret (list y))) (lambda () (car p))
+		            (lambda () (vector-ref v 0)) (lambda () (car a))
+		            (lambda () (cadr cv))))))`
+	for _, x := range []int64{1000007, -1234567} {
+		src := fmt.Sprintf(`%s
+			(define gd (+ %d 0))
+			(define rs (map (lambda (th) (th)) (sites %d)))
+			(list (map integer? rs) rs)`, defs, x, x)
+		want := fmt.Sprintf("(%s (%s))", "("+strings.TrimSpace(strings.Repeat("#t ", 18))+")",
+			strings.TrimSpace(strings.Repeat(fmt.Sprint(x)+" ", 18)))
+		for _, engine := range []string{"tree", "vm"} {
+			in := newEngine(t, engine, 1, 2)
+			evalOn(t, in, src, want)
+			// exec's result, to a Go caller.
+			if v, err := in.EvalString(fmt.Sprintf("(+ %d 0)", x)); err != nil || v != any(x) {
+				t.Errorf("%s: toplevel (+ %d 0) = %#v, %v", engine, x, v, err)
+			}
+		}
+	}
 }
 
 func TestEngineParity(t *testing.T) {
