@@ -39,10 +39,10 @@ type MachineConfig struct {
 	// SliceBudget is how many thread dispatches a VP may perform per visit
 	// from its PP before the PP moves to its next VP (default 32).
 	SliceBudget int
-	// IdleWait bounds how long an idle PP sleeps before re-scanning
-	// (default 100µs).
-	IdleWait time.Duration
 }
+
+// idleWait bounds how long an idle PP sleeps before re-scanning.
+const idleWait = 100 * time.Microsecond
 
 // NewMachine boots a physical machine: its PP scheduler goroutines start
 // immediately and run until Shutdown.
@@ -54,15 +54,12 @@ func NewMachine(cfg MachineConfig) *Machine {
 	if cfg.SliceBudget <= 0 {
 		cfg.SliceBudget = 32
 	}
-	if cfg.IdleWait <= 0 {
-		cfg.IdleWait = 100 * time.Microsecond
-	}
 	m := &Machine{vpPolicy: cfg.VPPolicy, spare: make(chan *PP)}
 	if m.vpPolicy == nil {
 		m.vpPolicy = &RoundRobinVPs{}
 	}
 	for i := 0; i < n; i++ {
-		pp := newPP(m, i, cfg.SliceBudget, cfg.IdleWait)
+		pp := newPP(m, i, cfg.SliceBudget)
 		m.pps = append(m.pps, pp)
 		m.done.Add(1)
 		go m.carrier(pp)
@@ -163,7 +160,7 @@ func (m *Machine) Shutdown() {
 	// for a carrier.
 	close(m.spare)
 	for _, vm := range m.VMs() {
-		for _, vp := range vm.VPs() {
+		for _, vp := range vm.vpVector() {
 			vp.stopped.Store(true)
 		}
 	}
@@ -205,21 +202,28 @@ type PP struct {
 	next int
 
 	kick chan struct{}
+	// idle bounds each idle sleep of loop. Only one carrier runs the loop
+	// at a time, so the PP owns the timer, not a goroutine. Since Go 1.23
+	// (go.mod's floor) a timer's channel delivers nothing from before a
+	// Stop or Reset, so a fire left over from a sleep the kick cut short
+	// cannot end the next sleep early.
+	idle *time.Timer
 
 	sliceBudget int
-	idleWait    time.Duration
 
 	slices atomic.Uint64
 	idles  atomic.Uint64
 }
 
-func newPP(m *Machine, id int, budget int, idle time.Duration) *PP {
+func newPP(m *Machine, id int, budget int) *PP {
+	idle := time.NewTimer(idleWait)
+	idle.Stop()
 	return &PP{
 		id:          id,
 		machine:     m,
 		kick:        make(chan struct{}, 1),
+		idle:        idle,
 		sliceBudget: budget,
-		idleWait:    idle,
 	}
 }
 
@@ -314,9 +318,11 @@ func (pp *PP) loop() {
 		}
 		if !progress {
 			pp.idles.Add(1)
+			pp.idle.Reset(idleWait)
 			select {
 			case <-pp.kick:
-			case <-time.After(pp.idleWait):
+				pp.idle.Stop()
+			case <-pp.idle.C:
 			}
 		}
 	}

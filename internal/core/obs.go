@@ -30,7 +30,7 @@ func (c VMCollector) Collect() []obs.Metric {
 		obs.Counter("sting_vm_steals_total", "Delayed thunks absorbed VM-wide.", float64(vm.stats.Steals.Load()), vmLabel),
 		obs.Gauge("sting_vm_vps", "Virtual processors in the vp-vector.", float64(vm.NVPs()), vmLabel),
 	}
-	for _, vp := range vm.VPs() {
+	for _, vp := range vm.vpVector() {
 		l := []obs.Label{vmLabel, obs.L("vp", strconv.Itoa(vp.Index()))}
 		s := &vp.stats
 		hits := s.TCBHits.Load()

@@ -148,10 +148,7 @@ func pickVP(t *Thread) *VP {
 		}
 	}
 	if t.vm != nil {
-		vps := t.vm.VPs()
-		if len(vps) > 0 {
-			return vps[0]
-		}
+		return t.vm.VP(0)
 	}
 	return nil
 }

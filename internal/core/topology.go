@@ -188,7 +188,7 @@ func NeighborVPs(vp *VP) []*VP { return neighbors(vp) }
 
 func neighbors(vp *VP) []*VP {
 	vm := vp.vm
-	vps := vm.VPs()
+	vps := vm.vpVector()
 	idx := vm.topology.Neighbors(vp.index, len(vps))
 	out := make([]*VP, 0, len(idx))
 	for _, i := range idx {

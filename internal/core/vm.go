@@ -19,8 +19,11 @@ type VM struct {
 	name    string
 	machine *Machine
 
+	// vps is the vp-vector, copied on write: AddVP swaps in a longer copy
+	// under mu, and readers load the current one with no lock and no copy.
+	// A loaded vector is never mutated.
 	mu  sync.Mutex
-	vps []*VP
+	vps atomic.Pointer[[]*VP]
 
 	vpConfig  VPConfig
 	pmFactory func(vp *VP) PolicyManager
@@ -77,6 +80,7 @@ func (m *Machine) NewVM(cfg VMConfig) (*VM, error) {
 	if vm.pmFactory == nil {
 		vm.pmFactory = defaultPolicy
 	}
+	vm.vps.Store(new([]*VP))
 	vm.rootGroup = NewGroup(vm.name+"/root", nil)
 	for i := 0; i < n; i++ {
 		if _, err := vm.AddVP(); err != nil {
@@ -104,36 +108,30 @@ func (vm *VM) RootGroup() *Group { return vm.rootGroup }
 // Topology returns the VP interconnection topology.
 func (vm *VM) Topology() Topology { return vm.topology }
 
-// VPs returns the VM's vp-vector.
+// VPs returns a copy of the VM's vp-vector.
 func (vm *VM) VPs() []*VP {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
-	out := make([]*VP, len(vm.vps))
-	copy(out, vm.vps)
-	return out
+	return append([]*VP(nil), vm.vpVector()...)
 }
+
+// vpVector returns the current vp-vector itself; callers must not modify it.
+func (vm *VM) vpVector() []*VP { return *vm.vps.Load() }
 
 // VP returns the virtual processor at index i of the vp-vector (modulo its
 // length, so round-robin placement code can pass a running counter).
 func (vm *VM) VP(i int) *VP {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
-	if len(vm.vps) == 0 {
+	vps := vm.vpVector()
+	if len(vps) == 0 {
 		return nil
 	}
-	i %= len(vm.vps)
+	i %= len(vps)
 	if i < 0 {
-		i += len(vm.vps)
+		i += len(vps)
 	}
-	return vm.vps[i]
+	return vps[i]
 }
 
 // NVPs returns the number of virtual processors.
-func (vm *VM) NVPs() int {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
-	return len(vm.vps)
-}
+func (vm *VM) NVPs() int { return len(vm.vpVector()) }
 
 // AddVP allocates a new virtual processor on the VM (pm-allocate-vp's
 // machinery), assigns it to the least-loaded physical processor, and
@@ -142,13 +140,12 @@ func (vm *VM) AddVP() (*VP, error) {
 	if vm.machine.stopped.Load() {
 		return nil, ErrMachineStopped
 	}
-	vm.mu.Lock()
-	index := len(vm.vps)
-	vm.mu.Unlock()
-	vp := newVP(vm, index, nil, vm.vpConfig)
+	vp := newVP(vm, vm.NVPs(), nil, vm.vpConfig)
 	vp.pm = vm.pmFactory(vp)
 	vm.mu.Lock()
-	vm.vps = append(vm.vps, vp)
+	old := vm.vpVector()
+	vps := append(old[:len(old):len(old)], vp)
+	vm.vps.Store(&vps)
 	vm.mu.Unlock()
 	vm.machine.assign(vp)
 	return vp, nil
@@ -161,7 +158,7 @@ func (vm *VM) Stats() VMStatsSnapshot {
 		ThreadsDetermined: vm.stats.ThreadsDetermined.Load(),
 		Steals:            vm.stats.Steals.Load(),
 	}
-	for _, vp := range vm.VPs() {
+	for _, vp := range vm.vpVector() {
 		snap.VPs.Add(vp.stats.Snapshot())
 	}
 	return snap

@@ -194,7 +194,7 @@ func (q *workQueue) VPIdle(vp *VP) {
 	}
 	var victim *workQueue
 	var most int
-	for _, sib := range vp.vm.VPs() {
+	for _, sib := range vp.vm.vpVector() {
 		if sib == vp {
 			continue
 		}

@@ -158,8 +158,10 @@ func (q *sharedQueue) EnqueueThread(vp *core.VP, r core.Runnable, st core.Enqueu
 		q.h = push(q.h, e)
 	}
 	q.mu.Unlock()
-	for _, sib := range vp.VM().VPs() {
-		if sib != vp {
+	// VP(i) reads the vp-vector in place; VPs() would copy it per enqueue.
+	vm := vp.VM()
+	for i, n := 0, vm.NVPs(); i < n; i++ {
+		if sib := vm.VP(i); sib != vp {
 			sib.NotifyWork()
 		}
 	}

@@ -629,9 +629,14 @@ func (c *Client) wait(ctx *core.Context, cl *call, req request, wait time.Durati
 	} else if deadline.IsZero() {
 		<-cl.ch
 	} else {
+		t := waitTimers.Get().(*time.Timer)
+		t.Reset(time.Until(deadline))
 		select {
 		case <-cl.ch:
-		case <-time.After(time.Until(deadline)):
+			t.Stop()
+			waitTimers.Put(t)
+		case <-t.C:
+			waitTimers.Put(t)
 			return timedOut()
 		}
 	}
@@ -646,6 +651,15 @@ func (c *Client) wait(ctx *core.Context, cl *call, req request, wait time.Durati
 	}
 	return resp, nil
 }
+
+// waitTimers holds stopped timers for waits that have a deadline and no
+// STING context. Since Go 1.23 (go.mod's floor) Stop and Reset discard a
+// pending fire, so a pooled timer cannot end a later wait early.
+var waitTimers = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
 
 // waitFor picks the local wait bound for req: blocking ops wait out the
 // server-side deadline plus grace (or forever when unbounded); everything
@@ -810,10 +824,10 @@ func (c *Client) Stats(ctx *core.Context) (StatsSnapshot, error) {
 	if err != nil {
 		return StatsSnapshot{}, err
 	}
-	if resp.op != respStats {
+	if resp.op != respStats || resp.stats == nil {
 		return StatsSnapshot{}, protoErrf("stats reply op %d", resp.op)
 	}
-	return resp.stats, nil
+	return *resp.stats, nil
 }
 
 // Ping performs one HELLO round trip — the liveness probe cluster health

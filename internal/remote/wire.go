@@ -624,9 +624,9 @@ type response struct {
 	code    byte
 	message string
 	length  int64
-	stats   StatsSnapshot
-	version byte          // respOK: the version the server stated
-	batch   []batchStatus // respBatch: one status per coalesced entry
+	stats   *StatsSnapshot // respStats only
+	version byte           // respOK: the version the server stated
+	batch   []batchStatus  // respBatch: one status per coalesced entry
 }
 
 func decodeResponse(b []byte) (response, error) {
@@ -681,7 +681,7 @@ func decodeResponse(b []byte) (response, error) {
 		if err != nil {
 			return r, err
 		}
-		r.stats = s
+		r.stats = &s
 	case respBatch:
 		l, n := binary.Uvarint(rest)
 		if n <= 0 {

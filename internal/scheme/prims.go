@@ -409,6 +409,10 @@ func installPrimitives(in *Interp) {
 		if err != nil {
 			return nil, err
 		}
+		// While every quotient is an exact integer it is kept in int64, as
+		// compareChain compares: float64 holds integers exactly only up to
+		// 2^53. The first inexact or float step turns the chain float.
+		accI, exact := first.(int64)
 		allInt := !isF
 		for _, x := range rest {
 			f, isF, err := numOf(x)
@@ -418,10 +422,19 @@ func installPrimitives(in *Interp) {
 			if f == 0 {
 				return nil, Errorf("/: division by zero")
 			}
+			if y, ok := x.(int64); exact && ok && accI%y == 0 {
+				accI /= y // MinInt64 / -1 wraps, as quotient does
+				acc = float64(accI)
+				continue
+			}
+			exact = false
 			if isF {
 				allInt = false
 			}
 			acc /= f
+		}
+		if exact {
+			return accI, nil
 		}
 		if allInt && acc == math.Trunc(acc) {
 			return int64(acc), nil

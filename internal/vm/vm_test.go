@@ -122,6 +122,13 @@ var parityPrograms = []struct{ src, want string }{
 	        (- -9223372036854775808) (quotient -9223372036854775808 -1)
 	        (+ 9223372036854775807 1) (modulo -7 2) (remainder -7 2) (- 5))`,
 		`(-2 -2 -9223372036854775808 -9223372036854775808 -9223372036854775808 1 -1 -5)`},
+	// An exact integer quotient stays int64 past 2^53 and wraps like
+	// quotient; an inexact or float step turns the result float.
+	{`(list (/ 9007199254740993 1) (/ -9007199254740993 -1) (/ 18014398509481986 2 1)
+	        (/ -9223372036854775808 -1) (apply / '(9007199254740993 1)) (/ 12 4 3) (/ -1))`,
+		`(9007199254740993 9007199254740993 9007199254740993 -9223372036854775808 9007199254740993 1 -1)`},
+	{`(list (/ 7 2) (/ 7 2 2) (/ 6 4 .5) (/ 6. 3) (/ 6 3.) (/ 2) (/ 1 3))`,
+		`(3.5 1.75 3. 2. 2. 0.5 0.3333333333333333)`},
 }
 
 // TestFixnumEscapes: an integer the VM computes stays unboxed in its
