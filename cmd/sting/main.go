@@ -63,13 +63,13 @@ func main() {
 		os.Exit(1)
 	}
 	in := scheme.New(vm, scheme.WithOutput(os.Stdout), scheme.WithEngine(*engine))
-	var spanBuf *sting.SpanBuffer
+	var spanBuf *sting.SpanRing
 	var rootSpan *sting.Span
 	if *traceOut != "" {
 		// The sink goes in after New so the prelude load stays untraced;
 		// every toplevel form then evaluates under one root span, so remote
 		// ops in scripts open client spans that stitch to server spans.
-		spanBuf = sting.NewSpanBuffer(1 << 14)
+		spanBuf = sting.NewSpanRing(1 << 14)
 		sting.SetSpanSink(spanBuf.Record)
 		rootSpan = sting.StartSpan(sting.SpanContext{}, "sting/run", sting.SpanInternal)
 		in.SetToplevelOptions(sting.WithSpanContext(rootSpan.Context()))
@@ -135,7 +135,7 @@ func main() {
 // writeSpanDump drains the span ring to path in the JSON dump format
 // under the node name "sting" (scripts/tracecat merges it with the
 // daemons' dumps), returning the span count.
-func writeSpanDump(path string, buf *sting.SpanBuffer) (int, error) {
+func writeSpanDump(path string, buf *sting.SpanRing) (int, error) {
 	drained := buf.Drain()
 	f, err := os.Create(path)
 	if err != nil {

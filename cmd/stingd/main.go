@@ -10,7 +10,7 @@
 //	stingd -addr :7734                      serve (Ctrl-C drains gracefully)
 //	stingd -spaces jobs=hash,done=queue     pre-create spaces by representation
 //	stingd -vps 8 -procs 4                  size the serving VM
-//	stingd -stats-every 10s                 print the counter table periodically
+//	stingd -stats-every 10s                 print the stats (Prometheus text) periodically
 //	stingd -http :9090                      serve /metrics, /healthz, /readyz,
 //	                                        /debug/trace, /debug/spans, /debug/diag
 //	stingd -diag-slo 5s                     report waiters parked past 5s as
@@ -23,7 +23,7 @@
 //	stingd -snapshot state.gob              restore passive tuples on boot,
 //	                                        write them back on graceful drain
 //	stingd -addr host:7734 -dump-stats      client mode: fetch and print a
-//	                                        server's stats snapshot, then exit
+//	                                        server's stats (Prometheus text), then exit
 //
 // Spaces not pre-created are opened on first use with the hash
 // representation (Linda-style implicit creation).
@@ -109,7 +109,8 @@ type serverOpts struct {
 	diagTopK               int
 }
 
-// runDumpStats is the client mode: one STATS round trip, rendered.
+// runDumpStats is the client mode: one STATS round trip, printed as the
+// Prometheus text the server rendered.
 func runDumpStats(addr string) int {
 	c, err := remote.Dial(nil, addr, remote.DialConfig{})
 	if err != nil {
@@ -117,12 +118,14 @@ func runDumpStats(addr string) int {
 		return 1
 	}
 	defer c.Close() //nolint:errcheck
-	snap, err := c.Stats(nil)
+	ms, err := c.Stats(nil)
+	if err == nil {
+		err = obs.WritePrometheus(os.Stdout, ms)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stingd:", err)
 		return 1
 	}
-	fmt.Print(snap.String())
 	return 0
 }
 
@@ -209,22 +212,22 @@ func runServer(opts serverOpts) int {
 		d.Start()
 		defer d.Stop()
 		if opts.diagWatch > 0 {
-			startWatchdog(vm, d, opts.diagWatch, nodeName, watchStop)
+			startWatchdog(vm, d, opts.diagWatch, watchStop)
 		}
 		fmt.Printf("stingd: runtime diagnosis on (sample %v, stall SLO %v; SIGQUIT dumps the flight recorder)\n",
 			opts.diagSample, opts.diagSLO)
 	}
 
 	var draining atomic.Bool
-	var spans *obs.SpanBuffer
+	var spans *obs.SpanRing
 	if opts.httpAddr != "" || opts.traceOut != "" {
 		// Span tracing engages whenever there is somewhere for the spans to
 		// go: the HTTP surface, the drain-time dump file, or both.
-		spans = obs.NewSpanBuffer(obsSpanCap)
+		spans = obs.NewSpanRing(obsSpanCap)
 		obs.SetSpanSink(spans.Record)
 	}
 	if opts.httpAddr != "" {
-		trace := core.NewTraceBuffer(obsTraceCap)
+		trace := core.NewTraceRing(obsTraceCap)
 		core.SetTracer(trace.Record)
 		h := buildObsHandler(vm, reg, srv, obsWiring{
 			trace:    trace,
@@ -252,7 +255,7 @@ func runServer(opts serverOpts) int {
 	if opts.statsEvery > 0 {
 		go func() {
 			for range time.Tick(opts.statsEvery) {
-				fmt.Print(srv.Stats().String())
+				srv.WriteStats(os.Stdout) //nolint:errcheck
 			}
 		}()
 	}
@@ -275,7 +278,7 @@ wait:
 			if sig == syscall.SIGQUIT {
 				fmt.Fprintln(os.Stderr, "stingd: SIGQUIT — dumping flight recorder")
 				d.Record("dump", "", "", "SIGQUIT", 0)
-				if err := d.Recorder().DumpJSON(os.Stderr, nodeName); err != nil {
+				if err := d.DumpJSON(os.Stderr); err != nil {
 					fmt.Fprintln(os.Stderr, "stingd: dump:", err)
 				}
 				continue
@@ -314,7 +317,7 @@ wait:
 			fmt.Printf("stingd: dumped %d spans to %s\n", n, opts.traceOut)
 		}
 	}
-	fmt.Print(srv.Stats().String())
+	srv.WriteStats(os.Stdout) //nolint:errcheck
 	return 0
 }
 

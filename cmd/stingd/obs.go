@@ -29,8 +29,8 @@ const obsSpanCap = 16384
 // obsWiring carries buildObsHandler's optional surfaces: span ring and
 // diagnoser may be nil (the feature is off).
 type obsWiring struct {
-	trace    *core.TraceBuffer
-	spans    *obs.SpanBuffer
+	trace    *core.TraceRing
+	spans    *obs.SpanRing
 	d        *diag.Diagnoser
 	node     string
 	pprof    bool
@@ -55,7 +55,7 @@ func buildObsHandler(vm *core.VM, reg *tspace.Registry, srv *remote.Server, w ob
 	r.Register("remote", remote.ServerCollector{Server: srv})
 	r.Register("stm", stm.NewCollector())
 	r.Register("vm", stingvm.NewCollector())
-	r.Register("trace", core.TraceCollector{Buffer: w.trace})
+	r.Register("trace", core.TraceCollector{Ring: w.trace})
 	r.Register("build", obs.BuildInfo(
 		obs.L("proto", strconv.Itoa(remote.ProtocolVersion())),
 		obs.L("engine", scheme.DefaultEngineName()),
@@ -63,14 +63,14 @@ func buildObsHandler(vm *core.VM, reg *tspace.Registry, srv *remote.Server, w ob
 	h := &obs.Handler{
 		Registry: r,
 		TraceEvents: func() []obs.TraceEvent {
-			return core.ObsTraceEvents(w.trace.Events())
+			return core.ObsTraceEvents(w.trace.Tail(w.trace.Cap()))
 		},
 		Node:        w.node,
 		EnablePprof: w.pprof,
 	}
 	if w.spans != nil {
-		r.Register("spans", obs.SpanCollector{Buffer: w.spans})
-		h.Spans = w.spans.Spans
+		r.Register("spans", obs.SpanCollector{Ring: w.spans})
+		h.Spans = func() []*obs.SpanData { return w.spans.Tail(w.spans.Cap()) }
 	}
 	if w.d != nil {
 		r.Register("diag", w.d.Collector())
@@ -88,7 +88,7 @@ func buildObsHandler(vm *core.VM, reg *tspace.Registry, srv *remote.Server, w ob
 
 // writeSpanDump drains the span ring to path in the JSON dump format
 // (scripts/tracecat merges several nodes' dumps), returning the span count.
-func writeSpanDump(path, node string, spans *obs.SpanBuffer) (int, error) {
+func writeSpanDump(path, node string, spans *obs.SpanRing) (int, error) {
 	drained := spans.Drain()
 	f, err := os.Create(path)
 	if err != nil {

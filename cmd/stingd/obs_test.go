@@ -41,11 +41,11 @@ func TestObsHandlerExposesRequiredFamilies(t *testing.T) {
 	go srv.Serve(ln) //nolint:errcheck
 	defer srv.Shutdown()
 
-	trace := core.NewTraceBuffer(4096)
+	trace := core.NewTraceRing(4096)
 	core.SetTracer(trace.Record)
 	defer core.SetTracer(nil)
 
-	spans := obs.NewSpanBuffer(256)
+	spans := obs.NewSpanRing(256)
 	obs.SetSpanSink(spans.Record)
 	defer obs.SetSpanSink(nil)
 

@@ -17,7 +17,7 @@ import (
 // the failure /metrics cannot report because the counters stop moving.
 // On a missed beat the watchdog records the stall and dumps the flight
 // recorder to stderr, then keeps beating so recovery is observed too.
-func startWatchdog(vm *core.VM, d *diag.Diagnoser, interval time.Duration, node string, stop <-chan struct{}) {
+func startWatchdog(vm *core.VM, d *diag.Diagnoser, interval time.Duration, stop <-chan struct{}) {
 	go func() {
 		t := time.NewTicker(interval)
 		defer t.Stop()
@@ -47,7 +47,7 @@ func startWatchdog(vm *core.VM, d *diag.Diagnoser, interval time.Duration, node 
 					wedged = true
 					d.WatchdogStall(fmt.Sprintf("heartbeat thread not scheduled within %v", interval))
 					fmt.Fprintf(os.Stderr, "stingd: watchdog: heartbeat missed (%v) — dumping flight recorder\n", interval)
-					if err := d.Recorder().DumpJSON(os.Stderr, node); err != nil {
+					if err := d.DumpJSON(os.Stderr); err != nil {
 						fmt.Fprintln(os.Stderr, "stingd: watchdog dump:", err)
 					}
 				}

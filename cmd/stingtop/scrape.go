@@ -45,7 +45,7 @@ func (p *poller) poll() scrape {
 		s.err = fmt.Errorf("/metrics: %s", resp.Status)
 		return s
 	}
-	if s.metrics, s.err = tsdb.ParsePrometheus(resp.Body); s.err != nil {
+	if s.metrics, s.err = obs.ParsePrometheus(resp.Body); s.err != nil {
 		return s
 	}
 	if resp, err := p.client.Get("http://" + p.endpoint + "/readyz"); err == nil {

@@ -14,7 +14,7 @@ import (
 // losing branch (CANCELed after the winner decides) still closes its
 // span, and nothing stays open afterwards.
 func TestFanoutSpansOnePerBranchAllClosed(t *testing.T) {
-	buf := obs.NewSpanBuffer(1024)
+	buf := obs.NewSpanRing(1024)
 	obs.SetSpanSink(buf.Record)
 	defer obs.SetSpanSink(nil)
 	base := obs.OpenSpans()
@@ -91,7 +91,7 @@ func TestFanoutSpansOnePerBranchAllClosed(t *testing.T) {
 // TestUntracedFanoutMintsNoTrace: a caller without a span context must
 // not cause the cluster layer to start a fresh trace root.
 func TestUntracedFanoutMintsNoTrace(t *testing.T) {
-	buf := obs.NewSpanBuffer(64)
+	buf := obs.NewSpanRing(64)
 	obs.SetSpanSink(buf.Record)
 	defer obs.SetSpanSink(nil)
 

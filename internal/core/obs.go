@@ -76,27 +76,19 @@ func queueDepth(vp *VP) (int, bool) {
 
 // TraceCollector exposes a trace ring's occupancy and overflow accounting.
 type TraceCollector struct {
-	Buffer *TraceBuffer
+	Ring *TraceRing
 }
 
 // Collect implements obs.Collector.
 func (c TraceCollector) Collect() []obs.Metric {
-	b := c.Buffer
-	if b == nil {
+	if c.Ring == nil {
 		return nil
 	}
-	b.mu.Lock()
-	retained := b.next
-	if b.filled {
-		retained = len(b.events)
-	}
-	dropped, recorded := b.dropped, b.recorded
-	b.mu.Unlock()
-	return []obs.Metric{
-		obs.Gauge("sting_trace_events", "Events currently retained in the trace ring.", float64(retained)),
-		obs.Counter("sting_trace_recorded_total", "Events ever recorded into the trace ring.", float64(recorded)),
-		obs.Counter("sting_trace_dropped_total", "Oldest events overwritten by ring overflow.", float64(dropped)),
-	}
+	return c.Ring.Stats().Metrics("trace", obs.RingFamilies{
+		Retained: "sting_trace_events",
+		Recorded: "sting_trace_recorded_total",
+		Dropped:  "sting_trace_dropped_total",
+	})
 }
 
 // ObsTraceEvents converts trace-ring events into the exporter's form, for

@@ -21,7 +21,7 @@ func findSpan(spans []*obs.SpanData, name string) *obs.SpanData {
 // child nests under that span, both close at determine, and the scheduler
 // transitions appear as span events.
 func TestSpanInheritedAcrossFork(t *testing.T) {
-	buf := obs.NewSpanBuffer(256)
+	buf := obs.NewSpanRing(256)
 	obs.SetSpanSink(buf.Record)
 	defer obs.SetSpanSink(nil)
 	base := obs.OpenSpans()
@@ -82,7 +82,7 @@ func TestSpanInheritedAcrossFork(t *testing.T) {
 // TestUntracedThreadsOpenNoSpans: with a sink installed but no span
 // context, threads stay untraced — spans engage per-trace, not per-sink.
 func TestUntracedThreadsOpenNoSpans(t *testing.T) {
-	buf := obs.NewSpanBuffer(64)
+	buf := obs.NewSpanRing(64)
 	obs.SetSpanSink(buf.Record)
 	defer obs.SetSpanSink(nil)
 
@@ -107,7 +107,7 @@ func TestUntracedThreadsOpenNoSpans(t *testing.T) {
 // TestWithSpanScopesContext: Context.WithSpan installs the span for the
 // body and restores the previous context afterwards, even on nested use.
 func TestWithSpanScopesContext(t *testing.T) {
-	buf := obs.NewSpanBuffer(64)
+	buf := obs.NewSpanRing(64)
 	obs.SetSpanSink(buf.Record)
 	defer obs.SetSpanSink(nil)
 

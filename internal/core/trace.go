@@ -2,9 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TraceKind classifies substrate events for the monitoring facilities the
@@ -96,98 +97,10 @@ func vpIndexOf(vp *VP) int {
 	return vp.index
 }
 
-// TraceBuffer is a ready-made Tracer: a bounded, concurrent ring of recent
-// events for post-mortem inspection. Overflow drops the oldest event and
-// is counted exactly: recorded = retained + Dropped always holds.
-type TraceBuffer struct {
-	mu       sync.Mutex
-	events   []TraceEvent
-	next     int
-	filled   bool
-	dropped  uint64
-	recorded uint64
-}
+// TraceRing is the ready-made Tracer: NewTraceRing(n).Record keeps the
+// newest n events for post-mortem inspection, with the obs.Ring overflow
+// accounting.
+type TraceRing = obs.SyncRing[TraceEvent]
 
-// NewTraceBuffer creates a ring holding the most recent n events.
-func NewTraceBuffer(n int) *TraceBuffer {
-	if n <= 0 {
-		n = 1024
-	}
-	return &TraceBuffer{events: make([]TraceEvent, n)}
-}
-
-// Record is the Tracer function.
-func (b *TraceBuffer) Record(e TraceEvent) {
-	b.mu.Lock()
-	if b.filled {
-		b.dropped++ // the slot we are about to reuse held the oldest event
-	}
-	b.events[b.next] = e
-	b.recorded++
-	b.next++
-	if b.next == len(b.events) {
-		b.next = 0
-		b.filled = true
-	}
-	b.mu.Unlock()
-}
-
-// Events returns the buffered events, oldest first.
-func (b *TraceBuffer) Events() []TraceEvent {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.filled {
-		out := make([]TraceEvent, b.next)
-		copy(out, b.events[:b.next])
-		return out
-	}
-	out := make([]TraceEvent, 0, len(b.events))
-	out = append(out, b.events[b.next:]...)
-	out = append(out, b.events[:b.next]...)
-	return out
-}
-
-// Drain returns the buffered events oldest-first and resets the ring; the
-// dropped and recorded totals are cumulative and survive the drain.
-func (b *TraceBuffer) Drain() []TraceEvent {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var out []TraceEvent
-	if !b.filled {
-		out = make([]TraceEvent, b.next)
-		copy(out, b.events[:b.next])
-	} else {
-		out = make([]TraceEvent, 0, len(b.events))
-		out = append(out, b.events[b.next:]...)
-		out = append(out, b.events[:b.next]...)
-	}
-	b.next = 0
-	b.filled = false
-	return out
-}
-
-// Dropped reports how many events were overwritten by ring overflow.
-func (b *TraceBuffer) Dropped() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped
-}
-
-// Recorded reports the cumulative number of events ever recorded.
-func (b *TraceBuffer) Recorded() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.recorded
-}
-
-// Cap returns the ring capacity.
-func (b *TraceBuffer) Cap() int { return len(b.events) }
-
-// Count tallies events by kind.
-func (b *TraceBuffer) Count() map[TraceKind]int {
-	out := make(map[TraceKind]int)
-	for _, e := range b.Events() {
-		out[e.Kind]++
-	}
-	return out
-}
+// NewTraceRing creates a trace ring holding the newest n events.
+func NewTraceRing(n int) *TraceRing { return obs.NewSyncRing[TraceEvent](n) }

@@ -6,8 +6,7 @@ import "repro/internal/obs"
 // sting_diag_* families stingd registers under "diag".
 func (d *Diagnoser) Collector() obs.Collector {
 	return obs.CollectorFunc(func() []obs.Metric {
-		added, dropped := d.rec.Stats()
-		return []obs.Metric{
+		return append([]obs.Metric{
 			obs.Counter("sting_diag_samples_total",
 				"Stall-sampler passes completed.",
 				float64(d.samples.Load())),
@@ -38,15 +37,12 @@ func (d *Diagnoser) Collector() obs.Collector {
 			obs.Counter("sting_diag_handoffs_total",
 				"Baton handoffs seen by the profiler.",
 				float64(d.prof.handoffs.Load())),
-			obs.Counter("sting_diag_recorder_events_total",
-				"Events recorded by the flight recorder.",
-				float64(added)),
-			obs.Counter("sting_diag_recorder_dropped_total",
-				"Flight-recorder events overwritten by ring wrap.",
-				float64(dropped)),
 			obs.HistogramSample("sting_diag_sample_latency_seconds",
 				"Latency of one stall-sampler pass.",
 				d.sampleLat),
-		}
+		}, d.rec.Stats().Metrics("flight-recorder", obs.RingFamilies{
+			Recorded: "sting_diag_recorder_events_total",
+			Dropped:  "sting_diag_recorder_dropped_total",
+		})...)
 	})
 }

@@ -108,7 +108,7 @@ func (c *Config) withDefaults() Config {
 type Diagnoser struct {
 	cfg  Config
 	prof *profiler
-	rec  *Recorder
+	rec  *obs.SyncRing[Event] // the flight recorder
 
 	mu        sync.Mutex // sampler state: one sample at a time
 	stalls    map[stallID]time.Time
@@ -141,7 +141,7 @@ func New(cfg Config) *Diagnoser {
 	return &Diagnoser{
 		cfg:       c,
 		prof:      newProfiler(c.TopK),
-		rec:       NewRecorder(c.RecorderCap),
+		rec:       obs.NewSyncRing[Event](c.RecorderCap),
 		stalls:    make(map[stallID]time.Time),
 		deadlocks: make(map[string]time.Time),
 		sampleLat: obs.NewHistogram(),
@@ -167,9 +167,6 @@ func (d *Diagnoser) Stop() {
 	tspace.SetDiagHook(nil)
 	defaultDiag.CompareAndSwap(d, nil)
 }
-
-// Recorder returns the diagnoser's flight recorder.
-func (d *Diagnoser) Recorder() *Recorder { return d.rec }
 
 // Record appends a diagnostic event to the flight recorder.
 func (d *Diagnoser) Record(kind, space, key, detail string, count uint64) {

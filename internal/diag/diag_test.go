@@ -45,35 +45,25 @@ func TestSketchUnkeyedClass(t *testing.T) {
 	}
 }
 
+// TestRecorderRingAndDump: the flight recorder keeps the newest events and
+// its dump carries them, oldest first, with the node and the overflow count
+// (the ring itself is TestRing's, in internal/obs).
 func TestRecorderRingAndDump(t *testing.T) {
-	r := NewRecorder(4)
+	d := New(Config{Node: "n1", RecorderCap: 4})
 	for i := 0; i < 6; i++ {
-		r.Record(Event{Kind: "e", Count: uint64(i)})
-	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("len = %d, want 4", len(evs))
-	}
-	if evs[0].Count != 2 || evs[3].Count != 5 {
-		t.Fatalf("ring contents %v", evs)
-	}
-	if tail := r.Tail(2); len(tail) != 2 || tail[1].Count != 5 {
-		t.Fatalf("tail %v", tail)
-	}
-	added, dropped := r.Stats()
-	if added != 6 || dropped != 2 {
-		t.Fatalf("added %d dropped %d", added, dropped)
+		d.Record("e", "", "", "", uint64(i))
 	}
 	var buf bytes.Buffer
-	if err := r.DumpJSON(&buf, "n1"); err != nil {
+	if err := d.DumpJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d, err := DecodeDump(&buf)
+	dump, err := DecodeDump(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Node != "n1" || len(d.Events) != 4 || d.Dropped != 2 {
-		t.Fatalf("dump %+v", d)
+	if dump.Node != "n1" || len(dump.Events) != 4 || dump.Dropped != 2 ||
+		dump.Events[0].Count != 2 || dump.Events[3].Count != 5 {
+		t.Fatalf("dump %+v", dump)
 	}
 }
 
@@ -106,7 +96,7 @@ func TestStallOnsetCountsOnce(t *testing.T) {
 	if len(rep.Stalls) != 0 || d.stalledNow.Load() != 0 {
 		t.Fatalf("stalls %v after clear", rep.Stalls)
 	}
-	kinds := eventKinds(d.rec.Events())
+	kinds := eventKinds(d.rec.Tail(d.rec.Cap()))
 	if !strings.Contains(kinds, "stall-clear") {
 		t.Fatalf("no stall-clear event in %s", kinds)
 	}
@@ -186,7 +176,7 @@ func TestShardEventAndDefault(t *testing.T) {
 	if s2 := rep.Shards["10.0.0.2:7000"]; s2 == nil || s2.Conflicts != 1 {
 		t.Fatalf("shard2 %+v", s2)
 	}
-	if !strings.Contains(eventKinds(d.rec.Events()), "probe-fail") {
+	if !strings.Contains(eventKinds(d.rec.Tail(d.rec.Cap())), "probe-fail") {
 		t.Fatal("probe-fail event missing")
 	}
 }

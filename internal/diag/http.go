@@ -22,7 +22,7 @@ func (h Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("dump") == "1" {
 		h.D.Record("dump", "", "", "flight recorder dumped via /debug/diag", 0)
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = h.D.rec.DumpJSON(w, h.D.cfg.Node)
+		_ = h.D.DumpJSON(w)
 		return
 	}
 	rep := h.D.Sample()

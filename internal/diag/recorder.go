@@ -3,11 +3,10 @@ package diag
 import (
 	"encoding/json"
 	"io"
-	"sync"
 	"time"
 )
 
-// The flight recorder: a fixed-size ring of diagnostic events kept at
+// The flight recorder: an obs ring of the newest diagnostic events kept at
 // all times, so the moments leading up to a hang or a crash are
 // available after the fact — dumped by stingd on SIGQUIT, on a
 // watchdog-detected scheduler stall, and on /debug/diag?dump=1. The
@@ -24,76 +23,6 @@ type Event struct {
 	Count  uint64    `json:"count,omitempty"`
 }
 
-// Recorder is the ring. Record never blocks beyond its own mutex and
-// never allocates once the ring is warm; old events are overwritten.
-type Recorder struct {
-	mu      sync.Mutex
-	buf     []Event
-	next    int
-	wrapped bool
-	added   uint64
-	dropped uint64
-}
-
-// NewRecorder builds a ring holding at most cap events.
-func NewRecorder(cap int) *Recorder {
-	if cap <= 0 {
-		cap = 4096
-	}
-	return &Recorder{buf: make([]Event, cap)}
-}
-
-// Record appends ev, overwriting the oldest entry when full.
-func (r *Recorder) Record(ev Event) {
-	if ev.T.IsZero() {
-		ev.T = time.Now()
-	}
-	r.mu.Lock()
-	if r.wrapped {
-		r.dropped++
-	}
-	r.buf[r.next] = ev
-	r.next++
-	r.added++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.wrapped = true
-	}
-	r.mu.Unlock()
-}
-
-// Stats reports how many events were recorded and how many the ring
-// has overwritten.
-func (r *Recorder) Stats() (added, dropped uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.added, r.dropped
-}
-
-// Events returns the ring's contents, oldest first.
-func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.wrapped {
-		out := make([]Event, r.next)
-		copy(out, r.buf[:r.next])
-		return out
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// Tail returns the newest n events, oldest first.
-func (r *Recorder) Tail(n int) []Event {
-	evs := r.Events()
-	if len(evs) > n {
-		evs = evs[len(evs)-n:]
-	}
-	return evs
-}
-
 // Dump is the on-disk/wire shape of a flight-recorder dump.
 type Dump struct {
 	Node     string    `json:"node,omitempty"`
@@ -102,14 +31,14 @@ type Dump struct {
 	Events   []Event   `json:"events"`
 }
 
-// DumpJSON writes the ring as one JSON document tagged with the node
-// name. The recorder keeps recording while the dump is written.
-func (r *Recorder) DumpJSON(w io.Writer, node string) error {
-	_, dropped := r.Stats()
-	d := Dump{Node: node, DumpedAt: time.Now(), Dropped: dropped, Events: r.Events()}
+// DumpJSON writes the flight recorder as one JSON document tagged with
+// the node name. The recorder keeps recording while the dump is written.
+func (d *Diagnoser) DumpJSON(w io.Writer) error {
+	st := d.rec.Stats()
+	dump := Dump{Node: d.cfg.Node, DumpedAt: time.Now(), Dropped: st.Dropped, Events: d.rec.Tail(d.rec.Cap())}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(d)
+	return enc.Encode(dump)
 }
 
 // DecodeDump parses a dump produced by DumpJSON.

@@ -193,6 +193,7 @@ func (h *Handler) serveSpans(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spans := h.Spans()
+	sortSpans(spans)
 	if limit > 0 && len(spans) > limit {
 		spans = spans[len(spans)-limit:]
 	}

@@ -115,7 +115,7 @@ type SpanData struct {
 }
 
 // SpanSink receives finished spans; it runs on the ending goroutine and
-// must be brief and thread-safe (SpanBuffer.Record qualifies).
+// must be brief and thread-safe (SpanRing.Record qualifies).
 type SpanSink func(*SpanData)
 
 // spanSink is the process-wide sink; nil (the default) makes StartSpan

@@ -1,80 +1,16 @@
 package obs
 
-import (
-	"sort"
-	"sync"
-	"sync/atomic"
-)
+import "sort"
 
-// SpanBuffer is the ready-made SpanSink: a lock-free ring of the most
-// recent finished spans. Record is a single atomic increment plus one
-// pointer swap — no mutex on the hot path — and overflow accounting
-// mirrors the core trace ring's invariant exactly:
-//
-//	Recorded() == Drained() + Retained() + Dropped()
-//
-// Each recorded *SpanData leaves the ring exactly once: overwritten by a
-// later Record (dropped) or swapped out by Drain (drained); whatever
-// remains is retained. Swap on both sides makes the accounting exact even
-// while Record and Drain race.
-type SpanBuffer struct {
-	slots []atomic.Pointer[SpanData]
-	head  atomic.Uint64 // next logical position == spans ever recorded
+// SpanRing is the ready-made span sink: NewSpanRing(n).Record keeps the
+// newest n finished spans. Spans land in the order they end; readers
+// (/debug/spans, WriteSpansJSON) order them by start time.
+type SpanRing = SyncRing[*SpanData]
 
-	dropped atomic.Uint64
-	drained atomic.Uint64
+// NewSpanRing creates a span ring retaining the newest n spans.
+func NewSpanRing(n int) *SpanRing { return NewSyncRing[*SpanData](n) }
 
-	mu sync.Mutex // serializes Drain/Spans against each other only
-}
-
-// NewSpanBuffer creates a ring retaining the most recent n spans.
-func NewSpanBuffer(n int) *SpanBuffer {
-	if n <= 0 {
-		n = 1024
-	}
-	return &SpanBuffer{slots: make([]atomic.Pointer[SpanData], n)}
-}
-
-// Record is the SpanSink function. Lock-free: concurrent enders claim
-// distinct positions via the head counter and publish with one Swap.
-func (b *SpanBuffer) Record(sd *SpanData) {
-	pos := b.head.Add(1) - 1
-	if old := b.slots[pos%uint64(len(b.slots))].Swap(sd); old != nil {
-		b.dropped.Add(1)
-	}
-}
-
-// Spans returns a non-destructive snapshot of the retained spans, ordered
-// by start time (concurrent Records may or may not appear).
-func (b *SpanBuffer) Spans() []*SpanData {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]*SpanData, 0, len(b.slots))
-	for i := range b.slots {
-		if sd := b.slots[i].Load(); sd != nil {
-			out = append(out, sd)
-		}
-	}
-	sortSpans(out)
-	return out
-}
-
-// Drain removes and returns the retained spans, ordered by start time.
-// The dropped/drained totals are cumulative and survive the drain.
-func (b *SpanBuffer) Drain() []*SpanData {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]*SpanData, 0, len(b.slots))
-	for i := range b.slots {
-		if sd := b.slots[i].Swap(nil); sd != nil {
-			out = append(out, sd)
-		}
-	}
-	b.drained.Add(uint64(len(out)))
-	sortSpans(out)
-	return out
-}
-
+// sortSpans orders spans by start time, span id breaking ties.
 func sortSpans(spans []*SpanData) {
 	sort.Slice(spans, func(i, j int) bool {
 		if spans[i].StartNanos != spans[j].StartNanos {
@@ -84,40 +20,21 @@ func sortSpans(spans []*SpanData) {
 	})
 }
 
-// Recorded reports the cumulative number of spans ever recorded.
-func (b *SpanBuffer) Recorded() uint64 { return b.head.Load() }
-
-// Dropped reports how many spans were overwritten by ring overflow.
-func (b *SpanBuffer) Dropped() uint64 { return b.dropped.Load() }
-
-// Drained reports how many spans Drain has removed.
-func (b *SpanBuffer) Drained() uint64 { return b.drained.Load() }
-
-// Retained reports how many spans the ring currently holds.
-func (b *SpanBuffer) Retained() uint64 {
-	return b.Recorded() - b.Dropped() - b.Drained()
-}
-
-// Cap returns the ring capacity.
-func (b *SpanBuffer) Cap() int { return len(b.slots) }
-
 // SpanCollector exposes a span ring's occupancy and overflow accounting,
 // plus the process-wide open-span gauge, to the metrics registry.
 type SpanCollector struct {
-	Buffer *SpanBuffer
+	Ring *SpanRing
 }
 
 // Collect implements Collector.
 func (c SpanCollector) Collect() []Metric {
-	b := c.Buffer
-	if b == nil {
+	if c.Ring == nil {
 		return nil
 	}
-	return []Metric{
-		Gauge("sting_spans_retained", "Finished spans currently retained in the span ring.", float64(b.Retained())),
-		Counter("sting_span_recorded_total", "Spans ever recorded into the span ring.", float64(b.Recorded())),
-		Counter("sting_span_dropped_total", "Oldest spans overwritten by ring overflow.", float64(b.Dropped())),
-		Counter("sting_span_drained_total", "Spans removed by explicit drains.", float64(b.Drained())),
-		Gauge("sting_spans_open", "Spans started but not yet ended, process-wide.", float64(OpenSpans())),
-	}
+	return append(c.Ring.Stats().Metrics("span", RingFamilies{
+		Retained: "sting_spans_retained",
+		Recorded: "sting_span_recorded_total",
+		Dropped:  "sting_span_dropped_total",
+		Drained:  "sting_span_drained_total",
+	}), Gauge("sting_spans_open", "Spans started but not yet ended, process-wide.", float64(OpenSpans())))
 }

@@ -37,8 +37,10 @@ type spanDump struct {
 	Spans []spanJSON `json:"spans"`
 }
 
-// WriteSpansJSON writes the span dump format for one node.
+// WriteSpansJSON writes the span dump format for one node, ordering spans
+// (in place) by start time.
 func WriteSpansJSON(w io.Writer, node string, spans []*SpanData) error {
+	sortSpans(spans)
 	d := spanDump{Node: node, Spans: make([]spanJSON, len(spans))}
 	for i, sd := range spans {
 		j := spanJSON{

@@ -51,50 +51,24 @@ type HistPoint struct {
 }
 
 // Series is the retained history of one (name, labels) metric stream.
-// Scalar kinds fill pts; histograms fill hist. The ring is owned by the
+// Scalar kinds fill pts; histograms fill hist. The rings are owned by the
 // Store's lock.
 type Series struct {
 	Name   string
 	Labels []obs.Label
 	Kind   obs.MetricKind
 
-	pts  []Point
-	hist []HistPoint
-	head int // next write position
-	n    int // filled entries, ≤ cap
+	pts  *obs.Ring[Point]
+	hist *obs.Ring[HistPoint]
 }
-
-// appendPoint writes one scalar sample into the ring, overwriting the
-// oldest entry once full. Wraparound never double-counts: an overwritten
-// entry is gone, and every read walks only the n live entries.
-func (s *Series) appendPoint(p Point) {
-	if s.n < len(s.pts) {
-		s.pts[(s.head+s.n)%len(s.pts)] = p
-		s.n++
-		return
-	}
-	s.pts[s.head] = p
-	s.head = (s.head + 1) % len(s.pts)
-}
-
-func (s *Series) appendHist(p HistPoint) {
-	if s.n < len(s.hist) {
-		s.hist[(s.head+s.n)%len(s.hist)] = p
-		s.n++
-		return
-	}
-	s.hist[s.head] = p
-	s.head = (s.head + 1) % len(s.hist)
-}
-
-// at returns the i-th oldest live scalar sample (0 ≤ i < n).
-func (s *Series) at(i int) Point { return s.pts[(s.head+i)%len(s.pts)] }
-
-// histAt returns the i-th oldest live histogram sample.
-func (s *Series) histAt(i int) HistPoint { return s.hist[(s.head+i)%len(s.hist)] }
 
 // Len reports how many live samples the series holds.
-func (s *Series) Len() int { return s.n }
+func (s *Series) Len() int {
+	if s.hist != nil {
+		return s.hist.Len()
+	}
+	return s.pts.Len()
+}
 
 // Store holds every series' ring. All methods are safe for concurrent
 // use.
@@ -139,19 +113,19 @@ func (st *Store) Ingest(t time.Time, metrics []obs.Metric) {
 		if !ok {
 			s = &Series{Name: m.Name, Labels: append([]obs.Label(nil), m.Labels...), Kind: m.Kind}
 			if m.Kind == obs.KindHistogram {
-				s.hist = make([]HistPoint, st.cap)
+				s.hist = obs.NewRing[HistPoint](st.cap)
 			} else {
-				s.pts = make([]Point, st.cap)
+				s.pts = obs.NewRing[Point](st.cap)
 			}
 			st.series[key] = s
 			st.order = append(st.order, key)
 		}
 		if m.Kind == obs.KindHistogram {
 			if s.hist != nil {
-				s.appendHist(HistPoint{T: t, Snap: m.Hist})
+				s.hist.Record(HistPoint{T: t, Snap: m.Hist})
 			}
 		} else if s.pts != nil {
-			s.appendPoint(Point{T: t, V: m.Value})
+			s.pts.Record(Point{T: t, V: m.Value})
 		}
 	}
 }
@@ -207,33 +181,35 @@ func (st *Store) Rate(name string, labels []obs.Label, window time.Duration) (ra
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	s := st.lookup(name, labels)
-	if s == nil || s.n < 2 || s.pts == nil {
+	if s == nil || s.pts == nil || s.pts.Len() < 2 {
 		return 0, false
 	}
-	newest := s.at(s.n - 1)
+	pts := s.pts
+	n := pts.Len()
+	newest := pts.At(n - 1)
 	cutoff := newest.T.Add(-window)
 	// Find the anchor: the newest sample at or before the cutoff when one
 	// exists (so the window is fully covered), else the oldest retained.
 	first := 0
-	for i := s.n - 1; i >= 0; i-- {
+	for i := n - 1; i >= 0; i-- {
 		first = i
-		if !s.at(i).T.After(cutoff) {
+		if !pts.At(i).T.After(cutoff) {
 			break
 		}
 	}
-	if first == s.n-1 {
+	if first == n-1 {
 		return 0, false
 	}
 	var sum float64
-	prev := s.at(first)
-	for i := first + 1; i < s.n; i++ {
-		cur := s.at(i)
+	prev := pts.At(first)
+	for i := first + 1; i < n; i++ {
+		cur := pts.At(i)
 		if d := cur.V - prev.V; d > 0 {
 			sum += d
 		}
 		prev = cur
 	}
-	elapsed := newest.T.Sub(s.at(first).T).Seconds()
+	elapsed := newest.T.Sub(pts.At(first).T).Seconds()
 	if elapsed <= 0 {
 		return 0, false
 	}
@@ -246,10 +222,10 @@ func (st *Store) GaugeStats(name string, labels []obs.Label) (float64, bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	s := st.lookup(name, labels)
-	if s == nil || s.n == 0 || s.pts == nil {
+	if s == nil || s.pts == nil || s.pts.Len() == 0 {
 		return 0, false
 	}
-	return s.at(s.n - 1).V, true
+	return s.pts.At(s.pts.Len() - 1).V, true
 }
 
 // WindowHistogram returns the histogram of observations that landed
@@ -262,10 +238,11 @@ func (st *Store) WindowHistogram(name string, labels []obs.Label, window time.Du
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	s := st.lookup(name, labels)
-	if s == nil || s.n == 0 || s.hist == nil {
+	if s == nil || s.hist == nil || s.hist.Len() == 0 {
 		return nil, false
 	}
-	newest := s.histAt(s.n - 1)
+	n := s.hist.Len()
+	newest := s.hist.At(n - 1)
 	if newest.Snap == nil {
 		return nil, false
 	}
@@ -277,8 +254,8 @@ func (st *Store) WindowHistogram(name string, labels []obs.Label, window time.Du
 	// in a process's life, and it converges to the true windowed view as
 	// soon as retention covers the window.
 	var base *obs.HistogramSnapshot
-	for i := s.n - 1; i >= 0; i-- {
-		p := s.histAt(i)
+	for i := n - 1; i >= 0; i-- {
+		p := s.hist.At(i)
 		if !p.T.After(cutoff) {
 			base = p.Snap
 			break

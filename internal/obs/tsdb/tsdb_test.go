@@ -32,7 +32,7 @@ func TestRingWraparoundNeverDoubleCounts(t *testing.T) {
 	// Oldest live sample must be i=6 (values 6,7,8,9): nothing overwritten
 	// survives, nothing live is duplicated.
 	for i := 0; i < 4; i++ {
-		if got, want := s.at(i).V, float64(6+i); got != want {
+		if got, want := s.pts.At(i).V, float64(6+i); got != want {
 			t.Fatalf("at(%d).V = %g, want %g", i, got, want)
 		}
 	}

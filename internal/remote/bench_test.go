@@ -100,12 +100,12 @@ func benchSpanPingPong(b *testing.B, traced bool) {
 	srv, addr, echo := pingPongServer(b, ServerConfig{})
 	opts := []core.ThreadOption{core.WithName("bench-client")}
 	if traced {
-		ring := obs.NewSpanBuffer(1 << 16)
+		ring := obs.NewSpanRing(1 << 16)
 		obs.SetSpanSink(ring.Record)
 		defer obs.SetSpanSink(nil)
 		defer func() {
 			// client/put + client/get + server/put + server/get at the least.
-			if got := ring.Recorded(); got < 4*uint64(b.N) {
+			if got := ring.Stats().Recorded; got < 4*uint64(b.N) {
 				b.Errorf("%d spans recorded over %d traced round trips, want at least 4 each", got, b.N)
 			}
 		}()

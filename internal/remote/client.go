@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -817,17 +818,21 @@ func (c *Client) batchPut(ctx *core.Context, space string, tup tspace.Tuple) err
 	return fmt.Errorf("remote: put on %q: retries exhausted: %w", space, lastErr)
 }
 
-// Stats fetches the server's counter snapshot via the STATS wire op.
-func (c *Client) Stats(ctx *core.Context) (StatsSnapshot, error) {
-	req := request{op: opStats}
-	resp, err := c.roundTrip(ctx, req, c.cfg.Timeout, nil)
+// Stats fetches the server's metrics via the STATS wire op: what
+// Server.WriteStats renders, parsed back into samples.
+func (c *Client) Stats(ctx *core.Context) ([]obs.Metric, error) {
+	resp, err := c.roundTrip(ctx, request{op: opStats}, c.cfg.Timeout, nil)
 	if err != nil {
-		return StatsSnapshot{}, err
+		return nil, err
 	}
-	if resp.op != respStats || resp.stats == nil {
-		return StatsSnapshot{}, protoErrf("stats reply op %d", resp.op)
+	if resp.op != respStats {
+		return nil, protoErrf("stats reply op %d", resp.op)
 	}
-	return *resp.stats, nil
+	ms, err := obs.ParsePrometheus(strings.NewReader(resp.message))
+	if err != nil {
+		return nil, protoErrf("stats: %v", err)
+	}
+	return ms, nil
 }
 
 // Ping performs one HELLO round trip — the liveness probe cluster health

@@ -1,10 +1,12 @@
 package remote
 
 import (
+	"io"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/tspace"
 )
 
 // ServerCollector exposes a fabric server's counters and per-op latency
@@ -60,6 +62,16 @@ func (c ServerCollector) Collect() []obs.Metric {
 		obs.Counter("sting_remote_batch_puts_total", "Tuples deposited via BATCH frames.", float64(s.BatchPuts.Load())),
 		obs.Gauge("sting_remote_conn_pool_size", "Largest connection-pool size announced by a live client (ANNOUNCE).", float64(srv.maxAnnouncedPool())))
 	return out
+}
+
+// WriteStats renders what the STATS op answers, as Prometheus text: the
+// server's own counters and latency histograms (ServerCollector) and its
+// spaces' depths, waiters and wakes (tspace.RegistryCollector).
+func (s *Server) WriteStats(w io.Writer) error {
+	r := obs.NewRegistry()
+	r.Register("remote", ServerCollector{Server: s})
+	r.Register("tspace", tspace.RegistryCollector{Registry: s.reg})
+	return obs.WritePrometheus(w, r.Gather())
 }
 
 // clientMetrics instruments one fabric client: dial latency (including

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/testkit"
 	"repro/internal/tspace"
 )
@@ -190,35 +191,30 @@ func TestRemoteStatsCounters(t *testing.T) {
 		}
 	}
 
-	snap, err := c.Stats(nil)
+	ms, err := c.Stats(nil)
 	if err != nil {
 		t.Fatalf("Stats: %v", err)
 	}
-	if snap.Ops["put"] != puts || snap.Ops["get"] != gets || snap.Ops["tryget"] != trys {
-		t.Fatalf("ops %v, want put=%d get=%d tryget=%d", snap.Ops, puts, gets, trys)
-	}
-	if snap.Ops["hello"] == 0 {
-		t.Fatalf("hello not counted: %v", snap.Ops)
-	}
-	if snap.SpaceDepths["stats-space"] != puts-gets {
-		t.Fatalf("depth %v, want %d", snap.SpaceDepths, puts-gets)
-	}
-	if snap.ConnsActive < 1 || snap.Conns < 1 {
-		t.Fatalf("conns %d active %d", snap.Conns, snap.ConnsActive)
-	}
-	if snap.BytesIn == 0 || snap.BytesOut == 0 {
-		t.Fatalf("byte counters empty: in=%d out=%d", snap.BytesIn, snap.BytesOut)
-	}
-	// Wire snapshot matches the server's own view of the counters we
+	// The wire reply matches the server's own view of the counters we
 	// exercised (gauges and byte counts move with the STATS call itself).
 	local := srv.Stats()
-	for _, op := range []string{"put", "get", "tryget"} {
-		if snap.Ops[op] != local.Ops[op] {
-			t.Fatalf("op %s: wire %d != local %d", op, snap.Ops[op], local.Ops[op])
+	for op, want := range map[string]uint64{"put": puts, "get": gets, "tryget": trys} {
+		if m, _ := sample(ms, "sting_remote_ops_total", obs.L("op", op)); uint64(m.Value) != want || local.Ops[op] != want {
+			t.Fatalf("op %s: wire %v, local %d, want %d", op, m.Value, local.Ops[op], want)
 		}
 	}
-	if snap.String() == "" {
-		t.Fatal("empty stats rendering")
+	if m, _ := sample(ms, "sting_remote_ops_total", obs.L("op", "hello")); m.Value == 0 {
+		t.Fatal("hello not counted")
+	}
+	if m, _ := sample(ms, "sting_tspace_depth", obs.L("space", "stats-space")); int(m.Value) != puts-gets ||
+		local.SpaceDepths["stats-space"] != puts-gets {
+		t.Fatalf("depth: wire %v, local %v, want %d", m.Value, local.SpaceDepths, puts-gets)
+	}
+	for _, name := range []string{"sting_remote_conns_active", "sting_remote_conns_total",
+		"sting_remote_bytes_in_total", "sting_remote_bytes_out_total"} {
+		if m, _ := sample(ms, name); m.Value < 1 {
+			t.Fatalf("%s = %v, want > 0", name, m.Value)
+		}
 	}
 }
 

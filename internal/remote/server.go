@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -378,7 +379,16 @@ func (s *Server) routeStatus(space string, tup tspace.Tuple, tpl tspace.Template
 func (s *Server) serveOp(ctx *core.Context, sc *serverConn, req request, tok *tspace.CancelToken) bool {
 	switch req.op {
 	case opStats:
-		sc.sendPooled(appendStatsResp(sio.GetBuf()[:sio.PrefixLen], req.id, s.Stats()))
+		// The text follows a 5-byte header (op byte, request id). A reply
+		// too large for one frame is refused with an error reply: sending
+		// it would fail the write and drop the connection.
+		var text bytes.Buffer
+		_ = s.WriteStats(&text) // a bytes.Buffer write cannot fail
+		if n := 5 + text.Len(); n > maxFrame {
+			sc.sendErr(req.id, codeInternal, fmt.Sprintf("stats reply of %d bytes exceeds the %d-byte frame limit", n, maxFrame))
+			return true
+		}
+		sc.sendPooled(appendStatsResp(sio.GetBuf()[:sio.PrefixLen], req.id, text.Bytes()))
 		return true
 	case opLen:
 		sc.sendPooled(appendLenResp(sio.GetBuf()[:sio.PrefixLen], req.id, s.reg.OpenDefault(req.space).Len()))

@@ -16,7 +16,7 @@ import (
 // dispatch opens a server span parented on the client span — one trace ID
 // end to end, no leaked open spans.
 func TestClientServerSpanParentage(t *testing.T) {
-	buf := obs.NewSpanBuffer(1024)
+	buf := obs.NewSpanRing(1024)
 	obs.SetSpanSink(buf.Record)
 	defer obs.SetSpanSink(nil)
 	base := obs.OpenSpans()
@@ -95,7 +95,7 @@ func TestClientServerSpanParentage(t *testing.T) {
 // TestUntracedClientSendsNoSpans: a nil-context client must not grow
 // spans on the server (the hasTrace gate), even with a sink installed.
 func TestUntracedClientSendsNoSpans(t *testing.T) {
-	buf := obs.NewSpanBuffer(64)
+	buf := obs.NewSpanRing(64)
 	obs.SetSpanSink(buf.Record)
 	defer obs.SetSpanSink(nil)
 
@@ -122,7 +122,7 @@ func TestUntracedClientSendsNoSpans(t *testing.T) {
 // reader, with no request thread, and still closes exactly one server/put
 // span parented on the client's span.
 func TestReaderServedPutSpan(t *testing.T) {
-	buf := obs.NewSpanBuffer(64)
+	buf := obs.NewSpanRing(64)
 	obs.SetSpanSink(buf.Record)
 	defer obs.SetSpanSink(nil)
 	base := obs.OpenSpans()

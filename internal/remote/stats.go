@@ -1,9 +1,6 @@
 package remote
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -11,22 +8,22 @@ import (
 )
 
 // Stats counts server-side fabric events, mirroring the core.VPStats
-// snapshot idiom: cumulative atomic counters, a plain-value Snapshot, and
-// a render helper for the daemon's -dump-stats. OpLatency carries one
-// lock-free histogram per wire op, recorded in the server dispatch path;
-// the histograms are optional (nil when metrics are disabled) and every
-// recording site tolerates their absence.
+// snapshot idiom: cumulative atomic counters and a plain-value Snapshot;
+// ServerCollector renders them for /metrics and the STATS op. OpLatency
+// carries one lock-free histogram per wire op, recorded in the server
+// dispatch path; the histograms are optional (nil when metrics are
+// disabled) and every recording site tolerates their absence.
 type Stats struct {
 	OpsServed   [12]atomic.Uint64 // indexed by request op - 1 (through opAnnounce)
-	ProtoErrors atomic.Uint64    // malformed frames received
-	Timeouts    atomic.Uint64    // blocking ops expired server-side
-	Canceled    atomic.Uint64    // waiters withdrawn (disconnect/shutdown)
-	Redirects   atomic.Uint64    // keyed ops refused by the cluster route check
-	Blocked     atomic.Int64     // gauge: ops currently inside a blocking Get/Rd
-	BytesIn     atomic.Uint64    // frame bytes received
-	BytesOut    atomic.Uint64    // frame bytes sent
-	Conns       atomic.Uint64    // connections accepted, cumulative
-	ConnsActive atomic.Int64     // gauge: connections currently open
+	ProtoErrors atomic.Uint64     // malformed frames received
+	Timeouts    atomic.Uint64     // blocking ops expired server-side
+	Canceled    atomic.Uint64     // waiters withdrawn (disconnect/shutdown)
+	Redirects   atomic.Uint64     // keyed ops refused by the cluster route check
+	Blocked     atomic.Int64      // gauge: ops currently inside a blocking Get/Rd
+	BytesIn     atomic.Uint64     // frame bytes received
+	BytesOut    atomic.Uint64     // frame bytes sent
+	Conns       atomic.Uint64     // connections accepted, cumulative
+	ConnsActive atomic.Int64      // gauge: connections currently open
 
 	OpLatency [12]*obs.Histogram // per-op service latency, indexed by op - 1
 
@@ -117,16 +114,15 @@ func (s *Stats) Snapshot(depths map[string]int) StatsSnapshot {
 	return snap
 }
 
-// LatencySummary is the wire-portable digest of one op's latency
-// histogram: bucket-interpolated quantiles in seconds plus the sample
-// count. It is what -dump-stats and fabric clients see without HTTP.
+// LatencySummary is the in-process digest of one op's latency histogram:
+// bucket-interpolated quantiles in seconds plus the sample count.
 type LatencySummary struct {
 	Count         uint64
 	P50, P95, P99 float64 // seconds
 }
 
-// StatsSnapshot is a plain-value copy of Stats plus per-space depths; it
-// is what the STATS wire op ships.
+// StatsSnapshot is a plain-value copy of Stats plus per-space depths, for
+// in-process readers; the STATS wire op ships Server.WriteStats instead.
 type StatsSnapshot struct {
 	Ops         map[string]uint64 // per-op served counts, by op name
 	ProtoErrors uint64
@@ -150,129 +146,4 @@ func (s StatsSnapshot) OpsTotal() uint64 {
 		n += v
 	}
 	return n
-}
-
-// counters flattens the snapshot for the wire (op counters prefixed
-// "op.").
-func (s StatsSnapshot) counters() map[string]int64 {
-	m := map[string]int64{
-		"proto_errors": int64(s.ProtoErrors),
-		"timeouts":     int64(s.Timeouts),
-		"canceled":     int64(s.Canceled),
-		"redirects":    int64(s.Redirects),
-		"blocked":      s.Blocked,
-		"bytes_in":     int64(s.BytesIn),
-		"bytes_out":    int64(s.BytesOut),
-		"conns":        int64(s.Conns),
-		"conns_active": s.ConnsActive,
-		"batch_puts":   int64(s.BatchPuts),
-	}
-	for op, v := range s.Ops {
-		m["op."+op] = int64(v)
-	}
-	// Latency digests flatten to integer-nanosecond counters, keeping the
-	// STATS wire format a flat string→int64 map (old peers simply ignore
-	// the unknown keys).
-	for op, ls := range s.OpLatency {
-		m["lat."+op+".count"] = int64(ls.Count)
-		m["lat."+op+".p50_ns"] = int64(ls.P50 * 1e9)
-		m["lat."+op+".p95_ns"] = int64(ls.P95 * 1e9)
-		m["lat."+op+".p99_ns"] = int64(ls.P99 * 1e9)
-	}
-	return m
-}
-
-// setCounters is the wire-decoding inverse of counters.
-func (s *StatsSnapshot) setCounters(m map[string]int64) {
-	s.Ops = make(map[string]uint64)
-	s.OpLatency = make(map[string]LatencySummary)
-	for k, v := range m {
-		switch k {
-		case "proto_errors":
-			s.ProtoErrors = uint64(v)
-		case "timeouts":
-			s.Timeouts = uint64(v)
-		case "canceled":
-			s.Canceled = uint64(v)
-		case "redirects":
-			s.Redirects = uint64(v)
-		case "blocked":
-			s.Blocked = v
-		case "bytes_in":
-			s.BytesIn = uint64(v)
-		case "bytes_out":
-			s.BytesOut = uint64(v)
-		case "conns":
-			s.Conns = uint64(v)
-		case "conns_active":
-			s.ConnsActive = v
-		case "batch_puts":
-			s.BatchPuts = uint64(v)
-		default:
-			if op, ok := strings.CutPrefix(k, "op."); ok {
-				s.Ops[op] = uint64(v)
-			} else if rest, ok := strings.CutPrefix(k, "lat."); ok {
-				op, field, ok := strings.Cut(rest, ".")
-				if !ok {
-					continue
-				}
-				ls := s.OpLatency[op]
-				switch field {
-				case "count":
-					ls.Count = uint64(v)
-				case "p50_ns":
-					ls.P50 = float64(v) / 1e9
-				case "p95_ns":
-					ls.P95 = float64(v) / 1e9
-				case "p99_ns":
-					ls.P99 = float64(v) / 1e9
-				default:
-					continue
-				}
-				s.OpLatency[op] = ls
-			}
-		}
-	}
-}
-
-// String renders the snapshot as the table -dump-stats prints.
-func (s StatsSnapshot) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "ops served: %d", s.OpsTotal())
-	ops := make([]string, 0, len(s.Ops))
-	for op := range s.Ops {
-		ops = append(ops, op)
-	}
-	sort.Strings(ops)
-	for _, op := range ops {
-		fmt.Fprintf(&b, "  %s=%d", op, s.Ops[op])
-	}
-	fmt.Fprintf(&b, "\nblocked waiters: %d   timeouts: %d   canceled: %d   redirects: %d   protocol errors: %d\n",
-		s.Blocked, s.Timeouts, s.Canceled, s.Redirects, s.ProtoErrors)
-	fmt.Fprintf(&b, "bytes in/out: %d/%d   conns: %d (%d active)\n",
-		s.BytesIn, s.BytesOut, s.Conns, s.ConnsActive)
-	lops := make([]string, 0, len(s.OpLatency))
-	for op := range s.OpLatency {
-		lops = append(lops, op)
-	}
-	sort.Strings(lops)
-	for _, op := range lops {
-		ls := s.OpLatency[op]
-		fmt.Fprintf(&b, "latency %-8s p50=%s p95=%s p99=%s (n=%d)\n",
-			op, latencyDur(ls.P50), latencyDur(ls.P95), latencyDur(ls.P99), ls.Count)
-	}
-	names := make([]string, 0, len(s.SpaceDepths))
-	for n := range s.SpaceDepths {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(&b, "space %-20q depth %d\n", n, s.SpaceDepths[n])
-	}
-	return b.String()
-}
-
-// latencyDur renders a seconds value as a rounded duration string.
-func latencyDur(sec float64) string {
-	return time.Duration(sec * 1e9).Round(time.Microsecond).String()
 }

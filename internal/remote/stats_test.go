@@ -3,79 +3,78 @@ package remote
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
-	"math"
 	"net"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/tsdb"
 	"repro/internal/testkit"
 	"repro/internal/tspace"
 )
 
-// TestStatsCountersRoundTripLatency: the latency digests survive the flat
-// counters map that the STATS wire op ships (satellite: extend the STATS
-// op with per-op quantiles without breaking the wire format).
-func TestStatsCountersRoundTripLatency(t *testing.T) {
-	in := StatsSnapshot{
-		Ops: map[string]uint64{"put": 7},
-		OpLatency: map[string]LatencySummary{
-			"put": {Count: 7, P50: 0.000130, P95: 0.000850, P99: 0.002100},
-			"get": {Count: 2, P50: 1.5, P95: 2.25, P99: 2.25},
-		},
-	}
-	var out StatsSnapshot
-	out.setCounters(in.counters())
-	for op, want := range in.OpLatency {
-		got, ok := out.OpLatency[op]
-		if !ok {
-			t.Fatalf("op %q lost in roundtrip", op)
+// sample returns the first sample of the named family carrying every
+// label in want.
+func sample(ms []obs.Metric, name string, want ...obs.Label) (obs.Metric, bool) {
+	for _, m := range ms {
+		if m.Name != name {
+			continue
 		}
-		if got.Count != want.Count {
-			t.Errorf("%s count = %d, want %d", op, got.Count, want.Count)
+		ok := true
+		for _, l := range want {
+			ok = ok && slices.Contains(m.Labels, l)
 		}
-		for _, q := range []struct {
-			name      string
-			got, want float64
-		}{{"p50", got.P50, want.P50}, {"p95", got.P95, want.P95}, {"p99", got.P99, want.P99}} {
-			// Quantiles travel as integer nanoseconds; allow that rounding.
-			if math.Abs(q.got-q.want) > 1e-9 {
-				t.Errorf("%s %s = %v, want %v", op, q.name, q.got, q.want)
-			}
+		if ok {
+			return m, true
 		}
 	}
-	if out.Ops["put"] != 7 {
-		t.Errorf("op counters corrupted: %v", out.Ops)
-	}
+	return obs.Metric{}, false
 }
 
-// TestStatsWireRoundTripLatency: the encoded STATS response decodes to the
-// same digests end to end through the frame codec.
+// TestStatsWireRoundTripLatency: a live server's latency histograms
+// survive the STATS reply bucket for bucket, so a reader of the wire gets
+// the quantiles Server.Stats digests in process.
 func TestStatsWireRoundTripLatency(t *testing.T) {
-	snap := StatsSnapshot{
-		Ops:         map[string]uint64{"get": 4},
-		SpaceDepths: map[string]int{"jobs": 2},
-		OpLatency: map[string]LatencySummary{
-			"get": {Count: 4, P50: 0.000040, P95: 0.000200, P99: 0.000200},
-		},
+	srv, addr := startServer(t)
+	sp := dialTest(t, addr, DialConfig{}).Space("jobs")
+	for i := 0; i < 4; i++ {
+		if err := sp.Put(nil, tspace.Tuple{"job", i}); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
 	}
-	r, err := decodeResponse(appendStatsResp(nil, 3, snap))
+	// The server records an op's latency after it has answered; wait until
+	// all four puts show.
+	testkit.Eventually(t, 5*time.Second, func() bool {
+		return srv.Stats().OpLatency["put"].Count == 4
+	}, "latency of four puts never recorded")
+	var text bytes.Buffer
+	if err := srv.WriteStats(&text); err != nil {
+		t.Fatal(err)
+	}
+	r, err := decodeResponse(appendStatsResp(nil, 3, text.Bytes()))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	ls, ok := r.stats.OpLatency["get"]
-	if !ok {
-		t.Fatalf("latency digest missing: %+v", r.stats)
+	ms, err := obs.ParsePrometheus(strings.NewReader(r.message))
+	if err != nil {
+		t.Fatalf("parse: %v", err)
 	}
-	if ls.Count != 4 || math.Abs(ls.P50-0.000040) > 1e-9 || math.Abs(ls.P99-0.000200) > 1e-9 {
-		t.Fatalf("digest %+v", ls)
+	m, ok := sample(ms, "sting_remote_op_latency_seconds", obs.L("op", "put"))
+	if !ok || m.Hist == nil {
+		t.Fatalf("put latency histogram missing from %d samples", len(ms))
+	}
+	want := srv.Stats().OpLatency["put"]
+	if m.Hist.Count != want.Count || m.Hist.Quantile(0.5) != want.P50 || m.Hist.Quantile(0.99) != want.P99 {
+		t.Fatalf("wire histogram count %d p50 %v p99 %v, in process %+v",
+			m.Hist.Count, m.Hist.Quantile(0.5), m.Hist.Quantile(0.99), want)
 	}
 }
 
 // TestServerRecordsOpLatency: a live server measures its ops and ships the
-// digests through the STATS op to a fabric client.
+// histograms through the STATS op to a fabric client.
 func TestServerRecordsOpLatency(t *testing.T) {
 	_, addr := startServer(t)
 	c := dialTest(t, addr, DialConfig{})
@@ -89,28 +88,44 @@ func TestServerRecordsOpLatency(t *testing.T) {
 		t.Fatalf("TryGet: %v", err)
 	}
 	// The server records an op's latency after it has answered, so
-	// the STATS op can overtake the digest of a reply already received: ask
-	// until all four ops show.
-	var snap StatsSnapshot
+	// the STATS op can overtake the histogram of a reply already received:
+	// ask until all four ops show.
+	var put, tryget *obs.HistogramSnapshot
 	testkit.Eventually(t, 5*time.Second, func() bool {
-		var err error
-		if snap, err = c.Stats(nil); err != nil {
+		ms, err := c.Stats(nil)
+		if err != nil {
 			t.Fatalf("Stats: %v", err)
 		}
-		return snap.OpLatency["put"].Count >= 3 && snap.OpLatency["tryget"].Count >= 1
-	}, "latency digests of three puts and a tryget never recorded")
-	put, ok := snap.OpLatency["put"]
-	if !ok || put.Count < 3 {
-		t.Fatalf("put latency digest = %+v (snapshot %+v)", put, snap.OpLatency)
-	}
-	if put.P50 <= 0 || put.P99 < put.P50 {
+		p, _ := sample(ms, "sting_remote_op_latency_seconds", obs.L("op", "put"))
+		g, _ := sample(ms, "sting_remote_op_latency_seconds", obs.L("op", "tryget"))
+		put, tryget = p.Hist, g.Hist
+		return put != nil && put.Count >= 3 && tryget != nil && tryget.Count >= 1
+	}, "latency of three puts and a tryget never recorded")
+	if p50 := put.Quantile(0.5); p50 <= 0 || put.Quantile(0.99) < p50 {
 		t.Fatalf("put quantiles implausible: %+v", put)
 	}
-	if tg, ok := snap.OpLatency["tryget"]; !ok || tg.Count < 1 {
-		t.Fatalf("tryget latency digest = %+v", tg)
+}
+
+// TestStatsReplyOverFrameLimit: a STATS reply too large for one frame is
+// answered with an error reply; the connection stays up and serves on.
+func TestStatsReplyOverFrameLimit(t *testing.T) {
+	srv, addr := startServer(t)
+	// Each space adds five samples of ~150 bytes: 2,000 spaces render
+	// about 1.5 MB, past the 1 MiB frame limit.
+	for i := 0; i < 2000; i++ {
+		srv.Registry().OpenDefault(fmt.Sprintf("space-%04d-%s", i, strings.Repeat("x", 48)))
 	}
-	if snap.String() == "" || len(snap.String()) < 10 {
-		t.Fatal("String() render empty")
+	c := dialTest(t, addr, DialConfig{})
+	_, err := c.Stats(nil)
+	if err == nil || !strings.Contains(err.Error(), "frame limit") {
+		t.Fatalf("Stats = %v, want the frame-limit error reply", err)
+	}
+	if err := c.Space("jobs").Put(nil, tspace.Tuple{"after"}); err != nil {
+		t.Fatalf("Put after the refused STATS: %v", err)
+	}
+	if s := srv.Stats(); s.Conns != 1 || s.ConnsActive != 1 || s.ProtoErrors != 0 {
+		t.Fatalf("conns %d (active %d), protocol errors %d: want the one connection kept",
+			s.Conns, s.ConnsActive, s.ProtoErrors)
 	}
 }
 
@@ -210,7 +225,7 @@ func TestCountHistogramsResolveBatch(t *testing.T) {
 	if err := obs.WritePrometheus(&text, ServerCollector{Server: srv}.Collect()); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
-	parsed, err := tsdb.ParsePrometheus(&text)
+	parsed, err := obs.ParsePrometheus(&text)
 	if err != nil {
 		t.Fatalf("ParsePrometheus: %v", err)
 	}

@@ -33,7 +33,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -103,6 +102,8 @@ const (
 	respTuple
 	respNoMatch
 	respErr
+	// respStats answers opStats: the rest of the frame is the server's
+	// Prometheus text exposition.
 	respStats
 	respLen
 	// respBatch answers an opBatch frame: uvarint entry count, then one
@@ -589,30 +590,10 @@ func appendBatchResp(dst []byte, id uint32, sts []batchStatus) []byte {
 	return buf
 }
 
-func appendStatsResp(dst []byte, id uint32, s StatsSnapshot) []byte {
-	buf := appendRespHeader(dst, respStats, id)
-	counters := s.counters()
-	keys := make([]string, 0, len(counters))
-	for k := range counters {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(keys)))
-	for _, k := range keys {
-		buf = appendString(buf, k)
-		buf = binary.AppendVarint(buf, counters[k])
-	}
-	names := make([]string, 0, len(s.SpaceDepths))
-	for n := range s.SpaceDepths {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(names)))
-	for _, n := range names {
-		buf = appendString(buf, n)
-		buf = binary.AppendVarint(buf, int64(s.SpaceDepths[n]))
-	}
-	return buf
+// appendStatsResp frames a STATS reply: the body, to the end of the frame,
+// is the server's Prometheus text exposition (Server.WriteStats).
+func appendStatsResp(dst []byte, id uint32, text []byte) []byte {
+	return append(appendRespHeader(dst, respStats, id), text...)
 }
 
 // response is a decoded server frame.
@@ -622,11 +603,10 @@ type response struct {
 	tuple   tspace.Tuple
 	bind    tspace.Bindings
 	code    byte
-	message string
+	message string // respErr: the error text; respStats: the exposition
 	length  int64
-	stats   *StatsSnapshot // respStats only
-	version byte           // respOK: the version the server stated
-	batch   []batchStatus  // respBatch: one status per coalesced entry
+	version byte          // respOK: the version the server stated
+	batch   []batchStatus // respBatch: one status per coalesced entry
 }
 
 func decodeResponse(b []byte) (response, error) {
@@ -677,11 +657,7 @@ func decodeResponse(b []byte) (response, error) {
 		}
 		r.length = v
 	case respStats:
-		s, err := decodeStatsBody(rest)
-		if err != nil {
-			return r, err
-		}
-		r.stats = &s
+		r.message = string(rest)
 	case respBatch:
 		l, n := binary.Uvarint(rest)
 		if n <= 0 {
@@ -716,59 +692,6 @@ func decodeResponse(b []byte) (response, error) {
 		return r, protoErrf("unknown response op %d", r.op)
 	}
 	return r, nil
-}
-
-func decodeStatsBody(b []byte) (StatsSnapshot, error) {
-	var s StatsSnapshot
-	if len(b) < 4 {
-		return s, protoErrf("truncated stats")
-	}
-	nc := binary.BigEndian.Uint32(b)
-	if nc > 1024 {
-		return s, protoErrf("%d stats counters exceed limit", nc)
-	}
-	off := 4
-	counters := make(map[string]int64, nc)
-	for i := uint32(0); i < nc; i++ {
-		k, n, err := decodeString(b[off:], 256)
-		if err != nil {
-			return s, err
-		}
-		off += n
-		v, n2 := binary.Varint(b[off:])
-		if n2 <= 0 {
-			return s, protoErrf("bad counter value")
-		}
-		off += n2
-		counters[k] = v
-	}
-	s.setCounters(counters)
-	if len(b)-off < 4 {
-		return s, protoErrf("truncated space depths")
-	}
-	ns := binary.BigEndian.Uint32(b[off:])
-	if ns > 1<<16 {
-		return s, protoErrf("%d spaces exceed limit", ns)
-	}
-	off += 4
-	s.SpaceDepths = make(map[string]int, ns)
-	for i := uint32(0); i < ns; i++ {
-		name, n, err := decodeString(b[off:], maxNameLen)
-		if err != nil {
-			return s, err
-		}
-		off += n
-		v, n2 := binary.Varint(b[off:])
-		if n2 <= 0 {
-			return s, protoErrf("bad depth value")
-		}
-		off += n2
-		s.SpaceDepths[name] = int(v)
-	}
-	if off != len(b) {
-		return s, protoErrf("%d trailing bytes", len(b)-off)
-	}
-	return s, nil
 }
 
 // wireError converts a respErr frame into a typed Go error.

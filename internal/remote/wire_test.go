@@ -111,20 +111,14 @@ func TestResponseRoundTrip(t *testing.T) {
 		t.Fatalf("len resp: %v %+v", err, r)
 	}
 
-	snap := StatsSnapshot{
-		Ops:         map[string]uint64{"put": 3, "get": 1},
-		Timeouts:    2,
-		BytesIn:     100,
-		Blocked:     1,
-		SpaceDepths: map[string]int{"jobs": 4, "results": 0},
-	}
-	r, err = decodeResponse(appendStatsResp(nil, 11, snap))
+	text := "# TYPE sting_remote_timeouts_total counter\nsting_remote_timeouts_total 2\n" +
+		"# TYPE sting_tspace_depth gauge\nsting_tspace_depth{space=\"jobs\",kind=\"hash\"} 4\n"
+	r, err = decodeResponse(appendStatsResp(nil, 11, []byte(text)))
 	if err != nil {
 		t.Fatalf("stats resp: %v", err)
 	}
-	if r.stats.Ops["put"] != 3 || r.stats.Timeouts != 2 || r.stats.Blocked != 1 ||
-		r.stats.SpaceDepths["jobs"] != 4 {
-		t.Fatalf("stats decoded %+v", r.stats)
+	if r.op != respStats || r.message != text {
+		t.Fatalf("stats decoded %+v", r)
 	}
 }
 
@@ -211,8 +205,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(frame)
 	}
 	f.Add(appendErrResp(nil, 7, codeTimeout, "t"))
-	f.Add(appendStatsResp(nil, 8, StatsSnapshot{Ops: map[string]uint64{"put": 1},
-		SpaceDepths: map[string]int{"jobs": 1}}))
+	f.Add(appendStatsResp(nil, 8, []byte("sting_remote_timeouts_total 1\n")))
 	f.Add(appendBatchResp(nil, 9, []batchStatus{{code: 0}, {code: codeRedirect, msg: "n2 addr"}}))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))

@@ -47,7 +47,7 @@ func TestTracePrims(t *testing.T) {
 	evalOK(t, in, `(current-trace-id)`, "#f")
 	evalOK(t, in, `(with-span "untraced" (lambda () (* 6 7)))`, "42")
 
-	buf := obs.NewSpanBuffer(64)
+	buf := obs.NewSpanRing(64)
 	obs.SetSpanSink(buf.Record)
 	defer obs.SetSpanSink(nil)
 	root := obs.StartSpan(obs.SpanContext{}, "scheme-root", obs.SpanInternal)

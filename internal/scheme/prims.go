@@ -405,17 +405,18 @@ func installPrimitives(in *Interp) {
 		if len(a) > 1 {
 			first, rest = a[0], a[1:]
 		}
-		acc, isF, err := numOf(first)
+		acc, _, err := numOf(first)
 		if err != nil {
 			return nil, err
 		}
 		// While every quotient is an exact integer it is kept in int64, as
 		// compareChain compares: float64 holds integers exactly only up to
-		// 2^53. The first inexact or float step turns the chain float.
+		// 2^53. The first inexact or float step turns the chain float, and
+		// it stays float even where it rounds to a whole number: integers
+		// that do not divide exactly have no integer quotient.
 		accI, exact := first.(int64)
-		allInt := !isF
 		for _, x := range rest {
-			f, isF, err := numOf(x)
+			f, _, err := numOf(x)
 			if err != nil {
 				return nil, err
 			}
@@ -428,16 +429,10 @@ func installPrimitives(in *Interp) {
 				continue
 			}
 			exact = false
-			if isF {
-				allInt = false
-			}
 			acc /= f
 		}
 		if exact {
 			return accI, nil
-		}
-		if allInt && acc == math.Trunc(acc) {
-			return int64(acc), nil
 		}
 		return acc, nil
 	})

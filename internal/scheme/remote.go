@@ -325,20 +325,36 @@ func installRemote(in *Interp) {
 		if c.rc == nil {
 			return nil, Errorf("remote-stats: %s is a cluster; use cluster-health", addr)
 		}
-		snap, err := c.rc.Stats(ctx)
+		ms, err := c.rc.Stats(ctx)
 		if err != nil {
 			return nil, Errorf("remote-stats: %v", err)
 		}
-		var rows []Value
-		rows = append(rows,
-			List(Symbol("ops"), int64(snap.OpsTotal())),
-			List(Symbol("blocked"), snap.Blocked),
-			List(Symbol("timeouts"), int64(snap.Timeouts)),
-			List(Symbol("conns"), int64(snap.Conns)))
-		for name, depth := range snap.SpaceDepths {
-			rows = append(rows, List(Symbol("depth"), NewSString(name), int64(depth)))
+		var ops, blocked, timeouts, conns int64
+		var depths []Value
+		for _, m := range ms {
+			switch m.Name {
+			case "sting_remote_ops_total":
+				ops += int64(m.Value)
+			case "sting_remote_blocked":
+				blocked = int64(m.Value)
+			case "sting_remote_timeouts_total":
+				timeouts = int64(m.Value)
+			case "sting_remote_conns_total":
+				conns = int64(m.Value)
+			case "sting_tspace_depth":
+				for _, l := range m.Labels {
+					if l.Key == "space" {
+						depths = append(depths, List(Symbol("depth"), NewSString(l.Value), int64(m.Value)))
+					}
+				}
+			}
 		}
-		return List(rows...), nil
+		return List(append([]Value{
+			List(Symbol("ops"), ops),
+			List(Symbol("blocked"), blocked),
+			List(Symbol("timeouts"), timeouts),
+			List(Symbol("conns"), conns),
+		}, depths...)...), nil
 	})
 
 	in.prim("cluster-health", 1, 1, func(_ *Interp, ctx *core.Context, a []Value) (Value, error) {

@@ -55,6 +55,32 @@ func TestRemotePrims(t *testing.T) {
 	evalOK(t, in, `(remote-close)`, WriteString(Unspecified))
 }
 
+// TestRemoteStatsRows: remote-stats builds its rows from the STATS reply,
+// and on a server with several named spaces they equal Server.Stats().
+func TestRemoteStatsRows(t *testing.T) {
+	srv, addr := startFabric(t)
+	in := newInterp(t, 2, 2)
+	evalOK(t, in, `(define a (remote-open "`+addr+`" "a"))
+		(define b (remote-open "`+addr+`" "b"))
+		(define c (remote-open "`+addr+`" "c"))
+		(remote-put a '(x 1)) (remote-put a '(x 2)) (remote-put a '(x 3))
+		(remote-put b '(y)) (remote-put c '(z)) (remote-get c '(z))
+		(remote-try-get b '(none))`, "#f")
+	v, err := in.EvalString(`(remote-stats "` + addr + `")`)
+	if err != nil {
+		t.Fatalf("remote-stats: %v", err)
+	}
+	s := srv.Stats()
+	want := fmt.Sprintf(`((ops %d) (blocked %d) (timeouts %d) (conns %d) (depth "a" %d) (depth "b" %d) (depth "c" %d))`,
+		s.OpsTotal(), s.Blocked, s.Timeouts, s.Conns, s.SpaceDepths["a"], s.SpaceDepths["b"], s.SpaceDepths["c"])
+	if got := WriteString(v); got != want {
+		t.Fatalf("remote-stats = %s\nServer.Stats  %s", got, want)
+	}
+	if s.SpaceDepths["a"] != 3 || s.SpaceDepths["b"] != 1 || s.SpaceDepths["c"] != 0 {
+		t.Fatalf("depths %v", s.SpaceDepths)
+	}
+}
+
 // waitFor polls cond until it holds or a short deadline passes.
 func waitFor(t *testing.T, cond func() bool, msg string) {
 	t.Helper()

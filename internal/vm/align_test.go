@@ -106,7 +106,7 @@ func TestSpanInheritanceUnderVM(t *testing.T) {
 	m := testkit.VM(t, 1, 2)
 	in := scheme.New(m, scheme.WithOutput(&strings.Builder{}), scheme.WithEngine("vm"))
 
-	buf := obs.NewSpanBuffer(64)
+	buf := obs.NewSpanRing(64)
 	obs.SetSpanSink(buf.Record)
 	defer obs.SetSpanSink(nil)
 	root := obs.StartSpan(obs.SpanContext{}, "vm-root", obs.SpanInternal)

@@ -129,6 +129,10 @@ var parityPrograms = []struct{ src, want string }{
 		`(9007199254740993 9007199254740993 9007199254740993 -9223372036854775808 9007199254740993 1 -1)`},
 	{`(list (/ 7 2) (/ 7 2 2) (/ 6 4 .5) (/ 6. 3) (/ 6 3.) (/ 2) (/ 1 3))`,
 		`(3.5 1.75 3. 2. 2. 0.5 0.3333333333333333)`},
+	// Integers that do not divide exactly have no integer quotient, even
+	// where the float quotient of operands past 2^53 rounds to a whole one.
+	{`(list (/ 9007199254740993 2) (/ 9007199254740995 3))`,
+		`(4.503599627370496e+15 3.002399751580332e+15)`},
 }
 
 // TestFixnumEscapes: an integer the VM computes stays unboxed in its

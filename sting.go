@@ -322,15 +322,15 @@ type (
 	TraceEvent = core.TraceEvent
 	// TraceKind classifies trace events.
 	TraceKind = core.TraceKind
-	// TraceBuffer is a bounded ring of recent events.
-	TraceBuffer = core.TraceBuffer
+	// TraceRing is a bounded ring of recent events; its Record is a tracer.
+	TraceRing = core.TraceRing
 )
 
 var (
 	// SetTracer installs a machine-wide tracer (nil disables).
 	SetTracer = core.SetTracer
-	// NewTraceBuffer creates a ring tracer.
-	NewTraceBuffer = core.NewTraceBuffer
+	// NewTraceRing creates a ring tracer.
+	NewTraceRing = core.NewTraceRing
 	// DumpTree renders a thread's genealogy.
 	DumpTree = core.DumpTree
 	// DefaultAuthority is the genealogy-subtree authority policy.
@@ -394,7 +394,7 @@ var (
 // shard histograms, the primitives behind stingtop's cluster rollup.
 var (
 	// ParsePrometheus reads a text exposition back into metric samples.
-	ParsePrometheus = tsdb.ParsePrometheus
+	ParsePrometheus = obs.ParsePrometheus
 	// MergeHistograms adds histogram snapshots bucket-by-bucket — the
 	// cross-shard rollup primitive behind cluster-wide quantiles.
 	MergeHistograms = tsdb.MergeHistograms
@@ -414,8 +414,8 @@ type (
 	SpanContext = obs.SpanContext
 	// SpanKind classifies a span: internal, client, server.
 	SpanKind = obs.SpanKind
-	// SpanBuffer is a bounded lock-free ring of finished spans.
-	SpanBuffer = obs.SpanBuffer
+	// SpanRing is a bounded ring of finished spans; its Record is a sink.
+	SpanRing = obs.SpanRing
 	// SpanCollector exposes a span ring's counters to an obs registry.
 	SpanCollector = obs.SpanCollector
 	// NodeSpans pairs a node name with its spans for multi-node export.
@@ -439,8 +439,8 @@ var (
 	StartSpan = obs.StartSpan
 	// SetSpanSink installs the machine-wide span sink (nil disables).
 	SetSpanSink = obs.SetSpanSink
-	// NewSpanBuffer creates a ring sink for finished spans.
-	NewSpanBuffer = obs.NewSpanBuffer
+	// NewSpanRing creates a ring sink for finished spans.
+	NewSpanRing = obs.NewSpanRing
 	// OpenSpans counts spans started but not yet ended (leak detector).
 	OpenSpans = obs.OpenSpans
 	// DisableSpans suppresses span creation even with a sink installed
@@ -507,8 +507,6 @@ type (
 	DiagReport = diag.Report
 	// DiagEvent is one flight-recorder entry.
 	DiagEvent = diag.Event
-	// DiagRecorder is the fixed-size flight-recorder ring.
-	DiagRecorder = diag.Recorder
 	// DiagHandler serves /debug/diag (report, and ?dump=1 for the ring).
 	DiagHandler = diag.Handler
 )

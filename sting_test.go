@@ -380,7 +380,7 @@ func TestFacadeMultipleVMsIsolated(t *testing.T) {
 // trace_event JSON.
 func TestFacadeObservability(t *testing.T) {
 	vm := boot(t, 2, 2)
-	trace := NewTraceBuffer(1024)
+	trace := NewTraceRing(1024)
 	SetTracer(trace.Record)
 	defer SetTracer(nil)
 
@@ -395,7 +395,7 @@ func TestFacadeObservability(t *testing.T) {
 	hist.Observe(0.004)
 	reg := NewObsRegistry()
 	reg.Register("vm", VMCollector{VM: vm})
-	reg.Register("trace", TraceCollector{Buffer: trace})
+	reg.Register("trace", TraceCollector{Ring: trace})
 	reg.Register("app", ObsCollectorFunc(func() []ObsMetric {
 		return []ObsMetric{ObsHistogramSample("app_latency_seconds", "App-defined latency.", hist)}
 	}))
@@ -411,7 +411,7 @@ func TestFacadeObservability(t *testing.T) {
 	}
 
 	var chrome strings.Builder
-	if err := WriteChromeTrace(&chrome, ObsTraceEvents(trace.Events())); err != nil {
+	if err := WriteChromeTrace(&chrome, ObsTraceEvents(trace.Tail(trace.Cap()))); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(chrome.String(), `"traceEvents"`) {
