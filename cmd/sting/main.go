@@ -23,6 +23,8 @@ import (
 	"strings"
 
 	sting "repro"
+	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/scheme"
 	stingvm "repro/internal/vm" // registers the "vm" bytecode engine (the default)
 )
@@ -63,16 +65,16 @@ func main() {
 		os.Exit(1)
 	}
 	in := scheme.New(vm, scheme.WithOutput(os.Stdout), scheme.WithEngine(*engine))
-	var spanBuf *sting.SpanRing
-	var rootSpan *sting.Span
+	var spanBuf *obs.SpanRing
+	var rootSpan *obs.Span
 	if *traceOut != "" {
 		// The sink goes in after New so the prelude load stays untraced;
 		// every toplevel form then evaluates under one root span, so remote
 		// ops in scripts open client spans that stitch to server spans.
-		spanBuf = sting.NewSpanRing(1 << 14)
-		sting.SetSpanSink(spanBuf.Record)
-		rootSpan = sting.StartSpan(sting.SpanContext{}, "sting/run", sting.SpanInternal)
-		in.SetToplevelOptions(sting.WithSpanContext(rootSpan.Context()))
+		spanBuf = obs.NewSpanRing(1 << 14)
+		obs.SetSpanSink(spanBuf.Record)
+		rootSpan = obs.StartSpan(obs.SpanContext{}, "sting/run", obs.SpanInternal)
+		in.SetToplevelOptions(core.WithSpanContext(rootSpan.Context()))
 	}
 	if *cluster != "" {
 		// The remote prims parse the "cluster:" prefix; scripts just use
@@ -135,13 +137,13 @@ func main() {
 // writeSpanDump drains the span ring to path in the JSON dump format
 // under the node name "sting" (scripts/tracecat merges it with the
 // daemons' dumps), returning the span count.
-func writeSpanDump(path string, buf *sting.SpanRing) (int, error) {
+func writeSpanDump(path string, buf *obs.SpanRing) (int, error) {
 	drained := buf.Drain()
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, err
 	}
-	if err := sting.WriteSpansJSON(f, "sting", drained); err != nil {
+	if err := obs.WriteSpansJSON(f, "sting", drained); err != nil {
 		f.Close() //nolint:errcheck
 		return 0, err
 	}

@@ -67,7 +67,6 @@ func main() {
 		diagSample  = flag.Duration("diag-sample", time.Second, "stall-sampler period")
 		diagSLO     = flag.Duration("diag-slo", 30*time.Second, "parked age past which a waiter is reported as stalled")
 		diagWatch   = flag.Duration("diag-watchdog", 10*time.Second, "scheduler-watchdog heartbeat interval (0: off)")
-		diagTopK    = flag.Int("diag-topk", 10, "hot keys reported per space at /debug/diag")
 	)
 	flag.Parse()
 
@@ -90,7 +89,6 @@ func main() {
 		diagSample: *diagSample,
 		diagSLO:    *diagSLO,
 		diagWatch:  *diagWatch,
-		diagTopK:   *diagTopK,
 	}))
 }
 
@@ -106,7 +104,6 @@ type serverOpts struct {
 	diag                   bool
 	diagSample, diagSLO    time.Duration
 	diagWatch              time.Duration
-	diagTopK               int
 }
 
 // runDumpStats is the client mode: one STATS round trip, printed as the
@@ -197,7 +194,6 @@ func runServer(opts serverOpts) int {
 			Node:         nodeName,
 			SamplePeriod: opts.diagSample,
 			StallSLO:     opts.diagSLO,
-			TopK:         opts.diagTopK,
 			Waiters:      []diag.WaiterSource{reg},
 			Parked: func() []diag.ParkInfo {
 				parked := srv.Parked()

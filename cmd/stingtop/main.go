@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/obs/tsdb"
 )
 
 func main() {
@@ -74,18 +73,18 @@ func main() {
 
 // loadSLOSpec resolves the -slo flag: an existing file is read as a rules
 // document, anything else parses as inline rules.
-func loadSLOSpec(spec string) ([]*tsdb.Objective, error) {
+func loadSLOSpec(spec string) ([]*objective, error) {
 	if spec == "" {
 		return nil, nil
 	}
 	if data, err := os.ReadFile(spec); err == nil {
-		return tsdb.ParseObjectives(string(data))
+		return parseObjectives(string(data))
 	} else if strings.ContainsAny(spec, "/\\") || strings.HasSuffix(spec, ".slo") {
 		// Looks like a path but is unreadable: surface the file error
 		// instead of a confusing parse error on the path string.
 		return nil, err
 	}
-	return tsdb.ParseObjectives(spec)
+	return parseObjectives(spec)
 }
 
 // buildPollers resolves the -nodes spec into one poller per node. A

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/tsdb"
 )
 
 // fakeNode serves a synthetic observability surface: /metrics rendered by
@@ -85,12 +84,14 @@ func TestRollupMergesShards(t *testing.T) {
 
 	// vps and ops judge the cluster series: 4+2 VPs breach "< 6" although
 	// neither node does, the case only the summed series can catch. The
-	// {node=…} objectives judge one node each.
-	objectives, err := tsdb.ParseObjectives(`
+	// {node=…} objectives judge one node each; rd names an op no node
+	// has served.
+	objectives, err := parseObjectives(`
 vps: sting_vm_vps{vm=srv} value < 6
 ops: sting_remote_ops_total{op=get} rate > 0/s over 10s
 n1-vps: sting_vm_vps{vm=srv,node=n1} value < 6
 n2-put: remote.put{node=n2} p99 < 1ms over 10s
+rd: remote.rd p99 < 1ms over 10s
 `)
 	if err != nil {
 		t.Fatal(err)
@@ -146,10 +147,14 @@ n2-put: remote.put{node=n2} p99 < 1ms over 10s
 	}
 	states := map[string]string{}
 	for _, s := range rep.SLOs {
-		states[s.Name] = s.State
+		states[s.Name] = s.State.String()
 	}
 	if states["vps"] != "breach" || states["ops"] != "ok" || states["n1-vps"] != "ok" || states["n2-put"] != "breach" {
 		t.Fatalf("slo states = %v, want vps and n2-put in breach, ops and n1-vps ok", states)
+	}
+	// No node serves rd, so no node exports its histogram: no data.
+	if states["rd"] != "nodata" {
+		t.Fatalf("rd objective = %q, want nodata (an op no node has served)", states["rd"])
 	}
 	if c.SLOState != "breach" {
 		t.Fatalf("cluster slo state = %q, want breach (worst-of)", c.SLOState)
@@ -180,7 +185,7 @@ func TestRollupSpansDownRound(t *testing.T) {
 	defer s1.Close()
 	s2 := httptest.NewServer(n2.handler())
 	defer s2.Close()
-	objectives, err := tsdb.ParseObjectives("ops: sting_remote_ops_total{op=put} rate < 1e10/s over 1m")
+	objectives, err := parseObjectives("ops: sting_remote_ops_total{op=put} rate < 1e10/s over 1m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +207,7 @@ func TestRollupSpansDownRound(t *testing.T) {
 	if want := r1.OpsRate + r2.OpsRate; math.Abs(c.OpsRate-want) > 1e-9*want {
 		t.Fatalf("cluster ops rate = %g, want %g + %g", c.OpsRate, r1.OpsRate, r2.OpsRate)
 	}
-	if len(rep.SLOs) != 1 || rep.SLOs[0].State != "ok" {
+	if len(rep.SLOs) != 1 || rep.SLOs[0].State != stateOK {
 		t.Fatalf("slos = %+v, want the cluster rate objective ok", rep.SLOs)
 	}
 }

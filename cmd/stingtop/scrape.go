@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/tsdb"
 )
 
 // scrape is one poll of a node's observability surface: the parsed
@@ -59,22 +58,22 @@ func (p *poller) poll() scrape {
 // and the SLO engine evaluated over that store after each round.
 type top struct {
 	pollers []*poller
-	store   *tsdb.Store
-	slo     *tsdb.SLOEngine
+	store   *store
+	slo     *sloEngine
 	window  time.Duration // the trailing window rates and quantiles cover
 	total   []obs.Metric  // the cluster's running counters and histograms
 }
 
-func newTop(pollers []*poller, objectives []*tsdb.Objective, window time.Duration) *top {
-	return &top{pollers: pollers, store: tsdb.NewStore(0), slo: tsdb.NewSLOEngine(objectives), window: window}
+func newTop(pollers []*poller, objectives []*objective, window time.Duration) *top {
+	return &top{pollers: pollers, store: newStore(), slo: newSLOEngine(objectives), window: window}
 }
 
 // report is one round's document: every node row, the cluster rollup,
 // and every objective's status.
 type report struct {
-	Nodes   []nodeRow     `json:"nodes"`
-	Cluster clusterRow    `json:"cluster"`
-	SLOs    []tsdb.Status `json:"slos,omitempty"`
+	Nodes   []nodeRow  `json:"nodes"`
+	Cluster clusterRow `json:"cluster"`
+	SLOs    []status   `json:"slos,omitempty"`
 }
 
 // gather runs one round. Each up node's series are stored with node=<id>;
@@ -102,11 +101,11 @@ func (t *top) gather() report {
 		bare := withNode(s.metrics, "")
 		gauges = append(gauges, gaugesOf(bare))
 		if p.last != nil || first {
-			incs = append(incs, tsdb.Increase(bare, p.last))
+			incs = append(incs, increase(bare, p.last))
 		}
 		p.last = bare
 		ms := withNode(s.metrics, p.id)
-		t.store.Ingest(now, ms)
+		t.store.ingest(now, ms)
 		row.Up, row.Ready = true, s.ready
 		if bi := buildLabels(s.metrics); bi != nil {
 			row.GoVersion, row.Proto, row.Engine = bi["go_version"], bi["proto"], bi["engine"]
@@ -115,15 +114,15 @@ func (t *top) gather() report {
 		rep.Nodes[i] = row
 		rep.Cluster.NodesUp++
 	}
-	t.total = tsdb.SumSeries(append([][]obs.Metric{t.total}, incs...)...)
-	cluster := append(tsdb.SumSeries(gauges...), t.total...)
-	t.store.Ingest(now, cluster)
-	rep.SLOs = t.slo.Evaluate(now, t.store)
+	t.total = sumSeries(append([][]obs.Metric{t.total}, incs...)...)
+	cluster := append(sumSeries(gauges...), t.total...)
+	t.store.ingest(now, cluster)
+	rep.SLOs = t.slo.evaluate(now, t.store)
 	rep.Cluster.NodesTotal, rep.Cluster.figures = len(t.pollers), t.figures(cluster)
 	if len(rep.SLOs) > 0 {
-		rep.Cluster.SLOState = tsdb.WorstState(rep.SLOs).String()
+		rep.Cluster.SLOState = worstState(rep.SLOs).String()
 		for _, s := range rep.SLOs {
-			if s.State == tsdb.StateBreach.String() {
+			if s.State == stateBreach {
 				rep.Cluster.Breaching = append(rep.Cluster.Breaching, s.Name)
 			}
 		}
@@ -195,12 +194,12 @@ func sumValues(ms []obs.Metric, name string) float64 {
 	return sum
 }
 
-// rate sums Store.Rate over every series of a counter family in ms.
+// rate sums store.rate over every series of a counter family in ms.
 func (t *top) rate(ms []obs.Metric, name string) float64 {
 	var sum float64
 	for _, m := range ms {
 		if m.Name == name {
-			r, _ := t.store.Rate(name, m.Labels, t.window)
+			r, _ := t.store.rate(name, m.Labels, t.window)
 			sum += r
 		}
 	}
@@ -216,14 +215,14 @@ func (t *top) latency(ms []obs.Metric, name string) *obs.HistogramSnapshot {
 			continue
 		}
 		boot = append(boot, m.Hist)
-		if h, ok := t.store.WindowHistogram(name, m.Labels, t.window); ok {
+		if h, ok := t.store.windowHistogram(name, m.Labels, t.window); ok {
 			window = append(window, h)
 		}
 	}
-	if h := tsdb.MergeHistograms(window...); h.Count > 0 {
+	if h := mergeHistograms(window...); h.Count > 0 {
 		return h
 	}
-	return tsdb.MergeHistograms(boot...)
+	return mergeHistograms(boot...)
 }
 
 // buildLabels finds the sting_build_info sample and returns its labels.

@@ -1,4 +1,4 @@
-package tsdb
+package main
 
 import (
 	"fmt"
@@ -33,63 +33,38 @@ import (
 // nodes' sum or merged histogram) without it, so `remote.put p99` judges
 // the whole cluster and `remote.put{node=n1} p99` one node.
 
-// SLOState is an objective's evaluated condition.
-type SLOState int
+// sloState is an objective's evaluated condition. It marshals as its
+// name ("nodata", "ok", "warn", "breach").
+type sloState int
 
 // States, ordered by severity (the rollup takes the max).
 const (
-	StateNoData SLOState = iota - 1 // not enough samples in the window yet
-	StateOK
-	StateWarn
-	StateBreach
+	stateNoData sloState = iota - 1 // not enough samples in the window yet
+	stateOK
+	stateWarn
+	stateBreach
 )
 
-func (s SLOState) String() string {
-	switch s {
-	case StateNoData:
-		return "nodata"
-	case StateOK:
-		return "ok"
-	case StateWarn:
-		return "warn"
-	case StateBreach:
-		return "breach"
-	default:
-		return fmt.Sprintf("SLOState(%d)", int(s))
-	}
-}
+var stateNames = [...]string{"nodata", "ok", "warn", "breach"}
 
-// ParseSLOState is the inverse of SLOState.String; unknown strings parse
-// as nodata.
-func ParseSLOState(s string) SLOState {
-	switch s {
-	case "ok":
-		return StateOK
-	case "warn":
-		return StateWarn
-	case "breach":
-		return StateBreach
-	default:
-		return StateNoData
-	}
-}
+func (s sloState) String() string { return stateNames[s+1] }
 
-// WorstState folds statuses into the rollup state: the maximum severity,
+func (s sloState) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// worstState folds statuses into the rollup state: the maximum severity,
 // with nodata only surfacing when nothing has data at all.
-func WorstState(statuses []Status) SLOState {
-	worst := StateNoData
+func worstState(statuses []status) sloState {
+	worst := stateNoData
 	for _, s := range statuses {
-		if st := ParseSLOState(s.State); st > worst {
-			worst = st
-		}
+		worst = max(worst, s.State)
 	}
 	return worst
 }
 
-// WarnRatio is how close to the threshold a value must get (as a fraction
+// warnRatio is how close to the threshold a value must get (as a fraction
 // of the threshold, in the breaching direction) before the state turns
 // warn: 0.8 means warn at 80% of the way there.
-const WarnRatio = 0.8
+const warnRatio = 0.8
 
 // budgetRing caps how many evaluation outcomes feed the error-budget
 // accounting: at stingtop's default 2s refresh this is ~17 minutes of
@@ -98,32 +73,30 @@ const budgetRing = 512
 
 // selector names one series: a metric family plus exact labels.
 type selector struct {
-	Name   string
-	Labels []obs.Label
+	name   string
+	labels []obs.Label
 }
 
-func (s selector) String() string { return seriesKey(s.Name, s.Labels) }
-
-// Objective is one parsed SLO rule.
-type Objective struct {
-	Name      string
-	Expr      string // the raw rule text, echoed in stingtop's report
-	Metric    selector
-	Agg       string // p50 p90 p95 p99 max mean rate value
-	Op        string // < <= > >=
-	Threshold float64
-	Denom     *selector // rate ratio denominator (nil: plain)
-	Window    time.Duration
-	// Budget is the target compliance fraction (0.99 = 99%): the error
-	// budget is 1-Budget of evaluations allowed to breach.
-	Budget float64
+// objective is one parsed SLO rule.
+type objective struct {
+	name      string
+	expr      string // the raw rule text, echoed in stingtop's report
+	metric    selector
+	agg       string // p50 p90 p95 p99 max mean rate value
+	op        string // < <= > >=
+	threshold float64
+	denom     *selector // rate ratio denominator (nil: plain)
+	window    time.Duration
+	// budget is the target compliance fraction (0.99 = 99%): the error
+	// budget is 1-budget of evaluations allowed to breach.
+	budget float64
 }
 
-// Status is one objective's evaluated state, one row of stingtop's report.
-type Status struct {
+// status is one objective's evaluated state, one row of stingtop's report.
+type status struct {
 	Name          string    `json:"name"`
 	Expr          string    `json:"expr"`
-	State         string    `json:"state"`
+	State         sloState  `json:"state"`
 	Value         float64   `json:"value"`
 	Threshold     float64   `json:"threshold"`
 	WindowSeconds float64   `json:"window_s"`
@@ -137,15 +110,15 @@ type Status struct {
 // aliases expand the short metric names the syntax examples use.
 func expandAlias(name string) selector {
 	if op, ok := strings.CutPrefix(name, "remote."); ok {
-		return selector{Name: "sting_remote_op_latency_seconds", Labels: []obs.Label{obs.L("op", op)}}
+		return selector{name: "sting_remote_op_latency_seconds", labels: []obs.Label{obs.L("op", op)}}
 	}
 	if op, ok := strings.CutPrefix(name, "client."); ok {
-		return selector{Name: "sting_remote_client_op_latency_seconds", Labels: []obs.Label{obs.L("op", op)}}
+		return selector{name: "sting_remote_client_op_latency_seconds", labels: []obs.Label{obs.L("op", op)}}
 	}
 	if name == "stm.commit" {
-		return selector{Name: "sting_stm_commit_latency_seconds"}
+		return selector{name: "sting_stm_commit_latency_seconds"}
 	}
-	return selector{Name: name}
+	return selector{name: name}
 }
 
 // parseSelector reads `metric` or `metric{k=v,k2="v2"}`.
@@ -169,7 +142,7 @@ func parseSelector(tok string) (selector, error) {
 			return selector{}, fmt.Errorf("bad label %q in %q (want k=v)", pair, tok)
 		}
 		v = strings.Trim(strings.TrimSpace(v), `"`)
-		sel.Labels = append(sel.Labels, obs.L(strings.TrimSpace(k), v))
+		sel.labels = append(sel.labels, obs.L(strings.TrimSpace(k), v))
 	}
 	return sel, nil
 }
@@ -205,8 +178,8 @@ var validAggs = map[string]bool{
 	"max": true, "mean": true, "rate": true, "value": true,
 }
 
-// ParseObjective parses one `name: expr` rule.
-func ParseObjective(line string) (*Objective, error) {
+// parseObjective parses one `name: expr` rule.
+func parseObjective(line string) (*objective, error) {
 	name, expr, ok := strings.Cut(line, ":")
 	if !ok {
 		return nil, fmt.Errorf("slo: rule %q needs a name (want \"name: metric agg op threshold over window\")", line)
@@ -216,7 +189,7 @@ func ParseObjective(line string) (*Objective, error) {
 	if name == "" || expr == "" {
 		return nil, fmt.Errorf("slo: rule %q has an empty name or body", line)
 	}
-	o := &Objective{Name: name, Expr: expr, Window: 60 * time.Second, Budget: 0.99}
+	o := &objective{name: name, expr: expr, window: 60 * time.Second, budget: 0.99}
 	fields := strings.Fields(expr)
 	if len(fields) < 4 {
 		return nil, fmt.Errorf("slo %s: want \"metric agg op threshold [of metric] over window [budget pct]\", got %q", name, expr)
@@ -225,18 +198,18 @@ func ParseObjective(line string) (*Objective, error) {
 	if err != nil {
 		return nil, fmt.Errorf("slo %s: %v", name, err)
 	}
-	o.Metric = sel
-	o.Agg = fields[1]
-	if !validAggs[o.Agg] {
-		return nil, fmt.Errorf("slo %s: unknown aggregation %q (want p50/p90/p95/p99/max/mean/rate/value)", name, o.Agg)
+	o.metric = sel
+	o.agg = fields[1]
+	if !validAggs[o.agg] {
+		return nil, fmt.Errorf("slo %s: unknown aggregation %q (want p50/p90/p95/p99/max/mean/rate/value)", name, o.agg)
 	}
-	o.Op = fields[2]
-	switch o.Op {
+	o.op = fields[2]
+	switch o.op {
 	case "<", "<=", ">", ">=":
 	default:
-		return nil, fmt.Errorf("slo %s: unknown comparison %q (want < <= > >=)", name, o.Op)
+		return nil, fmt.Errorf("slo %s: unknown comparison %q (want < <= > >=)", name, o.op)
 	}
-	o.Threshold, err = parseThreshold(fields[3])
+	o.threshold, err = parseThreshold(fields[3])
 	if err != nil {
 		return nil, fmt.Errorf("slo %s: %v", name, err)
 	}
@@ -247,14 +220,14 @@ func ParseObjective(line string) (*Objective, error) {
 			if len(rest) < 2 {
 				return nil, fmt.Errorf("slo %s: dangling \"of\"", name)
 			}
-			if o.Agg != "rate" {
-				return nil, fmt.Errorf("slo %s: \"of\" (rate ratio) requires the rate aggregation, not %q", name, o.Agg)
+			if o.agg != "rate" {
+				return nil, fmt.Errorf("slo %s: \"of\" (rate ratio) requires the rate aggregation, not %q", name, o.agg)
 			}
 			d, err := parseSelector(rest[1])
 			if err != nil {
 				return nil, fmt.Errorf("slo %s: %v", name, err)
 			}
-			o.Denom = &d
+			o.denom = &d
 			rest = rest[2:]
 		case "over":
 			if len(rest) < 2 {
@@ -264,7 +237,7 @@ func ParseObjective(line string) (*Objective, error) {
 			if err != nil || w <= 0 {
 				return nil, fmt.Errorf("slo %s: bad window %q", name, rest[1])
 			}
-			o.Window = w
+			o.window = w
 			rest = rest[2:]
 		case "budget":
 			if len(rest) < 2 {
@@ -274,36 +247,36 @@ func ParseObjective(line string) (*Objective, error) {
 			if err != nil || pct <= 0 || pct >= 1 {
 				return nil, fmt.Errorf("slo %s: bad budget %q (want a compliance percentage like 99.9%%)", name, rest[1])
 			}
-			o.Budget = pct
+			o.budget = pct
 			rest = rest[2:]
 		default:
 			return nil, fmt.Errorf("slo %s: unexpected token %q", name, rest[0])
 		}
 	}
-	if o.Denom == nil && o.Agg == "rate" && strings.HasSuffix(fields[3], "%") {
+	if o.denom == nil && o.agg == "rate" && strings.HasSuffix(fields[3], "%") {
 		return nil, fmt.Errorf("slo %s: a %% threshold on a rate needs \"of <metric>\" to name the denominator", name)
 	}
 	return o, nil
 }
 
-// ParseObjectives parses a whole rule document: one rule per line (or
+// parseObjectives parses a whole rule document: one rule per line (or
 // ;-separated), # comments and blank lines skipped.
-func ParseObjectives(src string) ([]*Objective, error) {
-	var out []*Objective
+func parseObjectives(src string) ([]*objective, error) {
+	var out []*objective
 	seen := make(map[string]bool)
 	for _, line := range strings.FieldsFunc(src, func(r rune) bool { return r == '\n' || r == ';' }) {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		o, err := ParseObjective(line)
+		o, err := parseObjective(line)
 		if err != nil {
 			return nil, err
 		}
-		if seen[o.Name] {
-			return nil, fmt.Errorf("slo: duplicate objective name %q", o.Name)
+		if seen[o.name] {
+			return nil, fmt.Errorf("slo: duplicate objective name %q", o.name)
 		}
-		seen[o.Name] = true
+		seen[o.name] = true
 		out = append(out, o)
 	}
 	return out, nil
@@ -311,7 +284,7 @@ func ParseObjectives(src string) ([]*Objective, error) {
 
 // sloTrack is one objective's mutable evaluation state.
 type sloTrack struct {
-	obj      *Objective
+	obj      *objective
 	evals    uint64
 	breaches uint64
 	ring     [budgetRing]bool // true = breached
@@ -319,16 +292,15 @@ type sloTrack struct {
 	ringHead int
 }
 
-// SLOEngine evaluates objectives against a Store; stingtop re-evaluates
+// sloEngine evaluates objectives against a store; stingtop re-evaluates
 // after every scrape round. All methods are safe for concurrent use.
-type SLOEngine struct {
+type sloEngine struct {
 	mu     sync.Mutex
 	tracks []*sloTrack
 }
 
-// NewSLOEngine builds an engine over the parsed objectives.
-func NewSLOEngine(objectives []*Objective) *SLOEngine {
-	e := &SLOEngine{}
+func newSLOEngine(objectives []*objective) *sloEngine {
+	e := &sloEngine{}
 	for _, o := range objectives {
 		e.tracks = append(e.tracks, &sloTrack{obj: o})
 	}
@@ -336,17 +308,17 @@ func NewSLOEngine(objectives []*Objective) *SLOEngine {
 }
 
 // measure computes an objective's current value from the store.
-func measure(o *Objective, st *Store) (float64, bool) {
-	switch o.Agg {
+func measure(o *objective, st *store) (float64, bool) {
+	switch o.agg {
 	case "rate":
-		num, ok := st.Rate(o.Metric.Name, o.Metric.Labels, o.Window)
+		num, ok := st.rate(o.metric.name, o.metric.labels, o.window)
 		if !ok {
 			return 0, false
 		}
-		if o.Denom == nil {
+		if o.denom == nil {
 			return num, true
 		}
-		den, ok := st.Rate(o.Denom.Name, o.Denom.Labels, o.Window)
+		den, ok := st.rate(o.denom.name, o.denom.labels, o.window)
 		if !ok {
 			return 0, false
 		}
@@ -358,13 +330,13 @@ func measure(o *Objective, st *Store) (float64, bool) {
 		}
 		return num / den, true
 	case "value":
-		return st.GaugeStats(o.Metric.Name, o.Metric.Labels)
+		return st.gaugeStats(o.metric.name, o.metric.labels)
 	default: // histogram aggregations
-		snap, ok := st.WindowHistogram(o.Metric.Name, o.Metric.Labels, o.Window)
+		snap, ok := st.windowHistogram(o.metric.name, o.metric.labels, o.window)
 		if !ok || snap.Count == 0 {
 			return 0, false
 		}
-		switch o.Agg {
+		switch o.agg {
 		case "p50":
 			return snap.Quantile(0.50), true
 		case "p90":
@@ -383,50 +355,50 @@ func measure(o *Objective, st *Store) (float64, bool) {
 }
 
 // classify turns a measured value into a state: breach when the
-// comparison fails, warn when the value is past WarnRatio of the way to
+// comparison fails, warn when the value is past warnRatio of the way to
 // the threshold, ok otherwise.
-func classify(o *Objective, v float64) SLOState {
+func classify(o *objective, v float64) sloState {
 	holds := false
-	switch o.Op {
+	switch o.op {
 	case "<":
-		holds = v < o.Threshold
+		holds = v < o.threshold
 	case "<=":
-		holds = v <= o.Threshold
+		holds = v <= o.threshold
 	case ">":
-		holds = v > o.Threshold
+		holds = v > o.threshold
 	case ">=":
-		holds = v >= o.Threshold
+		holds = v >= o.threshold
 	}
 	if !holds {
-		return StateBreach
+		return stateBreach
 	}
-	switch o.Op {
+	switch o.op {
 	case "<", "<=":
-		if o.Threshold > 0 && v >= o.Threshold*WarnRatio {
-			return StateWarn
+		if o.threshold > 0 && v >= o.threshold*warnRatio {
+			return stateWarn
 		}
 	case ">", ">=":
-		if o.Threshold > 0 && v <= o.Threshold/WarnRatio {
-			return StateWarn
+		if o.threshold > 0 && v <= o.threshold/warnRatio {
+			return stateWarn
 		}
 	}
-	return StateOK
+	return stateOK
 }
 
-// Evaluate re-measures every objective at now and returns the statuses.
+// evaluate re-measures every objective at now and returns the statuses.
 // nodata ticks do not consume error budget.
-func (e *SLOEngine) Evaluate(now time.Time, st *Store) []Status {
+func (e *sloEngine) evaluate(now time.Time, st *store) []status {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]Status, 0, len(e.tracks))
+	out := make([]status, 0, len(e.tracks))
 	for _, t := range e.tracks {
 		o := t.obj
 		v, ok := measure(o, st)
-		state := StateNoData
+		state := stateNoData
 		if ok {
 			state = classify(o, v)
 			t.evals++
-			breached := state == StateBreach
+			breached := state == stateBreach
 			if breached {
 				t.breaches++
 			}
@@ -447,17 +419,17 @@ func (e *SLOEngine) Evaluate(now time.Time, st *Store) []Status {
 				}
 			}
 			frac := float64(bad) / float64(t.ringN)
-			allowed := 1 - o.Budget
+			allowed := 1 - o.budget
 			if allowed <= 0 {
 				allowed = 1e-9
 			}
 			burn = frac / allowed
 		}
-		out = append(out, Status{
-			Name: o.Name, Expr: o.Expr, State: state.String(), Value: v,
-			Threshold: o.Threshold, WindowSeconds: o.Window.Seconds(),
+		out = append(out, status{
+			Name: o.name, Expr: o.expr, State: state, Value: v,
+			Threshold: o.threshold, WindowSeconds: o.window.Seconds(),
 			EvalsTotal: t.evals, BreachesTotal: t.breaches,
-			BudgetTarget: o.Budget, BudgetBurn: burn, LastEval: now,
+			BudgetTarget: o.budget, BudgetBurn: burn, LastEval: now,
 		})
 	}
 	return out

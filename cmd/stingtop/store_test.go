@@ -1,4 +1,4 @@
-package tsdb
+package main
 
 import (
 	"math/rand"
@@ -10,49 +10,57 @@ import (
 
 func t0() time.Time { return time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC) }
 
+// smallStore builds a store whose rings hold n samples, so a test can
+// wrap one.
+func smallStore(n int) *store {
+	st := newStore()
+	st.cap = n
+	return st
+}
+
 func counterAt(v float64) []obs.Metric {
 	return []obs.Metric{obs.Counter("c_total", "", v)}
 }
 
 func TestRingWraparoundNeverDoubleCounts(t *testing.T) {
-	st := NewStore(4)
+	st := smallStore(4)
 	base := t0()
 	// Feed 10 samples through a 4-slot ring: a strictly increasing counter,
 	// +1 per second. After wraparound the live window is the last 4 samples.
 	for i := 0; i < 10; i++ {
-		st.Ingest(base.Add(time.Duration(i)*time.Second), counterAt(float64(i)))
+		st.ingest(base.Add(time.Duration(i)*time.Second), counterAt(float64(i)))
 	}
 	s := st.lookup("c_total", nil)
 	if s == nil {
 		t.Fatal("series not retained")
 	}
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d, want ring capacity 4", s.Len())
+	if s.pts.Len() != 4 {
+		t.Fatalf("Len = %d, want ring capacity 4", s.pts.Len())
 	}
 	// Oldest live sample must be i=6 (values 6,7,8,9): nothing overwritten
 	// survives, nothing live is duplicated.
 	for i := 0; i < 4; i++ {
-		if got, want := s.pts.At(i).V, float64(6+i); got != want {
+		if got, want := s.pts.At(i).v, float64(6+i); got != want {
 			t.Fatalf("at(%d).V = %g, want %g", i, got, want)
 		}
 	}
 	// A wide window sees exactly the 3 deltas among 4 live samples: rate 1/s.
-	rate, ok := st.Rate("c_total", nil, time.Hour)
+	rate, ok := st.rate("c_total", nil, time.Hour)
 	if !ok || rate != 1 {
 		t.Fatalf("Rate = %g, %v; want 1, true", rate, ok)
 	}
 }
 
 func TestRateWindowedAndResetSafe(t *testing.T) {
-	st := NewStore(16)
+	st := newStore()
 	base := t0()
 	// 0..5 increments of 10/s, then a counter reset (process restart), then
 	// 100/s. The reset delta is negative and must be dropped, not summed.
 	vals := []float64{0, 10, 20, 30, 40, 50, 3, 103, 203}
 	for i, v := range vals {
-		st.Ingest(base.Add(time.Duration(i)*time.Second), counterAt(v))
+		st.ingest(base.Add(time.Duration(i)*time.Second), counterAt(v))
 	}
-	rate, ok := st.Rate("c_total", nil, time.Hour)
+	rate, ok := st.rate("c_total", nil, time.Hour)
 	if !ok {
 		t.Fatal("Rate not ok")
 	}
@@ -61,28 +69,28 @@ func TestRateWindowedAndResetSafe(t *testing.T) {
 		t.Fatalf("reset-safe rate = %g, want %g", rate, want)
 	}
 	// A 2s trailing window sees only the last two deltas (100 each over 2s).
-	rate, ok = st.Rate("c_total", nil, 2*time.Second)
+	rate, ok = st.rate("c_total", nil, 2*time.Second)
 	if !ok || rate != 100 {
 		t.Fatalf("windowed rate = %g, %v; want 100, true", rate, ok)
 	}
 	// One sample is not a rate.
-	st2 := NewStore(4)
-	st2.Ingest(base, counterAt(1))
-	if _, ok := st2.Rate("c_total", nil, time.Hour); ok {
+	st2 := smallStore(4)
+	st2.ingest(base, counterAt(1))
+	if _, ok := st2.rate("c_total", nil, time.Hour); ok {
 		t.Fatal("Rate with one sample should not be ok")
 	}
 }
 
 func TestGaugeStats(t *testing.T) {
-	st := NewStore(16)
+	st := newStore()
 	base := t0()
-	if _, ok := st.GaugeStats("g", nil); ok {
+	if _, ok := st.gaugeStats("g", nil); ok {
 		t.Fatal("GaugeStats of an unknown series should not be ok")
 	}
 	for i, v := range []float64{5, 1, 9, 3} {
-		st.Ingest(base.Add(time.Duration(i)*time.Second), []obs.Metric{obs.Gauge("g", "", v)})
+		st.ingest(base.Add(time.Duration(i)*time.Second), []obs.Metric{obs.Gauge("g", "", v)})
 	}
-	if last, ok := st.GaugeStats("g", nil); !ok || last != 3 {
+	if last, ok := st.gaugeStats("g", nil); !ok || last != 3 {
 		t.Fatalf("GaugeStats = %g, %v; want the newest sample 3, true", last, ok)
 	}
 }
@@ -92,17 +100,17 @@ func histMetric(h *obs.Histogram) []obs.Metric {
 }
 
 func TestWindowHistogram(t *testing.T) {
-	st := NewStore(16)
+	st := newStore()
 	base := t0()
 	h := obs.NewHistogram(obs.LatencyBuckets...)
 	h.Observe(0.001)
 	h.Observe(0.002)
-	st.Ingest(base, histMetric(h))
+	st.ingest(base, histMetric(h))
 	h.Observe(0.5)
-	st.Ingest(base.Add(time.Second), histMetric(h))
+	st.ingest(base.Add(time.Second), histMetric(h))
 
 	// Window covering only the newest delta: exactly the 0.5s observation.
-	snap, ok := st.WindowHistogram("h_seconds", nil, time.Second)
+	snap, ok := st.windowHistogram("h_seconds", nil, time.Second)
 	if !ok {
 		t.Fatal("WindowHistogram not ok")
 	}
@@ -114,7 +122,7 @@ func TestWindowHistogram(t *testing.T) {
 	}
 	// Window wider than retention: falls back to the full since-boot
 	// snapshot — observations from before the first sample must not vanish.
-	snap, ok = st.WindowHistogram("h_seconds", nil, time.Hour)
+	snap, ok = st.windowHistogram("h_seconds", nil, time.Hour)
 	if !ok || snap.Count != 3 {
 		t.Fatalf("over-retention window Count = %d, %v; want 3, true", snap.Count, ok)
 	}
@@ -123,13 +131,13 @@ func TestWindowHistogram(t *testing.T) {
 func TestSubtractHistogramClampsResets(t *testing.T) {
 	newer := &obs.HistogramSnapshot{Bounds: []float64{1}, Counts: []uint64{2, 0}, Count: 2, Sum: 1}
 	older := &obs.HistogramSnapshot{Bounds: []float64{1}, Counts: []uint64{5, 1}, Count: 6, Sum: 9}
-	d := SubtractHistogram(newer, older)
+	d := subtractHistogram(newer, older)
 	if d.Count != 0 || d.Sum != 0 {
 		t.Fatalf("reset subtraction = count %d sum %g, want 0 0 (clamped)", d.Count, d.Sum)
 	}
 	// Mismatched bounds: honest fallback is a clone of newer.
 	other := &obs.HistogramSnapshot{Bounds: []float64{2}, Counts: []uint64{1, 0}, Count: 1}
-	d = SubtractHistogram(newer, other)
+	d = subtractHistogram(newer, other)
 	if d.Count != newer.Count {
 		t.Fatalf("mismatched-bounds subtraction Count = %d, want %d", d.Count, newer.Count)
 	}
@@ -153,7 +161,7 @@ func TestMergedQuantileBoundedByShards(t *testing.T) {
 			}
 			shards[i] = h.Snapshot()
 		}
-		merged := MergeHistograms(shards...)
+		merged := mergeHistograms(shards...)
 		var wantCount uint64
 		for _, s := range shards {
 			wantCount += s.Count
@@ -183,7 +191,7 @@ func TestMergedQuantileBoundedByShards(t *testing.T) {
 func TestMergeHistogramsUnionBounds(t *testing.T) {
 	a := &obs.HistogramSnapshot{Bounds: []float64{1, 2}, Counts: []uint64{1, 1, 0}, Count: 2, Sum: 2.5}
 	b := &obs.HistogramSnapshot{Bounds: []float64{2, 4}, Counts: []uint64{2, 0, 1}, Count: 3, Sum: 9}
-	m := MergeHistograms(a, b)
+	m := mergeHistograms(a, b)
 	if m.Count != 5 {
 		t.Fatalf("union merge Count = %d, want 5", m.Count)
 	}
@@ -199,7 +207,7 @@ func TestMergeHistogramsUnionBounds(t *testing.T) {
 		t.Fatalf("+Inf bucket = %d, want 1", m.Counts[len(m.Counts)-1])
 	}
 	// Nil and empty inputs are skipped, not fatal.
-	if got := MergeHistograms(nil, a, nil); got.Count != a.Count {
+	if got := mergeHistograms(nil, a, nil); got.Count != a.Count {
 		t.Fatalf("nil-skipping merge Count = %d, want %d", got.Count, a.Count)
 	}
 }
@@ -219,7 +227,7 @@ func TestSumSeries(t *testing.T) {
 		obs.Counter("ops_total", "", 1, obs.L("op", "get")),
 		obs.HistogramSample("h_seconds", "", h2, obs.L("op", "put")),
 	}
-	sum := SumSeries(n1, n2)
+	sum := sumSeries(n1, n2)
 	if len(sum) != 3 {
 		t.Fatalf("SumSeries = %d series, want 3 (one per family and label set)", len(sum))
 	}
@@ -248,7 +256,7 @@ func TestIncrease(t *testing.T) {
 		obs.Gauge("depth", "", 7),
 		obs.HistogramSample("h_seconds", "", h),
 	}
-	inc := Increase(cur, prev)
+	inc := increase(cur, prev)
 	if len(inc) != 4 {
 		t.Fatalf("Increase = %d series, want 4 (the gauge dropped)", len(inc))
 	}
@@ -258,64 +266,42 @@ func TestIncrease(t *testing.T) {
 	if inc[3].Hist.Count != 2 || inc[3].Hist.Quantile(0.5) < 0.1 {
 		t.Fatalf("histogram increase = count %d, want the 2 new slow observations", inc[3].Hist.Count)
 	}
-	if all := Increase(cur, nil); all[0].Value != 15 || all[3].Hist.Count != 3 {
+	if all := increase(cur, nil); all[0].Value != 15 || all[3].Hist.Count != 3 {
 		t.Fatalf("Increase with no previous scrape = %g / %d, want the whole values", all[0].Value, all[3].Hist.Count)
 	}
 }
 
 func TestStoreLabelOrderInsensitive(t *testing.T) {
-	st := NewStore(8)
+	st := newStore()
 	base := t0()
 	m := obs.Gauge("g", "", 7, obs.L("a", "1"), obs.L("b", "2"))
-	st.Ingest(base, []obs.Metric{m})
-	last, ok := st.GaugeStats("g", []obs.Label{obs.L("b", "2"), obs.L("a", "1")})
+	st.ingest(base, []obs.Metric{m})
+	last, ok := st.gaugeStats("g", []obs.Label{obs.L("b", "2"), obs.L("a", "1")})
 	if !ok || last != 7 {
 		t.Fatalf("reordered-label lookup = %g, %v; want 7, true", last, ok)
 	}
-	if _, ok := st.GaugeStats("g", []obs.Label{obs.L("a", "1")}); ok {
+	if _, ok := st.gaugeStats("g", []obs.Label{obs.L("a", "1")}); ok {
 		t.Fatal("subset labels must not match")
 	}
 }
 
-func TestSeriesNamesDeterministic(t *testing.T) {
-	st := NewStore(8)
-	base := t0()
-	for i := 0; i < 3; i++ {
-		st.Ingest(base, []obs.Metric{
-			obs.Gauge("z", "", 1),
-			obs.Gauge("a", "", 2),
-			obs.Counter("m_total", "", 3),
-		})
-	}
-	names := st.SeriesNames()
-	want := []string{"z", "a", "m_total"}
-	if len(names) != len(want) {
-		t.Fatalf("SeriesNames = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("SeriesNames = %v, want first-seen order %v", names, want)
-		}
-	}
-}
-
 func TestHistogramRingWraparound(t *testing.T) {
-	st := NewStore(3)
+	st := smallStore(3)
 	base := t0()
 	h := obs.NewHistogram(obs.LatencyBuckets...)
 	// 6 samples through a 3-slot ring, one new observation per tick.
 	for i := 0; i < 6; i++ {
 		h.Observe(0.001)
-		st.Ingest(base.Add(time.Duration(i)*time.Second), histMetric(h))
+		st.ingest(base.Add(time.Duration(i)*time.Second), histMetric(h))
 	}
 	// Live window is samples 3..5 (counts 4..6); the widest delta inside
 	// retention is newest − oldest-live = 6 − 4 = 2... but a window wider
 	// than retention returns the full snapshot (6), never a double count.
-	snap, ok := st.WindowHistogram("h_seconds", nil, 2*time.Second)
+	snap, ok := st.windowHistogram("h_seconds", nil, 2*time.Second)
 	if !ok || snap.Count != 2 {
 		t.Fatalf("in-retention window Count = %d, %v; want 2, true", snap.Count, ok)
 	}
-	snap, ok = st.WindowHistogram("h_seconds", nil, time.Hour)
+	snap, ok = st.windowHistogram("h_seconds", nil, time.Hour)
 	if !ok || snap.Count != 6 {
 		t.Fatalf("over-retention window Count = %d, %v; want 6 (full snapshot), true", snap.Count, ok)
 	}

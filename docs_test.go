@@ -1,6 +1,9 @@
 package sting
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -12,9 +15,10 @@ import (
 // exist. In README.md, DESIGN.md, EXPERIMENTS.md and the verify skill, every
 // `make <target>` inside code is a target of the Makefile, every cmd/…,
 // scripts/… or internal/… path inside code is on disk, and so is every
-// back-quoted bare *.json/*.txt name; every Benchmark…/Test… identifier in
-// DESIGN.md's experiment index and in EXPERIMENTS.md is declared in some
-// _test.go (a name followed by * or { is a prefix).
+// back-quoted bare *.json/*.txt name, and every sting.Name inside code is
+// declared in sting.go; every Benchmark…/Test… identifier in DESIGN.md's
+// experiment index and in EXPERIMENTS.md is declared in some _test.go (a
+// name followed by * or { is a prefix).
 func TestDocsNameThingsThatExist(t *testing.T) {
 	read := func(path string) string {
 		data, err := os.ReadFile(path)
@@ -41,12 +45,30 @@ func TestDocsNameThingsThatExist(t *testing.T) {
 		t.Fatal(err)
 	}
 	declared := tests.String()
+	facade := map[string]bool{}
+	f, err := parser.ParseFile(token.NewFileSet(), "sting.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range f.Decls { // sting.go declares aliases, vars and consts only
+		for _, spec := range d.(*ast.GenDecl).Specs {
+			switch spec := spec.(type) {
+			case *ast.TypeSpec:
+				facade[spec.Name.Name] = true
+			case *ast.ValueSpec:
+				for _, n := range spec.Names {
+					facade[n.Name] = true
+				}
+			}
+		}
+	}
 	var (
 		code      = regexp.MustCompile("(?s)```.*?```|`[^`]+`") // a code span may wrap across lines
 		makeCall  = regexp.MustCompile(`\bmake ([a-z][a-z0-9-]*)`)
 		bareFile  = regexp.MustCompile(`^[A-Za-z0-9_.-]+\.(json|txt)$`)
 		repoPath  = regexp.MustCompile(`^(cmd|scripts|internal)/[\w./-]+$`)
 		testIdent = regexp.MustCompile(`\b((?:Benchmark|Test)[A-Z]\w*)([*{]?)`)
+		facadeRef = regexp.MustCompile(`\bsting\.([A-Z]\w*)`)
 	)
 	operatorFiles := map[string]bool{"nodes.json": true} // written by whoever runs a cluster, not committed
 
@@ -56,6 +78,11 @@ func TestDocsNameThingsThatExist(t *testing.T) {
 			for _, m := range makeCall.FindAllStringSubmatch(span, -1) {
 				if !targets[m[1]] {
 					t.Errorf("%s: `make %s` is not a Makefile target", doc, m[1])
+				}
+			}
+			for _, m := range facadeRef.FindAllStringSubmatch(span, -1) {
+				if !facade[m[1]] {
+					t.Errorf("%s: sting.%s is not declared in sting.go", doc, m[1])
 				}
 			}
 			span = strings.Trim(span, "`")

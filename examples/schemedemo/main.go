@@ -11,6 +11,7 @@ import (
 
 	sting "repro"
 	"repro/internal/scheme"
+	_ "repro/internal/vm" // registers the "vm" bytecode engine (the default)
 )
 
 const futuresPrimes = `

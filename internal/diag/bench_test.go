@@ -41,7 +41,6 @@ func benchDiagOverhead(b *testing.B, on bool) {
 				Node:         "bench",
 				SamplePeriod: 100 * time.Millisecond,
 				StallSLO:     time.Hour, // pricing the profiler, not stalls
-				TopK:         5,
 				Waiters:      []WaiterSource{reg},
 				VM:           vm,
 			})

@@ -59,11 +59,6 @@ type Config struct {
 	// StallSLO is the parked age past which a waiter is reported as
 	// stalled (default 30s).
 	StallSLO time.Duration
-	// TopK is how many hot keys each per-space sketch reports
-	// (default 10); the sketch keeps 4×TopK counters.
-	TopK int
-	// RecorderCap bounds the flight-recorder ring (default 4096 events).
-	RecorderCap int
 	// Waiters lists the registries whose blocked tables the sampler
 	// walks. Usually one: the process's tuple-space registry.
 	Waiters []WaiterSource
@@ -73,13 +68,21 @@ type Config struct {
 	// VM, when set, lets the sampler watch scheduler steal counters for
 	// steal storms.
 	VM *core.VM
-	// ConflictBurst is the per-sample conflict delta that triggers a
-	// conflict-burst recorder event (default 64).
-	ConflictBurst uint64
-	// StealStorm is the per-sample failed-steal delta that triggers a
-	// steal-storm recorder event (default 4096).
-	StealStorm uint64
 }
+
+const (
+	// topK is how many hot keys each per-space sketch reports; the sketch
+	// keeps 4×topK counters.
+	topK = 10
+	// recorderCap bounds the flight-recorder ring, in events.
+	recorderCap = 4096
+	// conflictBurst is the per-sample conflict delta that triggers a
+	// conflict-burst recorder event.
+	conflictBurst = 64
+	// stealStorm is the per-sample failed-steal delta that triggers a
+	// steal-storm recorder event.
+	stealStorm = 4096
+)
 
 func (c *Config) withDefaults() Config {
 	out := *c
@@ -88,18 +91,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.StallSLO <= 0 {
 		out.StallSLO = 30 * time.Second
-	}
-	if out.TopK <= 0 {
-		out.TopK = 10
-	}
-	if out.RecorderCap <= 0 {
-		out.RecorderCap = 4096
-	}
-	if out.ConflictBurst == 0 {
-		out.ConflictBurst = 64
-	}
-	if out.StealStorm == 0 {
-		out.StealStorm = 4096
 	}
 	return out
 }
@@ -140,8 +131,8 @@ func New(cfg Config) *Diagnoser {
 	c := cfg.withDefaults()
 	return &Diagnoser{
 		cfg:       c,
-		prof:      newProfiler(c.TopK),
-		rec:       obs.NewSyncRing[Event](c.RecorderCap),
+		prof:      &profiler{},
+		rec:       obs.NewSyncRing[Event](recorderCap),
 		stalls:    make(map[stallID]time.Time),
 		deadlocks: make(map[string]time.Time),
 		sampleLat: obs.NewHistogram(),

@@ -49,8 +49,8 @@ func TestSketchUnkeyedClass(t *testing.T) {
 // its dump carries them, oldest first, with the node and the overflow count
 // (the ring itself is TestRing's, in internal/obs).
 func TestRecorderRingAndDump(t *testing.T) {
-	d := New(Config{Node: "n1", RecorderCap: 4})
-	for i := 0; i < 6; i++ {
+	d := New(Config{Node: "n1"})
+	for i := 0; i < recorderCap+2; i++ {
 		d.Record("e", "", "", "", uint64(i))
 	}
 	var buf bytes.Buffer
@@ -61,9 +61,9 @@ func TestRecorderRingAndDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dump.Node != "n1" || len(dump.Events) != 4 || dump.Dropped != 2 ||
-		dump.Events[0].Count != 2 || dump.Events[3].Count != 5 {
-		t.Fatalf("dump %+v", dump)
+	if dump.Node != "n1" || len(dump.Events) != recorderCap || dump.Dropped != 2 ||
+		dump.Events[0].Count != 2 || dump.Events[recorderCap-1].Count != recorderCap+1 {
+		t.Fatalf("dump: node %q, %d events, %d dropped", dump.Node, len(dump.Events), dump.Dropped)
 	}
 }
 
@@ -113,7 +113,7 @@ func eventKinds(evs []Event) string {
 func TestProfilerHotKeyThroughRealSpace(t *testing.T) {
 	vm := testkit.VM(t, 2, 2)
 	reg := tspace.NewRegistry(tspace.KindHash, tspace.Config{})
-	d := New(Config{Waiters: []WaiterSource{reg}, TopK: 3})
+	d := New(Config{Waiters: []WaiterSource{reg}})
 	d.Start()
 	defer d.Stop()
 
@@ -144,6 +144,9 @@ func TestProfilerHotKeyThroughRealSpace(t *testing.T) {
 	sr := rep.Spaces["orders"]
 	if sr == nil {
 		t.Fatalf("no space report; spaces %v", rep.Spaces)
+	}
+	if len(sr.Puts) > topK {
+		t.Fatalf("%d put keys reported, want at most topK=%d", len(sr.Puts), topK)
 	}
 	if len(sr.Puts) == 0 || sr.Puts[0].Key != "hot-key" {
 		t.Fatalf("hot put key not ranked first: %v", sr.Puts)

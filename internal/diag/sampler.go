@@ -276,10 +276,10 @@ func cycleSig(cyc []uint64) string {
 
 // detectBursts compares cumulative conflict and failed-steal counters
 // against the previous sample and records burst events past the
-// configured thresholds.
+// conflictBurst and stealStorm thresholds.
 func (d *Diagnoser) detectBursts(now time.Time) {
 	conf := d.prof.conflicts.Load()
-	if delta := conf - d.lastConf; delta >= d.cfg.ConflictBurst {
+	if delta := conf - d.lastConf; delta >= conflictBurst {
 		d.rec.Record(Event{T: now, Kind: "conflict-burst",
 			Detail: "commit conflicts in one sample period", Count: delta})
 	}
@@ -290,7 +290,7 @@ func (d *Diagnoser) detectBursts(now time.Time) {
 		for _, vp := range d.cfg.VM.VPs() {
 			failed += vp.Stats().Snapshot().FailedSteals
 		}
-		if delta := failed - d.lastFail; delta >= d.cfg.StealStorm && d.lastFail != 0 {
+		if delta := failed - d.lastFail; delta >= stealStorm && d.lastFail != 0 {
 			d.rec.Record(Event{T: now, Kind: "steal-storm",
 				Detail: "failed steal attempts in one sample period", Count: delta})
 		}

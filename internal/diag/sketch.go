@@ -194,7 +194,6 @@ type shardCounts struct {
 // paths: lookups are lock-free (sync.Map), updates take only the one
 // space's mutex.
 type profiler struct {
-	topK   int
 	spaces sync.Map // string → *spaceProfile
 	shards sync.Map // string → *shardCounts
 
@@ -202,17 +201,15 @@ type profiler struct {
 	wakeMisses, handoffs   atomic64
 }
 
-func newProfiler(topK int) *profiler { return &profiler{topK: topK} }
-
 func (p *profiler) space(name string) *spaceProfile {
 	if sp, ok := p.spaces.Load(name); ok {
 		return sp.(*spaceProfile)
 	}
 	sp := &spaceProfile{}
 	for i := range sp.stripes {
-		sp.stripes[i].puts = newSketch(p.topK)
-		sp.stripes[i].takes = newSketch(p.topK)
-		sp.stripes[i].conflicts = newSketch(p.topK)
+		sp.stripes[i].puts = newSketch(topK)
+		sp.stripes[i].takes = newSketch(topK)
+		sp.stripes[i].conflicts = newSketch(topK)
 		sp.stripes[i].producers = make(map[classKey]*producerRing)
 	}
 	actual, _ := p.spaces.LoadOrStore(name, sp)
@@ -366,9 +363,9 @@ func (p *profiler) spaceReports() map[string]*SpaceReport {
 	p.spaces.Range(func(k, v any) bool {
 		sp := v.(*spaceProfile)
 		r := &SpaceReport{
-			Puts:       sp.merged(func(st *profStripe) *sketch { return st.puts }, p.topK),
-			Takes:      sp.merged(func(st *profStripe) *sketch { return st.takes }, p.topK),
-			Conflicts:  sp.merged(func(st *profStripe) *sketch { return st.conflicts }, p.topK),
+			Puts:       sp.merged(func(st *profStripe) *sketch { return st.puts }, topK),
+			Takes:      sp.merged(func(st *profStripe) *sketch { return st.takes }, topK),
+			Conflicts:  sp.merged(func(st *profStripe) *sketch { return st.conflicts }, topK),
 			WakeMisses: sp.wakeMisses.Load(),
 			Handoffs:   sp.handoffs.Load(),
 		}

@@ -140,11 +140,6 @@ func CurrentSpanSink() SpanSink {
 	return nil
 }
 
-// DisableSpans is the span-overhead ablation switch (the analogue of
-// ServerConfig.DisableMetrics): while true, StartSpan returns nil even
-// with a sink installed, so every annotation site degrades to a nil check.
-var DisableSpans atomic.Bool
-
 // openSpans counts started-but-unended spans; tests assert it returns to
 // its starting value to prove no branch leaks an open span.
 var openSpans atomic.Int64
@@ -164,8 +159,8 @@ type Span struct {
 
 // StartSpan opens a span under parent (a fresh trace when parent is the
 // zero context). It returns nil — on which every method is a no-op — when
-// no sink is installed or DisableSpans is set, so tracing costs one atomic
-// load when off.
+// no sink is installed, so tracing costs one atomic load when off:
+// SetSpanSink(nil) is the off switch.
 func StartSpan(parent SpanContext, name string, kind SpanKind) *Span {
 	return StartSpanAt(parent, name, kind, time.Now().UnixNano())
 }
@@ -175,7 +170,7 @@ func StartSpan(parent SpanContext, name string, kind SpanKind) *Span {
 // arrival, park time included).
 func StartSpanAt(parent SpanContext, name string, kind SpanKind, startNanos int64) *Span {
 	h := spanSink.Load()
-	if h == nil || DisableSpans.Load() {
+	if h == nil {
 		return nil
 	}
 	s := &Span{

@@ -10,9 +10,11 @@ import (
 )
 
 // ServerCollector exposes a fabric server's counters and per-op latency
-// histograms to the obs registry. Space depths are not emitted here — the
-// registry's tspace.RegistryCollector owns sting_tspace_depth — so one
-// scrape composed of both sources stays free of duplicates.
+// histograms to the obs registry. An op never served has no histogram, as
+// in ClientCollector, which keeps the STATS reply small. Space depths are
+// not emitted here — the registry's tspace.RegistryCollector owns
+// sting_tspace_depth — so one scrape composed of both sources stays free
+// of duplicates.
 type ServerCollector struct {
 	Server *Server
 }
@@ -42,7 +44,7 @@ func (c ServerCollector) Collect() []obs.Metric {
 		}
 	}
 	for i, h := range s.OpLatency {
-		if h == nil {
+		if h == nil || h.Count() == 0 {
 			continue
 		}
 		out = append(out, obs.HistogramSample("sting_remote_op_latency_seconds",

@@ -106,6 +106,33 @@ func TestServerRecordsOpLatency(t *testing.T) {
 	}
 }
 
+// TestStatsOmitsUnservedOps: a fresh server's stats text carries no
+// latency histogram for an op it never served, and carries one for an op
+// it did serve.
+func TestStatsOmitsUnservedOps(t *testing.T) {
+	srv, addr := startServer(t)
+	text := func() string {
+		var b bytes.Buffer
+		if err := srv.WriteStats(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	const putBucket = `sting_remote_op_latency_seconds_bucket{op="put",`
+	if fresh := text(); strings.Contains(fresh, "sting_remote_op_latency_seconds_bucket") {
+		t.Fatalf("fresh server reports latency buckets:\n%s", fresh)
+	}
+	if err := dialTest(t, addr, DialConfig{}).Space("jobs").Put(nil, tspace.Tuple{"job"}); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	testkit.Eventually(t, 5*time.Second, func() bool {
+		return strings.Contains(text(), putBucket)
+	}, "no put latency buckets after a served put")
+	if served := text(); strings.Contains(served, `sting_remote_op_latency_seconds_bucket{op="get",`) {
+		t.Fatalf("get latency buckets reported although no get was served:\n%s", served)
+	}
+}
+
 // TestStatsReplyOverFrameLimit: a STATS reply too large for one frame is
 // answered with an error reply; the connection stays up and serves on.
 func TestStatsReplyOverFrameLimit(t *testing.T) {
@@ -114,6 +141,10 @@ func TestStatsReplyOverFrameLimit(t *testing.T) {
 	// about 1.5 MB, past the 1 MiB frame limit.
 	for i := 0; i < 2000; i++ {
 		srv.Registry().OpenDefault(fmt.Sprintf("space-%04d-%s", i, strings.Repeat("x", 48)))
+	}
+	var text bytes.Buffer
+	if err := srv.WriteStats(&text); err != nil || text.Len() <= maxFrame {
+		t.Fatalf("stats text is %d bytes (%v), want more than the %d-byte frame limit", text.Len(), err, maxFrame)
 	}
 	c := dialTest(t, addr, DialConfig{})
 	_, err := c.Stats(nil)

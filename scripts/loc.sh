@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # loc.sh — the one counting rule deletion PRs quote: lines of non-test .go
-# files that are neither blank nor //-only, per internal/* package, cmd/,
-# examples/, scripts/, the root package, and in total. benchmark/ is its
-# own module measuring this one and is left out. Run via `make loc`.
+# files that are neither blank nor //-only, per internal/* package, per
+# cmd/* binary, for examples/ and scripts/, the root package, and in total.
+# benchmark/ is its own module measuring this one and is left out. Run via
+# `make loc`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -24,7 +25,10 @@ row() {
 for pkg in internal/*/; do
 	row "${pkg%/}" "$(count "$pkg")"
 done
-for dir in cmd examples scripts; do
+for dir in cmd/*/; do
+	row "${dir%/}" "$(count "$dir")"
+done
+for dir in examples scripts; do
 	row "$dir/" "$(count "$dir")"
 done
 row "(root)" "$(count . -maxdepth 1)"

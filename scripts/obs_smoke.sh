@@ -34,7 +34,16 @@ if [ "$health" != "ok" ]; then
     fail=1
 fi
 
+# Serve one op (a STATS round trip, after its HELLO): an op the server has
+# never served exports no latency histogram.
+addr="$(sed -n 's|^stingd: serving tuple spaces on \([^ ]*\) .*|\1|p' "$log")"
+"$bin" -addr "$addr" -dump-stats >/dev/null
+
 metrics="$(curl -fsS "http://$obs/metrics")"
+if grep -q '^sting_remote_op_latency_seconds_bucket{op="get",' <<<"$metrics"; then
+    echo "FAIL: /metrics has get latency buckets although no get was served"
+    fail=1
+fi
 for family in \
     sting_vp_dispatches_total \
     sting_vp_steal_batches_total \

@@ -25,7 +25,9 @@
 //
 // The facade re-exports the substrate types; the implementation lives in
 // the internal packages (core, policy, synch, tspace, futures, spec,
-// streams, sio, scheme), one per subsystem of the paper.
+// streams, sio, scheme), one per subsystem of the paper. Metrics, tracing
+// and diagnosis are not re-exported: programs import internal/obs and
+// internal/diag for them.
 package sting
 
 import (
@@ -33,10 +35,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/diag"
 	"repro/internal/futures"
-	"repro/internal/obs"
-	"repro/internal/obs/tsdb"
 	"repro/internal/policy"
 	"repro/internal/remote"
 	"repro/internal/spec"
@@ -44,7 +43,6 @@ import (
 	"repro/internal/streams"
 	"repro/internal/synch"
 	"repro/internal/tspace"
-	vmengine "repro/internal/vm"
 )
 
 // Core substrate types.
@@ -230,8 +228,6 @@ type (
 	RemoteSpace = remote.Space
 	// RemoteDialConfig tunes client retry/backoff/deadlines.
 	RemoteDialConfig = remote.DialConfig
-	// RemoteStats is the server's counter snapshot.
-	RemoteStats = remote.StatsSnapshot
 	// TupleSpaceRegistry names tuple spaces for the fabric.
 	TupleSpaceRegistry = tspace.Registry
 )
@@ -316,146 +312,12 @@ var (
 // QuantumForever disables preemption for a thread.
 const QuantumForever = time.Duration(-1)
 
-// Tracing (the programming-environment observability hooks).
-type (
-	// TraceEvent is one substrate occurrence (dispatch, steal, block …).
-	TraceEvent = core.TraceEvent
-	// TraceKind classifies trace events.
-	TraceKind = core.TraceKind
-	// TraceRing is a bounded ring of recent events; its Record is a tracer.
-	TraceRing = core.TraceRing
-)
-
+// Thread genealogy (the programming-environment hooks).
 var (
-	// SetTracer installs a machine-wide tracer (nil disables).
-	SetTracer = core.SetTracer
-	// NewTraceRing creates a ring tracer.
-	NewTraceRing = core.NewTraceRing
 	// DumpTree renders a thread's genealogy.
 	DumpTree = core.DumpTree
 	// DefaultAuthority is the genealogy-subtree authority policy.
 	DefaultAuthority = core.DefaultAuthority
-)
-
-// Observability (internal/obs): the unified metrics layer — a registry of
-// collector sources, lock-free latency histograms, Prometheus text
-// exposition, an HTTP handler, and a Chrome trace_event exporter for the
-// core trace ring.
-type (
-	// ObsRegistry gathers collector sources into one coherent snapshot.
-	ObsRegistry = obs.Registry
-	// ObsCollector is a source of metrics.
-	ObsCollector = obs.Collector
-	// ObsCollectorFunc adapts a function to ObsCollector.
-	ObsCollectorFunc = obs.CollectorFunc
-	// ObsMetric is one gathered sample.
-	ObsMetric = obs.Metric
-	// ObsLabel is one metric dimension.
-	ObsLabel = obs.Label
-	// ObsHistogram is a fixed-bucket lock-free latency histogram.
-	ObsHistogram = obs.Histogram
-	// ObsHandler serves /metrics, /healthz, /debug/trace over net/http.
-	ObsHandler = obs.Handler
-	// VMCollector exposes a VM's scheduler counters to a registry.
-	VMCollector = core.VMCollector
-	// TraceCollector exposes a trace ring's occupancy counters.
-	TraceCollector = core.TraceCollector
-	// TupleSpaceCollector exposes a space registry's depths and waiters.
-	TupleSpaceCollector = tspace.RegistryCollector
-	// RemoteServerCollector exposes a fabric server's counters/latencies.
-	RemoteServerCollector = remote.ServerCollector
-	// RemoteClientCollector exposes a fabric client's dial/op latencies.
-	RemoteClientCollector = remote.ClientCollector
-)
-
-var (
-	// DefaultRegistry is the process-wide obs registry.
-	DefaultRegistry = obs.Default()
-	// NewObsRegistry creates an empty obs registry.
-	NewObsRegistry = obs.NewRegistry
-	// NewObsHistogram creates a latency histogram (default buckets when
-	// none given).
-	NewObsHistogram = obs.NewHistogram
-	// ObsCounter, ObsGauge and ObsHistogramSample build metric samples
-	// inside a custom collector.
-	ObsCounter         = obs.Counter
-	ObsGauge           = obs.Gauge
-	ObsHistogramSample = obs.HistogramSample
-	// WritePrometheus renders gathered metrics in Prometheus text format.
-	WritePrometheus = obs.WritePrometheus
-	// WriteChromeTrace renders trace events as Chrome trace_event JSON
-	// (open in Perfetto).
-	WriteChromeTrace = obs.WriteChromeTrace
-	// ObsTraceEvents converts core trace events for WriteChromeTrace.
-	ObsTraceEvents = core.ObsTraceEvents
-)
-
-// Scrape side (internal/obs/tsdb): reading an exposition back and merging
-// shard histograms, the primitives behind stingtop's cluster rollup.
-var (
-	// ParsePrometheus reads a text exposition back into metric samples.
-	ParsePrometheus = obs.ParsePrometheus
-	// MergeHistograms adds histogram snapshots bucket-by-bucket — the
-	// cross-shard rollup primitive behind cluster-wide quantiles.
-	MergeHistograms = tsdb.MergeHistograms
-	// BuildInfo is a constant gauge collector describing the binary.
-	BuildInfo = obs.BuildInfo
-)
-
-// Distributed causal tracing: spans propagate with threads (like fluid
-// bindings), across the wire (a TRACECTX extension on fabric requests),
-// and across cluster fan-outs (one span per shard branch).
-type (
-	// Span is a live span; End emits an immutable SpanData to the sink.
-	Span = obs.Span
-	// SpanData is one finished span.
-	SpanData = obs.SpanData
-	// SpanContext is the propagated (trace ID, span ID) pair.
-	SpanContext = obs.SpanContext
-	// SpanKind classifies a span: internal, client, server.
-	SpanKind = obs.SpanKind
-	// SpanRing is a bounded ring of finished spans; its Record is a sink.
-	SpanRing = obs.SpanRing
-	// SpanCollector exposes a span ring's counters to an obs registry.
-	SpanCollector = obs.SpanCollector
-	// NodeSpans pairs a node name with its spans for multi-node export.
-	NodeSpans = obs.NodeSpans
-	// SpanTraceID is the 128-bit trace identifier.
-	SpanTraceID = obs.TraceID
-	// SpanSpanID is the 64-bit span identifier.
-	SpanSpanID = obs.SpanID
-)
-
-// Span kinds.
-const (
-	SpanInternal = obs.SpanInternal
-	SpanClient   = obs.SpanClient
-	SpanServer   = obs.SpanServer
-)
-
-var (
-	// StartSpan opens a span under a parent context (zero context starts a
-	// new trace); returns nil (safe to use) when no sink is installed.
-	StartSpan = obs.StartSpan
-	// SetSpanSink installs the machine-wide span sink (nil disables).
-	SetSpanSink = obs.SetSpanSink
-	// NewSpanRing creates a ring sink for finished spans.
-	NewSpanRing = obs.NewSpanRing
-	// OpenSpans counts spans started but not yet ended (leak detector).
-	OpenSpans = obs.OpenSpans
-	// DisableSpans suppresses span creation even with a sink installed
-	// (the overhead-ablation switch).
-	DisableSpans = &obs.DisableSpans
-	// WithSpanContext seeds a new thread's span context explicitly
-	// (children inherit it like the fluid environment).
-	WithSpanContext = core.WithSpanContext
-	// WriteSpansJSON / DecodeSpansJSON are the per-node span dump codec
-	// (scripts/tracecat merges several nodes' dumps).
-	WriteSpansJSON  = obs.WriteSpansJSON
-	DecodeSpansJSON = obs.DecodeSpansJSON
-	// WriteChromeSpans renders spans from many nodes as one Chrome
-	// trace_event document with flow arrows stitching client to server.
-	WriteChromeSpans = obs.WriteChromeSpans
 )
 
 // Transactions (internal/stm): atomic multi-tuple operations over tuple
@@ -467,8 +329,6 @@ type (
 	// Txn is an in-flight transaction: buffered Put/Get/Rd/TryGet/TryRd
 	// that see the transaction's own effects.
 	Txn = stm.Txn
-	// TxnStats is the process-wide transaction counter snapshot.
-	TxnStats = stm.Stats
 	// TxnConflictError reports a failed commit-time validation.
 	TxnConflictError = tspace.ConflictError
 )
@@ -486,52 +346,4 @@ var (
 	ErrTxnUnsupported = tspace.ErrTxnUnsupported
 	// ErrCrossShardTxn rejects cluster transactions spanning shards.
 	ErrCrossShardTxn = cluster.ErrCrossShardTxn
-	// TxnCurrentStats snapshots the process-wide transaction counters.
-	TxnCurrentStats = stm.CurrentStats
-	// NewSTMCollector exposes the sting_stm_* metric family.
-	NewSTMCollector = stm.NewCollector
-)
-
-// Runtime diagnosis (internal/diag): always-on stall/deadlock sampling
-// over the blocked tables, hot-key contention profiling, and a flight
-// recorder of diagnostic events — served at /debug/diag by stingd and
-// answerable from Scheme via (diag-report).
-type (
-	// Diagnoser runs the sampler loop and owns the profiler and recorder.
-	Diagnoser = diag.Diagnoser
-	// DiagConfig sizes a Diagnoser: sample period, stall SLO, top-K, the
-	// waiter sources to walk, and the VM whose threads it inspects.
-	DiagConfig = diag.Config
-	// DiagReport is one diagnosis snapshot: stalls, deadlock cycles,
-	// remote parks, hot keys per space, and the recorder tail.
-	DiagReport = diag.Report
-	// DiagEvent is one flight-recorder entry.
-	DiagEvent = diag.Event
-	// DiagHandler serves /debug/diag (report, and ?dump=1 for the ring).
-	DiagHandler = diag.Handler
-)
-
-var (
-	// NewDiagnoser builds a Diagnoser; Start installs the tuple-space
-	// hook and launches the sampler, Stop undoes both.
-	NewDiagnoser = diag.New
-	// DefaultDiagnoser returns the process-wide running Diagnoser, or nil.
-	DefaultDiagnoser = diag.Default
-	// DiagRecordEvent appends to the default Diagnoser's flight recorder
-	// (a no-op while none is running).
-	DiagRecordEvent = diag.RecordEvent
-)
-
-// Execution engines (internal/vm): the computation language runs on a
-// selectable engine — the tree-walking reference evaluator or the
-// bytecode VM, which compiles toplevel forms to lexically-addressed
-// bytecode and polls the same safe-point budget, so preemption, stealing
-// and span inheritance behave identically. Importing this package
-// registers the "vm" engine; scheme.WithEngine selects one by name.
-var (
-	// NewVMEngineCollector exposes the sting_vm_* metric family
-	// (compiled/fallback form counts, dispatched instructions).
-	NewVMEngineCollector = vmengine.NewCollector
-	// VMEngineStats snapshots the process-wide engine counters.
-	VMEngineStats = vmengine.Stats
 )

@@ -11,6 +11,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 func boot(t testing.TB, procs, vps int) *VM {
@@ -374,15 +377,15 @@ func TestFacadeMultipleVMsIsolated(t *testing.T) {
 	}
 }
 
-// TestFacadeObservability drives the obs surface through the public
-// exports: register a VM collector and a custom source, render the
-// gathered metrics as Prometheus text, and export trace events as Chrome
-// trace_event JSON.
+// TestFacadeObservability: a VM built through the facade is observable
+// with the obs layer, which the facade does not re-export: register its
+// collector and a custom source, render the gathered metrics as
+// Prometheus text, and export trace events as Chrome trace_event JSON.
 func TestFacadeObservability(t *testing.T) {
 	vm := boot(t, 2, 2)
-	trace := NewTraceRing(1024)
-	SetTracer(trace.Record)
-	defer SetTracer(nil)
+	trace := core.NewTraceRing(1024)
+	core.SetTracer(trace.Record)
+	defer core.SetTracer(nil)
 
 	if _, err := vm.Run(func(ctx *Context) ([]Value, error) {
 		child := ctx.Fork(func(*Context) ([]Value, error) { return []Value{1}, nil }, nil)
@@ -391,17 +394,17 @@ func TestFacadeObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hist := NewObsHistogram()
+	hist := obs.NewHistogram()
 	hist.Observe(0.004)
-	reg := NewObsRegistry()
-	reg.Register("vm", VMCollector{VM: vm})
-	reg.Register("trace", TraceCollector{Ring: trace})
-	reg.Register("app", ObsCollectorFunc(func() []ObsMetric {
-		return []ObsMetric{ObsHistogramSample("app_latency_seconds", "App-defined latency.", hist)}
+	reg := obs.NewRegistry()
+	reg.Register("vm", core.VMCollector{VM: vm})
+	reg.Register("trace", core.TraceCollector{Ring: trace})
+	reg.Register("app", obs.CollectorFunc(func() []obs.Metric {
+		return []obs.Metric{obs.HistogramSample("app_latency_seconds", "App-defined latency.", hist)}
 	}))
 
 	var prom strings.Builder
-	if err := WritePrometheus(&prom, reg.Gather()); err != nil {
+	if err := obs.WritePrometheus(&prom, reg.Gather()); err != nil {
 		t.Fatal(err)
 	}
 	for _, family := range []string{"sting_vp_dispatches_total", "sting_trace_events", "app_latency_seconds_bucket"} {
@@ -411,13 +414,13 @@ func TestFacadeObservability(t *testing.T) {
 	}
 
 	var chrome strings.Builder
-	if err := WriteChromeTrace(&chrome, ObsTraceEvents(trace.Tail(trace.Cap()))); err != nil {
+	if err := obs.WriteChromeTrace(&chrome, core.ObsTraceEvents(trace.Tail(trace.Cap()))); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(chrome.String(), `"traceEvents"`) {
 		t.Error("trace export missing traceEvents array")
 	}
-	if DefaultRegistry == nil {
-		t.Error("DefaultRegistry is nil")
+	if obs.Default() == nil {
+		t.Error("obs.Default() is nil")
 	}
 }
