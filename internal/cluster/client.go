@@ -713,10 +713,13 @@ func (s *Space) fanMatch(ctx *core.Context, tpl tspace.Template, destructive boo
 		s.c.wg.Add(1)
 		if ctx != nil {
 			i := i
+			// The branch span stands for the branch, so its thread opens no
+			// span of its own: a thread span ends at determination, after
+			// branch's wg.Done, and would outlive Quiesce.
 			ctx.Fork(func(bctx *core.Context) ([]core.Value, error) {
 				branch(i, bctx)
 				return nil, nil
-			}, nil, core.WithName("cluster/fan"))
+			}, nil, core.WithName("cluster/fan"), core.WithSpanContext(obs.SpanContext{}))
 		} else {
 			go branch(i, nil)
 		}

@@ -15,19 +15,17 @@ import (
 // non-persistable payloads stay behind, the same discipline the wire codec
 // applies: computation does not outlive its address space, data does.
 
-// SnapshotRegistry binds every snapshottable space's passive tuples into
-// s. It returns the space and tuple counts captured.
+// SnapshotRegistry binds every space's passive tuples into s. Every
+// representation lists them in a form Put restores: a semaphore one empty
+// tuple per token, a vector its full slots as [index, value]. It returns the
+// space and tuple counts captured.
 func SnapshotRegistry(reg *tspace.Registry, s *Store) (spaces, tuples int, err error) {
 	for _, name := range reg.Names() {
 		ts, ok := reg.Lookup(name)
 		if !ok {
 			continue
 		}
-		snap, ok := ts.(tspace.Snapshotter)
-		if !ok {
-			continue // vector/semaphore representations carry no snapshot
-		}
-		tups := snap.PassiveTuples()
+		tups := ts.(tspace.Snapshotter).PassiveTuples() // every registered space is local
 		vals := make([]core.Value, 0, len(tups))
 		for _, tup := range tups {
 			v := make([]core.Value, len(tup))

@@ -212,7 +212,7 @@ type fakeRemote struct {
 	name string
 }
 
-func (f *fakeRemote) TxnDomain() any      { return f }
+func (f *fakeRemote) TxnDomain() any       { return f }
 func (f *fakeRemote) TxnSpaceName() string { return f.name }
 func (f *fakeRemote) CommitTxn(ctx *core.Context, ops []tspace.TxnOp) error {
 	return nil

@@ -15,8 +15,8 @@ var ErrCanceled = errors.New("tspace: blocking operation canceled")
 // CancelToken lets an outside agent — a network server whose client hung
 // up, a deadline timer, a draining daemon — withdraw a thread parked in a
 // blocking Get/Rd. The token travels in the thread's fluid environment
-// (WithCancel), so the TupleSpace interface is untouched and every
-// representation's blocking loop honours it. Cancellation removes the
+// (WithCancel), so the TupleSpace interface is untouched and the one
+// blocking loop honours it for every representation. Cancellation removes the
 // waiter from the space's blocked table: no registration outlives the
 // operation.
 type CancelToken struct {

@@ -1,7 +1,11 @@
 package tspace
 
 import (
+	"errors"
+	"math"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/testkit"
@@ -25,41 +29,126 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
-// TestOperationsInvariantOverRepresentation runs the same rd/get/put/spawn
-// protocol against every representation that supports general tuples — the
+// TestOperationsInvariantOverRepresentation runs the same operations
+// against every representation, each with a sample tuple it accepts — the
 // §4.2 claim that "the operations permitted on tuple-spaces remain
-// invariant over their representation".
+// invariant over their representation". Per kind: put, rd, get, the two
+// Try probes and spawn; TryRd and Rd through a parent; a parked waiter
+// listed under its registry name; and the put and take reaching the
+// diagnosis hook.
 func TestOperationsInvariantOverRepresentation(t *testing.T) {
-	for _, kind := range []Kind{KindHash, KindBag, KindSet, KindQueue} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
+	samples := []struct {
+		kind Kind
+		tup  Tuple        // a tuple the kind accepts; tpl matches it
+		tpl  Template     // binds ?v to tup's last field, if it has any
+		fill []core.Value // what Spawn's threads return: tup with 8 last
+	}{
+		{KindHash, Tuple{"k", 1}, Template{"k", F("v")}, []core.Value{"k", 8}},
+		{KindBag, Tuple{"k", 1}, Template{"k", F("v")}, []core.Value{"k", 8}},
+		{KindSet, Tuple{"k", 1}, Template{"k", F("v")}, []core.Value{"k", 8}},
+		{KindQueue, Tuple{"k", 1}, Template{"k", F("v")}, []core.Value{"k", 8}},
+		{KindSharedVar, Tuple{"k", 1}, Template{"k", F("v")}, []core.Value{"k", 8}},
+		{KindVector, Tuple{2, 1}, Template{2, F("v")}, []core.Value{2, 8}},
+		{KindSemaphore, Tuple{}, Template{}, nil},
+	}
+	hook := &recordingHook{}
+	SetDiagHook(hook)
+	defer SetDiagHook(nil)
+	for _, c := range samples {
+		t.Run(c.kind.String(), func(t *testing.T) {
 			vm := testkit.VM(t, 2, 2)
-			ts := New(kind, Config{})
+			bound := func(b Bindings, want core.Value) bool {
+				return len(c.tpl) == 0 || immediateEqual(b["v"], want)
+			}
 			testkit.RunIn(t, vm, func(ctx *core.Context) error {
+				ts := New(c.kind, Config{})
 				// put + rd (non-destructive) + get (destructive).
-				if err := ts.Put(ctx, Tuple{"k", 1}); err != nil {
+				if err := ts.Put(ctx, c.tup); err != nil {
 					return err
 				}
-				if _, b, err := ts.Rd(ctx, Template{"k", F("v")}); err != nil || b["v"] != 1 {
+				if _, b, err := ts.Rd(ctx, c.tpl); err != nil || !bound(b, 1) {
 					t.Errorf("rd: %v %v", b, err)
 				}
-				if _, _, err := ts.Get(ctx, Template{"k", F("v")}); err != nil {
+				if _, b, err := ts.TryRd(ctx, c.tpl); err != nil || !bound(b, 1) {
+					t.Errorf("TryRd: %v %v", b, err)
+				}
+				if _, _, err := ts.Get(ctx, c.tpl); err != nil {
 					t.Errorf("get: %v", err)
 				}
-				if _, _, err := ts.TryRd(ctx, Template{"k", F("v")}); err != ErrNoMatch {
+				if _, _, err := ts.TryRd(ctx, c.tpl); err != ErrNoMatch {
 					t.Errorf("TryRd after get: %v", err)
 				}
-				if _, _, err := ts.TryGet(ctx, Template{"k", F("v")}); err != ErrNoMatch {
+				if _, _, err := ts.TryGet(ctx, c.tpl); err != ErrNoMatch {
 					t.Errorf("TryGet after get: %v", err)
 				}
-				// spawn: active tuples match via thread-value.
-				if _, err := ts.Spawn(ctx,
-					func(*core.Context) ([]core.Value, error) { return []core.Value{int64(8)}, nil },
-				); err != nil {
+				if err := ts.Put(ctx, c.tup); err != nil {
 					return err
 				}
-				if _, b, err := ts.Get(ctx, Template{F("v")}); err != nil || b["v"] != int64(8) {
+				if _, b, err := ts.TryGet(ctx, c.tpl); err != nil || !bound(b, 1) || ts.Len() != 0 {
+					t.Errorf("TryGet: %v %v, Len %d", b, err, ts.Len())
+				}
+				// spawn: active tuples match via thread-value.
+				thunks := make([]core.Thunk, len(c.fill))
+				for i, v := range c.fill {
+					thunks[i] = func(*core.Context) ([]core.Value, error) { return testkit.One(v), nil }
+				}
+				if _, err := ts.Spawn(ctx, thunks...); err != nil {
+					t.Errorf("spawn: %v", err)
+				} else if _, b, err := ts.Get(ctx, c.tpl); err != nil || !bound(b, 8) {
 					t.Errorf("spawn match: %v %v", b, err)
+				}
+
+				// A read that finds nothing here falls back to the parent,
+				// blocking or not; a take does not.
+				parent := New(KindHash, Config{})
+				child := New(c.kind, Config{Parent: parent})
+				if err := parent.Put(ctx, c.tup); err != nil {
+					return err
+				}
+				if _, b, err := child.TryRd(ctx, c.tpl); err != nil || !bound(b, 1) {
+					t.Errorf("TryRd through the parent: %v %v", b, err)
+				}
+				if _, _, err := child.TryGet(ctx, c.tpl); err != ErrNoMatch {
+					t.Errorf("TryGet through the parent: %v, want ErrNoMatch", err)
+				}
+				tok := NewCancelToken()
+				timer := time.AfterFunc(5*time.Second, func() {
+					tok.Cancel(errors.New("Rd parked although the parent holds a match"))
+				})
+				WithCancel(ctx, tok, func() {
+					if _, b, err := child.Rd(ctx, c.tpl); err != nil || !bound(b, 1) {
+						t.Errorf("Rd through the parent: %v %v", b, err)
+					}
+				})
+				timer.Stop()
+
+				// A parked waiter is listed under the space's registry name;
+				// the deposit that wakes it and its take reach the hook.
+				name := "invariant-" + c.kind.String()
+				reg := NewRegistry(KindHash, Config{})
+				named, err := reg.Open(name, c.kind, Config{})
+				if err != nil {
+					return err
+				}
+				waiter := ctx.Fork(func(c2 *core.Context) ([]core.Value, error) {
+					_, _, err := named.Get(c2, c.tpl)
+					return nil, err
+				}, nil)
+				listed := settle(ctx, func() bool {
+					infos := reg.WaiterInfos()
+					return len(infos) == 1 && infos[0].Space == name
+				})
+				if !listed {
+					t.Errorf("the parked waiter is not listed under %q: %+v", name, reg.WaiterInfos())
+				}
+				if err := named.Put(ctx, c.tup); err != nil {
+					return err
+				}
+				if _, err := ctx.Value(waiter); err != nil {
+					return err
+				}
+				if put, take := hook.count(name, DiagPut), hook.count(name, DiagTake); put != 1 || take != 1 {
+					t.Errorf("hook saw %d puts and %d takes on %q, want 1 and 1", put, take, name)
 				}
 				return nil
 			})
@@ -67,12 +156,36 @@ func TestOperationsInvariantOverRepresentation(t *testing.T) {
 	}
 }
 
+// recordingHook counts key events per space and op.
+type recordingHook struct {
+	mu     sync.Mutex
+	events map[string]int
+}
+
+func (h *recordingHook) KeyEvent(space string, op DiagOp, _ int, _ uint64, _ bool, _ core.Value, _ uint64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.events == nil {
+		h.events = map[string]int{}
+	}
+	h.events[space+"/"+op.String()]++
+}
+
+func (h *recordingHook) count(space string, op DiagOp) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.events[space+"/"+op.String()]
+}
+
+func (*recordingHook) WakeMiss(string) {}
+func (*recordingHook) Handoff(string)  {}
+
 func TestVectorRepExtras(t *testing.T) {
 	vm := testkit.VM(t, 1, 1)
-	ts := New(KindVector, Config{VectorSize: 4}).(*vectorTS)
+	ts := New(KindVector, Config{VectorSize: 4}).(*front)
 	testkit.RunIn(t, vm, func(ctx *core.Context) error {
-		if ts.Size() != 4 {
-			t.Errorf("size = %d", ts.Size())
+		if n := len(ts.hp.(*vectorStore).slots); n != 4 {
+			t.Errorf("size = %d", n)
 		}
 		if _, _, err := ts.TryRd(ctx, Template{0, F("v")}); err != ErrNoMatch {
 			t.Errorf("TryRd empty slot: %v", err)
@@ -115,6 +228,44 @@ func TestHashValueClasses(t *testing.T) {
 	}
 }
 
+// TestEqualValuesHashAlike: every pair immediateEqual calls equal — the
+// integer widths, a uint64 that wraps to a negative int64, -0 and 0 — has
+// one stable Hash, one HashKey and one hashValue. Otherwise a tuple and the
+// template that matches it land in different bins, or on different shards.
+func TestEqualValuesHashAlike(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	values := []core.Value{
+		int(7), int8(7), int16(7), int32(7), int64(7), uint(7), uint32(7), uint64(7),
+		int(-1), int64(-1), uint64(math.MaxUint64),
+		0.0, negZero, float32(0), float32(negZero), 1.5,
+		"7", true, nil,
+	}
+	equalPairs := 0
+	for _, a := range values {
+		for _, b := range values {
+			if !immediateEqual(a, b) {
+				continue
+			}
+			equalPairs++
+			ha, _ := Hash(a)
+			if hb, _ := Hash(b); ha != hb {
+				t.Errorf("Hash(%T %v) != Hash(%T %v)", a, a, b, b)
+			}
+			ka, _ := HashKey("s", a, 2)
+			if kb, _ := HashKey("s", b, 2); ka != kb {
+				t.Errorf("HashKey(%T %v) != HashKey(%T %v)", a, a, b, b)
+			}
+			va, oka := hashValue(a)
+			if vb, okb := hashValue(b); va != vb || oka != okb {
+				t.Errorf("hashValue(%T %v) != hashValue(%T %v)", a, a, b, b)
+			}
+		}
+	}
+	if equalPairs <= len(values) {
+		t.Fatalf("only %d equal pairs: the table compares nothing but identities", equalPairs)
+	}
+}
+
 func TestAsInt64Conversions(t *testing.T) {
 	for _, v := range []core.Value{int8(1), int16(1), int32(1), int64(1), int(1), uint(1), uint32(1), uint64(1)} {
 		if got, ok := asInt64(v); !ok || got != 1 {
@@ -128,7 +279,7 @@ func TestAsInt64Conversions(t *testing.T) {
 
 func TestWaiterUnregister(t *testing.T) {
 	vm := testkit.VM(t, 1, 1)
-	ts := New(KindHash, Config{}).(*hashTS)
+	ts := New(KindHash, Config{}).(*txnFront)
 	testkit.RunIn(t, vm, func(ctx *core.Context) error {
 		// A deposit racing the registration exercises the re-probe path:
 		// register happens, the second probe finds the tuple, and the

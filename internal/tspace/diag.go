@@ -21,8 +21,8 @@ import (
 //     pointer: when no hook is installed every instrumented path pays one
 //     atomic load and a nil check, nothing more.
 //
-// Spaces learn their names from the registry (setDiagName) so events and
-// waiter snapshots carry the name remote peers and operators know them by;
+// The registry builds each space with its name, so events and waiter
+// snapshots carry the name remote peers and operators know it by;
 // anonymous spaces report "".
 
 // DiagOp classifies a key event delivered to the DiagHook.
@@ -146,15 +146,6 @@ type WaiterInfo struct {
 	// unbound at registration, which blocking paths never are).
 	Thread *core.Thread
 }
-
-// WaiterIntrospect is implemented by every shipped representation; it
-// snapshots the blocked table for the stall sampler.
-type WaiterIntrospect interface {
-	DiagWaiters() []WaiterInfo
-}
-
-// diagNamed lets the registry stamp a space with its published name.
-type diagNamed interface{ setDiagName(name string) }
 
 // snapshot copies the blocked table into WaiterInfos.
 func (w *waitTable) snapshot() []WaiterInfo {

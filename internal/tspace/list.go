@@ -66,10 +66,9 @@ func (l *entryList) put(tup Tuple, k waitKey, dedup bool) bool {
 // probe returns the oldest tuple matching tpl (class k), removing it when
 // remove is set, and the list version read before the scan. skip, which
 // comes only with remove unset, hides matches the caller has already
-// claimed; it runs under the lock and must not call into the space. space
-// names the owner in the take's diagnosis event.
+// claimed; it runs under the lock and must not call into the space.
 func (l *entryList) probe(ctx *core.Context, tpl Template, k waitKey, remove bool,
-	skip func(Tuple) bool, space string) (Tuple, Bindings, uint64, error) {
+	skip func(Tuple) bool) (Tuple, Bindings, uint64, error) {
 	ver := l.ver.Load()
 	var (
 		winner  Tuple
@@ -100,9 +99,6 @@ func (l *entryList) probe(ctx *core.Context, tpl Template, k waitKey, remove boo
 
 	if won {
 		// Bindings and the caller's copy are built for this one tuple only.
-		if remove {
-			diagKeyEvent(space, DiagTake, winner, ctx)
-		}
 		bind, resolved, _, err := matchTuple(ctx, tpl, winner)
 		return resolved, bind, ver, err
 	}
@@ -116,9 +112,6 @@ func (l *entryList) probe(ctx *core.Context, tpl Template, k waitKey, remove boo
 		}
 		if skip != nil && skip(resolved) {
 			continue
-		}
-		if remove {
-			diagKeyEvent(space, DiagTake, c.tup, ctx)
 		}
 		return resolved, bind, ver, nil
 	}

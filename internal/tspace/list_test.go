@@ -106,8 +106,9 @@ func TestProbeTimeIndependentOfDepth(t *testing.T) {
 // TestSharedBinAllocsMatchDefault: the master/slave shape under
 // Config{Bins: 1}, where "task" and "result" share the one bin, allocates
 // per take exactly what it does with the default bins — the other class is
-// passed on its signature, never matched. Bins: 1 is the paper's
-// global-mutex ablation, not a second allocation regime.
+// passed on its signature, never matched — and a hit Put+Get pair costs
+// three objects under either. Bins: 1 is the paper's global-mutex ablation,
+// not a second allocation regime.
 func TestSharedBinAllocsMatchDefault(t *testing.T) {
 	vm := testkit.VM(t, 1, 1)
 	perTake := func(cfg Config) (allocs float64) {
@@ -138,6 +139,25 @@ func TestSharedBinAllocsMatchDefault(t *testing.T) {
 	}
 	if one, def := perTake(Config{Bins: 1}), perTake(Config{}); one != def {
 		t.Errorf("allocations per master/slave step: %v with one bin, %v with the default bins", one, def)
+	}
+	// A hit Put+Get pair, through the blocking Get, allocates the deposited
+	// tuple, the taker's copy and its (here empty) Bindings: nothing for the
+	// front, the wait path or the bins.
+	for _, cfg := range []Config{{Bins: 1}, {}} {
+		ts := New(KindHash, cfg)
+		tpl := Template{"k", 1}
+		testkit.RunIn(t, vm, func(ctx *core.Context) error {
+			pair := testing.AllocsPerRun(200, func() {
+				_ = ts.Put(ctx, Tuple{"k", 1})
+				if _, _, err := ts.Get(ctx, tpl); err != nil {
+					t.Errorf("Get: %v", err)
+				}
+			})
+			if pair != 3 {
+				t.Errorf("a hit Put+Get pair with %d bins allocates %v objects, want 3", cfg.Bins, pair)
+			}
+			return nil
+		})
 	}
 }
 
@@ -290,15 +310,13 @@ func runModel(t *testing.T, ctx *core.Context, kind Kind, rng *rand.Rand) error 
 // eachList calls f on every entryList of a list-backed representation.
 func eachList(t *testing.T, ts TupleSpace, f func(*entryList)) {
 	t.Helper()
-	switch x := ts.(type) {
-	case *hashTS:
+	switch x := ts.(*txnFront).hp.(type) {
+	case *hashStore:
 		x.lists(f)
-	case *bagTS:
-		f(&x.list)
-	case *queueTS:
+	case *listStore:
 		f(&x.list)
 	default:
-		t.Fatalf("eachList: %T is not built on entryLists", ts)
+		t.Fatalf("eachList: %T is not built on entryLists", x)
 	}
 }
 

@@ -18,31 +18,21 @@ func (c RegistryCollector) Collect() []obs.Metric {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	spaces := make(map[string]TupleSpace, len(r.spaces))
-	for n, ts := range r.spaces {
-		spaces[n] = ts
-	}
-	r.mu.Unlock()
-	out := []obs.Metric{
-		obs.Gauge("sting_tspace_spaces", "Named tuple spaces registered.", float64(len(spaces))),
-	}
-	for name, ts := range spaces {
+	var out []obs.Metric
+	n := 0
+	r.each(func(name string, ts localSpace) {
+		n++
 		l := []obs.Label{obs.L("space", name), obs.L("kind", ts.Kind().String())}
-		out = append(out, obs.Gauge("sting_tspace_depth", "Tuples present in the space.", float64(ts.Len()), l...))
-		if wc, ok := ts.(WaiterCount); ok {
-			out = append(out, obs.Gauge("sting_tspace_waiters", "Threads blocked on the space.", float64(wc.Waiters()), l...))
-		}
-		if ws, ok := ts.(interface {
-			WakeStats() (uint64, uint64, uint64)
-		}); ok {
-			wakes, misses, handoffs := ws.WakeStats()
-			out = append(out,
-				obs.Counter("sting_tspace_wakes_total", "Deposits that woke a blocked waiter.", float64(wakes), l...),
-				obs.Counter("sting_tspace_wake_misses_total", "Woken waiters whose re-probe found nothing.", float64(misses), l...),
-				obs.Counter("sting_tspace_wake_handoffs_total", "Wake obligations passed to the next compatible waiter.", float64(handoffs), l...),
-			)
-		}
-	}
-	return out
+		wakes, misses, handoffs := ts.WakeStats()
+		out = append(out,
+			obs.Gauge("sting_tspace_depth", "Tuples present in the space.", float64(ts.Len()), l...),
+			obs.Gauge("sting_tspace_waiters", "Threads blocked on the space.", float64(ts.Waiters()), l...),
+			obs.Counter("sting_tspace_wakes_total", "Deposits that woke a blocked waiter.", float64(wakes), l...),
+			obs.Counter("sting_tspace_wake_misses_total", "Woken waiters whose re-probe found nothing.", float64(misses), l...),
+			obs.Counter("sting_tspace_wake_handoffs_total", "Wake obligations passed to the next compatible waiter.", float64(handoffs), l...),
+		)
+	})
+	return append([]obs.Metric{
+		obs.Gauge("sting_tspace_spaces", "Named tuple spaces registered.", float64(n)),
+	}, out...)
 }

@@ -3,6 +3,7 @@ package tspace
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 )
@@ -17,7 +18,7 @@ var ErrKindMismatch = errors.New("tspace: space exists with a different represen
 // has Put to simply blocks.
 type Registry struct {
 	mu     sync.Mutex
-	spaces map[string]TupleSpace
+	spaces map[string]localSpace
 
 	// DefaultKind and DefaultConfig shape implicitly created spaces.
 	defaultKind Kind
@@ -28,7 +29,7 @@ type Registry struct {
 // hash representation with cfg.
 func NewRegistry(kind Kind, cfg Config) *Registry {
 	return &Registry{
-		spaces:      make(map[string]TupleSpace),
+		spaces:      make(map[string]localSpace),
 		defaultKind: kind,
 		defaultCfg:  cfg,
 	}
@@ -48,10 +49,7 @@ func (r *Registry) Open(name string, kind Kind, cfg Config) (TupleSpace, error) 
 		}
 		return ts, nil
 	}
-	ts := New(kind, cfg)
-	if dn, ok := ts.(diagNamed); ok {
-		dn.setDiagName(name)
-	}
+	ts := newFront(kind, cfg, name)
 	r.spaces[name] = ts
 	return ts, nil
 }
@@ -66,10 +64,7 @@ func (r *Registry) OpenDefault(name string) TupleSpace {
 	if ts, ok := r.spaces[name]; ok {
 		return ts
 	}
-	ts := New(r.defaultKind, r.defaultCfg)
-	if dn, ok := ts.(diagNamed); ok {
-		dn.setDiagName(name)
-	}
+	ts := newFront(r.defaultKind, r.defaultCfg, name)
 	r.spaces[name] = ts
 	return ts
 }
@@ -94,53 +89,36 @@ func (r *Registry) Names() []string {
 	return names
 }
 
+// each calls f on every registered space outside the registry lock (a
+// space's accessors take their own locks), so a scrape never stalls fabric
+// traffic.
+func (r *Registry) each(f func(name string, ts localSpace)) {
+	r.mu.Lock()
+	spaces := maps.Clone(r.spaces)
+	r.mu.Unlock()
+	for name, ts := range spaces {
+		f(name, ts)
+	}
+}
+
 // Depths snapshots each space's Len, keyed by name.
 func (r *Registry) Depths() map[string]int {
-	r.mu.Lock()
-	spaces := make(map[string]TupleSpace, len(r.spaces))
-	for n, ts := range r.spaces {
-		spaces[n] = ts
-	}
-	r.mu.Unlock()
-	out := make(map[string]int, len(spaces))
-	for n, ts := range spaces {
-		out[n] = ts.Len()
-	}
+	out := make(map[string]int)
+	r.each(func(name string, ts localSpace) { out[name] = ts.Len() })
 	return out
 }
 
 // WaiterInfos snapshots every registered space's blocked table — the
 // stall sampler's view of who is parked where, on what key, since when.
 func (r *Registry) WaiterInfos() []WaiterInfo {
-	r.mu.Lock()
-	spaces := make([]TupleSpace, 0, len(r.spaces))
-	for _, ts := range r.spaces {
-		spaces = append(spaces, ts)
-	}
-	r.mu.Unlock()
 	var out []WaiterInfo
-	for _, ts := range spaces {
-		if wi, ok := ts.(WaiterIntrospect); ok {
-			out = append(out, wi.DiagWaiters()...)
-		}
-	}
+	r.each(func(_ string, ts localSpace) { out = append(out, ts.DiagWaiters()...) })
 	return out
 }
 
-// Waiters sums the blocked-table sizes of every registered space that
-// exposes them.
+// Waiters sums the blocked-table sizes of every registered space.
 func (r *Registry) Waiters() int {
-	r.mu.Lock()
-	spaces := make([]TupleSpace, 0, len(r.spaces))
-	for _, ts := range r.spaces {
-		spaces = append(spaces, ts)
-	}
-	r.mu.Unlock()
 	n := 0
-	for _, ts := range spaces {
-		if wc, ok := ts.(WaiterCount); ok {
-			n += wc.Waiters()
-		}
-	}
+	r.each(func(_ string, ts localSpace) { n += ts.Waiters() })
 	return n
 }

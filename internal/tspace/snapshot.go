@@ -2,11 +2,12 @@ package tspace
 
 import "repro/internal/core"
 
-// Snapshotter is implemented by representations that can enumerate their
+// Snapshotter is implemented by every local space: it enumerates the
 // passive tuples — fully-determined data with no thread elements — for
-// persistence. Active tuples (those still holding threads) are skipped:
-// a thread's thunk cannot outlive its address space, the same rule the
-// wire codec enforces.
+// persistence, in a form Put restores (a semaphore lists one empty tuple
+// per token, a vector its full slots as [index, value]). Active tuples
+// (those still holding threads) are skipped: a thread's thunk cannot
+// outlive its address space, the same rule the wire codec enforces.
 type Snapshotter interface {
 	PassiveTuples() []Tuple
 }
@@ -18,25 +19,4 @@ func passiveTuple(tup Tuple) bool {
 		}
 	}
 	return true
-}
-
-// PassiveTuples implements Snapshotter for the hash representation.
-func (ts *hashTS) PassiveTuples() []Tuple {
-	var out []Tuple
-	ts.lists(func(b *entryList) { out = b.passive(out) })
-	return out
-}
-
-// PassiveTuples implements Snapshotter for the bag, set, and (through
-// embedding) queue representations.
-func (ts *bagTS) PassiveTuples() []Tuple { return ts.list.passive(nil) }
-
-// PassiveTuples implements Snapshotter for the shared variable.
-func (ts *sharedVarTS) PassiveTuples() []Tuple {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if !ts.set || !passiveTuple(ts.tup) {
-		return nil
-	}
-	return []Tuple{append(Tuple(nil), ts.tup...)}
 }

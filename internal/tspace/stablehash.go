@@ -11,9 +11,9 @@ import (
 // unpredictable; routing a keyed tuple across stingd nodes instead needs a
 // hash every process computes identically, so clients, servers, and tools
 // agree on which shard owns a key. Hash is FNV-1a over a type-tagged
-// canonical encoding of the value, with integers normalized through
-// asInt64 — the same widening matching applies — so Put(…int(5)…) and a
-// template carrying int64(5) route to the same shard on every machine.
+// canonical encoding of the value, normalized as matching normalizes —
+// integers through asInt64, -0 as 0 — so Put(…int(5)…) and a template
+// carrying int64(5) route to the same shard on every machine.
 
 const (
 	fnvOffset64 = 0xcbf29ce484222325
@@ -51,12 +51,14 @@ func Hash(v core.Value) (uint64, bool) {
 		} else {
 			h = fnvByte(h, 'F')
 		}
+	case float32:
+		return Hash(float64(x))
 	case float64:
+		if x == 0 {
+			x = 0 // -0 == 0: both must route to one shard
+		}
 		h = fnvByte(h, 'f')
 		h = fnvUint64(h, math.Float64bits(x))
-	case float32:
-		h = fnvByte(h, 'f')
-		h = fnvUint64(h, math.Float64bits(float64(x)))
 	case string:
 		h = fnvByte(h, 's')
 		h = fnvString(h, x)

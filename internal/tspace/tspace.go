@@ -9,11 +9,11 @@ import (
 	"repro/internal/core"
 )
 
-// TupleSpace is the operation set every representation implements — the
-// paper's point that "the operations permitted on tuple-spaces remain
-// invariant over their representation". Tuple spaces are first-class,
-// denotable objects; operations are expressions returning bindings, not
-// statements.
+// TupleSpace is the operation set of every tuple space — the paper's point
+// that "the operations permitted on tuple-spaces remain invariant over
+// their representation", which the one front over seven stores makes
+// literal (front.go). Tuple spaces are first-class, denotable objects;
+// operations are expressions returning bindings, not statements.
 type TupleSpace interface {
 	// Put deposits a tuple (the paper's put/out). Depositing unblocks any
 	// matching readers.
@@ -120,27 +120,9 @@ type Config struct {
 	VectorSize int
 }
 
-// New creates a tuple space with the given representation.
-func New(kind Kind, cfg Config) TupleSpace {
-	switch kind {
-	case KindHash:
-		return newHashTS(cfg)
-	case KindBag:
-		return newBagTS(cfg, false)
-	case KindSet:
-		return newBagTS(cfg, true)
-	case KindQueue:
-		return newQueueTS(cfg)
-	case KindVector:
-		return newVectorTS(cfg)
-	case KindSharedVar:
-		return newSharedVarTS(cfg)
-	case KindSemaphore:
-		return newSemTS(cfg)
-	default:
-		return newHashTS(cfg)
-	}
-}
+// New creates a tuple space with the given representation: the one front
+// over that representation's store (front.go).
+func New(kind Kind, cfg Config) TupleSpace { return newFront(kind, cfg, "") }
 
 // waitKey is the class signature of a template or a tuple: arity plus the
 // hash of a ground (concrete, keyable) first field. wild covers a first
@@ -206,8 +188,8 @@ type waitTable struct {
 	handoffs uint64 // baton passes to the next compatible waiter
 }
 
-func newWaitTable() *waitTable {
-	return &waitTable{classes: make(map[waitKey][]*tsWaiter)}
+func newWaitTable(space string) *waitTable {
+	return &waitTable{space: space, classes: make(map[waitKey][]*tsWaiter)}
 }
 
 func (w *waitTable) register(ctx *core.Context, tpl Template) *tsWaiter {
@@ -287,15 +269,12 @@ func (w *waitTable) popAnyLocked(cutoff uint64) *tsWaiter {
 	return best
 }
 
-// wake unblocks waiters for a deposited tuple. A tuple with a keyable first
-// field wakes exactly one compatible waiter — its exact class first, then
-// the arity's wildcard class (the paper's identity-based unblocking, made
-// affordable by the signature index). A tuple whose first field is
+// wakeKey unblocks waiters for a deposit of class k. A tuple with a keyable
+// first field wakes exactly one compatible waiter — its exact class first,
+// then the arity's wildcard class (the paper's identity-based unblocking,
+// made affordable by the signature index). A tuple whose first field is
 // unkeyable (a thread, an aggregate) could match any template of its arity
-// once demanded, so the whole arity class is woken as before.
-func (w *waitTable) wake(tup Tuple) { w.wakeKey(keyOf(tup)) }
-
-// wakeKey is wake for a tuple already classified as k.
+// once demanded, so the whole arity class is woken.
 func (w *waitTable) wakeKey(k waitKey) {
 	if k.wild && k.arity > 0 {
 		w.wakeArity(k.arity)
@@ -428,14 +407,14 @@ func (w *waitTable) stats() (wakes, misses, handoffs uint64) {
 	return w.wakes, w.misses, w.handoffs
 }
 
-// WaiterCount is implemented by every shipped representation; it exposes
+// WaiterCount is implemented by every local space (the front); it exposes
 // the size of the blocked table HB for draining servers and leak tests.
 type WaiterCount interface {
 	Waiters() int
 }
 
-// blockingLoop implements the shared probe/register/block cycle used by
-// every representation's Get and Rd. A CancelToken installed with
+// blockingLoop implements the probe/register/block cycle behind the
+// front's Get, Rd and TxnWait. A CancelToken installed with
 // WithCancel withdraws the waiter: the operation unregisters from HB and
 // returns the token's reason instead of parking forever.
 //

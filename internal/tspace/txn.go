@@ -29,8 +29,9 @@ var (
 	// returning it observed state that invalidates the transaction's reads,
 	// and the caller should retry from the top.
 	ErrTxnConflict = errors.New("tspace: transaction conflict")
-	// ErrTxnUnsupported is returned when a space's representation has no
-	// transaction support (vector, shared-variable, semaphore).
+	// ErrTxnUnsupported is returned for a space whose store has no commit
+	// hooks: the vector, shared-variable and semaphore stores. Only the list
+	// store (bag, set, queue) and the hash store get the transactional front.
 	ErrTxnUnsupported = errors.New("tspace: representation does not support transactions")
 )
 
@@ -165,8 +166,8 @@ func DecodeTxnOps(b []byte) ([]TxnOp, int, error) {
 	return ops, off, nil
 }
 
-// TxnSpace is implemented by representations that support transactions
-// (hash, bag, set, queue). The exported methods are the transactional
+// TxnSpace is implemented by the transactional front, the one New builds
+// over the list and hash stores (hash, bag, set, queue). The exported methods are the transactional
 // probes the STM layer builds its read set with; the unexported commit
 // hooks keep the commit protocol inside this package (ApplyCommit).
 type TxnSpace interface {

@@ -6,16 +6,14 @@ import (
 	"repro/internal/core"
 )
 
-// vectorTS specializes index-keyed spaces: tuples of the form [index,
+// vectorStore is the HP of index-keyed spaces: tuples of the form [index,
 // value] become slots of a synchronized vector with I-structure semantics —
-// Rd of an empty slot blocks until it is written, Get empties the slot.
-// Templates must be [concrete-index, x] or [?i, ?x] (scan for any full
+// a read of an empty slot blocks until it is written, a take empties the
+// slot. Templates must be [concrete-index, x] or [?i, ?x] (scan for any full
 // slot); anything else is ErrBadTemplate.
-type vectorTS struct {
-	mu     sync.Mutex
-	slots  []vslot
-	wt     *waitTable
-	parent TupleSpace
+type vectorStore struct {
+	mu    sync.Mutex
+	slots []vslot // fixed length: only the elements change
 }
 
 type vslot struct {
@@ -23,174 +21,136 @@ type vslot struct {
 	full bool
 }
 
-func newVectorTS(cfg Config) *vectorTS {
-	n := cfg.VectorSize
+func newVectorStore(n int) *vectorStore {
 	if n <= 0 {
 		n = 64
 	}
-	return &vectorTS{slots: make([]vslot, n), wt: newWaitTable(), parent: cfg.Parent}
+	return &vectorStore{slots: make([]vslot, n)}
 }
 
-// Kind implements TupleSpace.
-func (ts *vectorTS) Kind() Kind { return KindVector }
-
-// Waiters implements WaiterCount.
-func (ts *vectorTS) Waiters() int { return ts.wt.waiters() }
-
-// WakeStats reports the wait-table wake/miss/handoff counters.
-func (ts *vectorTS) WakeStats() (wakes, misses, handoffs uint64) { return ts.wt.stats() }
-
-// Size returns the vector length.
-func (ts *vectorTS) Size() int {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return len(ts.slots)
-}
-
-func (ts *vectorTS) indexOf(v core.Value) (int, bool) {
+func (s *vectorStore) indexOf(v core.Value) (int, bool) {
 	i, ok := asInt64(v)
-	if !ok {
-		return 0, false
-	}
-	ts.mu.Lock()
-	n := len(ts.slots)
-	ts.mu.Unlock()
-	if i < 0 || int(i) >= n {
+	if !ok || i < 0 || i >= int64(len(s.slots)) {
 		return 0, false
 	}
 	return int(i), true
 }
 
-// Put implements TupleSpace: [index, value] writes the slot.
-func (ts *vectorTS) Put(ctx *core.Context, tup Tuple) error {
+// deposit writes the slot [index, value] names, demanding thread elements
+// first, so a spawned [index, value] fills its slot.
+func (s *vectorStore) deposit(ctx *core.Context, tup Tuple, _ waitKey) (bool, bool, error) {
 	if len(tup) != 2 {
-		return ErrBadTemplate
+		return false, false, ErrBadTemplate
+	}
+	i, err := resolve(ctx, tup[0])
+	if err != nil {
+		return false, false, err
 	}
 	v, err := resolve(ctx, tup[1])
 	if err != nil {
-		return err
+		return false, false, err
 	}
-	idx, ok := ts.indexOf(tup[0])
+	idx, ok := s.indexOf(i)
 	if !ok {
-		return ErrBadTemplate
+		return false, false, ErrBadTemplate
 	}
-	ts.mu.Lock()
-	ts.slots[idx] = vslot{val: v, full: true}
-	ts.mu.Unlock()
-	ts.wt.wake(Tuple{idx, v})
-	return nil
+	s.mu.Lock()
+	s.slots[idx] = vslot{val: v, full: true}
+	s.mu.Unlock()
+	return true, false, nil
 }
 
-func (ts *vectorTS) probe(ctx *core.Context, tpl Template, remove bool) (Tuple, Bindings, error) {
+func (s *vectorStore) probe(ctx *core.Context, tpl Template, remove bool, _ func(Tuple) bool) (Tuple, Bindings, uint64, error) {
 	if len(tpl) != 2 {
-		return nil, nil, ErrBadTemplate
+		return nil, nil, 0, ErrBadTemplate
 	}
 	// Case 1: concrete index.
 	if !isFormal(tpl[0]) {
-		idx, ok := ts.indexOf(tpl[0])
+		idx, ok := s.indexOf(tpl[0])
 		if !ok {
-			return nil, nil, ErrBadTemplate
+			return nil, nil, 0, ErrBadTemplate
 		}
-		ts.mu.Lock()
-		s := ts.slots[idx]
-		if !s.full {
-			ts.mu.Unlock()
-			return nil, nil, ErrNoMatch
+		s.mu.Lock()
+		slot := s.slots[idx]
+		if !slot.full {
+			s.mu.Unlock()
+			return nil, nil, 0, ErrNoMatch
 		}
 		if remove {
-			ts.slots[idx] = vslot{}
+			s.slots[idx] = vslot{}
 		}
-		ts.mu.Unlock()
-		tup := Tuple{idx, s.val}
-		b, resolved, ok2, err := matchTuple(ctx, tpl, tup)
+		s.mu.Unlock()
+		b, resolved, ok2, err := matchTuple(ctx, tpl, Tuple{idx, slot.val})
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, 0, err
 		}
 		if !ok2 {
 			if remove { // value mismatch: restore the slot
-				ts.mu.Lock()
-				ts.slots[idx] = s
-				ts.mu.Unlock()
+				s.mu.Lock()
+				s.slots[idx] = slot
+				s.mu.Unlock()
 			}
-			return nil, nil, ErrNoMatch
+			return nil, nil, 0, ErrNoMatch
 		}
-		return resolved, b, nil
+		return resolved, b, 0, nil
 	}
 	// Case 2: formal index — scan for any full, matching slot.
-	ts.mu.Lock()
-	snapshot := make([]vslot, len(ts.slots))
-	copy(snapshot, ts.slots)
-	ts.mu.Unlock()
-	for i, s := range snapshot {
-		if !s.full {
+	s.mu.Lock()
+	snapshot := make([]vslot, len(s.slots))
+	copy(snapshot, s.slots)
+	s.mu.Unlock()
+	for i, slot := range snapshot {
+		if !slot.full {
 			continue
 		}
-		tup := Tuple{i, s.val}
-		b, resolved, ok, err := matchTuple(ctx, tpl, tup)
+		b, resolved, ok, err := matchTuple(ctx, tpl, Tuple{i, slot.val})
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, 0, err
 		}
 		if !ok {
 			continue
 		}
 		if remove {
-			ts.mu.Lock()
-			still := ts.slots[i].full
+			s.mu.Lock()
+			still := s.slots[i].full
 			if still {
-				ts.slots[i] = vslot{}
+				s.slots[i] = vslot{}
 			}
-			ts.mu.Unlock()
+			s.mu.Unlock()
 			if !still {
 				continue
 			}
 		}
-		return resolved, b, nil
+		return resolved, b, 0, nil
 	}
-	return nil, nil, ErrNoMatch
+	return nil, nil, 0, ErrNoMatch
 }
 
-// TryGet implements TupleSpace.
-func (ts *vectorTS) TryGet(ctx *core.Context, tpl Template) (Tuple, Bindings, error) {
-	return ts.probe(ctx, tpl, true)
-}
-
-// TryRd implements TupleSpace.
-func (ts *vectorTS) TryRd(ctx *core.Context, tpl Template) (Tuple, Bindings, error) {
-	tup, b, err := ts.probe(ctx, tpl, false)
-	if err == ErrNoMatch && ts.parent != nil {
-		return ts.parent.TryRd(ctx, tpl)
-	}
-	return tup, b, err
-}
-
-// Get implements TupleSpace.
-func (ts *vectorTS) Get(ctx *core.Context, tpl Template) (Tuple, Bindings, error) {
-	return blockingLoop(ctx, ts.wt, tpl, func() (Tuple, Bindings, error) {
-		return ts.probe(ctx, tpl, true)
-	})
-}
-
-// Rd implements TupleSpace.
-func (ts *vectorTS) Rd(ctx *core.Context, tpl Template) (Tuple, Bindings, error) {
-	return blockingLoop(ctx, ts.wt, tpl, func() (Tuple, Bindings, error) {
-		return ts.probe(ctx, tpl, false)
-	})
-}
-
-// Spawn implements TupleSpace.
-func (ts *vectorTS) Spawn(ctx *core.Context, thunks ...core.Thunk) ([]*core.Thread, error) {
-	return spawnInto(ctx, ts, thunks)
-}
-
-// Len implements TupleSpace.
-func (ts *vectorTS) Len() int {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
+func (s *vectorStore) size() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	n := 0
-	for _, s := range ts.slots {
-		if s.full {
+	for _, slot := range s.slots {
+		if slot.full {
 			n++
 		}
 	}
 	return n
+}
+
+// passive lists the full slots as [index, value]: depositing them refills
+// the vector.
+func (s *vectorStore) passive() []Tuple {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []Tuple
+	for i, slot := range s.slots {
+		if !slot.full {
+			continue
+		}
+		if tup := (Tuple{i, slot.val}); passiveTuple(tup) {
+			out = append(out, tup)
+		}
+	}
+	return out
 }

@@ -25,7 +25,7 @@ func settle(ctx *core.Context, cond func() bool) bool {
 // template class it can satisfy: the waiter on a different key stays parked.
 func TestTargetedWakeCompatibleOnly(t *testing.T) {
 	vm := testkit.VM(t, 1, 1)
-	ts := New(KindHash, Config{}).(*hashTS)
+	ts := New(KindHash, Config{}).(*txnFront)
 	testkit.RunIn(t, vm, func(ctx *core.Context) error {
 		var got1, got2 atomic.Bool
 		w1 := ctx.Fork(func(c *core.Context) ([]core.Value, error) {
@@ -68,7 +68,7 @@ func TestTargetedWakeCompatibleOnly(t *testing.T) {
 // hands the wake to the next compatible waiter instead of stranding it.
 func TestWakeHandoffChain(t *testing.T) {
 	vm := testkit.VM(t, 1, 1)
-	ts := New(KindHash, Config{}).(*hashTS)
+	ts := New(KindHash, Config{}).(*txnFront)
 	testkit.RunIn(t, vm, func(ctx *core.Context) error {
 		var pickyDone, easyDone atomic.Bool
 		picky := ctx.Fork(func(c *core.Context) ([]core.Value, error) {
@@ -117,7 +117,7 @@ func TestWakeHandoffChain(t *testing.T) {
 // one leaves for cancellation instead of a re-probe.
 func TestCancelPassesBaton(t *testing.T) {
 	vm := testkit.VM(t, 1, 1)
-	ts := New(KindHash, Config{}).(*hashTS)
+	ts := New(KindHash, Config{}).(*txnFront)
 	reason := errors.New("client gone")
 	testkit.RunIn(t, vm, func(ctx *core.Context) error {
 		tok := NewCancelToken()
@@ -163,7 +163,7 @@ func TestCancelPassesBaton(t *testing.T) {
 // success-side baton chain, not just the first.
 func TestSemaphoreWakeChain(t *testing.T) {
 	vm := testkit.VM(t, 1, 1)
-	ts := New(KindSemaphore, Config{}).(*semTS)
+	ts := New(KindSemaphore, Config{}).(*front)
 	testkit.RunIn(t, vm, func(ctx *core.Context) error {
 		const readers = 3
 		var done atomic.Int32
@@ -196,7 +196,7 @@ func TestSemaphoreWakeChain(t *testing.T) {
 // too, since its demanded value may match them.
 func TestUnkeyableDepositWakesArity(t *testing.T) {
 	vm := testkit.VM(t, 1, 1)
-	ts := New(KindHash, Config{}).(*hashTS)
+	ts := New(KindHash, Config{}).(*txnFront)
 	testkit.RunIn(t, vm, func(ctx *core.Context) error {
 		var gotV core.Value
 		var done atomic.Bool

@@ -342,7 +342,8 @@ var (
 	ErrTxnAborted = stm.ErrAborted
 	// ErrTxnMixedDomains rejects transactions spanning commit domains.
 	ErrTxnMixedDomains = stm.ErrMixedDomains
-	// ErrTxnUnsupported marks representations without transaction support.
+	// ErrTxnUnsupported marks the vector, shared-variable and semaphore
+	// spaces, whose stores have no commit hooks.
 	ErrTxnUnsupported = tspace.ErrTxnUnsupported
 	// ErrCrossShardTxn rejects cluster transactions spanning shards.
 	ErrCrossShardTxn = cluster.ErrCrossShardTxn
