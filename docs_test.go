@@ -15,8 +15,9 @@ import (
 // exist. In README.md, DESIGN.md, EXPERIMENTS.md and the verify skill, every
 // `make <target>` inside code is a target of the Makefile, every cmd/…,
 // scripts/… or internal/… path inside code is on disk, and so is every
-// back-quoted bare *.json/*.txt name, and every sting.Name inside code is
-// declared in sting.go; every Benchmark…/Test… identifier in DESIGN.md's
+// back-quoted bare *.json/*.txt name; every back-quoted bare *.go name
+// (with or without a :line suffix) names a file somewhere in the tree, and
+// every sting.Name inside code is declared in sting.go; every Benchmark…/Test… identifier in DESIGN.md's
 // experiment index and in EXPERIMENTS.md is declared in some _test.go (a
 // name followed by * or { is a prefix).
 func TestDocsNameThingsThatExist(t *testing.T) {
@@ -32,9 +33,13 @@ func TestDocsNameThingsThatExist(t *testing.T) {
 		targets[m[1]] = true
 	}
 	var tests strings.Builder
+	goFiles := map[string]bool{"_test.go": true} // the generic suffix, not a file
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err == nil && d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != "." {
 			return filepath.SkipDir // build outputs, VCS
+		}
+		if err == nil && strings.HasSuffix(path, ".go") {
+			goFiles[d.Name()] = true
 		}
 		if err == nil && strings.HasSuffix(path, "_test.go") {
 			tests.WriteString(read(path))
@@ -66,6 +71,7 @@ func TestDocsNameThingsThatExist(t *testing.T) {
 		code      = regexp.MustCompile("(?s)```.*?```|`[^`]+`") // a code span may wrap across lines
 		makeCall  = regexp.MustCompile(`\bmake ([a-z][a-z0-9-]*)`)
 		bareFile  = regexp.MustCompile(`^[A-Za-z0-9_.-]+\.(json|txt)$`)
+		bareGo    = regexp.MustCompile(`^([A-Za-z0-9_.-]+\.go)(:\d+)?$`)
 		repoPath  = regexp.MustCompile(`^(cmd|scripts|internal)/[\w./-]+$`)
 		testIdent = regexp.MustCompile(`\b((?:Benchmark|Test)[A-Z]\w*)([*{]?)`)
 		facadeRef = regexp.MustCompile(`\bsting\.([A-Z]\w*)`)
@@ -90,6 +96,9 @@ func TestDocsNameThingsThatExist(t *testing.T) {
 				if _, err := os.Stat(span); err != nil {
 					t.Errorf("%s: `%s` is not a file at the root", doc, span)
 				}
+			}
+			if m := bareGo.FindStringSubmatch(span); m != nil && !goFiles[m[1]] {
+				t.Errorf("%s: `%s` names no .go file in the tree", doc, span)
 			}
 			for _, tok := range strings.Fields(span) {
 				tok = strings.TrimSuffix(strings.TrimPrefix(strings.Trim(tok, `"',;()`), "./"), "/...")

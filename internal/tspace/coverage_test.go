@@ -210,32 +210,36 @@ func TestVectorRepExtras(t *testing.T) {
 }
 
 func TestHashValueClasses(t *testing.T) {
-	// Keyable immediates hash; aggregates and threads do not (wildcard).
-	keyable := []core.Value{nil, true, false, 1, int64(2), uint64(3), 2.5, "s", 'c'}
+	// Keyable immediates class a template; aggregates and threads do not
+	// (wildcard). float32 is keyed like float64.
+	keyable := []core.Value{nil, true, false, 1, int64(2), uint64(3), 2.5, float32(2.5), "s", 'c'}
 	for _, v := range keyable {
-		if _, ok := hashValue(v); !ok {
-			t.Errorf("hashValue(%v) not keyable", v)
+		if keyFor(Template{v, F("x")}).wild {
+			t.Errorf("keyFor(%T %v) wild, want keyed", v, v)
 		}
 	}
-	if _, ok := hashValue([]int{1}); ok {
-		t.Error("aggregate hashed as keyable")
+	for _, v := range []core.Value{[]int{1}, F("x"), (*core.Thread)(nil)} {
+		if !keyFor(Template{v, 1}).wild {
+			t.Errorf("keyFor(%T) keyed, want wild", v)
+		}
+	}
+	if !keyFor(Template{}).wild {
+		t.Error("arity 0 keyed")
 	}
 	// Equal int/int64 values land in the same class for matching.
-	h1, _ := hashValue(int(7))
-	h2, _ := hashValue(int64(7))
-	if h1 != h2 {
-		t.Error("int and int64 hash differently")
+	if keyFor(Template{int(7)}) != keyFor(Template{int64(7)}) {
+		t.Error("int and int64 class differently")
 	}
 }
 
 // TestEqualValuesHashAlike: every pair immediateEqual calls equal — the
 // integer widths, a uint64 that wraps to a negative int64, -0 and 0 — has
-// one stable Hash, one HashKey and one hashValue. Otherwise a tuple and the
-// template that matches it land in different bins, or on different shards.
+// one Hash and one HashKey. Otherwise a tuple and the template that matches
+// it land in different bins, or on different shards.
 func TestEqualValuesHashAlike(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	values := []core.Value{
-		int(7), int8(7), int16(7), int32(7), int64(7), uint(7), uint32(7), uint64(7),
+		int(7), int8(7), int16(7), int32(7), int64(7), uint(7), uint8(7), uint16(7), uint32(7), uint64(7),
 		int(-1), int64(-1), uint64(math.MaxUint64),
 		0.0, negZero, float32(0), float32(negZero), 1.5,
 		"7", true, nil,
@@ -255,10 +259,6 @@ func TestEqualValuesHashAlike(t *testing.T) {
 			if kb, _ := HashKey("s", b, 2); ka != kb {
 				t.Errorf("HashKey(%T %v) != HashKey(%T %v)", a, a, b, b)
 			}
-			va, oka := hashValue(a)
-			if vb, okb := hashValue(b); va != vb || oka != okb {
-				t.Errorf("hashValue(%T %v) != hashValue(%T %v)", a, a, b, b)
-			}
 		}
 	}
 	if equalPairs <= len(values) {
@@ -266,8 +266,46 @@ func TestEqualValuesHashAlike(t *testing.T) {
 	}
 }
 
+// TestHashKeysWhatTheCodecShips: Hash keys exactly the values the wire
+// codec ships, so a class a shard files can always cross the wire.
+func TestHashKeysWhatTheCodecShips(t *testing.T) {
+	values := []core.Value{
+		int(1), int8(1), int16(1), int32(1), int64(1),
+		uint(1), uint8(1), uint16(1), uint32(1), uint64(1),
+		float32(1.5), 1.5, nil, true, "s",
+		(*core.Thread)(nil), []int{1}, struct{ A int }{1},
+	}
+	for _, v := range values {
+		_, hashed := Hash(v)
+		_, err := AppendValue(nil, v)
+		if hashed != (err == nil) {
+			t.Errorf("%T: Hash ok=%v but AppendValue err=%v", v, hashed, err)
+		}
+	}
+}
+
+// TestHashIsPinned: Hash routes keyed tuples across a cluster, so its
+// output is fixed across processes and releases. A change to these
+// numbers moves every key to another shard.
+func TestHashIsPinned(t *testing.T) {
+	for _, c := range []struct {
+		v    core.Value
+		want uint64
+	}{
+		{int64(7), 0x3c3cbc72bd3c5c83},
+		{"ping", 0x8b20688adb934eba},
+		{1.5, 0x2da57c318fb6eefc},
+		{nil, 0xaf63e34c8601f871},
+		{true, 0xaf64094c86023903},
+	} {
+		if got, ok := Hash(c.v); !ok || got != c.want {
+			t.Errorf("Hash(%T %v) = %#x %v, want %#x", c.v, c.v, got, ok, c.want)
+		}
+	}
+}
+
 func TestAsInt64Conversions(t *testing.T) {
-	for _, v := range []core.Value{int8(1), int16(1), int32(1), int64(1), int(1), uint(1), uint32(1), uint64(1)} {
+	for _, v := range []core.Value{int8(1), int16(1), int32(1), int64(1), int(1), uint(1), uint8(1), uint16(1), uint32(1), uint64(1)} {
 		if got, ok := asInt64(v); !ok || got != 1 {
 			t.Errorf("asInt64(%T) = %d %v", v, got, ok)
 		}

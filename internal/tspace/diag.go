@@ -83,28 +83,27 @@ func SetDiagHook(h DiagHook) {
 }
 
 // diagKeyEvent forwards one key event to the installed hook. All argument
-// derivation (hashing, thread lookup) happens after the nil check, so the
+// derivation (classing, thread lookup) happens after the nil check, so the
 // disabled cost is one atomic load.
 func diagKeyEvent(space string, op DiagOp, tup Tuple, ctx *core.Context) {
-	b := diagHook.Load()
-	if b == nil {
-		return
+	if b := diagHook.Load(); b != nil {
+		b.keyEvent(space, op, tup, keyOf(tup), ctx)
 	}
+}
+
+// keyEvent delivers an event for tup, whose class k the caller holds.
+func (b *diagHookBox) keyEvent(space string, op DiagOp, tup Tuple, k waitKey, ctx *core.Context) {
 	var tid uint64
 	if ctx != nil {
 		if t := ctx.Thread(); t != nil {
 			tid = t.ID()
 		}
 	}
-	var sig uint64
-	var keyed bool
 	var first core.Value
-	if len(tup) > 0 {
-		if h, ok := hashValue(tup[0]); ok {
-			sig, keyed, first = h, true, tup[0]
-		}
+	if !k.wild {
+		first = tup[0]
 	}
-	b.h.KeyEvent(space, op, len(tup), sig, keyed, first, tid)
+	b.h.KeyEvent(space, op, len(tup), k.sig, !k.wild, first, tid)
 }
 
 // DiagConflictEvent reports a commit conflict on space against tup's key

@@ -16,11 +16,11 @@ type store interface {
 	// satisfy a waiter of any class (a semaphore's contentless token), so
 	// one waiter of any class is woken rather than one of class k.
 	deposit(ctx *core.Context, tup Tuple, k waitKey) (added, anyClass bool, err error)
-	// probe finds the oldest match for tpl, removing it when remove is set,
-	// and returns the version of the bucket it came from (0 where the store
-	// keeps none). skip, which comes only with remove unset, hides matches a
-	// transaction has already claimed.
-	probe(ctx *core.Context, tpl Template, remove bool, skip func(Tuple) bool) (Tuple, Bindings, uint64, error)
+	// probe finds the oldest match for tpl, whose class is k, removing it
+	// when remove is set, and returns the version of the bucket it came from
+	// (0 where the store keeps none). skip, which comes only with remove
+	// unset, hides matches a transaction has already claimed.
+	probe(ctx *core.Context, tpl Template, k waitKey, remove bool, skip func(Tuple) bool) (Tuple, Bindings, uint64, error)
 	// size counts the tuples present; passive copies out the passive ones.
 	size() int
 	passive() []Tuple
@@ -117,18 +117,20 @@ func (f *front) Put(ctx *core.Context, tup Tuple) error {
 	} else {
 		f.wt.wakeKey(k)
 	}
-	diagKeyEvent(f.wt.space, DiagPut, tup, ctx)
+	if b := diagHook.Load(); b != nil {
+		b.keyEvent(f.wt.space, DiagPut, tup, k, ctx)
+	}
 	return nil
 }
 
 // TryGet implements TupleSpace.
 func (f *front) TryGet(ctx *core.Context, tpl Template) (Tuple, Bindings, error) {
-	return f.try(ctx, tpl, true)
+	return f.try(ctx, tpl, keyFor(tpl), true)
 }
 
 // TryRd implements TupleSpace.
 func (f *front) TryRd(ctx *core.Context, tpl Template) (Tuple, Bindings, error) {
-	return f.try(ctx, tpl, false)
+	return f.try(ctx, tpl, keyFor(tpl), false)
 }
 
 // Get implements TupleSpace.
@@ -141,11 +143,11 @@ func (f *front) Rd(ctx *core.Context, tpl Template) (Tuple, Bindings, error) {
 	return f.wait(ctx, tpl, false)
 }
 
-// try is the one probe behind all four: the store, then, for a read that
-// found nothing, the parent (§4.2's inheritance; a take never reaches the
-// parent). A take is reported to the diagnosis hook.
-func (f *front) try(ctx *core.Context, tpl Template, remove bool) (Tuple, Bindings, error) {
-	tup, b, _, err := f.hp.probe(ctx, tpl, remove, nil)
+// try is the one probe behind all four, for tpl of class k: the store, then,
+// for a read that found nothing, the parent (§4.2's inheritance; a take
+// never reaches the parent). A take is reported to the diagnosis hook.
+func (f *front) try(ctx *core.Context, tpl Template, k waitKey, remove bool) (Tuple, Bindings, error) {
+	tup, b, _, err := f.hp.probe(ctx, tpl, k, remove, nil)
 	switch {
 	case err == ErrNoMatch && !remove && f.parent != nil:
 		return f.parent.TryRd(ctx, tpl)
@@ -156,10 +158,12 @@ func (f *front) try(ctx *core.Context, tpl Template, remove bool) (Tuple, Bindin
 }
 
 // wait repeats try, parked in HB between attempts, until it answers
-// something other than ErrNoMatch.
+// something other than ErrNoMatch. The class is computed once for all of
+// them.
 func (f *front) wait(ctx *core.Context, tpl Template, remove bool) (Tuple, Bindings, error) {
-	return blockingLoop(ctx, f.wt, tpl, func() (Tuple, Bindings, error) {
-		return f.try(ctx, tpl, remove)
+	k := keyFor(tpl)
+	return blockingLoop(ctx, f.wt, tpl, k, func() (Tuple, Bindings, error) {
+		return f.try(ctx, tpl, k, remove)
 	})
 }
 
@@ -181,18 +185,23 @@ func (f *front) Spawn(ctx *core.Context, thunks ...core.Thunk) ([]*core.Thread, 
 // matched bucket's version, read before the scan so a commit-time
 // comparison is conservative.
 func (t *txnFront) TxnProbe(ctx *core.Context, tpl Template, newSkip func() func(Tuple) bool) (Tuple, Bindings, uint64, error) {
+	return t.txnProbe(ctx, tpl, keyFor(tpl), newSkip)
+}
+
+func (t *txnFront) txnProbe(ctx *core.Context, tpl Template, k waitKey, newSkip func() func(Tuple) bool) (Tuple, Bindings, uint64, error) {
 	var skip func(Tuple) bool
 	if newSkip != nil {
 		skip = newSkip()
 	}
-	return t.hp.probe(ctx, tpl, false, skip)
+	return t.hp.probe(ctx, tpl, k, false, skip)
 }
 
 // TxnWait implements TxnSpace.
 func (t *txnFront) TxnWait(ctx *core.Context, tpl Template, newSkip func() func(Tuple) bool) (Tuple, Bindings, uint64, error) {
 	var ver uint64
-	tup, bind, err := blockingLoop(ctx, t.wt, tpl, func() (Tuple, Bindings, error) {
-		tup, bind, v, err := t.TxnProbe(ctx, tpl, newSkip)
+	k := keyFor(tpl)
+	tup, bind, err := blockingLoop(ctx, t.wt, tpl, k, func() (Tuple, Bindings, error) {
+		tup, bind, v, err := t.txnProbe(ctx, tpl, k, newSkip)
 		ver = v
 		return tup, bind, err
 	})

@@ -1,6 +1,7 @@
 package tspace
 
 import (
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 
@@ -13,6 +14,7 @@ import (
 // is a formal (or a thread) probe the whole arity class.
 type hashStore struct {
 	bins []entryList
+	seed uint64 // mixed into every bin choice: binSeed, or a test's
 	// wild maps arity → the bin for tuples with unkeyable first fields. A
 	// bin appears at its first deposit; readers load the map without a lock
 	// and wildMu serializes the copy that adds one.
@@ -20,18 +22,27 @@ type hashStore struct {
 	wildMu sync.Mutex
 }
 
+// binSeed makes which classes share a bin differ from process to process,
+// while Hash, and so the classes themselves and cluster routing, do not.
+var binSeed = rand.Uint64()
+
 func newHashStore(bins int) *hashStore {
 	if bins <= 0 {
 		bins = 64
 	}
-	s := &hashStore{bins: make([]entryList, bins)}
+	s := &hashStore{bins: make([]entryList, bins), seed: binSeed}
 	s.wild.Store(&map[int]*entryList{})
 	return s
 }
 
-// keyedBin indexes the bin of a keyable class.
+// keyedBin indexes the bin of a keyable class: the seed and arity are mixed
+// into the class's Hash by a multiply-xorshift finalizer, so whether two
+// classes share a bin depends on the seed (with a plain xor it would not).
 func (s *hashStore) keyedBin(k waitKey) int {
-	return int((k.sig ^ uint64(k.arity)*0x9e3779b97f4a7c15) % uint64(len(s.bins)))
+	x := k.sig ^ s.seed ^ uint64(k.arity)*0x9e3779b97f4a7c15
+	x = (x ^ x>>33) * 0xff51afd7ed558ccd
+	x = (x ^ x>>33) * 0xc4ceb9fe1a85ec53
+	return int((x ^ x>>33) % uint64(len(s.bins)))
 }
 
 // binOf is the bin holding tuples of class k, or nil when none was ever
@@ -85,8 +96,7 @@ func (s *hashStore) deposit(_ *core.Context, tup Tuple, k waitKey) (bool, bool, 
 // the first position is a concrete immediate) or else every keyed bin, then
 // the arity's wildcard bin if one has ever been deposited into. It returns
 // the version of the bin the match came from.
-func (s *hashStore) probe(ctx *core.Context, tpl Template, remove bool, skip func(Tuple) bool) (Tuple, Bindings, uint64, error) {
-	k := keyFor(tpl)
+func (s *hashStore) probe(ctx *core.Context, tpl Template, k waitKey, remove bool, skip func(Tuple) bool) (Tuple, Bindings, uint64, error) {
 	scan := s.bins
 	switch {
 	case !k.wild:

@@ -161,6 +161,27 @@ func TestSharedBinAllocsMatchDefault(t *testing.T) {
 	}
 }
 
+// TestBinSharingDependsOnSeed: whether two classes share a bin is decided
+// by the process's bin seed, not by the classes alone, so two hot keys that
+// collide in one process part in most others. Over 4,096 seeds, "task" and
+// "result" should share one of 64 bins under about 1 seed in 64; mixing the
+// seed in by xor alone would make them share under every seed or none.
+func TestBinSharingDependsOnSeed(t *testing.T) {
+	const seeds = 4096
+	s := newHashStore(64)
+	a, b := keyFor(Template{"task", F("n")}), keyFor(Template{"result", F("n")})
+	shared := 0
+	for seed := uint64(0); seed < seeds; seed++ {
+		s.seed = seed
+		if s.keyedBin(a) == s.keyedBin(b) {
+			shared++
+		}
+	}
+	if shared < seeds/64/4 || shared > seeds/64*4 {
+		t.Errorf("the two classes share a bin under %d of %d seeds, want about %d", shared, seeds, seeds/64)
+	}
+}
+
 // modelValues is the field universe of the model check: every pair the
 // matcher calls equal (int widths, -0 and 0) must also hash alike, or a
 // keyed probe would pass its match by on the signature.

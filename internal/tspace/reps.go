@@ -24,8 +24,8 @@ func (s *listStore) deposit(_ *core.Context, tup Tuple, k waitKey) (bool, bool, 
 	return s.list.put(tup, k, s.dedup), false, nil
 }
 
-func (s *listStore) probe(ctx *core.Context, tpl Template, remove bool, skip func(Tuple) bool) (Tuple, Bindings, uint64, error) {
-	return s.list.probe(ctx, tpl, keyFor(tpl), remove, skip)
+func (s *listStore) probe(ctx *core.Context, tpl Template, k waitKey, remove bool, skip func(Tuple) bool) (Tuple, Bindings, uint64, error) {
+	return s.list.probe(ctx, tpl, k, remove, skip)
 }
 
 func (s *listStore) size() int                { return s.list.size() }
@@ -65,7 +65,7 @@ func (s *varStore) deposit(_ *core.Context, tup Tuple, _ waitKey) (bool, bool, e
 	return true, false, nil
 }
 
-func (s *varStore) probe(ctx *core.Context, tpl Template, remove bool, _ func(Tuple) bool) (Tuple, Bindings, uint64, error) {
+func (s *varStore) probe(ctx *core.Context, tpl Template, _ waitKey, remove bool, _ func(Tuple) bool) (Tuple, Bindings, uint64, error) {
 	s.mu.Lock()
 	if !s.set || len(s.tup) != len(tpl) {
 		s.mu.Unlock()
@@ -132,7 +132,7 @@ func (s *semStore) deposit(*core.Context, Tuple, waitKey) (bool, bool, error) {
 	return true, true, nil
 }
 
-func (s *semStore) probe(_ *core.Context, _ Template, remove bool, _ func(Tuple) bool) (Tuple, Bindings, uint64, error) {
+func (s *semStore) probe(_ *core.Context, _ Template, _ waitKey, remove bool, _ func(Tuple) bool) (Tuple, Bindings, uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.count <= 0 {

@@ -125,7 +125,7 @@ type Config struct {
 func New(kind Kind, cfg Config) TupleSpace { return newFront(kind, cfg, "") }
 
 // waitKey is the class signature of a template or a tuple: arity plus the
-// hash of a ground (concrete, keyable) first field. wild covers a first
+// Hash of a ground (concrete, keyable) first field. wild covers a first
 // position that is a formal or an unkeyable value, and arity 0. Blocked
 // templates are indexed by it for targeted wakeups — a wild waiter is
 // compatible with any deposit of its arity — and resident entries carry it
@@ -136,10 +136,11 @@ type waitKey struct {
 	wild  bool
 }
 
-// keyFor classifies a template into its wait class.
+// keyFor classifies a template into its wait class. The front calls it once
+// per operation and hands the key to every probe, to HB and to diagnosis.
 func keyFor(tpl Template) waitKey {
 	if len(tpl) > 0 && !isFormal(tpl[0]) {
-		if h, ok := hashValue(tpl[0]); ok {
+		if h, ok := Hash(tpl[0]); ok {
 			return waitKey{arity: len(tpl), sig: h}
 		}
 	}
@@ -192,9 +193,10 @@ func newWaitTable(space string) *waitTable {
 	return &waitTable{space: space, classes: make(map[waitKey][]*tsWaiter)}
 }
 
-func (w *waitTable) register(ctx *core.Context, tpl Template) *tsWaiter {
-	tw := &tsWaiter{tcb: ctx.TCB(), key: keyFor(tpl), since: time.Now()}
-	if !tw.key.wild && len(tpl) > 0 {
+// register files a waiter for tpl, whose class is k.
+func (w *waitTable) register(ctx *core.Context, tpl Template, k waitKey) *tsWaiter {
+	tw := &tsWaiter{tcb: ctx.TCB(), key: k, since: time.Now()}
+	if !k.wild {
 		tw.first = tpl[0]
 	}
 	tw.thread = tw.tcb.Thread()
@@ -414,16 +416,16 @@ type WaiterCount interface {
 }
 
 // blockingLoop implements the probe/register/block cycle behind the
-// front's Get, Rd and TxnWait. A CancelToken installed with
-// WithCancel withdraws the waiter: the operation unregisters from HB and
-// returns the token's reason instead of parking forever.
+// front's Get, Rd and TxnWait, for tpl of class k. A CancelToken installed
+// with WithCancel withdraws the waiter: the operation unregisters from HB
+// and returns the token's reason instead of parking forever.
 //
 // Wakeups are single-waiter (see waitTable.wake), so a waiter that was
 // chosen for a deposit holds an obligation until the deposit is provably
 // handled: losing the re-probe, consuming some other tuple, or leaving on
 // cancel/error all pass the baton to the next waiter registered before the
 // deposit.
-func blockingLoop(ctx *core.Context, wt *waitTable, tpl Template,
+func blockingLoop(ctx *core.Context, wt *waitTable, tpl Template, k waitKey,
 	probe func() (Tuple, Bindings, error)) (Tuple, Bindings, error) {
 	tok := cancelOf(ctx)
 	var baton *tsWaiter // wake held from the previous iteration, if any
@@ -453,7 +455,7 @@ func blockingLoop(ctx *core.Context, wt *waitTable, tpl Template,
 			wt.miss()
 			release()
 		}
-		tw := wt.register(ctx, tpl)
+		tw := wt.register(ctx, tpl, k)
 		// Re-probe after registering: a deposit may have slipped between
 		// the failed probe and the registration.
 		tup, b, err = probe()

@@ -9,7 +9,6 @@ package tspace
 
 import (
 	"errors"
-	"hash/maphash"
 	"math"
 
 	"repro/internal/core"
@@ -53,52 +52,6 @@ func isFormal(v core.Value) bool {
 	return ok
 }
 
-var hashSeed = maphash.MakeSeed()
-
-// hashValue hashes immediate values; ok is false for values the index
-// cannot key on (threads, aggregates), which fall into the wildcard class.
-// Values immediateEqual calls equal hash alike — every integer width through
-// asInt64, -0 as 0 — so a differing hash proves two keyed values unequal.
-func hashValue(v core.Value) (uint64, bool) {
-	var h maphash.Hash
-	h.SetSeed(hashSeed)
-	if i, ok := asInt64(v); ok {
-		h.WriteString("i")
-		writeUint(&h, uint64(i))
-		return h.Sum64(), true
-	}
-	switch x := v.(type) {
-	case nil:
-		h.WriteString("nil")
-	case bool:
-		if x {
-			h.WriteString("#t")
-		} else {
-			h.WriteString("#f")
-		}
-	case float64:
-		h.WriteString("f")
-		if x == 0 {
-			x = 0 // -0 == 0
-		}
-		writeUint(&h, math.Float64bits(x))
-	case string:
-		h.WriteString("s")
-		h.WriteString(x)
-	default:
-		return 0, false
-	}
-	return h.Sum64(), true
-}
-
-func writeUint(h *maphash.Hash, u uint64) {
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(u >> (8 * i))
-	}
-	h.Write(buf[:])
-}
-
 // immediateEqual compares two non-thread values for match purposes.
 func immediateEqual(a, b core.Value) bool {
 	switch x := a.(type) {
@@ -135,6 +88,10 @@ func asInt64(v core.Value) (int64, bool) {
 		return int64(x), true
 	case int16:
 		return int64(x), true
+	case uint8:
+		return int64(x), true
+	case uint16:
+		return int64(x), true
 	case int32:
 		return int64(x), true
 	case int64:
@@ -148,6 +105,87 @@ func asInt64(v core.Value) (int64, bool) {
 	default:
 		return 0, false
 	}
+}
+
+// Hash is the one hash of an immediate value: it picks a hash store's bin
+// (hashStore.keyedBin mixes in a per-process seed), files waiters in HB,
+// signs diagnosis events and routes a keyed tuple to its cluster shard. It
+// is FNV-1a over a type-tagged encoding normalized so that values
+// immediateEqual calls equal hash alike — every integer width through
+// asInt64, -0 as 0 — with float32 hashed as the float64 the codec ships it
+// as. Every process computes the same number. ok is false for values that cannot key a class
+// (threads, aggregates, arbitrary Go types): exactly the values the wire
+// codec refuses to ship.
+func Hash(v core.Value) (uint64, bool) {
+	if hashHook != nil {
+		hashHook()
+	}
+	if f, ok := v.(float32); ok {
+		v = float64(f)
+	}
+	h := uint64(fnvOffset64)
+	switch x := v.(type) {
+	case nil:
+		h = fnvByte(h, 'n')
+	case bool:
+		if x {
+			h = fnvByte(h, 'T')
+		} else {
+			h = fnvByte(h, 'F')
+		}
+	case float64:
+		if x == 0 {
+			x = 0 // -0 == 0
+		}
+		h = fnvUint64(fnvByte(h, 'f'), math.Float64bits(x))
+	case string:
+		h = fnvByte(h, 's')
+		for i := 0; i < len(x); i++ {
+			h = fnvByte(h, x[i])
+		}
+	default:
+		i, ok := asInt64(v)
+		if !ok {
+			return 0, false
+		}
+		h = fnvUint64(fnvByte(h, 'i'), uint64(i))
+	}
+	return h, true
+}
+
+// hashHook, when a test sets it, is called once per Hash. It is nil in
+// production: counting costs the hot path one nil check.
+var hashHook func()
+
+const (
+	fnvOffset64 = 0xcbf29ce484222325
+	fnvPrime64  = 0x100000001b3
+)
+
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+func fnvUint64(h uint64, u uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = fnvByte(h, byte(u>>(8*i)))
+	}
+	return h
+}
+
+// HashKey reduces a tuple's or template's routing position to a shard key:
+// the first field when there is one, the space name for arity-0 tuples
+// (their only possible match is the arity-0 template, so both sides land
+// on the space's home shard). ok is false when the first position cannot
+// key a route — a Formal, a thread, an aggregate — meaning the operation
+// must fan out.
+func HashKey(space string, first core.Value, arity int) (uint64, bool) {
+	if arity == 0 {
+		h, _ := Hash(space)
+		return h, true
+	}
+	if isFormal(first) {
+		return 0, false
+	}
+	return Hash(first)
 }
 
 // resolve demands the value of thread elements so matching sees immediate

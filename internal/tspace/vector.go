@@ -60,7 +60,7 @@ func (s *vectorStore) deposit(ctx *core.Context, tup Tuple, _ waitKey) (bool, bo
 	return true, false, nil
 }
 
-func (s *vectorStore) probe(ctx *core.Context, tpl Template, remove bool, _ func(Tuple) bool) (Tuple, Bindings, uint64, error) {
+func (s *vectorStore) probe(ctx *core.Context, tpl Template, _ waitKey, remove bool, _ func(Tuple) bool) (Tuple, Bindings, uint64, error) {
 	if len(tpl) != 2 {
 		return nil, nil, 0, ErrBadTemplate
 	}

@@ -2,6 +2,7 @@ package tspace
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -224,6 +225,66 @@ func TestUnkeyableDepositWakesArity(t *testing.T) {
 			t.Fatalf("binding = %v", gotV)
 		}
 		ctx.Wait(w)
+		return nil
+	})
+}
+
+// TestHashesPerOperation: the front classes a template once per operation
+// and hands that key to every probe, to HB and to the re-probe, so a
+// parked Get hashes once however often it probes. A hit Put+Get pair and a
+// parked Get plus the Put that wakes it each hash twice; a TryGet miss
+// hashes once.
+func TestHashesPerOperation(t *testing.T) {
+	var hashes atomic.Int64
+	hashHook = func() { hashes.Add(1) }
+	t.Cleanup(func() { hashHook = nil })
+	vm := testkit.VM(t, 1, 1)
+	ts := New(KindHash, Config{}).(*txnFront)
+	testkit.RunIn(t, vm, func(ctx *core.Context) error {
+		count := func(what string, want int64, op func() error) {
+			hashes.Store(0)
+			if err := op(); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if got := hashes.Load(); got != want {
+				t.Errorf("%s hashed %d times, want %d", what, got, want)
+			}
+		}
+		tpl := Template{"k", F("v")}
+		count("a hit Put+Get pair", 2, func() error {
+			if err := ts.Put(ctx, Tuple{"k", 1}); err != nil {
+				return err
+			}
+			_, _, err := ts.Get(ctx, tpl)
+			return err
+		})
+		count("a TryGet miss", 1, func() error {
+			if _, _, err := ts.TryGet(ctx, tpl); err != ErrNoMatch {
+				return fmt.Errorf("TryGet on an empty space: %v", err)
+			}
+			return nil
+		})
+		parked := func(wait func(c *core.Context) error) func() error {
+			return func() error {
+				w := ctx.Fork(func(c *core.Context) ([]core.Value, error) { return nil, wait(c) }, nil)
+				if !settle(ctx, func() bool { return ts.Waiters() == 1 }) {
+					return errors.New("waiter never parked")
+				}
+				if err := ts.Put(ctx, Tuple{"k", 2}); err != nil {
+					return err
+				}
+				_, err := ctx.Value1(w)
+				return err
+			}
+		}
+		count("a parked Get and its waking Put", 2, parked(func(c *core.Context) error {
+			_, _, err := ts.Get(c, tpl)
+			return err
+		}))
+		count("a parked TxnWait and its waking Put", 2, parked(func(c *core.Context) error {
+			_, _, _, err := ts.TxnWait(c, tpl, nil)
+			return err
+		}))
 		return nil
 	})
 }
