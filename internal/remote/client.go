@@ -254,7 +254,7 @@ func (cc *clientConn) redialLocked(ctx *core.Context) error {
 			lastErr = err
 			continue
 		}
-		fc := sio.NewFrameConn(nc, maxFrame, c.cfg.WriteTimeout)
+		fc := sio.NewFrameConn(nc, sio.MaxFrame, c.cfg.WriteTimeout)
 		// The HELLO reply (request id 0, which register never hands out)
 		// is routed to its call by the reader itself: the pending table
 		// is behind cc.mu, held here until the connection is installed.

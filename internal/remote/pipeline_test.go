@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -89,7 +90,7 @@ func TestDialRefusesOtherVersion(t *testing.T) {
 				return
 			}
 			connects.Add(1)
-			fc := sio.NewFrameConn(nc, maxFrame, time.Second)
+			fc := sio.NewFrameConn(nc, sio.MaxFrame, time.Second)
 			fc.Start(func(frame []byte, err error) {
 				if err != nil {
 					fc.Close()
@@ -202,7 +203,7 @@ func TestBatchSplitsOversizedFrame(t *testing.T) {
 	_, addr := startServer(t)
 	c := dialTest(t, addr, DialConfig{Batch: true})
 	sp := c.Space("big")
-	big := strings.Repeat("x", 8<<10) // 300 × 8KiB ≈ 2.4 MiB > maxFrame
+	big := strings.Repeat("x", 8<<10) // 300 × 8KiB ≈ 2.4 MiB > sio.MaxFrame
 	const n = 300
 	pending := make([]*PendingPut, 0, n)
 	for i := 0; i < n; i++ {
@@ -219,6 +220,59 @@ func TestBatchSplitsOversizedFrame(t *testing.T) {
 	}
 	if got := sp.Len(); got != n {
 		t.Fatalf("Len = %d, want %d", got, n)
+	}
+}
+
+// TestBatchedPutAllocs: full BATCH frames (256 Puts of a 256-byte payload,
+// ~70 KB) are encoded into and read out of pooled buffers, so a batched
+// Put allocates its tuple, call and entry, not a share of two fresh frames.
+// Windows of 1,024 PutAsync, as remote_stream sends them; the process's
+// allocation is counted over each window's Puts and acks, and the space is
+// drained between windows outside the count.
+func TestBatchedPutAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	srv, addr := startServer(t)
+	sp := dialTest(t, addr, DialConfig{Batch: true}).Space("stream")
+	ts := srv.Registry().OpenDefault("stream")
+	payload := strings.Repeat("p", 256)
+	const window, warm, measured = 1024, 8, 32
+	pending := make([]*PendingPut, 0, window)
+	var seq int64
+	var bytes uint64
+	var ms runtime.MemStats
+	for w := 0; w < warm+measured; w++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		pending = pending[:0]
+		for range window {
+			p, err := sp.PutAsync(nil, tspace.Tuple{seq, "s", payload})
+			if err != nil {
+				t.Fatalf("PutAsync %d: %v", seq, err)
+			}
+			pending = append(pending, p)
+			seq++
+		}
+		for _, p := range pending {
+			if err := p.Wait(nil); err != nil {
+				t.Fatalf("Wait: %v", err)
+			}
+		}
+		runtime.ReadMemStats(&ms)
+		if w >= warm {
+			bytes += ms.TotalAlloc - before
+		}
+		for i := seq - window; i < seq; i++ {
+			if _, _, err := ts.TryGet(nil, tspace.Template{i, "s", tspace.F("")}); err != nil {
+				t.Fatalf("drain %d: %v", i, err)
+			}
+		}
+	}
+	perPut := bytes / (measured * window)
+	t.Logf("%d bytes allocated per batched Put", perPut)
+	if perPut > 1300 {
+		t.Errorf("%d bytes allocated per batched Put, want ≤ 1300", perPut)
 	}
 }
 

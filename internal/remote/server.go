@@ -203,7 +203,7 @@ func (s *Server) Shutdown() {
 func (s *Server) addConn(c net.Conn) {
 	sc := &serverConn{
 		s:      s,
-		fc:     sio.NewFrameConn(c, maxFrame, s.cfg.WriteTimeout),
+		fc:     sio.NewFrameConn(c, sio.MaxFrame, s.cfg.WriteTimeout),
 		tokens: make(map[uint32]parkedToken),
 	}
 	s.mu.Lock()
@@ -384,8 +384,8 @@ func (s *Server) serveOp(ctx *core.Context, sc *serverConn, req request, tok *ts
 		// it would fail the write and drop the connection.
 		var text bytes.Buffer
 		_ = s.WriteStats(&text) // a bytes.Buffer write cannot fail
-		if n := 5 + text.Len(); n > maxFrame {
-			sc.sendErr(req.id, codeInternal, fmt.Sprintf("stats reply of %d bytes exceeds the %d-byte frame limit", n, maxFrame))
+		if n := 5 + text.Len(); n > sio.MaxFrame {
+			sc.sendErr(req.id, codeInternal, fmt.Sprintf("stats reply of %d bytes exceeds the %d-byte frame limit", n, sio.MaxFrame))
 			return true
 		}
 		sc.sendPooled(appendStatsResp(sio.GetBuf()[:sio.PrefixLen], req.id, text.Bytes()))

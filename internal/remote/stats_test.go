@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sio"
 	"repro/internal/testkit"
 	"repro/internal/tspace"
 )
@@ -143,8 +144,8 @@ func TestStatsReplyOverFrameLimit(t *testing.T) {
 		srv.Registry().OpenDefault(fmt.Sprintf("space-%04d-%s", i, strings.Repeat("x", 48)))
 	}
 	var text bytes.Buffer
-	if err := srv.WriteStats(&text); err != nil || text.Len() <= maxFrame {
-		t.Fatalf("stats text is %d bytes (%v), want more than the %d-byte frame limit", text.Len(), err, maxFrame)
+	if err := srv.WriteStats(&text); err != nil || text.Len() <= sio.MaxFrame {
+		t.Fatalf("stats text is %d bytes (%v), want more than the %d-byte frame limit", text.Len(), err, sio.MaxFrame)
 	}
 	c := dialTest(t, addr, DialConfig{})
 	_, err := c.Stats(nil)

@@ -57,9 +57,6 @@ const protocolVersion = 4
 // dashboard before a refused HELLO finds it the hard way.
 func ProtocolVersion() int { return protocolVersion }
 
-// maxFrame bounds one frame's payload.
-const maxFrame = 1 << 20
-
 // maxNameLen bounds a space name on the wire.
 const maxNameLen = 256
 

@@ -130,7 +130,7 @@ func rawConn(t *testing.T, addr string) (*sio.FrameConn, <-chan []byte, <-chan e
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	fc := sio.NewFrameConn(nc, maxFrame, time.Second)
+	fc := sio.NewFrameConn(nc, sio.MaxFrame, time.Second)
 	t.Cleanup(func() { fc.Close() })
 	frames := make(chan []byte, 64)
 	errs := make(chan error, 1)

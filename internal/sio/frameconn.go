@@ -26,18 +26,21 @@ type FrameCallback func(frame []byte, err error)
 // allocator the dominant per-op cost (see the span ablation in
 // EXPERIMENTS.md). GetBuf/PutBuf recycle byte slices through a sync.Pool,
 // and WriteFramePrefixed/StartPooled let callers encode into (and decode
-// out of) recycled storage without a copy. Anything a callback wants to
-// keep past the pooled lifetime must be deep-copied — the tuple codec
-// already copies strings and slices, so decoded values never alias pool
-// storage.
+// out of) recycled storage without a copy. Every frame a connection may
+// carry fits the pool, a ~70 KB BATCH frame included: the frame limit is
+// the one bound, and sync.Pool itself drops an entry left unused for two
+// GC cycles, so a burst of large frames does not pin its buffers. Anything
+// a callback wants to keep past the pooled lifetime must be deep-copied —
+// the tuple codec already copies strings and slices, so decoded values
+// never alias pool storage.
 
 // PrefixLen is the frame header size: callers of WriteFramePrefixed
 // reserve this many bytes at the front of the buffer for the length.
 const PrefixLen = 4
 
-// maxPooledBuf bounds what PutBuf will recycle; beyond this the slice is
-// left for the GC so one giant frame does not pin a giant pool entry.
-const maxPooledBuf = 64 << 10
+// MaxFrame is the frame limit: a FrameConn's default bound on one frame's
+// payload, the remote fabric's, and the largest buffer PutBuf recycles.
+const MaxFrame = 1 << 20
 
 var bufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 512)
@@ -60,9 +63,10 @@ func GetBuf() []byte {
 }
 
 // PutBuf recycles a buffer obtained from GetBuf (or grown from one).
-// Oversized buffers are dropped. Safe to call with nil.
+// A buffer larger than any frame (prefix included) is dropped. Safe to
+// call with nil.
 func PutBuf(b []byte) {
-	if b == nil || cap(b) > maxPooledBuf {
+	if b == nil || cap(b) > PrefixLen+MaxFrame {
 		return
 	}
 	p := hdrPool.Get().(*[]byte)
@@ -88,12 +92,12 @@ type FrameConn struct {
 	bytesOut atomic.Uint64
 }
 
-// NewFrameConn wraps c. maxFrame bounds accepted payloads (default 1 MiB
-// when zero); writeTimeout bounds each WriteFrame so a stalled peer cannot
+// NewFrameConn wraps c. maxFrame bounds accepted payloads (MaxFrame when
+// zero); writeTimeout bounds each WriteFrame so a stalled peer cannot
 // wedge a writer for good (default 10s when zero).
 func NewFrameConn(c net.Conn, maxFrame uint32, writeTimeout time.Duration) *FrameConn {
 	if maxFrame == 0 {
-		maxFrame = 1 << 20
+		maxFrame = MaxFrame
 	}
 	if writeTimeout == 0 {
 		writeTimeout = 10 * time.Second

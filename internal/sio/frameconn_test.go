@@ -115,3 +115,27 @@ func TestFrameConnMidFrameEOF(t *testing.T) {
 		t.Fatal("reader did not notice hangup")
 	}
 }
+
+// raceEnabled is set by race_test.go in a -race build.
+var raceEnabled bool
+
+// TestPutBufRecyclesEveryFrameSize: a buffer grown for a frame beyond
+// 64 KiB (a full BATCH frame is ~70 KB) goes back to the pool, and the next
+// GetBuf on this goroutine hands out the same storage with no GC between.
+// A buffer larger than any frame is left for the GC.
+func TestPutBufRecyclesEveryFrameSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of Puts under the race detector")
+	}
+	// GetBuf empties this P's private pool slot, which PutBuf then fills.
+	big := append(GetBuf(), make([]byte, 70<<10)...)
+	PutBuf(big)
+	if got := GetBuf(); cap(got) != cap(big) || &got[:1][0] != &big[0] {
+		t.Fatalf("GetBuf after PutBuf of a %d-byte buffer returned a %d-byte one, not it", cap(big), cap(got))
+	}
+	huge := make([]byte, 0, PrefixLen+MaxFrame+1)
+	PutBuf(huge)
+	if got := GetBuf(); cap(got) > 0 && &got[:1][0] == &huge[:1][0] {
+		t.Fatalf("a %d-byte buffer, larger than any frame, was recycled", cap(huge))
+	}
+}

@@ -27,13 +27,13 @@ type store interface {
 }
 
 // txnStore is a store with the commit hooks: takeExact removes one tuple
-// equal to tup, has only looks, and version reads the version of the bucket
-// tup lives in.
+// equal to tup, whose class is k, has only looks, and version reads the
+// version of the bucket tup lives in.
 type txnStore interface {
 	store
-	takeExact(tup Tuple) bool
-	has(tup Tuple) bool
-	version(tup Tuple) uint64
+	takeExact(tup Tuple, k waitKey) bool
+	has(tup Tuple, k waitKey) bool
+	version(k waitKey) uint64
 }
 
 // localSpace is either front: what New builds and the registry holds.
@@ -210,16 +210,19 @@ func (t *txnFront) TxnWait(ctx *core.Context, tpl Template, newSkip func() func(
 
 func (t *txnFront) txnMeta() *txnMeta { return &t.txn }
 
-// txnTake removes one entry holding exactly tup (value equality, no thread
-// demand: tuples containing threads are outside the transactional subset).
-func (t *txnFront) txnTake(tup Tuple) bool {
-	if !t.tx.takeExact(tup) {
+// txnTake removes one entry holding exactly tup, whose class is k (value
+// equality, no thread demand: tuples containing threads are outside the
+// transactional subset).
+func (t *txnFront) txnTake(tup Tuple, k waitKey) bool {
+	if !t.tx.takeExact(tup, k) {
 		return false
 	}
-	diagKeyEvent(t.wt.space, DiagTake, tup, nil)
+	if b := diagHook.Load(); b != nil {
+		b.keyEvent(t.wt.space, DiagTake, tup, k, nil)
+	}
 	return true
 }
 
-func (t *txnFront) txnPresent(tup Tuple) bool { return t.tx.has(tup) }
+func (t *txnFront) txnPresent(tup Tuple, k waitKey) bool { return t.tx.has(tup, k) }
 
-func (t *txnFront) txnTupleVer(tup Tuple) uint64 { return t.tx.version(tup) }
+func (t *txnFront) txnTupleVer(k waitKey) uint64 { return t.tx.version(k) }

@@ -129,20 +129,18 @@ func (s *hashStore) passive() []Tuple {
 }
 
 // takeExact bumps the bin version like any removal.
-func (s *hashStore) takeExact(tup Tuple) bool {
-	k := keyOf(tup)
+func (s *hashStore) takeExact(tup Tuple, k waitKey) bool {
 	b := s.binOf(k)
 	return b != nil && b.takeExact(tup, k)
 }
 
-func (s *hashStore) has(tup Tuple) bool {
-	k := keyOf(tup)
+func (s *hashStore) has(tup Tuple, k waitKey) bool {
 	b := s.binOf(k)
 	return b != nil && b.has(tup, k)
 }
 
-func (s *hashStore) version(tup Tuple) uint64 {
-	if b := s.binOf(keyOf(tup)); b != nil {
+func (s *hashStore) version(k waitKey) uint64 {
+	if b := s.binOf(k); b != nil {
 		return b.ver.Load()
 	}
 	return 0

@@ -98,6 +98,11 @@ func (l *entryList) probe(ctx *core.Context, tpl Template, k waitKey, remove boo
 	l.mu.Unlock()
 
 	if won {
+		if remove {
+			// kill dropped the list's reference, and a passive tuple needs
+			// no resolving: the taker gets the stored tuple itself.
+			return winner, bindings(tpl, winner), ver, nil
+		}
 		// Bindings and the caller's copy are built for this one tuple only.
 		bind, resolved, _, err := matchTuple(ctx, tpl, winner)
 		return resolved, bind, ver, err

@@ -107,7 +107,7 @@ func TestProbeTimeIndependentOfDepth(t *testing.T) {
 // Config{Bins: 1}, where "task" and "result" share the one bin, allocates
 // per take exactly what it does with the default bins — the other class is
 // passed on its signature, never matched — and a hit Put+Get pair costs
-// three objects under either. Bins: 1 is the paper's global-mutex ablation,
+// two objects under either. Bins: 1 is the paper's global-mutex ablation,
 // not a second allocation regime.
 func TestSharedBinAllocsMatchDefault(t *testing.T) {
 	vm := testkit.VM(t, 1, 1)
@@ -141,8 +141,8 @@ func TestSharedBinAllocsMatchDefault(t *testing.T) {
 		t.Errorf("allocations per master/slave step: %v with one bin, %v with the default bins", one, def)
 	}
 	// A hit Put+Get pair, through the blocking Get, allocates the deposited
-	// tuple, the taker's copy and its (here empty) Bindings: nothing for the
-	// front, the wait path or the bins.
+	// tuple, which the taker receives as is, and its (here empty) Bindings:
+	// nothing for the front, the wait path or the bins.
 	for _, cfg := range []Config{{Bins: 1}, {}} {
 		ts := New(KindHash, cfg)
 		tpl := Template{"k", 1}
@@ -153,8 +153,8 @@ func TestSharedBinAllocsMatchDefault(t *testing.T) {
 					t.Errorf("Get: %v", err)
 				}
 			})
-			if pair != 3 {
-				t.Errorf("a hit Put+Get pair with %d bins allocates %v objects, want 3", cfg.Bins, pair)
+			if pair != 2 {
+				t.Errorf("a hit Put+Get pair with %d bins allocates %v objects, want 2", cfg.Bins, pair)
 			}
 			return nil
 		})
@@ -286,7 +286,7 @@ func runModel(t *testing.T, ctx *core.Context, kind Kind, rng *rand.Rand) error 
 		case op == 8: // commit-time take by value
 			tup := randTuple()
 			i := firstEqual(tup)
-			if took := ts.txnTake(tup); took != (i >= 0) {
+			if took := ts.txnTake(tup, keyOf(tup)); took != (i >= 0) {
 				t.Fatalf("step %d: txnTake(%v) = %v, model index %d", step, tup, took, i)
 			}
 			if i >= 0 {
@@ -294,7 +294,7 @@ func runModel(t *testing.T, ctx *core.Context, kind Kind, rng *rand.Rand) error 
 			}
 		default:
 			tup := randTuple()
-			if got, want := ts.txnPresent(tup), firstEqual(tup) >= 0; got != want {
+			if got, want := ts.txnPresent(tup, keyOf(tup)), firstEqual(tup) >= 0; got != want {
 				t.Fatalf("step %d: txnPresent(%v) = %v, want %v", step, tup, got, want)
 			}
 		}

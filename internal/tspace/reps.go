@@ -28,11 +28,11 @@ func (s *listStore) probe(ctx *core.Context, tpl Template, k waitKey, remove boo
 	return s.list.probe(ctx, tpl, k, remove, skip)
 }
 
-func (s *listStore) size() int                { return s.list.size() }
-func (s *listStore) passive() []Tuple         { return s.list.passive(nil) }
-func (s *listStore) takeExact(tup Tuple) bool { return s.list.takeExact(tup, keyOf(tup)) }
-func (s *listStore) has(tup Tuple) bool       { return s.list.has(tup, keyOf(tup)) }
-func (s *listStore) version(Tuple) uint64     { return s.list.ver.Load() }
+func (s *listStore) size() int                           { return s.list.size() }
+func (s *listStore) passive() []Tuple                    { return s.list.passive(nil) }
+func (s *listStore) takeExact(tup Tuple, k waitKey) bool { return s.list.takeExact(tup, k) }
+func (s *listStore) has(tup Tuple, k waitKey) bool       { return s.list.has(tup, k) }
+func (s *listStore) version(waitKey) uint64              { return s.list.ver.Load() }
 
 func sameTuple(a, b Tuple) bool {
 	if len(a) != len(b) {

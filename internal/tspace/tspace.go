@@ -16,7 +16,9 @@ import (
 // operations are expressions returning bindings, not statements.
 type TupleSpace interface {
 	// Put deposits a tuple (the paper's put/out). Depositing unblocks any
-	// matching readers.
+	// matching readers. A local space keeps the caller's slice, not a copy,
+	// and a Get or TryGet that takes a passive tuple may receive that very
+	// slice: the caller must not modify tup once it is put.
 	Put(ctx *core.Context, tup Tuple) error
 	// Get atomically removes a matching tuple, blocking until one exists
 	// (the paper's get/remove; Linda's in).

@@ -211,28 +211,27 @@ func matchTuple(ctx *core.Context, tpl Template, tup Tuple) (Bindings, Tuple, bo
 		return nil, nil, false, nil
 	}
 	resolved := make(Tuple, len(tup))
-	b := Bindings{}
 	for i, want := range tpl {
-		got := tup[i]
-		if f, ok := want.(Formal); ok {
-			v, err := resolve(ctx, got)
-			if err != nil {
-				return nil, nil, false, err
-			}
-			resolved[i] = v
-			if f.Name != "" {
-				b[f.Name] = v
-			}
-			continue
-		}
-		v, err := resolve(ctx, got)
+		v, err := resolve(ctx, tup[i])
 		if err != nil {
 			return nil, nil, false, err
 		}
 		resolved[i] = v
-		if !immediateEqual(want, v) {
+		if !isFormal(want) && !immediateEqual(want, v) {
 			return nil, nil, false, nil
 		}
 	}
-	return b, resolved, true, nil
+	return bindings(tpl, resolved), resolved, true, nil
+}
+
+// bindings maps each named formal of tpl to its value in tup, a resolved
+// tuple that matches tpl. The map is never nil.
+func bindings(tpl Template, tup Tuple) Bindings {
+	b := Bindings{}
+	for i, want := range tpl {
+		if f, ok := want.(Formal); ok && f.Name != "" {
+			b[f.Name] = tup[i]
+		}
+	}
+	return b
 }

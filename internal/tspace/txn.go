@@ -184,9 +184,9 @@ type TxnSpace interface {
 	TxnWait(ctx *core.Context, tpl Template, newSkip func() func(Tuple) bool) (Tuple, Bindings, uint64, error)
 
 	txnMeta() *txnMeta
-	txnTake(tup Tuple) bool
-	txnPresent(tup Tuple) bool
-	txnTupleVer(tup Tuple) uint64
+	txnTake(tup Tuple, k waitKey) bool
+	txnPresent(tup Tuple, k waitKey) bool
+	txnTupleVer(k waitKey) uint64
 }
 
 // RemoteTxn is implemented by fabric space proxies (remote client spaces,
@@ -313,7 +313,7 @@ func ApplyCommit(ctx *core.Context, ops []CommitOp) error {
 		if op.Kind != TxnTake {
 			continue
 		}
-		if !op.Space.txnTake(op.Tup) {
+		if !op.Space.txnTake(op.Tup, keyOf(op.Tup)) {
 			return fail(op, "tuple to take is gone")
 		}
 		taken = append(taken, op)
@@ -332,10 +332,11 @@ func ApplyCommit(ctx *core.Context, ops []CommitOp) error {
 		if tookSame {
 			continue // the successful take proves presence at commit time
 		}
-		if op.Ver != 0 && op.Space.txnTupleVer(op.Tup) == op.Ver {
+		k := keyOf(op.Tup)
+		if op.Ver != 0 && op.Space.txnTupleVer(k) == op.Ver {
 			continue // bucket untouched since the read
 		}
-		if !op.Space.txnPresent(op.Tup) {
+		if !op.Space.txnPresent(op.Tup, k) {
 			return fail(op, "read tuple no longer present")
 		}
 	}

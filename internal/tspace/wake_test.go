@@ -233,7 +233,8 @@ func TestUnkeyableDepositWakesArity(t *testing.T) {
 // and hands that key to every probe, to HB and to the re-probe, so a
 // parked Get hashes once however often it probes. A hit Put+Get pair and a
 // parked Get plus the Put that wakes it each hash twice; a TryGet miss
-// hashes once.
+// hashes once. ApplyCommit classes each logged tuple once, however many
+// commit hooks it passes through.
 func TestHashesPerOperation(t *testing.T) {
 	var hashes atomic.Int64
 	hashHook = func() { hashes.Add(1) }
@@ -285,6 +286,26 @@ func TestHashesPerOperation(t *testing.T) {
 			_, _, _, err := ts.TxnWait(c, tpl, nil)
 			return err
 		}))
+		tup := Tuple{"c", 1}
+		if err := ts.Put(ctx, tup); err != nil {
+			t.Fatal(err)
+		}
+		count("a commit that takes one tuple", 1, func() error {
+			return ApplyCommit(ctx, []CommitOp{{Space: ts, Name: "t", Kind: TxnTake, Tup: tup}})
+		})
+		if err := ts.Put(ctx, tup); err != nil {
+			t.Fatal(err)
+		}
+		_, _, ver, err := ts.TxnProbe(ctx, Template{"c", F("v")}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ts.Put(ctx, Tuple{"c", 2}); err != nil { // moves the bucket
+			t.Fatal(err)
+		}
+		count("a commit that validates a read whose bucket moved", 1, func() error {
+			return ApplyCommit(ctx, []CommitOp{{Space: ts, Name: "t", Kind: TxnRead, Ver: ver, Tup: tup}})
+		})
 		return nil
 	})
 }
