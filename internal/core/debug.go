@@ -77,7 +77,9 @@ func (ctx *Context) RequestSuspend(t *Thread, quantum int64) error {
 
 // DumpTree renders the genealogy below t — the paper's "dynamic unfolding
 // of a process tree" monitoring facility. Each line shows a thread's id,
-// name, state, and (for evaluating threads) execution status.
+// name, state, and (for evaluating threads) execution status. A thread's
+// children are the live members of its child group, in creation order; a
+// child that is determined has left the tree.
 func DumpTree(t *Thread) string {
 	var b strings.Builder
 	dumpTree(&b, t, 0)
@@ -100,7 +102,13 @@ func dumpTree(b *strings.Builder, t *Thread, depth int) {
 		fmt.Fprintf(b, " group=%s", g.Name())
 	}
 	b.WriteByte('\n')
-	for _, c := range t.Children() {
+	t.childMu.Lock()
+	cg := t.childGroup
+	t.childMu.Unlock()
+	if cg == nil {
+		return
+	}
+	for _, c := range cg.Threads() {
 		dumpTree(b, c, depth+1)
 	}
 }

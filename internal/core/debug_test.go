@@ -83,8 +83,8 @@ func TestDumpTree(t *testing.T) {
 		if !strings.Contains(out, "alpha [delayed]") {
 			t.Errorf("missing alpha: %q", out)
 		}
-		if !strings.Contains(out, "beta [determined]") {
-			t.Errorf("missing beta: %q", out)
+		if strings.Contains(out, "beta") {
+			t.Errorf("joined beta still listed: %q", out)
 		}
 		if !strings.Contains(out, "evaluating") {
 			t.Errorf("missing self state: %q", out)

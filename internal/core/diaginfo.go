@@ -52,18 +52,14 @@ func SnapshotThread(t *Thread) ThreadInfo {
 	return ti
 }
 
-// LiveThreadInfos snapshots every non-determined thread reachable from the
-// VM's root group, subgroups included. Determined threads linger in group
-// member lists until Reset, so the walk filters them out rather than
-// trusting membership.
+// LiveThreadInfos snapshots every thread reachable from the VM's root
+// group, subgroups included: the live threads, since a thread leaves its
+// group when it is determined.
 func (vm *VM) LiveThreadInfos() []ThreadInfo {
 	threads := vm.rootGroup.AllThreads()
-	out := make([]ThreadInfo, 0, len(threads))
-	for _, t := range threads {
-		if t.State() == Determined {
-			continue
-		}
-		out = append(out, SnapshotThread(t))
+	out := make([]ThreadInfo, len(threads))
+	for i, t := range threads {
+		out[i] = SnapshotThread(t)
 	}
 	return out
 }

@@ -14,33 +14,30 @@ var groupIDs atomic.Uint64
 // ordinary thread operations applied en masse (termination, suspension) as
 // well as debugging and monitoring operations (listing members, profiling
 // genealogy information).
+//
+// Genealogy holds only what is live. A thread is a member from its creation
+// until it is determined, and a group is listed among its parent's
+// subgroups only while some live thread is below it, so an orphaned
+// grandchild stays within reach of kill-group and nothing determined
+// accumulates. The created and determined counters keep the history.
 type Group struct {
 	id     uint64
 	name   string
 	parent *Group
 
-	mu       sync.Mutex
-	members  map[*Thread]struct{}
-	children []*Group
+	mu       sync.Mutex // guards the member list and children; taken child before parent
+	first    *Thread    // members, newest first, linked through Thread.prev/next
+	size     int
+	children map[*Group]struct{} // subgroups with a live thread below them
 
 	created    atomic.Uint64
 	determined atomic.Uint64
 }
 
-// NewGroup creates a group; parent may be nil for root groups.
+// NewGroup creates a group; parent may be nil for root groups. The group
+// joins parent's subgroups when its first thread does.
 func NewGroup(name string, parent *Group) *Group {
-	g := &Group{
-		id:      groupIDs.Add(1),
-		name:    name,
-		parent:  parent,
-		members: make(map[*Thread]struct{}),
-	}
-	if parent != nil {
-		parent.mu.Lock()
-		parent.children = append(parent.children, g)
-		parent.mu.Unlock()
-	}
-	return g
+	return &Group{id: groupIDs.Add(1), name: name, parent: parent}
 }
 
 // ID returns the group identifier.
@@ -53,31 +50,77 @@ func (g *Group) Name() string { return g.name }
 func (g *Group) Parent() *Group { return g.parent }
 
 func (g *Group) add(t *Thread) {
-	g.mu.Lock()
-	g.members[t] = struct{}{}
-	g.mu.Unlock()
 	g.created.Add(1)
+	g.mu.Lock()
+	if t.next = g.first; t.next != nil {
+		t.next.prev = t
+	}
+	g.first = t
+	g.size++
+	g.relink(true)
+	g.mu.Unlock()
 }
 
-func (g *Group) noteDetermined(*Thread) { g.determined.Add(1) }
+// remove drops a thread that is being determined.
+func (g *Group) remove(t *Thread) {
+	g.determined.Add(1)
+	g.mu.Lock()
+	if t.prev != nil {
+		t.prev.next = t.next
+	} else {
+		g.first = t.next
+	}
+	if t.next != nil {
+		t.next.prev = t.prev
+	}
+	t.prev, t.next = nil, nil
+	g.size--
+	g.relink(false)
+	g.mu.Unlock()
+}
 
-// Threads lists all threads currently belonging to the group.
+// relink keeps g listed in its parent's subgroups exactly while g holds a
+// member or a listed subgroup. It runs with g.mu held after one entry was
+// added (grew) or removed, and on the empty↔non-empty step takes the
+// parent's lock under g's and repeats there, cascading upward.
+func (g *Group) relink(grew bool) {
+	p, n := g.parent, g.size+len(g.children)
+	if p == nil || grew && n != 1 || !grew && n != 0 {
+		return
+	}
+	p.mu.Lock()
+	if !grew {
+		delete(p.children, g)
+	} else if p.children == nil {
+		p.children = map[*Group]struct{}{g: {}}
+	} else {
+		p.children[g] = struct{}{}
+	}
+	p.relink(grew)
+	p.mu.Unlock()
+}
+
+// Threads lists the group's live members, oldest first.
 func (g *Group) Threads() []*Thread {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([]*Thread, 0, len(g.members))
-	for t := range g.members {
-		out = append(out, t)
+	out := make([]*Thread, g.size)
+	for t, i := g.first, g.size-1; t != nil; t, i = t.next, i-1 {
+		out[i] = t
 	}
 	return out
 }
 
-// Subgroups lists the group's child groups.
+// Subgroups lists the child groups that have a live thread below them; a
+// child group that empties leaves the list and rejoins with its next
+// thread.
 func (g *Group) Subgroups() []*Group {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([]*Group, len(g.children))
-	copy(out, g.children)
+	out := make([]*Group, 0, len(g.children))
+	for c := range g.children {
+		out = append(out, c)
+	}
 	return out
 }
 
@@ -87,17 +130,6 @@ func (g *Group) AllThreads() []*Thread {
 	out := g.Threads()
 	for _, sub := range g.Subgroups() {
 		out = append(out, sub.AllThreads()...)
-	}
-	return out
-}
-
-// Live returns the members that are not yet determined.
-func (g *Group) Live() []*Thread {
-	var out []*Thread
-	for _, t := range g.Threads() {
-		if !t.Determined() {
-			out = append(out, t)
-		}
 	}
 	return out
 }
@@ -113,9 +145,9 @@ func (g *Group) Terminate() {
 	}
 }
 
-// Suspend requests suspension of every live member.
+// Suspend requests suspension of every member.
 func (g *Group) Suspend(ctx *Context) {
-	for _, t := range g.Live() {
+	for _, t := range g.Threads() {
 		if t != ctx.Thread() {
 			ctx.ThreadSuspend(t, 0)
 		}
@@ -124,28 +156,18 @@ func (g *Group) Suspend(ctx *Context) {
 
 // Resume reschedules every suspended member.
 func (g *Group) Resume() {
-	for _, t := range g.Live() {
+	for _, t := range g.Threads() {
 		if t.Exec() == ExecSuspended {
 			_ = ThreadRun(t, pickVP(t))
 		}
 	}
 }
 
-// Reset drops determined members from the group's bookkeeping (the
-// "resetting" debugging operation of §3.1); live threads are untouched.
-// It returns how many entries were dropped.
-func (g *Group) Reset() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	dropped := 0
-	for t := range g.members {
-		if t.Determined() {
-			delete(g.members, t)
-			dropped++
-		}
-	}
-	return dropped
-}
+// Reset is the "resetting" debugging operation of §3.1: it drops
+// determined members from the group's bookkeeping. A thread leaves its
+// group when it is determined, so there is never one to drop, and Reset
+// returns 0.
+func (g *Group) Reset() int { return 0 }
 
 // GroupProfile summarizes the dynamic unfolding of a group's process tree,
 // the genealogy-based monitoring facility described in §3.1.
@@ -169,12 +191,10 @@ func (g *Group) Profile() GroupProfile {
 		ByState:    make(map[ThreadState]int),
 		At:         time.Now(),
 	}
-	for _, t := range g.Threads() {
-		st := t.State()
-		p.ByState[st]++
-		if st != Determined {
-			p.Live++
-		}
+	threads := g.Threads()
+	p.Live = len(threads)
+	for _, t := range threads {
+		p.ByState[t.State()]++
 		depth := 0
 		for a := t.parent; a != nil; a = a.parent {
 			depth++

@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestGroupSuspendResume(t *testing.T) {
@@ -69,9 +71,21 @@ func TestGroupHierarchy(t *testing.T) {
 	if child.Parent() != parent || grand.Parent() != child {
 		t.Fatal("parent links wrong")
 	}
-	subs := parent.Subgroups()
-	if len(subs) != 1 || subs[0] != child {
+	if subs := parent.Subgroups(); len(subs) != 0 {
+		t.Fatalf("empty child listed: subgroups %v", subs)
+	}
+	// A thread in the grandchild lists the chain above it, and its
+	// determination unlists it again.
+	th := newThread(nil, nil, nil, nil, obs.SpanContext{}, WithGroup(grand))
+	if subs := parent.Subgroups(); len(subs) != 1 || subs[0] != child {
 		t.Fatalf("subgroups %v", subs)
+	}
+	if subs := child.Subgroups(); len(subs) != 1 || subs[0] != grand {
+		t.Fatalf("child's subgroups %v", subs)
+	}
+	th.determine(nil, nil)
+	if n, m := len(parent.Subgroups()), len(child.Subgroups()); n != 0 || m != 0 {
+		t.Fatalf("after determine: %d and %d subgroups listed", n, m)
 	}
 	if parent.Name() != "parent" || parent.ID() == child.ID() {
 		t.Fatal("identity wrong")
@@ -116,7 +130,7 @@ func TestGroupLiveExcludesDetermined(t *testing.T) {
 		ctx.Wait(done)
 		pending := ctx.CreateThread(func(*Context) ([]Value, error) { return nil, nil },
 			WithGroup(g))
-		live := g.Live()
+		live := g.Threads()
 		if len(live) != 1 || live[0] != pending {
 			t.Fatalf("live = %v", live)
 		}
@@ -137,8 +151,8 @@ func TestGroupReset(t *testing.T) {
 		ctx.Wait(done)
 		pending := ctx.CreateThread(func(*Context) ([]Value, error) { return nil, nil },
 			WithGroup(g))
-		if n := g.Reset(); n != 1 {
-			t.Errorf("reset dropped %d, want 1", n)
+		if n := g.Reset(); n != 0 {
+			t.Errorf("reset dropped %d, want 0: the determined thread already left", n)
 		}
 		members := g.Threads()
 		if len(members) != 1 || members[0] != pending {

@@ -21,7 +21,7 @@ type Thread struct {
 	name string
 	vm   *VM
 
-	thunk Thunk
+	thunk Thunk // nil once determined
 
 	state atomic.Int32 // ThreadState
 
@@ -37,15 +37,15 @@ type Thread struct {
 	req       atomic.Uint32
 	reqValues []Value // termination values, guarded by mu
 
-	// Genealogy: parent, children and group, kept for debugging,
-	// profiling and en-masse group operations. A thread's children are
-	// defined to be part of the thread's own child group (so kill-group on
-	// (thread-group T) terminates T's subtree, as in §3.1).
+	// Genealogy: parent and group, kept for debugging, profiling and
+	// en-masse group operations. A thread's children are the live members
+	// of its child group (so kill-group on (thread-group T) terminates T's
+	// subtree, as in §3.1).
 	parent     *Thread
 	group      *Group
-	childMu    sync.Mutex
-	children   []*Thread
+	childMu    sync.Mutex // guards childGroup
 	childGroup *Group
+	prev, next *Thread // neighbours in group's member list, guarded by group.mu
 
 	priority  atomic.Int32
 	quantum   atomic.Int64 // nanoseconds; 0 means the VP default
@@ -143,11 +143,6 @@ func newThread(vm *VM, parent *Thread, thunk Thunk, fluid *FluidEnv, sc obs.Span
 	if t.group != nil {
 		t.group.add(t)
 	}
-	if parent != nil {
-		parent.childMu.Lock()
-		parent.children = append(parent.children, t)
-		parent.childMu.Unlock()
-	}
 	if vm != nil {
 		vm.stats.ThreadsCreated.Add(1)
 	}
@@ -195,15 +190,6 @@ func (t *Thread) ChildGroup() *Group {
 		t.childGroup = NewGroup(fmt.Sprintf("thread-%d-children", t.id), t.group)
 	}
 	return t.childGroup
-}
-
-// Children returns a snapshot of the threads this thread has created.
-func (t *Thread) Children() []*Thread {
-	t.childMu.Lock()
-	defer t.childMu.Unlock()
-	out := make([]*Thread, len(t.children))
-	copy(out, t.children)
-	return out
 }
 
 // Priority returns the thread's current scheduling priority hint.
@@ -313,13 +299,19 @@ func (t *Thread) casState(from, to ThreadState) bool {
 }
 
 // determine records the thread's result, moves it to Determined, and wakes
-// every waiter chained from its thread-barrier list.
+// every waiter chained from its thread-barrier list. The thread leaves its
+// group before its state shows Determined, and drops its thunk: what stays
+// is the value, reachable only through whoever holds the thread.
 func (t *Thread) determine(values []Value, err error) {
 	t.mu.Lock()
 	if t.State() == Determined {
 		t.mu.Unlock()
 		return
 	}
+	if t.group != nil {
+		t.group.remove(t)
+	}
+	t.thunk = nil
 	t.values = values
 	t.err = err
 	t.state.Store(int32(Determined))
@@ -330,9 +322,6 @@ func (t *Thread) determine(values []Value, err error) {
 	t.tcb = nil
 	t.mu.Unlock()
 
-	if t.group != nil {
-		t.group.noteDetermined(t)
-	}
 	if t.vm != nil {
 		t.vm.stats.ThreadsDetermined.Add(1)
 	}

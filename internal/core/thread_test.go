@@ -58,7 +58,7 @@ func TestGenealogy(t *testing.T) {
 		me := ctx.Thread()
 		a := ctx.Fork(func(*Context) ([]Value, error) { return nil, nil }, nil)
 		b := ctx.CreateThread(func(*Context) ([]Value, error) { return nil, nil })
-		kids := me.Children()
+		kids := me.ChildGroup().Threads()
 		if len(kids) != 2 || kids[0] != a || kids[1] != b {
 			t.Errorf("children %v", kids)
 		}

@@ -260,8 +260,8 @@ func conformLen(t *testing.T, f Factory) {
 }
 
 // conformRetention: a determined thread is unreachable from its manager.
-// 2,000 root threads set priority and quantum hints and finish; once the
-// root group forgets them, all but a few must be collectable. The allowance
+// 2,000 root threads set priority and quantum hints and finish; with no
+// reset, all but a few must be collectable once joined. The allowance
 // is one TCB cache's worth (64) for whatever a VP still holds at the moment
 // of the GC.
 func conformRetention(t *testing.T, f Factory) {
@@ -284,7 +284,6 @@ func conformRetention(t *testing.T, f Factory) {
 		}
 	}
 	clear(threads)
-	vm.RootGroup().Reset()
 	deadline := time.Now().Add(5 * time.Second)
 	held := int64(n)
 	for i := 0; i < 3 || held >= bound && time.Now().Before(deadline); i++ {

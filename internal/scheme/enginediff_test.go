@@ -302,6 +302,33 @@ func TestCaptureSeedsReachCaptures(t *testing.T) {
 	}
 }
 
+// TestGenealogyListsOnlyLive: group-threads and thread-tree show the live
+// children of the toplevel thread, not the one it already joined, under
+// both engines.
+func TestGenealogyListsOnlyLive(t *testing.T) {
+	const src = `
+(define (spin) (begin (yield-processor) (spin)))
+(define done (fork-thread 'done))
+(thread-wait done)
+(define live (fork-thread (spin)))
+(define g (thread-group (current-thread)))
+(define members (group-threads g))
+(define tree (thread-tree (current-thread)))
+(thread-terminate live)
+(thread-wait live)
+(display (list (length members) (eq? (car members) live) (length (group-threads g))))
+tree`
+	for _, engine := range []string{"tree", "vm"} {
+		got := runUnderEngine(t, engine, src)
+		if got.failed || got.out != "(1 #t 0)" {
+			t.Errorf("[%s] group-threads: output %q, error %q; want (1 #t 0)", engine, got.out, got.errTxt)
+		}
+		if n := strings.Count(got.val, "group=thread-"); n != 1 {
+			t.Errorf("[%s] thread-tree lists %d children, want only the live one:\n%s", engine, n, got.val)
+		}
+	}
+}
+
 // TestLinkingSemantics: compiled code reaches a global through a cell it
 // was linked to when its toplevel form was compiled, the tree-walker
 // through the global frame's map to the same cell. Whichever engine

@@ -131,7 +131,6 @@ func BenchmarkComputePass(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				in.VM().RootGroup().Reset()
 			}
 		})
 	}

@@ -185,13 +185,14 @@ func TestFacadeGroupTermination(t *testing.T) {
 				c.Yield()
 			}
 		}, nil, WithStealable(false))
-		for len(parent.Children()) == 0 {
+		for len(parent.ChildGroup().Threads()) == 0 {
 			ctx.Yield()
 		}
+		kids := parent.ChildGroup().Threads()
 		parent.ChildGroup().Terminate()
 		ThreadTerminate(parent)
 		ctx.Wait(parent)
-		for _, c := range parent.Children() {
+		for _, c := range kids {
 			ctx.Wait(c)
 			if !c.Terminated() {
 				t.Error("child survived group termination")
