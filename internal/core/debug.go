@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -79,7 +80,8 @@ func (ctx *Context) RequestSuspend(t *Thread, quantum int64) error {
 // of a process tree" monitoring facility. Each line shows a thread's id,
 // name, state, and (for evaluating threads) execution status. A thread's
 // children are the live members of its child group, in creation order; a
-// child that is determined has left the tree.
+// child that is determined has left the tree. Live threads whose parent has
+// left it are listed under their nearest live ancestor.
 func DumpTree(t *Thread) string {
 	var b strings.Builder
 	dumpTree(&b, t, 0)
@@ -102,13 +104,27 @@ func dumpTree(b *strings.Builder, t *Thread, depth int) {
 		fmt.Fprintf(b, " group=%s", g.Name())
 	}
 	b.WriteByte('\n')
-	t.childMu.Lock()
-	cg := t.childGroup
-	t.childMu.Unlock()
-	if cg == nil {
-		return
+	if cg := t.peekChildGroup(); cg != nil {
+		dumpGroup(b, cg, depth+1)
 	}
-	for _, c := range cg.Threads() {
-		dumpTree(b, c, depth+1)
+}
+
+// dumpGroup renders g's members and then, at the same depth, the members of
+// each subgroup that no listed member owns: a child group whose owner was
+// determined while a thread below it lives.
+func dumpGroup(b *strings.Builder, g *Group, depth int) {
+	owned := make(map[*Group]bool)
+	for _, c := range g.Threads() {
+		if cg := c.peekChildGroup(); cg != nil {
+			owned[cg] = true
+		}
+		dumpTree(b, c, depth)
+	}
+	subs := g.Subgroups()
+	sort.Slice(subs, func(i, j int) bool { return subs[i].id < subs[j].id })
+	for _, sub := range subs {
+		if !owned[sub] {
+			dumpGroup(b, sub, depth)
+		}
 	}
 }

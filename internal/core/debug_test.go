@@ -96,3 +96,37 @@ func TestDumpTree(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDumpTreeListsOrphans: T forks U, U forks a spinning V and returns.
+// U has left the tree, but V lives below T's child group, so DumpTree(T)
+// lists V under T, as RootGroup().AllThreads() counts it.
+func TestDumpTreeListsOrphans(t *testing.T) {
+	vm := testVM(t, 2, 2)
+	_, err := vm.Run(func(ctx *Context) ([]Value, error) {
+		u := ctx.Fork(func(c *Context) ([]Value, error) {
+			return one(c.Fork(func(cc *Context) ([]Value, error) {
+				for {
+					cc.Yield()
+				}
+			}, nil, WithName("orphan"), WithStealable(false))), nil
+		}, nil, WithStealable(false))
+		val, err := ctx.Value1(u)
+		if err != nil {
+			return nil, err
+		}
+		v := val.(*Thread)
+		out := DumpTree(ctx.Thread())
+		if n := len(vm.RootGroup().AllThreads()); n != 2 {
+			t.Errorf("AllThreads counts %d, want T and V", n)
+		}
+		if !strings.Contains(out, "\n  orphan [") {
+			t.Errorf("V missing, or not one level below T:\n%s", out)
+		}
+		ThreadTerminate(v)
+		ctx.Wait(v)
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

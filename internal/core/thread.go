@@ -192,6 +192,13 @@ func (t *Thread) ChildGroup() *Group {
 	return t.childGroup
 }
 
+// peekChildGroup returns the thread's child group without creating it.
+func (t *Thread) peekChildGroup() *Group {
+	t.childMu.Lock()
+	defer t.childMu.Unlock()
+	return t.childGroup
+}
+
 // Priority returns the thread's current scheduling priority hint.
 func (t *Thread) Priority() int { return int(t.priority.Load()) }
 

@@ -329,6 +329,29 @@ tree`
 	}
 }
 
+// TestThreadTreeListsOrphans: the toplevel thread forks a thread that forks
+// a spinning one and returns it. The middle thread has left the tree, and
+// thread-tree lists the spinning one under the toplevel thread, under both
+// engines.
+func TestThreadTreeListsOrphans(t *testing.T) {
+	const src = `
+(define (spin) (begin (yield-processor) (spin)))
+(define orphan (thread-value (fork-thread (fork-thread (spin)))))
+(define tree (thread-tree (current-thread)))
+(thread-terminate orphan)
+(thread-wait orphan)
+tree`
+	for _, engine := range []string{"tree", "vm"} {
+		got := runUnderEngine(t, engine, src)
+		if got.failed {
+			t.Fatalf("[%s] %s", engine, got.errTxt)
+		}
+		if n := strings.Count(got.val, "\\n  thread-"); n != 1 {
+			t.Errorf("[%s] thread-tree lists %d threads below the toplevel, want the orphan:\n%s", engine, n, got.val)
+		}
+	}
+}
+
 // TestLinkingSemantics: compiled code reaches a global through a cell it
 // was linked to when its toplevel form was compiled, the tree-walker
 // through the global frame's map to the same cell. Whichever engine

@@ -146,35 +146,30 @@ type WaiterInfo struct {
 	Thread *core.Thread
 }
 
-// snapshot copies the blocked table into WaiterInfos.
+// snapshot copies the blocked table into WaiterInfos, a stripe at a time;
+// keys are rendered once every lock is released.
 func (w *waitTable) snapshot() []WaiterInfo {
-	w.mu.Lock()
-	type raw struct {
-		k     waitKey
-		since time.Time
-		seq   uint64
-		first core.Value
-		th    *core.Thread
+	var out []WaiterInfo
+	var firsts []core.Value
+	ss := w.live()
+	for i := range ss {
+		st := &ss[i]
+		st.mu.Lock()
+		for k, list := range st.classes {
+			for _, tw := range list {
+				out = append(out, WaiterInfo{
+					Space: w.space, Arity: k.arity, Wild: k.wild, Sig: k.sig,
+					Since: tw.since, Seq: tw.seq, Thread: tw.thread,
+				})
+				firsts = append(firsts, tw.first)
+			}
+		}
+		st.mu.Unlock()
 	}
-	rows := make([]raw, 0, 8)
-	for k, list := range w.classes {
-		for _, tw := range list {
-			rows = append(rows, raw{k: k, since: tw.since, seq: tw.seq, first: tw.first, th: tw.thread})
+	for i, first := range firsts {
+		if first != nil {
+			out[i].Key = fmt.Sprintf("%v", first)
 		}
-	}
-	space := w.space
-	w.mu.Unlock()
-
-	out := make([]WaiterInfo, 0, len(rows))
-	for _, r := range rows {
-		wi := WaiterInfo{
-			Space: space, Arity: r.k.arity, Wild: r.k.wild, Sig: r.k.sig,
-			Since: r.since, Seq: r.seq, Thread: r.th,
-		}
-		if r.first != nil {
-			wi.Key = fmt.Sprintf("%v", r.first)
-		}
-		out = append(out, wi)
 	}
 	return out
 }

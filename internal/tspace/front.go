@@ -64,7 +64,8 @@ type txnFront struct {
 // newFront builds a space of the given kind; name is its registry name
 // ("" when anonymous).
 func newFront(kind Kind, cfg Config, name string) localSpace {
-	f := front{kind: kind, wt: newWaitTable(name), parent: cfg.Parent}
+	f := front{kind: kind, parent: cfg.Parent}
+	stripes, seed := 1, uint64(0)
 	var tx txnStore
 	switch kind {
 	case KindBag, KindSet, KindQueue:
@@ -76,8 +77,11 @@ func newFront(kind Kind, cfg Config, name string) localSpace {
 	case KindSemaphore:
 		f.hp = &semStore{}
 	default:
-		f.kind, tx = KindHash, newHashStore(cfg.Bins)
+		hs := newHashStore(cfg.Bins)
+		f.kind, tx = KindHash, hs
+		stripes, seed = len(hs.bins), hs.seed
 	}
+	f.wt = newWaitTable(name, stripes, seed)
 	if tx == nil {
 		return &f
 	}

@@ -35,14 +35,18 @@ func newHashStore(bins int) *hashStore {
 	return s
 }
 
-// keyedBin indexes the bin of a keyable class: the seed and arity are mixed
-// into the class's Hash by a multiply-xorshift finalizer, so whether two
-// classes share a bin depends on the seed (with a plain xor it would not).
-func (s *hashStore) keyedBin(k waitKey) int {
-	x := k.sig ^ s.seed ^ uint64(k.arity)*0x9e3779b97f4a7c15
+// keyedBin indexes the bin of a keyable class.
+func (s *hashStore) keyedBin(k waitKey) int { return binIndex(k, s.seed, len(s.bins)) }
+
+// binIndex picks one of n bins for class k, and so HB's stripe too: the
+// seed and arity are mixed into the class's Hash by a multiply-xorshift
+// finalizer, so whether two classes share a bin depends on the seed (with a
+// plain xor it would not).
+func binIndex(k waitKey, seed uint64, n int) int {
+	x := k.sig ^ seed ^ uint64(k.arity)*0x9e3779b97f4a7c15
 	x = (x ^ x>>33) * 0xff51afd7ed558ccd
 	x = (x ^ x>>33) * 0xc4ceb9fe1a85ec53
-	return int((x ^ x>>33) % uint64(len(s.bins)))
+	return int((x ^ x>>33) % uint64(n))
 }
 
 // binOf is the bin holding tuples of class k, or nil when none was ever

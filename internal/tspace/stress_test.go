@@ -1,8 +1,11 @@
 package tspace
 
 import (
+	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/testkit"
@@ -189,4 +192,64 @@ func TestGetAtomicityUnderContention(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestNoLostWakeUnderStriping stresses HB's unlocked empty check: a deposit
+// whose stripes count no waiter takes no lock, which is sound only because a
+// waiter raises its stripe's count before its re-probe and a deposit reads
+// the count after depositing. Four pairs on four VPs over two PPs hand over
+// a fresh key every round, swapping roles, so Puts keep landing in the
+// window between a Get's failed probe and its park. A lost wake would park a
+// Get forever; each carries a 2 s cancel token, so one fails the test
+// instead. Every tuple must be taken exactly once.
+func TestNoLostWakeUnderStriping(t *testing.T) {
+	vm := testkit.VM(t, 2, 4)
+	ts := New(KindHash, Config{}).(*txnFront)
+	const pairs, rounds = 4, 3000
+	lost := errors.New("lost wake: Get still parked after 2s")
+	var taken atomic.Int64
+	testkit.RunIn(t, vm, func(ctx *core.Context) error {
+		side := func(p, me int) core.Thunk {
+			return func(c *core.Context) ([]core.Value, error) {
+				for r := 0; r < rounds; r++ {
+					key := int64(p*rounds + r) // a class of its own
+					if r%2 != me {
+						if err := ts.Put(c, Tuple{key, r}); err != nil {
+							return nil, err
+						}
+						continue
+					}
+					tok := NewCancelToken()
+					timer := time.AfterFunc(2*time.Second, func() { tok.Cancel(lost) })
+					var b Bindings
+					var err error
+					WithCancel(c, tok, func() { _, b, err = ts.Get(c, Template{key, F("v")}) })
+					timer.Stop()
+					if err != nil {
+						return nil, fmt.Errorf("pair %d round %d: %w", p, r, err)
+					}
+					if b["v"] != r {
+						return nil, fmt.Errorf("pair %d round %d took %v", p, r, b["v"])
+					}
+					taken.Add(1)
+				}
+				return nil, nil
+			}
+		}
+		var all []*core.Thread
+		for p := 0; p < pairs; p++ {
+			for me := 0; me < 2; me++ {
+				all = append(all, ctx.Fork(side(p, me), vm.VP((p+me)%4), core.WithStealable(false)))
+			}
+		}
+		for _, th := range all {
+			if _, err := ctx.Value(th); err != nil {
+				t.Error(err)
+			}
+		}
+		return nil
+	})
+	if got := taken.Load(); got != pairs*rounds || ts.Len() != 0 || ts.Waiters() != 0 {
+		t.Fatalf("took %d of %d tuples; %d left, %d waiters", got, pairs*rounds, ts.Len(), ts.Waiters())
+	}
 }

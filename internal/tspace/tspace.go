@@ -111,9 +111,10 @@ func ParseKind(s string) (Kind, error) {
 // Config parameterizes tuple-space construction.
 type Config struct {
 	// Bins is the number of presence-table bins for the hash
-	// representation; each bin has its own mutex so multiple producers and
-	// consumers access the table concurrently (default 64). One bin
-	// reproduces the paper's global-mutex baseline for the ablation.
+	// representation, and of its blocked-table stripes; each bin and each
+	// stripe has its own mutex so multiple producers and consumers access
+	// both tables concurrently (default 64). One bin reproduces the paper's
+	// global-mutex baseline for both tables, for the ablation.
 	Bins int
 	// Parent, when set, is consulted by Rd (non-destructively) when no
 	// local tuple matches — the inheritance hierarchy of §4.2.
@@ -165,7 +166,7 @@ type tsWaiter struct {
 	since  time.Time
 	first  core.Value
 	thread *core.Thread
-	// Stamped under the table lock when the waiter is chosen: the deposit
+	// Stamped under the lock of the stripe that pops the waiter: the deposit
 	// class it must hand off if its re-probe fails, whether the deposit could
 	// match any class (wakeOne), and the registration cutoff bounding the
 	// baton chain. obligated is false for herd wakes, which have no
@@ -181,18 +182,62 @@ type tsWaiter struct {
 // arity class. A woken waiter that loses the re-probe (or leaves for any
 // other reason while holding the wake) passes the baton to the next waiter
 // registered before the deposit, so single wakeups never strand a tuple.
+//
+// HB is striped as HP is binned: a class lives in the stripe its hash-store
+// bin would be (the other kinds have one stripe, and Bins: 1 makes both
+// tables one mutex), so waits and deposits on different classes share no
+// lock. The stripes are allocated at the first registration. Registration
+// order is one atomic sequence per table, so "registered before the
+// deposit" still bounds a baton that crosses from a keyed class to its
+// arity's wild class in another stripe. A deposit takes no lock when the
+// stripes it could wake in count no waiters: a waiter raises its stripe's
+// count before its re-probe and a deposit reads it after depositing, and
+// both sides pass through the store's synchronization, so either the
+// re-probe sees the tuple or the deposit sees the waiter.
 type waitTable struct {
-	mu       sync.Mutex
-	space    string // registry name, for diagnosis ("" when anonymous)
-	classes  map[waitKey][]*tsWaiter
-	seq      uint64
-	wakes    uint64 // deposits that woke a waiter directly
-	misses   uint64 // woken waiters whose re-probe found nothing
-	handoffs uint64 // baton passes to the next compatible waiter
+	space string                  // registry name, for diagnosis ("" when anonymous)
+	seed  uint64                  // the hash store's bin seed
+	n     int                     // stripe count
+	hb    atomic.Pointer[hbStore] // nil until the first registration
 }
 
-func newWaitTable(space string) *waitTable {
-	return &waitTable{space: space, classes: make(map[waitKey][]*tsWaiter)}
+// hbStore is HB once something has registered. Every registration writes
+// seq, so it has a cache line of its own, apart from what deposits only
+// read.
+type hbStore struct {
+	stripes []waitStripe
+	_       [40]byte
+	seq     atomic.Uint64 // the next registration's number
+	_       [56]byte
+}
+
+// waitStripe is one lock's share of HB, padded to a cache line.
+type waitStripe struct {
+	mu                      sync.Mutex
+	classes                 map[waitKey][]*tsWaiter
+	wakes, misses, handoffs atomic.Uint64
+	count                   atomic.Int32 // waiters filed; changed under mu, read without it
+	_                       [16]byte
+}
+
+func newWaitTable(space string, stripes int, seed uint64) *waitTable {
+	return &waitTable{space: space, n: stripes, seed: seed}
+}
+
+// live returns the stripes, nil while nothing has registered.
+func (w *waitTable) live() []waitStripe {
+	if h := w.hb.Load(); h != nil {
+		return h.stripes
+	}
+	return nil
+}
+
+// slot indexes the stripe of class k with the hash store's bin mixer.
+func (w *waitTable) slot(k waitKey) int {
+	if w.n == 1 {
+		return 0
+	}
+	return binIndex(k, w.seed, w.n)
 }
 
 // register files a waiter for tpl, whose class is k.
@@ -202,11 +247,20 @@ func (w *waitTable) register(ctx *core.Context, tpl Template, k waitKey) *tsWait
 		tw.first = tpl[0]
 	}
 	tw.thread = tw.tcb.Thread()
-	w.mu.Lock()
-	tw.seq = w.seq
-	w.seq++
-	w.classes[tw.key] = append(w.classes[tw.key], tw)
-	w.mu.Unlock()
+	h := w.hb.Load()
+	if h == nil {
+		w.hb.CompareAndSwap(nil, &hbStore{stripes: make([]waitStripe, w.n)})
+		h = w.hb.Load()
+	}
+	st := &h.stripes[w.slot(k)]
+	st.mu.Lock()
+	tw.seq = h.seq.Add(1) - 1
+	if st.classes == nil {
+		st.classes = make(map[waitKey][]*tsWaiter)
+	}
+	st.classes[k] = append(st.classes[k], tw)
+	st.count.Add(1)
+	st.mu.Unlock()
 	return tw
 }
 
@@ -214,32 +268,37 @@ func (w *waitTable) register(ctx *core.Context, tpl Template, k waitKey) *tsWait
 // means a waker popped it concurrently, so the caller holds a wake it must
 // hand off.
 func (w *waitTable) unregister(tw *tsWaiter) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	list := w.classes[tw.key]
-	for i, x := range list {
+	st := &w.live()[w.slot(tw.key)]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for i, x := range st.classes[tw.key] {
 		if x == tw {
-			w.classes[tw.key] = append(list[:i], list[i+1:]...)
-			if len(w.classes[tw.key]) == 0 {
-				delete(w.classes, tw.key)
-			}
+			st.cutLocked(tw.key, i)
 			return true
 		}
 	}
 	return false
 }
 
+// cutLocked removes and returns the i-th waiter of class k.
+func (st *waitStripe) cutLocked(k waitKey, i int) *tsWaiter {
+	list := st.classes[k]
+	tw := list[i]
+	if len(list) == 1 {
+		delete(st.classes, k)
+	} else {
+		st.classes[k] = append(list[:i], list[i+1:]...)
+	}
+	st.count.Add(-1)
+	return tw
+}
+
 // popLocked removes and returns the oldest waiter of class k registered
 // before cutoff, or nil.
-func (w *waitTable) popLocked(k waitKey, cutoff uint64) *tsWaiter {
-	list := w.classes[k]
-	for i, tw := range list {
+func (st *waitStripe) popLocked(k waitKey, cutoff uint64) *tsWaiter {
+	for i, tw := range st.classes[k] {
 		if tw.seq < cutoff {
-			w.classes[k] = append(list[:i], list[i+1:]...)
-			if len(w.classes[k]) == 0 {
-				delete(w.classes, k)
-			}
-			return tw
+			return st.cutLocked(k, i)
 		}
 	}
 	return nil
@@ -247,30 +306,73 @@ func (w *waitTable) popLocked(k waitKey, cutoff uint64) *tsWaiter {
 
 // popAnyLocked removes the oldest waiter in any class registered before
 // cutoff (used when the deposit is compatible with every class).
-func (w *waitTable) popAnyLocked(cutoff uint64) *tsWaiter {
+func (st *waitStripe) popAnyLocked(cutoff uint64) *tsWaiter {
 	var best *tsWaiter
 	var bestKey waitKey
-	for k, list := range w.classes {
-		for _, tw := range list {
+	bestAt := 0
+	for k, list := range st.classes {
+		for i, tw := range list {
 			if tw.seq < cutoff && (best == nil || tw.seq < best.seq) {
-				best, bestKey = tw, k
+				best, bestKey, bestAt = tw, k, i
 			}
 		}
 	}
 	if best == nil {
 		return nil
 	}
-	list := w.classes[bestKey]
-	for i, tw := range list {
-		if tw == best {
-			w.classes[bestKey] = append(list[:i], list[i+1:]...)
-			break
+	return st.cutLocked(bestKey, bestAt)
+}
+
+// take pops the oldest waiter registered before cutoff that a class k
+// deposit is compatible with — its exact class first, then the arity's
+// wildcard class, which may be filed in another stripe — and stamps it with
+// the wake it now holds under the lock that popped it. A stripe whose count
+// reads 0 is passed without its lock.
+func (w *waitTable) take(ss []waitStripe, k waitKey, cutoff uint64) (*tsWaiter, *waitStripe) {
+	for c := k; ; c = (waitKey{arity: k.arity, wild: true}) {
+		if st := &ss[w.slot(c)]; st.count.Load() > 0 {
+			st.mu.Lock()
+			tw := st.popLocked(c, cutoff)
+			if tw != nil {
+				tw.wokeKey, tw.wokeAny, tw.wokeSeq, tw.obligated = k, false, cutoff, true
+			}
+			st.mu.Unlock()
+			if tw != nil {
+				return tw, st
+			}
+		}
+		if c.wild {
+			return nil, nil
 		}
 	}
-	if len(w.classes[bestKey]) == 0 {
-		delete(w.classes, bestKey)
+}
+
+// takeAny is take for a deposit every class is compatible with. It pops
+// stripe by stripe: a semaphore has one, so its order is exact FIFO.
+func (w *waitTable) takeAny(ss []waitStripe, cutoff uint64) (*tsWaiter, *waitStripe) {
+	for i := range ss {
+		st := &ss[i]
+		if st.count.Load() == 0 {
+			continue
+		}
+		st.mu.Lock()
+		tw := st.popAnyLocked(cutoff)
+		if tw != nil {
+			tw.wokeAny, tw.wokeSeq, tw.obligated = true, cutoff, true
+		}
+		st.mu.Unlock()
+		if tw != nil {
+			return tw, st
+		}
 	}
-	return best
+	return nil, nil
+}
+
+// rouse delivers a wake to a waiter already popped from HB.
+func rouse(tw *tsWaiter, event string) {
+	tw.woke.Store(true)
+	tw.tcb.ThreadSpanEvent(event)
+	core.WakeTCB(tw.tcb)
 }
 
 // wakeKey unblocks waiters for a deposit of class k. A tuple with a keyable
@@ -280,48 +382,27 @@ func (w *waitTable) popAnyLocked(cutoff uint64) *tsWaiter {
 // unkeyable (a thread, an aggregate) could match any template of its arity
 // once demanded, so the whole arity class is woken.
 func (w *waitTable) wakeKey(k waitKey) {
-	if k.wild && k.arity > 0 {
-		w.wakeArity(k.arity)
-		return
-	}
-	w.wakeClass(k)
-}
-
-// wakeClass wakes one waiter compatible with the class k deposit.
-func (w *waitTable) wakeClass(k waitKey) {
-	w.mu.Lock()
-	cutoff := w.seq
-	tw := w.popLocked(k, cutoff)
-	if tw == nil && !k.wild {
-		tw = w.popLocked(waitKey{arity: k.arity, wild: true}, cutoff)
-	}
-	if tw != nil {
-		w.wakes++
-		tw.wokeKey, tw.wokeAny, tw.wokeSeq, tw.obligated = k, false, cutoff, true
-	}
-	w.mu.Unlock()
-	if tw != nil {
-		tw.woke.Store(true)
-		tw.tcb.ThreadSpanEvent("tspace-wake")
-		core.WakeTCB(tw.tcb)
+	h := w.hb.Load()
+	switch {
+	case h == nil:
+	case k.wild && k.arity > 0:
+		w.wakeArity(h.stripes, k.arity)
+	default:
+		if tw, st := w.take(h.stripes, k, h.seq.Load()); tw != nil {
+			st.wakes.Add(1)
+			rouse(tw, "tspace-wake")
+		}
 	}
 }
 
 // wakeOne wakes a single waiter of any class — the semaphore regime, where
 // deposits carry no content and every waiter is compatible.
 func (w *waitTable) wakeOne() {
-	w.mu.Lock()
-	cutoff := w.seq
-	tw := w.popAnyLocked(cutoff)
-	if tw != nil {
-		w.wakes++
-		tw.wokeAny, tw.wokeSeq, tw.obligated = true, cutoff, true
-	}
-	w.mu.Unlock()
-	if tw != nil {
-		tw.woke.Store(true)
-		tw.tcb.ThreadSpanEvent("tspace-wake")
-		core.WakeTCB(tw.tcb)
+	if h := w.hb.Load(); h != nil {
+		if tw, st := w.takeAny(h.stripes, h.seq.Load()); tw != nil {
+			st.wakes.Add(1)
+			rouse(tw, "tspace-wake")
+		}
 	}
 }
 
@@ -329,24 +410,27 @@ func (w *waitTable) wakeOne() {
 // the woken processes re-probe and re-block if the tuple was not for them.
 // Herd wakes carry no handoff obligation: every compatible waiter is
 // already up.
-func (w *waitTable) wakeArity(arity int) {
+func (w *waitTable) wakeArity(ss []waitStripe, arity int) {
 	var woken []*tsWaiter
-	w.mu.Lock()
-	for k, list := range w.classes {
-		if k.arity != arity {
+	for i := range ss {
+		st := &ss[i]
+		if st.count.Load() == 0 {
 			continue
 		}
-		woken = append(woken, list...)
-		delete(w.classes, k)
+		st.mu.Lock()
+		n := len(woken)
+		for k, list := range st.classes {
+			if k.arity == arity {
+				woken = append(woken, list...)
+				delete(st.classes, k)
+			}
+		}
+		st.count.Add(int32(n - len(woken)))
+		st.wakes.Add(uint64(len(woken) - n))
+		st.mu.Unlock()
 	}
-	if len(woken) > 0 {
-		w.wakes += uint64(len(woken))
-	}
-	w.mu.Unlock()
 	for _, tw := range woken {
-		tw.woke.Store(true)
-		tw.tcb.ThreadSpanEvent("tspace-wake")
-		core.WakeTCB(tw.tcb)
+		rouse(tw, "tspace-wake")
 	}
 }
 
@@ -359,56 +443,43 @@ func (w *waitTable) handoff(tw *tsWaiter) {
 		return
 	}
 	tw.obligated = false
-	w.mu.Lock()
 	var next *tsWaiter
+	var st *waitStripe
 	if tw.wokeAny {
-		next = w.popAnyLocked(tw.wokeSeq)
+		next, st = w.takeAny(w.live(), tw.wokeSeq)
 	} else {
-		next = w.popLocked(tw.wokeKey, tw.wokeSeq)
-		if next == nil && !tw.wokeKey.wild {
-			next = w.popLocked(waitKey{arity: tw.wokeKey.arity, wild: true}, tw.wokeSeq)
-		}
+		next, st = w.take(w.live(), tw.wokeKey, tw.wokeSeq)
 	}
 	if next != nil {
-		w.handoffs++
-		next.wokeKey, next.wokeAny, next.wokeSeq, next.obligated =
-			tw.wokeKey, tw.wokeAny, tw.wokeSeq, true
-	}
-	space := w.space
-	w.mu.Unlock()
-	if next != nil {
-		diagHandoff(space)
-		next.woke.Store(true)
-		next.tcb.ThreadSpanEvent("tspace-handoff")
-		core.WakeTCB(next.tcb)
+		st.handoffs.Add(1)
+		diagHandoff(w.space)
+		rouse(next, "tspace-handoff")
 	}
 }
 
-// miss records a woken waiter whose re-probe found nothing for it.
-func (w *waitTable) miss() {
-	w.mu.Lock()
-	w.misses++
-	space := w.space
-	w.mu.Unlock()
-	diagWakeMiss(space)
+// miss records that tw, woken, re-probed and found nothing for it.
+func (w *waitTable) miss(tw *tsWaiter) {
+	w.live()[w.slot(tw.key)].misses.Add(1)
+	diagWakeMiss(w.space)
 }
 
 // waiters counts the processes currently registered in HB.
 func (w *waitTable) waiters() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	n := 0
-	for _, list := range w.classes {
-		n += len(list)
+	for i, ss := 0, w.live(); i < len(ss); i++ {
+		n += int(ss[i].count.Load())
 	}
 	return n
 }
 
 // stats returns the wake/miss/handoff counters.
 func (w *waitTable) stats() (wakes, misses, handoffs uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.wakes, w.misses, w.handoffs
+	for i, ss := 0, w.live(); i < len(ss); i++ {
+		wakes += ss[i].wakes.Load()
+		misses += ss[i].misses.Load()
+		handoffs += ss[i].handoffs.Load()
+	}
+	return wakes, misses, handoffs
 }
 
 // WaiterCount is implemented by every local space (the front); it exposes
@@ -454,7 +525,7 @@ func blockingLoop(ctx *core.Context, wt *waitTable, tpl Template, k waitKey,
 		if baton != nil {
 			// Woken but the deposit was not for us (or was already taken):
 			// the classic spurious wakeup. Pass it on before re-blocking.
-			wt.miss()
+			wt.miss(baton)
 			release()
 		}
 		tw := wt.register(ctx, tpl, k)
