@@ -306,8 +306,7 @@ var raceEnabled bool
 
 // TestFig6TupleSpaceAllocs pins what creating a hash space, putting one
 // tuple and getting it back allocates (Fig. 6 row 7) at 14: an HB that
-// nothing waits on adds nothing. (An HB whose class map was made with the
-// space read 15 here.)
+// nothing waits on adds nothing.
 func TestFig6TupleSpaceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
