@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check loc pairs obs-smoke cluster-smoke trace-smoke stm-smoke diag-smoke top-smoke vm-smoke vm-fuzz stingmark-smoke
+.PHONY: all build vet test race check loc pairs examples-smoke obs-smoke cluster-smoke trace-smoke stm-smoke diag-smoke top-smoke vm-smoke vm-fuzz stingmark-smoke
 
 all: check
 
@@ -36,6 +36,17 @@ N ?= 10
 SECONDS ?= 10
 pairs:
 	./scripts/pairs.sh "$(PARENT)" $(WORKLOAD) $(N) $(SECONDS)
+
+# Build every Go example (examples/*/main.go) and run it with no arguments
+# under a 60 s timeout; each must exit 0.
+examples-smoke:
+	@bin="$$(mktemp -d)"; trap 'rm -rf "$$bin"' EXIT; \
+	for main in examples/*/main.go; do \
+		name="$$(basename "$$(dirname "$$main")")"; \
+		$(GO) build -o "$$bin/$$name" "./$$(dirname "$$main")" && \
+		timeout 60 "$$bin/$$name" >/dev/null || { echo "examples-smoke: $$name failed" >&2; exit 1; }; \
+		echo "examples-smoke: $$name ok"; \
+	done
 
 # Boot stingd -http, scrape /metrics + /healthz + /debug/trace, grep for
 # the required metric families.

@@ -224,6 +224,100 @@ func BenchmarkHashProbeDepth(b *testing.B) {
 	}
 }
 
+// BenchmarkSpecialization measures §4.2's representation-specialization
+// claim: each pattern runs on the kind built for it and on the hash store,
+// at one goroutine and at four, each goroutine on its own key or slots where
+// the pattern has them. One op is a Put then a TryGet (a take then a put for
+// the shared variable) with a nil context, on tuples built beforehand, so
+// the figures are the spaces' own.
+//
+//	go test -run '^$' -bench Specialization -benchmem -count 10 .
+func BenchmarkSpecialization(b *testing.B) {
+	key := func(g int) string { return fmt.Sprintf("k%d", g) }
+	for _, p := range []struct {
+		name string
+		kind tspace.Kind
+		// op builds goroutine g's operation on ts; i counts its own ops.
+		op func(b *testing.B, ts tspace.TupleSpace, g int) func(i int) error
+	}{
+		{"semaphore", tspace.KindSemaphore, func(_ *testing.B, ts tspace.TupleSpace, _ int) func(int) error {
+			tup, tpl := tspace.Tuple{"tok"}, tspace.Template{"tok"}
+			return func(int) error { return specPutTake(ts, tup, tpl) }
+		}},
+		{"shared-variable", tspace.KindSharedVar, func(b *testing.B, ts tspace.TupleSpace, g int) func(int) error {
+			tup, tpl := tspace.Tuple{"v", int64(g)}, tspace.Template{"v", tspace.F("x")}
+			if err := ts.Put(nil, tup); err != nil {
+				b.Fatal(err)
+			}
+			return func(int) error {
+				// Four goroutines share the one variable, so a take can miss.
+				if _, _, err := ts.TryGet(nil, tpl); err != nil && err != tspace.ErrNoMatch {
+					return err
+				}
+				return ts.Put(nil, tup)
+			}
+		}},
+		{"vector64", tspace.KindVector, func(_ *testing.B, ts tspace.TupleSpace, g int) func(int) error {
+			var tups []tspace.Tuple
+			var tpls []tspace.Template
+			for j := 16 * g; j < 16*(g+1); j++ { // a quarter of the 64 slots
+				tups = append(tups, tspace.Tuple{j, int64(j)})
+				tpls = append(tpls, tspace.Template{j, tspace.F("v")})
+			}
+			return func(i int) error { return specPutTake(ts, tups[i%16], tpls[i%16]) }
+		}},
+		{"queue32", tspace.KindQueue, func(b *testing.B, ts tspace.TupleSpace, g int) func(int) error {
+			tup, tpl := tspace.Tuple{key(g), int64(g)}, tspace.Template{key(g), tspace.F("n")}
+			for j := 0; j < 32; j++ {
+				if err := ts.Put(nil, tup); err != nil {
+					b.Fatal(err)
+				}
+			}
+			return func(int) error { return specPutTake(ts, tup, tpl) }
+		}},
+		{"set", tspace.KindSet, func(_ *testing.B, ts tspace.TupleSpace, g int) func(int) error {
+			tup, tpl := tspace.Tuple{key(g), int64(g)}, tspace.Template{key(g), tspace.F("x")}
+			return func(int) error { return specPutTake(ts, tup, tpl) }
+		}},
+	} {
+		for _, kind := range []tspace.Kind{p.kind, tspace.KindHash} {
+			for _, goroutines := range []int{1, 4} {
+				b.Run(fmt.Sprintf("%s/%v/g=%d", p.name, kind, goroutines), func(b *testing.B) {
+					ts := tspace.New(kind, tspace.Config{})
+					ops := make([]func(int) error, goroutines)
+					for g := range ops {
+						ops[g] = p.op(b, ts, g)
+					}
+					errs := make(chan error, goroutines)
+					b.ResetTimer()
+					for g, op := range ops {
+						go func() { // goroutine g runs every goroutines-th of the b.N ops
+							var err error
+							for i := g; i < b.N && err == nil; i += goroutines {
+								err = op(i / goroutines)
+							}
+							errs <- err
+						}()
+					}
+					for range ops {
+						if err := <-errs; err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+func specPutTake(ts tspace.TupleSpace, tup tspace.Tuple, tpl tspace.Template) error {
+	if err := ts.Put(nil, tup); err != nil {
+		return err
+	}
+	_, _, err := ts.TryGet(nil, tpl)
+	return err
+}
+
 // Scheduler core: the three workloads that exercise the ready-queue
 // machinery itself — fan-out from one VP's queue to idle siblings, yield
 // re-enqueue on a deep queue, and tuple-space wakeups under keyed

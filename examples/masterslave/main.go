@@ -4,9 +4,8 @@
 // collates them. Two scheduling regimes run, reproducing the §3.3 guidance:
 // a global FIFO queue (the paper's recommendation for master/slave — the
 // workers rarely block and spawn nothing, so per-VP queues buy nothing) and
-// the default local LIFO regime for contrast. A final round uses a
-// semaphore-specialized tuple space as the §4.2 representation-selection
-// demonstration.
+// the default local LIFO regime for contrast. A final round builds a
+// tuple space as a semaphore, §4.2's representation specialization.
 package main
 
 import (
@@ -214,8 +213,9 @@ func main() {
 	farm("global-fifo", sting.GlobalFIFO(), tasks, workers)
 	farm("local-lifo", sting.LocalLIFO(sting.LocalLIFOConfig{Migrate: true}), tasks, workers)
 
-	// Representation specialization: a token-only space becomes a
-	// semaphore — same operations, counter-only representation.
+	// Representation specialization: a space that only ever holds
+	// contentless tokens is built as a semaphore — the same operations over
+	// a counter. Put is V, Get is P and Len is the count.
 	m := sting.NewMachine(sting.MachineConfig{Processors: 2})
 	defer m.Shutdown()
 	vm, err := m.NewVM(sting.VMConfig{VPs: 2})
@@ -223,16 +223,14 @@ func main() {
 		log.Fatal(err)
 	}
 	_, err = vm.Run(func(ctx *sting.Context) ([]sting.Value, error) {
-		tokens := sting.InferTupleSpace(sting.Usage{TokensOnly: true}, nil)
-		fmt.Printf("inferred representation for token space: %v\n", tokens.Kind())
+		tokens := sting.NewTupleSpace(sting.KindSemaphore, sting.TupleSpaceConfig{})
 		for i := 0; i < 3; i++ {
 			_ = tokens.Put(ctx, sting.Tuple{})
 		}
-		for i := 0; i < 3; i++ {
-			if _, _, err := tokens.Get(ctx, sting.Template{}); err != nil {
-				return nil, err
-			}
+		if _, _, err := tokens.Get(ctx, sting.Template{}); err != nil {
+			return nil, err
 		}
+		fmt.Printf("%v space: 3 V, 1 P, count %d\n", tokens.Kind(), tokens.Len())
 		return nil, nil
 	})
 	if err != nil {

@@ -370,27 +370,9 @@ func installConcurrency(in *Interp) {
 	in.prim("make-tuple-space", 0, 1, func(_ *Interp, _ *core.Context, a []Value) (Value, error) {
 		kind := tspace.KindHash
 		if len(a) == 1 {
-			s, ok := a[0].(Symbol)
-			if !ok {
-				return nil, Errorf("make-tuple-space: representation must be a symbol")
-			}
-			switch s {
-			case "hash":
-				kind = tspace.KindHash
-			case "bag":
-				kind = tspace.KindBag
-			case "set":
-				kind = tspace.KindSet
-			case "queue":
-				kind = tspace.KindQueue
-			case "vector":
-				kind = tspace.KindVector
-			case "shared-variable":
-				kind = tspace.KindSharedVar
-			case "semaphore":
-				kind = tspace.KindSemaphore
-			default:
-				return nil, Errorf("make-tuple-space: unknown representation %s", s)
+			var err error
+			if kind, err = spaceKind("make-tuple-space", a[0]); err != nil {
+				return nil, err
 			}
 		}
 		return tspace.New(kind, tspace.Config{}), nil

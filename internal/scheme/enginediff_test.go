@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/scheme"
 	"repro/internal/testkit"
+	"repro/internal/tspace"
 	_ "repro/internal/vm" // registers the "vm" engine under test
 )
 
@@ -442,5 +443,38 @@ func TestGlobalRedefinedUnderReader(t *testing.T) {
 	}
 	if reads == 0 || bad != 0 {
 		t.Fatalf("watcher made %d reads, %d of them out of order or never stored", reads, bad)
+	}
+}
+
+// TestSpaceKindNames: under both engines, every constructible kind's name
+// builds a space of that kind through make-tuple-space and named-space, and
+// an unknown or empty representation symbol is refused with the primitive's
+// name.
+func TestSpaceKindNames(t *testing.T) {
+	for _, engine := range []string{"tree", "vm"} {
+		in := scheme.New(testkit.VM(t, 1, 1), scheme.WithOutput(&strings.Builder{}), scheme.WithEngine(engine))
+		for k := tspace.KindHash; k <= tspace.KindSemaphore; k++ {
+			for _, src := range []string{
+				fmt.Sprintf("(make-tuple-space '%s)", k),
+				fmt.Sprintf("(named-space \"space-%s\" '%s)", k, k),
+			} {
+				v, err := in.EvalString(src)
+				if ts, ok := v.(tspace.TupleSpace); err != nil || !ok || ts.Kind() != k {
+					t.Errorf("[%s] %s = %v, %v; want a %v space", engine, src, v, err, k)
+				}
+			}
+		}
+		for _, prim := range []string{"make-tuple-space", "named-space"} {
+			args := ""
+			if prim == "named-space" {
+				args = `"refused" `
+			}
+			for _, sym := range []string{"'nonsense", `(string->symbol "")`} {
+				src := fmt.Sprintf("(%s %s%s)", prim, args, sym)
+				if _, err := in.EvalString(src); err == nil || !strings.Contains(err.Error(), prim+": unknown representation") {
+					t.Errorf("[%s] %s: error %v, want one naming %s", engine, src, err, prim)
+				}
+			}
+		}
 	}
 }

@@ -77,11 +77,7 @@ func installObs(in *Interp) {
 		if len(a) == 1 {
 			return in.spaces.OpenDefault(name), nil
 		}
-		s, ok := a[1].(Symbol)
-		if !ok {
-			return nil, Errorf("named-space: representation must be a symbol")
-		}
-		kind, err := spaceKind("named-space", s)
+		kind, err := spaceKind("named-space", a[1])
 		if err != nil {
 			return nil, err
 		}
@@ -218,25 +214,17 @@ func installObs(in *Interp) {
 	})
 }
 
-// spaceKind maps a representation symbol to its tspace kind (the same
-// vocabulary make-tuple-space and stingd -spaces use).
-func spaceKind(who string, s Symbol) (tspace.Kind, error) {
-	switch s {
-	case "hash":
-		return tspace.KindHash, nil
-	case "bag":
-		return tspace.KindBag, nil
-	case "set":
-		return tspace.KindSet, nil
-	case "queue":
-		return tspace.KindQueue, nil
-	case "vector":
-		return tspace.KindVector, nil
-	case "shared-variable":
-		return tspace.KindSharedVar, nil
-	case "semaphore":
-		return tspace.KindSemaphore, nil
-	default:
-		return 0, Errorf("%s: unknown representation %s", who, s)
+// spaceKind maps a representation symbol to its tspace kind, in the
+// vocabulary stingd -spaces and snapshots use (tspace.ParseKind); who names
+// the primitive in the error. The empty symbol, which ParseKind reads as
+// hash for flags and snapshots, is refused.
+func spaceKind(who string, v Value) (tspace.Kind, error) {
+	s, ok := v.(Symbol)
+	if !ok {
+		return 0, Errorf("%s: representation must be a symbol", who)
 	}
+	if k, err := tspace.ParseKind(string(s)); err == nil && s != "" {
+		return k, nil
+	}
+	return 0, Errorf("%s: unknown representation %s", who, s)
 }

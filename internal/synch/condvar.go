@@ -2,7 +2,6 @@ package synch
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 )
@@ -60,72 +59,6 @@ func (c *Cond) Broadcast() {
 		core.WakeTCB(w.tcb)
 	}
 }
-
-// Semaphore is a counting semaphore (one of the representations the
-// tuple-space specializer targets).
-type Semaphore struct {
-	count atomic.Int64
-
-	mu      sync.Mutex
-	waiters []*waiter
-}
-
-// NewSemaphore creates a semaphore with the given initial count.
-func NewSemaphore(n int64) *Semaphore {
-	s := &Semaphore{}
-	s.count.Store(n)
-	return s
-}
-
-// TryP attempts to decrement without blocking.
-func (s *Semaphore) TryP() bool {
-	for {
-		c := s.count.Load()
-		if c <= 0 {
-			return false
-		}
-		if s.count.CompareAndSwap(c, c-1) {
-			return true
-		}
-	}
-}
-
-// P decrements, blocking while the count is zero.
-func (s *Semaphore) P(ctx *core.Context) {
-	for {
-		if s.TryP() {
-			return
-		}
-		w := &waiter{tcb: ctx.TCB()}
-		s.mu.Lock()
-		if s.TryP() {
-			s.mu.Unlock()
-			return
-		}
-		s.waiters = append(s.waiters, w)
-		s.mu.Unlock()
-		ctx.BlockUntil(func() bool { return w.woke.Load() || s.count.Load() > 0 })
-	}
-}
-
-// V increments and wakes one waiter.
-func (s *Semaphore) V() {
-	s.count.Add(1)
-	s.mu.Lock()
-	var w *waiter
-	if len(s.waiters) > 0 {
-		w = s.waiters[0]
-		s.waiters = s.waiters[1:]
-	}
-	s.mu.Unlock()
-	if w != nil {
-		w.woke.Store(true)
-		core.WakeTCB(w.tcb)
-	}
-}
-
-// Count returns the current value (diagnostic).
-func (s *Semaphore) Count() int64 { return s.count.Load() }
 
 // Barrier is a reusable n-party barrier: the explicit synchronization
 // point master/slave rounds are organized around (§4.2.2).

@@ -1,9 +1,9 @@
 // Package synch provides the user-level synchronization structures built on
 // the substrate's thread operations: mutexes with active/passive spin
-// counts (§4.2.1 of the paper), condition variables, counting semaphores,
-// and reusable barriers. None of these call into the host OS — blocking is
-// always a thread-controller park, and waking is always a ready-queue
-// insertion, exactly as the paper requires.
+// counts (§4.2.1 of the paper), condition variables and reusable barriers
+// (a counting semaphore is the tuple space of that kind). None of these
+// call into the host OS — blocking is always a thread-controller park, and
+// waking is always a ready-queue insertion, exactly as the paper requires.
 package synch
 
 import (

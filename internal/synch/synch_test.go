@@ -177,60 +177,6 @@ func TestCondSignalWakesOne(t *testing.T) {
 	})
 }
 
-func TestSemaphoreCounting(t *testing.T) {
-	vm := testkit.VM(t, 4, 4)
-	s := NewSemaphore(2)
-	inCS := 0
-	maxInCS := 0
-	guard := NewMutex(8, 2)
-	testkit.RunIn(t, vm, func(ctx *core.Context) error {
-		kids := make([]*core.Thread, 6)
-		for i := range kids {
-			kids[i] = ctx.Fork(func(cc *core.Context) ([]core.Value, error) {
-				s.P(cc)
-				guard.Acquire(cc)
-				inCS++
-				if inCS > maxInCS {
-					maxInCS = inCS
-				}
-				guard.Release()
-				for j := 0; j < 10; j++ {
-					cc.Yield()
-				}
-				guard.Acquire(cc)
-				inCS--
-				guard.Release()
-				s.V()
-				return nil, nil
-			}, vm.VP(i))
-		}
-		for _, k := range kids {
-			ctx.Wait(k)
-		}
-		return nil
-	})
-	if maxInCS > 2 {
-		t.Fatalf("semaphore admitted %d concurrent holders, want ≤ 2", maxInCS)
-	}
-	if c := s.Count(); c != 2 {
-		t.Fatalf("final count = %d, want 2", c)
-	}
-}
-
-func TestSemaphoreTryP(t *testing.T) {
-	s := NewSemaphore(1)
-	if !s.TryP() {
-		t.Fatal("TryP failed with count 1")
-	}
-	if s.TryP() {
-		t.Fatal("TryP succeeded with count 0")
-	}
-	s.V()
-	if !s.TryP() {
-		t.Fatal("TryP failed after V")
-	}
-}
-
 func TestBarrierRounds(t *testing.T) {
 	vm := testkit.VM(t, 4, 4)
 	const parties, rounds = 4, 5
@@ -341,54 +287,6 @@ func TestBarrierProperty(t *testing.T) {
 			return nil, nil
 		})
 		return err == nil && serials.Load() == int64(rounds)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: a semaphore's count after arbitrary balanced P/V traffic equals
-// its initial value, and never admits more holders than the count.
-func TestSemaphoreProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		initial := int64(1 + rng.Intn(3))
-		workers := 2 + rng.Intn(3)
-		iters := 1 + rng.Intn(20)
-		m := core.NewMachine(core.MachineConfig{Processors: 2})
-		defer m.Shutdown()
-		vm, err := m.NewVM(core.VMConfig{VPs: workers})
-		if err != nil {
-			return false
-		}
-		s := NewSemaphore(initial)
-		var holders, maxHolders atomic.Int64
-		_, err = vm.Run(func(ctx *core.Context) ([]core.Value, error) {
-			kids := make([]*core.Thread, workers)
-			for i := range kids {
-				kids[i] = ctx.Fork(func(c *core.Context) ([]core.Value, error) {
-					for j := 0; j < iters; j++ {
-						s.P(c)
-						h := holders.Add(1)
-						for {
-							mx := maxHolders.Load()
-							if h <= mx || maxHolders.CompareAndSwap(mx, h) {
-								break
-							}
-						}
-						c.Yield()
-						holders.Add(-1)
-						s.V()
-					}
-					return nil, nil
-				}, vm.VP(i), core.WithStealable(false))
-			}
-			for _, k := range kids {
-				ctx.Wait(k)
-			}
-			return nil, nil
-		})
-		return err == nil && s.Count() == initial && maxHolders.Load() <= initial
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)

@@ -68,7 +68,7 @@ func newFront(kind Kind, cfg Config, name string) localSpace {
 	stripes, seed := 1, uint64(0)
 	var tx txnStore
 	switch kind {
-	case KindBag, KindSet, KindQueue:
+	case KindSet, KindQueue:
 		tx = &listStore{dedup: kind == KindSet}
 	case KindVector:
 		f.hp = newVectorStore(cfg.VectorSize)
@@ -77,8 +77,13 @@ func newFront(kind Kind, cfg Config, name string) localSpace {
 	case KindSemaphore:
 		f.hp = &semStore{}
 	default:
+		// A bag is an unordered multiset: the hash store's semantics, so it
+		// is one, under its own name.
+		if kind != KindBag {
+			f.kind = KindHash
+		}
 		hs := newHashStore(cfg.Bins)
-		f.kind, tx = KindHash, hs
+		tx = hs
 		stripes, seed = len(hs.bins), hs.seed
 	}
 	f.wt = newWaitTable(name, stripes, seed)

@@ -8,7 +8,7 @@ import (
 )
 
 // entryList holds resident tuples in insertion order under one mutex: a bin
-// of the hash representation, or the whole of a bag, set or queue. Every
+// of the hash representation, or the whole of a set or queue. Every
 // scan, lazy deletion and compaction in the package happens here.
 //
 // A probe costs what it inspects, not what the list holds. Put stamps each

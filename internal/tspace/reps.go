@@ -7,14 +7,14 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Bag, set and queue
+// Set and queue
 
-// listStore is the unindexed HP of the bag, set and queue: one entryList, a
-// flat multiset in insertion order under one mutex. A probe takes the
-// oldest match, which is all the queue's FIFO discipline needs; with dedup
-// it is the set, where a duplicate deposit collapses. The specializer picks
-// it for small or low-contention spaces. The whole space is one bucket for
-// the transaction fast path.
+// listStore is the unindexed HP of the set and the queue: one entryList, a
+// flat multiset in insertion order under one mutex. It is kept for those
+// two semantics only. A probe takes the oldest match across keys, which is
+// the queue's FIFO discipline; with dedup it is the set, where a duplicate
+// deposit collapses. The whole space is one bucket for the transaction fast
+// path.
 type listStore struct {
 	list  entryList
 	dedup bool
@@ -72,6 +72,19 @@ func (s *varStore) probe(ctx *core.Context, tpl Template, _ waitKey, remove bool
 		return nil, nil, 0, ErrNoMatch
 	}
 	tup := s.tup
+	if remove && passiveTuple(tup) {
+		// A passive take demands nothing, so it is decided under the lock
+		// and hands over the stored tuple itself, as entryList.probe does.
+		ok := groundMatch(tpl, tup)
+		if ok {
+			s.tup, s.set = nil, false
+		}
+		s.mu.Unlock()
+		if !ok {
+			return nil, nil, 0, ErrNoMatch
+		}
+		return tup, bindings(tpl, tup), 0, nil
+	}
 	s.mu.Unlock()
 	bind, resolved, ok, err := matchTuple(ctx, tpl, tup)
 	if err != nil {
@@ -141,7 +154,8 @@ func (s *semStore) probe(_ *core.Context, _ Template, _ waitKey, remove bool, _ 
 	if remove {
 		s.count--
 	}
-	return Tuple{}, Bindings{}, 0, nil
+	// A token binds nothing, so no Bindings are built.
+	return Tuple{}, nil, 0, nil
 }
 
 func (s *semStore) size() int {

@@ -2,6 +2,7 @@ package tspace
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -92,6 +93,11 @@ func TestSemaphoreRepresentation(t *testing.T) {
 		if _, _, err := ts.TryGet(ctx, Template{}); err != ErrNoMatch {
 			t.Fatalf("empty semaphore TryGet = %v", err)
 		}
+		// V makes TryP succeed again.
+		_ = ts.Put(ctx, Tuple{})
+		if _, _, err := ts.TryGet(ctx, Template{}); err != nil {
+			t.Fatalf("TryGet after Put on an empty semaphore = %v", err)
+		}
 		// Rd blocks until a token arrives but does not consume it.
 		reader := ctx.Fork(func(cc *core.Context) ([]core.Value, error) {
 			_, _, err := ts.Rd(cc, Template{})
@@ -107,6 +113,208 @@ func TestSemaphoreRepresentation(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestSemaphoreCounting: a semaphore space holding two tokens admits at most
+// two of six threads between P (Get) and V (Put), and ends holding two.
+func TestSemaphoreCounting(t *testing.T) {
+	vm := testkit.VM(t, 4, 4)
+	ts := New(KindSemaphore, Config{})
+	var inCS, maxInCS atomic.Int64
+	testkit.RunIn(t, vm, func(ctx *core.Context) error {
+		for i := 0; i < 2; i++ {
+			_ = ts.Put(ctx, Tuple{})
+		}
+		kids := make([]*core.Thread, 6)
+		for i := range kids {
+			kids[i] = ctx.Fork(func(cc *core.Context) ([]core.Value, error) {
+				if _, _, err := ts.Get(cc, Template{}); err != nil {
+					return nil, err
+				}
+				raiseMax(&maxInCS, inCS.Add(1))
+				for j := 0; j < 10; j++ {
+					cc.Yield()
+				}
+				inCS.Add(-1)
+				return nil, ts.Put(cc, Tuple{})
+			}, vm.VP(i))
+		}
+		for _, k := range kids {
+			if _, err := ctx.Value(k); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if m := maxInCS.Load(); m > 2 {
+		t.Fatalf("semaphore admitted %d concurrent holders, want ≤ 2", m)
+	}
+	if c := ts.Len(); c != 2 {
+		t.Fatalf("final count = %d, want 2", c)
+	}
+}
+
+// raiseMax raises hi to at least v.
+func raiseMax(hi *atomic.Int64, v int64) {
+	for {
+		m := hi.Load()
+		if v <= m || hi.CompareAndSwap(m, v) {
+			return
+		}
+	}
+}
+
+// Property: a semaphore space's count after arbitrary balanced P/V traffic
+// equals its initial value, and it never admits more holders than that.
+// Its waits go through blockingLoop's obligation rule, so a waiter woken
+// by a V it then loses passes the wake on rather than stranding a parked
+// one.
+func TestSemaphoreProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		initial := 1 + rng.Intn(3)
+		workers := 2 + rng.Intn(3)
+		iters := 1 + rng.Intn(20)
+		m := core.NewMachine(core.MachineConfig{Processors: 2})
+		defer m.Shutdown()
+		vm, err := m.NewVM(core.VMConfig{VPs: workers})
+		if err != nil {
+			return false
+		}
+		ts := New(KindSemaphore, Config{})
+		var holders, maxHolders atomic.Int64
+		_, err = vm.Run(func(ctx *core.Context) ([]core.Value, error) {
+			for i := 0; i < initial; i++ {
+				_ = ts.Put(ctx, Tuple{})
+			}
+			kids := make([]*core.Thread, workers)
+			for i := range kids {
+				kids[i] = ctx.Fork(func(c *core.Context) ([]core.Value, error) {
+					for j := 0; j < iters; j++ {
+						if _, _, err := ts.Get(c, Template{}); err != nil {
+							return nil, err
+						}
+						raiseMax(&maxHolders, holders.Add(1))
+						c.Yield()
+						holders.Add(-1)
+						if err := ts.Put(c, Tuple{}); err != nil {
+							return nil, err
+						}
+					}
+					return nil, nil
+				}, vm.VP(i), core.WithStealable(false))
+			}
+			for _, k := range kids {
+				if _, err := ctx.Value(k); err != nil {
+					return nil, err
+				}
+			}
+			return nil, nil
+		})
+		return err == nil && ts.Len() == initial && maxHolders.Load() <= int64(initial)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSemaphorePVAllocatesNothing: an uncontended P (a Get that finds a
+// token) and V (Put) in one VP allocate nothing: a token binds no formal, so
+// no Bindings are built.
+func TestSemaphorePVAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	vm := testkit.VM(t, 1, 1)
+	ts := New(KindSemaphore, Config{})
+	testkit.RunIn(t, vm, func(ctx *core.Context) error {
+		_ = ts.Put(ctx, Tuple{})
+		n := testing.AllocsPerRun(1000, func() {
+			if _, _, err := ts.Get(ctx, Template{}); err != nil {
+				t.Error(err)
+			}
+			if err := ts.Put(ctx, Tuple{}); err != nil {
+				t.Error(err)
+			}
+		})
+		if n != 0 {
+			t.Errorf("P+V allocates %v, want 0", n)
+		}
+		return nil
+	})
+}
+
+// TestKindAllocsAtMostHash: each specialized kind allocates no more per
+// operation than the hash store running the same pattern, a Put and a
+// TryGet with a nil context. The tuples and templates are built beforehand,
+// so the counts are the spaces' own.
+func TestKindAllocsAtMostHash(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	for _, c := range []struct {
+		kind    Kind
+		pattern func(ts TupleSpace) func()
+	}{
+		{KindSemaphore, func(ts TupleSpace) func() {
+			tup, tpl := Tuple{"tok"}, Template{"tok"}
+			return func() { putTake(t, ts, tup, tpl) }
+		}},
+		{KindSharedVar, func(ts TupleSpace) func() {
+			tup, tpl := Tuple{"v", int64(1000)}, Template{"v", F("x")}
+			_ = ts.Put(nil, tup)
+			return func() { takePut(t, ts, tup, tpl) }
+		}},
+		{KindVector, func(ts TupleSpace) func() {
+			var tups []Tuple
+			var tpls []Template
+			for i := 0; i < 64; i++ {
+				tups = append(tups, Tuple{i, int64(1000 + i)})
+				tpls = append(tpls, Template{i, F("v")})
+			}
+			i := 0
+			return func() {
+				i = (i + 1) % 64
+				putTake(t, ts, tups[i], tpls[i])
+			}
+		}},
+		{KindQueue, func(ts TupleSpace) func() {
+			tup, tpl := Tuple{"job", int64(1000)}, Template{"job", F("n")}
+			for i := 0; i < 32; i++ {
+				_ = ts.Put(nil, tup)
+			}
+			return func() { putTake(t, ts, tup, tpl) }
+		}},
+		{KindSet, func(ts TupleSpace) func() {
+			tup, tpl := Tuple{"s", int64(1000)}, Template{"s", F("x")}
+			return func() { putTake(t, ts, tup, tpl) }
+		}},
+	} {
+		kind := testing.AllocsPerRun(1000, c.pattern(New(c.kind, Config{})))
+		hash := testing.AllocsPerRun(1000, c.pattern(New(KindHash, Config{})))
+		t.Logf("%v: %v allocs/op, the hash store %v", c.kind, kind, hash)
+		if kind > hash {
+			t.Errorf("%v allocates %v per op on its own pattern, the hash store %v", c.kind, kind, hash)
+		}
+	}
+}
+
+func putTake(t *testing.T, ts TupleSpace, tup Tuple, tpl Template) {
+	if err := ts.Put(nil, tup); err != nil {
+		t.Error(err)
+	}
+	if _, _, err := ts.TryGet(nil, tpl); err != nil {
+		t.Error(err)
+	}
+}
+
+func takePut(t *testing.T, ts TupleSpace, tup Tuple, tpl Template) {
+	if _, _, err := ts.TryGet(nil, tpl); err != nil {
+		t.Error(err)
+	}
+	if err := ts.Put(nil, tup); err != nil {
+		t.Error(err)
+	}
 }
 
 func TestVectorSlots(t *testing.T) {
@@ -170,38 +378,6 @@ func TestVectorBadTemplates(t *testing.T) {
 		}
 		return nil
 	})
-}
-
-func TestInferPriorities(t *testing.T) {
-	cases := []struct {
-		u    Usage
-		want Kind
-	}{
-		{Usage{TokensOnly: true}, KindSemaphore},
-		{Usage{SingleCell: true}, KindSharedVar},
-		{Usage{IndexKeyed: true, IndexBound: 100}, KindVector},
-		{Usage{FIFO: true}, KindQueue},
-		{Usage{Dedup: true}, KindSet},
-		{Usage{SmallSpace: true}, KindBag},
-		{Usage{}, KindHash},
-		// Priority: more constrained representation wins.
-		{Usage{TokensOnly: true, FIFO: true}, KindSemaphore},
-		{Usage{SingleCell: true, Dedup: true}, KindSharedVar},
-	}
-	for _, c := range cases {
-		if got := Infer(c.u); got != c.want {
-			t.Errorf("Infer(%+v) = %v, want %v", c.u, got, c.want)
-		}
-	}
-}
-
-func TestNewInferredKindMatches(t *testing.T) {
-	for _, u := range []Usage{{TokensOnly: true}, {FIFO: true}, {}, {IndexKeyed: true, IndexBound: 4}} {
-		ts := NewInferred(u, nil)
-		if ts.Kind() != Infer(u) {
-			t.Errorf("NewInferred kind %v, want %v", ts.Kind(), Infer(u))
-		}
-	}
 }
 
 // Property: for puts and gets of immediate tuples, the bag and hash

@@ -11,7 +11,7 @@ import (
 
 // TupleSpace is the operation set of every tuple space — the paper's point
 // that "the operations permitted on tuple-spaces remain invariant over
-// their representation", which the one front over seven stores makes
+// their representation", which the one front over every store makes
 // literal (front.go). Tuple spaces are first-class, denotable objects;
 // operations are expressions returning bindings, not statements.
 type TupleSpace interface {
@@ -21,10 +21,11 @@ type TupleSpace interface {
 	// slice: the caller must not modify tup once it is put.
 	Put(ctx *core.Context, tup Tuple) error
 	// Get atomically removes a matching tuple, blocking until one exists
-	// (the paper's get/remove; Linda's in).
+	// (the paper's get/remove; Linda's in). The Bindings may be nil when the
+	// template binds no formal (a semaphore's token); callers only read them.
 	Get(ctx *core.Context, tpl Template) (Tuple, Bindings, error)
 	// Rd returns a matching tuple without removing it, blocking until one
-	// exists.
+	// exists. Its Bindings may be nil as Get's may.
 	Rd(ctx *core.Context, tpl Template) (Tuple, Bindings, error)
 	// TryGet and TryRd are the non-blocking probes; they return ErrNoMatch
 	// when nothing matches. Put and the probes accept a nil ctx; they then
@@ -44,9 +45,9 @@ type TupleSpace interface {
 // Kind names a tuple-space representation.
 type Kind int
 
-// Representations the specializer can choose (§4.2: "tuple-spaces can be
+// Representations a space is built with (§4.2: "tuple-spaces can be
 // specialized as synchronized vectors, queues, sets, shared variables,
-// semaphores, or bags").
+// semaphores, or bags"). A bag is the hash store under its own name.
 const (
 	KindHash Kind = iota
 	KindBag
@@ -110,8 +111,8 @@ func ParseKind(s string) (Kind, error) {
 
 // Config parameterizes tuple-space construction.
 type Config struct {
-	// Bins is the number of presence-table bins for the hash
-	// representation, and of its blocked-table stripes; each bin and each
+	// Bins is the number of presence-table bins for the hash store (the
+	// hash and bag kinds), and of its blocked-table stripes; each bin and each
 	// stripe has its own mutex so multiple producers and consumers access
 	// both tables concurrently (default 64). One bin reproduces the paper's
 	// global-mutex baseline for both tables, for the ablation.

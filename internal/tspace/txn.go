@@ -31,7 +31,8 @@ var (
 	ErrTxnConflict = errors.New("tspace: transaction conflict")
 	// ErrTxnUnsupported is returned for a space whose store has no commit
 	// hooks: the vector, shared-variable and semaphore stores. Only the list
-	// store (bag, set, queue) and the hash store get the transactional front.
+	// store (set, queue) and the hash store (hash, bag) get the transactional
+	// front.
 	ErrTxnUnsupported = errors.New("tspace: representation does not support transactions")
 )
 

@@ -13,19 +13,14 @@ import (
 // slot); anything else is ErrBadTemplate.
 type vectorStore struct {
 	mu    sync.Mutex
-	slots []vslot // fixed length: only the elements change
-}
-
-type vslot struct {
-	val  core.Value
-	full bool
+	slots []Tuple // fixed length; a slot holds its passive [index, value] or nil
 }
 
 func newVectorStore(n int) *vectorStore {
 	if n <= 0 {
 		n = 64
 	}
-	return &vectorStore{slots: make([]vslot, n)}
+	return &vectorStore{slots: make([]Tuple, n)}
 }
 
 func (s *vectorStore) indexOf(v core.Value) (int, bool) {
@@ -36,93 +31,64 @@ func (s *vectorStore) indexOf(v core.Value) (int, bool) {
 	return int(i), true
 }
 
-// deposit writes the slot [index, value] names, demanding thread elements
-// first, so a spawned [index, value] fills its slot.
+// deposit writes the slot [index, value] names. A passive tuple is kept as
+// it is, as every store keeps the caller's slice; thread elements are
+// demanded first, so a spawned [index, value] fills its slot.
 func (s *vectorStore) deposit(ctx *core.Context, tup Tuple, _ waitKey) (bool, bool, error) {
 	if len(tup) != 2 {
 		return false, false, ErrBadTemplate
 	}
-	i, err := resolve(ctx, tup[0])
-	if err != nil {
-		return false, false, err
+	if !passiveTuple(tup) {
+		i, err := resolve(ctx, tup[0])
+		if err != nil {
+			return false, false, err
+		}
+		v, err := resolve(ctx, tup[1])
+		if err != nil {
+			return false, false, err
+		}
+		tup = Tuple{i, v}
 	}
-	v, err := resolve(ctx, tup[1])
-	if err != nil {
-		return false, false, err
-	}
-	idx, ok := s.indexOf(i)
+	idx, ok := s.indexOf(tup[0])
 	if !ok {
 		return false, false, ErrBadTemplate
 	}
 	s.mu.Lock()
-	s.slots[idx] = vslot{val: v, full: true}
+	s.slots[idx] = tup
 	s.mu.Unlock()
 	return true, false, nil
 }
 
-func (s *vectorStore) probe(ctx *core.Context, tpl Template, _ waitKey, remove bool, _ func(Tuple) bool) (Tuple, Bindings, uint64, error) {
+func (s *vectorStore) probe(_ *core.Context, tpl Template, _ waitKey, remove bool, _ func(Tuple) bool) (Tuple, Bindings, uint64, error) {
 	if len(tpl) != 2 {
 		return nil, nil, 0, ErrBadTemplate
 	}
-	// Case 1: concrete index.
+	lo, hi := 0, len(s.slots) // a formal index scans for any full slot
 	if !isFormal(tpl[0]) {
 		idx, ok := s.indexOf(tpl[0])
 		if !ok {
 			return nil, nil, 0, ErrBadTemplate
 		}
-		s.mu.Lock()
-		slot := s.slots[idx]
-		if !slot.full {
-			s.mu.Unlock()
-			return nil, nil, 0, ErrNoMatch
-		}
-		if remove {
-			s.slots[idx] = vslot{}
-		}
-		s.mu.Unlock()
-		b, resolved, ok2, err := matchTuple(ctx, tpl, Tuple{idx, slot.val})
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		if !ok2 {
-			if remove { // value mismatch: restore the slot
-				s.mu.Lock()
-				s.slots[idx] = slot
-				s.mu.Unlock()
-			}
-			return nil, nil, 0, ErrNoMatch
-		}
-		return resolved, b, 0, nil
+		lo, hi = idx, idx+1
 	}
-	// Case 2: formal index — scan for any full, matching slot.
+	// No slot holds a thread, so a match demands nothing and is decided
+	// under the lock. A take hands over the stored tuple, as
+	// entryList.probe does; a read gets a copy.
 	s.mu.Lock()
-	snapshot := make([]vslot, len(s.slots))
-	copy(snapshot, s.slots)
-	s.mu.Unlock()
-	for i, slot := range snapshot {
-		if !slot.full {
-			continue
-		}
-		b, resolved, ok, err := matchTuple(ctx, tpl, Tuple{i, slot.val})
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		if !ok {
-			continue
-		}
-		if remove {
-			s.mu.Lock()
-			still := s.slots[i].full
-			if still {
-				s.slots[i] = vslot{}
+	for i := lo; i < hi; i++ {
+		tup := s.slots[i]
+		if tup != nil && (isFormal(tpl[1]) || immediateEqual(tpl[1], tup[1])) {
+			if remove {
+				s.slots[i] = nil
 			}
 			s.mu.Unlock()
-			if !still {
-				continue
+			if !remove {
+				tup = append(Tuple(nil), tup...)
 			}
+			return tup, bindings(tpl, tup), 0, nil
 		}
-		return resolved, b, 0, nil
 	}
+	s.mu.Unlock()
 	return nil, nil, 0, ErrNoMatch
 }
 
@@ -130,26 +96,22 @@ func (s *vectorStore) size() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for _, slot := range s.slots {
-		if slot.full {
+	for _, tup := range s.slots {
+		if tup != nil {
 			n++
 		}
 	}
 	return n
 }
 
-// passive lists the full slots as [index, value]: depositing them refills
-// the vector.
+// passive copies out the full slots: depositing them refills the vector.
 func (s *vectorStore) passive() []Tuple {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []Tuple
-	for i, slot := range s.slots {
-		if !slot.full {
-			continue
-		}
-		if tup := (Tuple{i, slot.val}); passiveTuple(tup) {
-			out = append(out, tup)
+	for _, tup := range s.slots {
+		if tup != nil {
+			out = append(out, append(Tuple(nil), tup...))
 		}
 	}
 	return out

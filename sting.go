@@ -158,8 +158,6 @@ type (
 	Mutex = synch.Mutex
 	// Cond is a condition variable over a Mutex.
 	Cond = synch.Cond
-	// Semaphore is a counting semaphore.
-	Semaphore = synch.Semaphore
 	// Barrier is a reusable n-party barrier.
 	Barrier = synch.Barrier
 )
@@ -169,8 +167,6 @@ var (
 	NewMutex = synch.NewMutex
 	// NewCond creates a condition variable.
 	NewCond = synch.NewCond
-	// NewSemaphore creates a semaphore.
-	NewSemaphore = synch.NewSemaphore
 	// NewBarrier creates a barrier.
 	NewBarrier = synch.NewBarrier
 	// WithMutex runs a body holding a mutex, exception-safe.
@@ -191,16 +187,13 @@ type (
 	TupleSpaceConfig = tspace.Config
 	// TupleSpaceKind names a representation (hash, bag, queue, …).
 	TupleSpaceKind = tspace.Kind
-	// Usage feeds the representation specializer.
-	Usage = tspace.Usage
 )
 
 // Tuple-space constructors and the formal marker.
 var (
-	NewTupleSpace   = tspace.New
-	InferTupleSpace = tspace.NewInferred
-	Formal          = tspace.F
-	ErrNoMatch      = tspace.ErrNoMatch
+	NewTupleSpace = tspace.New
+	Formal        = tspace.F
+	ErrNoMatch    = tspace.ErrNoMatch
 )
 
 // Tuple-space representations.
