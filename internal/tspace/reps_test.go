@@ -93,11 +93,6 @@ func TestSemaphoreRepresentation(t *testing.T) {
 		if _, _, err := ts.TryGet(ctx, Template{}); err != ErrNoMatch {
 			t.Fatalf("empty semaphore TryGet = %v", err)
 		}
-		// V makes TryP succeed again.
-		_ = ts.Put(ctx, Tuple{})
-		if _, _, err := ts.TryGet(ctx, Template{}); err != nil {
-			t.Fatalf("TryGet after Put on an empty semaphore = %v", err)
-		}
 		// Rd blocks until a token arrives but does not consume it.
 		reader := ctx.Fork(func(cc *core.Context) ([]core.Value, error) {
 			_, _, err := ts.Rd(cc, Template{})
@@ -110,6 +105,27 @@ func TestSemaphoreRepresentation(t *testing.T) {
 		ctx.Wait(reader)
 		if ts.Len() != 1 {
 			t.Fatalf("rd consumed the token: count = %d", ts.Len())
+		}
+		return nil
+	})
+}
+
+// TestSemaphoreTryP: on a semaphore space holding one token, TryGet (TryP)
+// succeeds once, then fails, and succeeds again after a Put (V).
+func TestSemaphoreTryP(t *testing.T) {
+	vm := testkit.VM(t, 1, 1)
+	ts := New(KindSemaphore, Config{})
+	testkit.RunIn(t, vm, func(ctx *core.Context) error {
+		_ = ts.Put(ctx, Tuple{})
+		if _, _, err := ts.TryGet(ctx, Template{}); err != nil {
+			t.Fatalf("TryP with count 1 = %v", err)
+		}
+		if _, _, err := ts.TryGet(ctx, Template{}); err != ErrNoMatch {
+			t.Fatalf("TryP with count 0 = %v, want ErrNoMatch", err)
+		}
+		_ = ts.Put(ctx, Tuple{})
+		if _, _, err := ts.TryGet(ctx, Template{}); err != nil {
+			t.Fatalf("TryP after V = %v", err)
 		}
 		return nil
 	})
