@@ -195,15 +195,8 @@ func runServer(opts serverOpts) int {
 			SamplePeriod: opts.diagSample,
 			StallSLO:     opts.diagSLO,
 			Waiters:      []diag.WaiterSource{reg},
-			Parked: func() []diag.ParkInfo {
-				parked := srv.Parked()
-				out := make([]diag.ParkInfo, len(parked))
-				for i, p := range parked {
-					out[i] = diag.ParkInfo{Conn: p.Conn, Op: p.Op, Space: p.Space, Since: p.Since}
-				}
-				return out
-			},
-			VM: vm,
+			Parked:       srv.Parked,
+			VM:           vm,
 		})
 		d.Start()
 		defer d.Stop()

@@ -19,7 +19,11 @@ import (
 // (with or without a :line suffix) names a file somewhere in the tree, and
 // every sting.Name inside code is declared in sting.go; every Benchmark…/Test… identifier in DESIGN.md's
 // experiment index and in EXPERIMENTS.md is declared in some _test.go (a
-// name followed by * or { is a prefix).
+// name followed by * or { is a prefix); and every -flag of a command line
+// inside code that runs sting, stingd, stingtop or tracecat, or that is a
+// bare -flag, is declared by some flag set under cmd/, scripts/, examples/
+// or in benchmark/main.go (a line that starts with `go ` carries toolchain
+// flags and is not checked, and a bare span may name a `go test` flag).
 func TestDocsNameThingsThatExist(t *testing.T) {
 	read := func(path string) string {
 		data, err := os.ReadFile(path)
@@ -50,6 +54,23 @@ func TestDocsNameThingsThatExist(t *testing.T) {
 		t.Fatal(err)
 	}
 	declared := tests.String()
+	flags := map[string]bool{}
+	goTestFlags := map[string]bool{"bench": true, "benchmem": true, "benchtime": true, "count": true,
+		"cpu": true, "memprofile": true, "memprofilerate": true, "race": true, "run": true}
+	flagDecl := regexp.MustCompile(`\b(?:flag|fs)\.[A-Z]\w*\((?:&[\w.]+, )?"([\w-]+)"`)
+	for _, dir := range []string{"cmd", "scripts", "examples", "benchmark/main.go"} {
+		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err == nil && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+				for _, m := range flagDecl.FindAllStringSubmatch(read(path), -1) {
+					flags[m[1]] = true
+				}
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	facade := map[string]bool{}
 	f, err := parser.ParseFile(token.NewFileSet(), "sting.go", nil, 0)
 	if err != nil {
@@ -75,6 +96,8 @@ func TestDocsNameThingsThatExist(t *testing.T) {
 		repoPath  = regexp.MustCompile(`^(cmd|scripts|internal)/[\w./-]+$`)
 		testIdent = regexp.MustCompile(`\b((?:Benchmark|Test)[A-Z]\w*)([*{]?)`)
 		facadeRef = regexp.MustCompile(`\bsting\.([A-Z]\w*)`)
+		flagCmd   = regexp.MustCompile(`^(?:(?:sting|stingd|stingtop|tracecat)\s|-)`)
+		flagUse   = regexp.MustCompile(`(?:^|\s)--?([a-z][\w-]*)`)
 	)
 	operatorFiles := map[string]bool{"nodes.json": true} // written by whoever runs a cluster, not committed
 
@@ -92,6 +115,16 @@ func TestDocsNameThingsThatExist(t *testing.T) {
 				}
 			}
 			span = strings.Trim(span, "`")
+			for _, line := range strings.Split(span, "\n") {
+				if line = strings.TrimSpace(line); !flagCmd.MatchString(line) {
+					continue // a fenced block's language tag, comments and go lines included
+				}
+				for _, m := range flagUse.FindAllStringSubmatch(line, -1) {
+					if !flags[m[1]] && !(line[0] == '-' && goTestFlags[m[1]]) {
+						t.Errorf("%s: flag -%s in `%s` is declared by no flag set", doc, m[1], line)
+					}
+				}
+			}
 			if bareFile.MatchString(span) && !operatorFiles[span] {
 				if _, err := os.Stat(span); err != nil {
 					t.Errorf("%s: `%s` is not a file at the root", doc, span)

@@ -15,19 +15,12 @@ import (
 	"repro/internal/tspace"
 )
 
-// routeSlack is how deep into a key's ranked node list an operation may
-// legitimately land: the owner plus one failover replica. Servers running
-// SelfCheck accept the same window, so client-side read failover is never
-// rejected as misrouted.
-const routeSlack = 2
-
 // ErrNoShards means every shard is currently excluded.
 var ErrNoShards = errors.New("cluster: no healthy shard available")
 
 // ShardDownError reports a keyed operation whose owning shard is excluded.
-// Keyed writes and destructive reads do not fail over — a tuple deposited
-// on a replica would be invisible to later keyed ops once the owner
-// returns — so the operation fails fast instead.
+// A keyed tuple lives only on its owner, so no other shard can serve the
+// operation: it fails fast instead.
 type ShardDownError struct {
 	Node string
 	Addr string
@@ -45,20 +38,6 @@ type Config struct {
 	// probing (excluded shards then stay excluded until an explicit
 	// ProbeOnce or a fresh client).
 	ProbeInterval time.Duration
-	// ReinstateBackoff is the first exclusion's reprobe delay; each failed
-	// probe doubles it up to MaxReinstateBackoff (defaults 250ms, 15s).
-	ReinstateBackoff    time.Duration
-	MaxReinstateBackoff time.Duration
-}
-
-func (cfg Config) withDefaults() Config {
-	if cfg.ReinstateBackoff == 0 {
-		cfg.ReinstateBackoff = 250 * time.Millisecond
-	}
-	if cfg.MaxReinstateBackoff == 0 {
-		cfg.MaxReinstateBackoff = 15 * time.Second
-	}
-	return cfg
 }
 
 // Client routes tuple-space operations across the membership's shards. It
@@ -69,8 +48,7 @@ func (cfg Config) withDefaults() Config {
 type Client struct {
 	m      *Membership
 	cfg    Config
-	shards []*shard
-	byID   map[string]*shard
+	shards []*shard // in membership order, so m's owner index picks one
 
 	fanouts atomic.Uint64
 
@@ -83,17 +61,13 @@ type Client struct {
 // use; Open itself performs no I/O, so a partially-down cluster still
 // yields a client whose surviving ranges work.
 func Open(m *Membership, cfg Config) *Client {
-	cfg = cfg.withDefaults()
 	c := &Client{
 		m:    m,
 		cfg:  cfg,
-		byID: make(map[string]*shard, m.Len()),
 		stop: make(chan struct{}),
 	}
 	for _, n := range m.nodes {
-		sh := &shard{node: n, dial: cfg.Dial}
-		c.shards = append(c.shards, sh)
-		c.byID[n.ID] = sh
+		c.shards = append(c.shards, &shard{node: n, dial: cfg.Dial})
 	}
 	if cfg.ProbeInterval > 0 {
 		go c.probeLoop()
@@ -130,14 +104,9 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// rankedShards maps a key's rendezvous order onto shard handles.
-func (c *Client) rankedShards(key uint64) []*shard {
-	ranked := c.m.Ranked(key)
-	out := make([]*shard, len(ranked))
-	for i, n := range ranked {
-		out[i] = c.byID[n.ID]
-	}
-	return out
+// tupleOwner returns the shard a tuple of space is deposited on.
+func (c *Client) tupleOwner(space string, tup tspace.Tuple) *shard {
+	return c.shards[c.m.owner(tupleKey(space, tup))]
 }
 
 // healthyShards returns the currently-included shards in membership order.
@@ -203,30 +172,6 @@ func (s *Space) remoteSpace(rc *remote.Client) *remote.Space {
 	return sp
 }
 
-// tupleShards ranks the shards for a tuple deposit. A Formal first field
-// cannot key a route, so such tuples live on the space's home shard (see
-// the package comment).
-func (s *Space) tupleShards(tup tspace.Tuple) []*shard {
-	var first core.Value
-	if len(tup) > 0 {
-		first = tup[0]
-	}
-	key, ok := tspace.HashKey(s.name, first, len(tup))
-	if !ok {
-		key, _ = tspace.Hash(s.name)
-	}
-	return s.c.rankedShards(key)
-}
-
-// owner picks a ranked list's first shard, failing fast when excluded.
-func owner(ranked []*shard) (*shard, error) {
-	sh := ranked[0]
-	if !sh.healthy() {
-		return nil, &ShardDownError{Node: sh.node.ID, Addr: sh.node.Addr}
-	}
-	return sh, nil
-}
-
 // onShard runs f against one shard, classifying the outcome for health
 // tracking: transport-class failures exclude the shard, op-level outcomes
 // (no-match, timeout, cancel, redirect) do not.
@@ -234,7 +179,7 @@ func (s *Space) onShard(ctx *core.Context, sh *shard, f func(sp *remote.Space) e
 	rc, err := sh.client(ctx)
 	if err != nil {
 		sh.errs.Add(1)
-		sh.markFailure(s.c.cfg)
+		sh.markFailure()
 		return err
 	}
 	sh.ops.Add(1)
@@ -246,18 +191,18 @@ func (s *Space) onShard(ctx *core.Context, sh *shard, f func(sp *remote.Space) e
 		sh.redirects.Add(1)
 	case transportError(err):
 		sh.errs.Add(1)
-		sh.markFailure(s.c.cfg)
+		sh.markFailure()
 	}
 	return err
 }
 
 // Put deposits a tuple on the shard that owns its first field.
 func (s *Space) Put(ctx *core.Context, tup tspace.Tuple) error {
-	sh, err := owner(s.tupleShards(tup))
-	if err != nil {
+	sh := s.c.tupleOwner(s.name, tup)
+	if err := sh.downError(); err != nil {
 		return err
 	}
-	err = s.onShard(ctx, sh, func(sp *remote.Space) error { return sp.Put(ctx, tup) })
+	err := s.onShard(ctx, sh, func(sp *remote.Space) error { return sp.Put(ctx, tup) })
 	if err == nil {
 		diag.ShardEvent(sh.node.Addr, s.name, tspace.DiagPut)
 	}
@@ -294,183 +239,109 @@ func (c *Client) CommitTxn(ctx *core.Context, ops []tspace.TxnOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	var ranked []*shard
-	for _, op := range ops {
-		var first core.Value
-		if len(op.Tup) > 0 {
-			first = op.Tup[0]
-		}
-		key, ok := tspace.HashKey(op.Space, first, len(op.Tup))
-		if !ok {
-			key, _ = tspace.Hash(op.Space)
-		}
-		r := c.rankedShards(key)
-		if ranked == nil {
-			ranked = r
-		} else if r[0] != ranked[0] {
+	own := c.tupleOwner(ops[0].Space, ops[0].Tup)
+	for _, op := range ops[1:] {
+		if sh := c.tupleOwner(op.Space, op.Tup); sh != own {
 			return fmt.Errorf("%w: %q is on shard %s, %q on %s",
-				ErrCrossShardTxn, ops[0].Tup, ranked[0].node.ID, op.Tup, r[0].node.ID)
+				ErrCrossShardTxn, ops[0].Tup, own.node.ID, op.Tup, sh.node.ID)
 		}
 	}
-	sh, err := owner(ranked)
-	if err != nil {
+	if err := own.downError(); err != nil {
 		return err
 	}
 	sp := &Space{c: c, name: ops[0].Space}
-	err = sp.onShard(ctx, sh, func(rsp *remote.Space) error {
+	err := sp.onShard(ctx, own, func(rsp *remote.Space) error {
 		return rsp.CommitTxn(ctx, ops)
 	})
 	var ce *tspace.ConflictError
 	if errors.As(err, &ce) {
-		diag.ShardEvent(sh.node.Addr, ce.Space, tspace.DiagConflict)
+		diag.ShardEvent(own.node.Addr, ce.Space, tspace.DiagConflict)
 	}
 	return err
 }
 
-// tplRoute resolves a template to its ranked shard list, or (nil, false)
-// for a wildcard first field that must fan out.
-func (s *Space) tplRoute(tpl tspace.Template) ([]*shard, bool) {
-	var first core.Value
-	if len(tpl) > 0 {
-		first = tpl[0]
+// matchOp is one of remote.Space's four matching ops as a method
+// expression, such as (*remote.Space).Get.
+type matchOp func(sp *remote.Space, ctx *core.Context, tpl tspace.Template) (tspace.Tuple, tspace.Bindings, error)
+
+// onOwner runs a keyed match on the shard that owns tpl's first field and
+// nowhere else: a keyed tuple lives only on its owner, so no other shard
+// could answer for it. An excluded owner fails fast with ShardDownError.
+// A take is recorded against the owner for the diagnoser's shard profile.
+func (s *Space) onOwner(ctx *core.Context, sh *shard, tpl tspace.Template, op matchOp, take bool) (tspace.Tuple, tspace.Bindings, error) {
+	if err := sh.downError(); err != nil {
+		return nil, nil, err
 	}
-	key, ok := tspace.HashKey(s.name, first, len(tpl))
+	var tup tspace.Tuple
+	var bind tspace.Bindings
+	err := s.onShard(ctx, sh, func(sp *remote.Space) error {
+		var e error
+		tup, bind, e = op(sp, ctx, tpl)
+		return e
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if take {
+		diag.ShardEvent(sh.node.Addr, s.name, tspace.DiagTake)
+	}
+	return tup, bind, nil
+}
+
+// tplOwner returns the shard that owns a template's first field, or false
+// for a Formal first field, which keys no route and must fan out.
+func (s *Space) tplOwner(tpl tspace.Template) (*shard, bool) {
+	key, ok := routeKey(s.name, tpl)
 	if !ok {
 		return nil, false
 	}
-	return s.c.rankedShards(key), true
+	return s.c.shards[s.c.m.owner(key)], true
 }
 
 // Get removes a matching tuple: keyed templates block on the owning shard,
 // wildcard templates fan out first-wins with loser cancellation.
 func (s *Space) Get(ctx *core.Context, tpl tspace.Template) (tspace.Tuple, tspace.Bindings, error) {
-	ranked, keyed := s.tplRoute(tpl)
+	sh, keyed := s.tplOwner(tpl)
 	if !keyed {
 		return s.fanMatch(ctx, tpl, true)
 	}
-	sh, err := owner(ranked)
-	if err != nil {
-		return nil, nil, err
-	}
-	var tup tspace.Tuple
-	var bind tspace.Bindings
-	err = s.onShard(ctx, sh, func(sp *remote.Space) error {
-		var e error
-		tup, bind, e = sp.Get(ctx, tpl)
-		return e
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	diag.ShardEvent(sh.node.Addr, s.name, tspace.DiagTake)
-	return tup, bind, nil
+	return s.onOwner(ctx, sh, tpl, (*remote.Space).Get, true)
 }
 
-// Rd reads without removing. Keyed reads are idempotent, so a transport
-// failure on the owner retries the next ranked replica (within
-// routeSlack); wildcard reads fan out first-wins.
+// Rd reads without removing: keyed templates block on the owning shard,
+// wildcard templates fan out first-wins.
 func (s *Space) Rd(ctx *core.Context, tpl tspace.Template) (tspace.Tuple, tspace.Bindings, error) {
-	ranked, keyed := s.tplRoute(tpl)
+	sh, keyed := s.tplOwner(tpl)
 	if !keyed {
 		return s.fanMatch(ctx, tpl, false)
 	}
-	return s.rankedRead(ctx, ranked, tpl, func(sp *remote.Space) func() (tspace.Tuple, tspace.Bindings, error) {
-		return func() (tspace.Tuple, tspace.Bindings, error) { return sp.Rd(ctx, tpl) }
-	})
+	return s.onOwner(ctx, sh, tpl, (*remote.Space).Rd, false)
 }
 
 // TryGet probes for a match: keyed on the owner, wildcard as a sequential
 // sweep (sequential so a probe can never consume two tuples).
 func (s *Space) TryGet(ctx *core.Context, tpl tspace.Template) (tspace.Tuple, tspace.Bindings, error) {
-	ranked, keyed := s.tplRoute(tpl)
+	sh, keyed := s.tplOwner(tpl)
 	if !keyed {
-		return s.sweep(ctx, tpl, true)
+		return s.sweep(ctx, tpl, (*remote.Space).TryGet)
 	}
-	sh, err := owner(ranked)
-	if err != nil {
-		return nil, nil, err
-	}
-	var tup tspace.Tuple
-	var bind tspace.Bindings
-	err = s.onShard(ctx, sh, func(sp *remote.Space) error {
-		var e error
-		tup, bind, e = sp.TryGet(ctx, tpl)
-		return e
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	diag.ShardEvent(sh.node.Addr, s.name, tspace.DiagTake)
-	return tup, bind, nil
+	return s.onOwner(ctx, sh, tpl, (*remote.Space).TryGet, true)
 }
 
-// TryRd probes without removing; keyed probes fail over like Rd, wildcard
-// probes sweep the healthy shards.
+// TryRd probes without removing: keyed on the owner, wildcard as a sweep
+// of the healthy shards.
 func (s *Space) TryRd(ctx *core.Context, tpl tspace.Template) (tspace.Tuple, tspace.Bindings, error) {
-	ranked, keyed := s.tplRoute(tpl)
+	sh, keyed := s.tplOwner(tpl)
 	if !keyed {
-		return s.sweep(ctx, tpl, false)
+		return s.sweep(ctx, tpl, (*remote.Space).TryRd)
 	}
-	return s.rankedRead(ctx, ranked, tpl, func(sp *remote.Space) func() (tspace.Tuple, tspace.Bindings, error) {
-		return func() (tspace.Tuple, tspace.Bindings, error) { return sp.TryRd(ctx, tpl) }
-	})
-}
-
-// rankedRead walks a keyed read down the ranked replica list: the first
-// shard that answers — with a match, a no-match, or a timeout — is
-// authoritative; only transport-class failures move to the next replica.
-// A traced caller gets a cluster/read span; each replica hop past the
-// first marks a failover event on it.
-func (s *Space) rankedRead(ctx *core.Context, ranked []*shard, tpl tspace.Template,
-	op func(sp *remote.Space) func() (tspace.Tuple, tspace.Bindings, error)) (tspace.Tuple, tspace.Bindings, error) {
-	if ctx == nil || !ctx.SpanContext().Valid() {
-		return s.rankedWalk(ctx, ranked, op, nil)
-	}
-	var tup tspace.Tuple
-	var bind tspace.Bindings
-	var err error
-	ctx.WithSpan("cluster/read", func(span *obs.Span) {
-		span.SetAttr("space", s.name)
-		tup, bind, err = s.rankedWalk(ctx, ranked, op, span)
-	})
-	return tup, bind, err
-}
-
-// rankedWalk is rankedRead's replica loop.
-func (s *Space) rankedWalk(ctx *core.Context, ranked []*shard,
-	op func(sp *remote.Space) func() (tspace.Tuple, tspace.Bindings, error), span *obs.Span) (tspace.Tuple, tspace.Bindings, error) {
-	var lastErr error
-	for i := 0; i < routeSlack && i < len(ranked); i++ {
-		sh := ranked[i]
-		if !sh.healthy() {
-			continue
-		}
-		var tup tspace.Tuple
-		var bind tspace.Bindings
-		err := s.onShard(ctx, sh, func(sp *remote.Space) error {
-			var e error
-			tup, bind, e = op(sp)()
-			return e
-		})
-		if err == nil {
-			return tup, bind, nil
-		}
-		if !transportError(err) {
-			return nil, nil, err
-		}
-		span.Event("failover")
-		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = &ShardDownError{Node: ranked[0].node.ID, Addr: ranked[0].node.Addr}
-	}
-	return nil, nil, lastErr
+	return s.onOwner(ctx, sh, tpl, (*remote.Space).TryRd, false)
 }
 
 // sweep serves a wildcard probe by visiting healthy shards in membership
 // order. Destructive probes must be sequential: the first match ends the
 // sweep, so at most one tuple is ever consumed.
-func (s *Space) sweep(ctx *core.Context, tpl tspace.Template, destructive bool) (tspace.Tuple, tspace.Bindings, error) {
+func (s *Space) sweep(ctx *core.Context, tpl tspace.Template, probe matchOp) (tspace.Tuple, tspace.Bindings, error) {
 	shards := s.c.healthyShards()
 	if len(shards) == 0 {
 		return nil, nil, ErrNoShards
@@ -481,11 +352,7 @@ func (s *Space) sweep(ctx *core.Context, tpl tspace.Template, destructive bool) 
 		var bind tspace.Bindings
 		err := s.onShard(ctx, sh, func(sp *remote.Space) error {
 			var e error
-			if destructive {
-				tup, bind, e = sp.TryGet(ctx, tpl)
-			} else {
-				tup, bind, e = sp.TryRd(ctx, tpl)
-			}
+			tup, bind, e = probe(sp, ctx, tpl)
 			return e
 		})
 		switch {
@@ -693,7 +560,7 @@ func (s *Space) fanMatch(ctx *core.Context, tpl tspace.Template, destructive boo
 		}
 		if transportError(err) {
 			sh.errs.Add(1)
-			sh.markFailure(s.c.cfg)
+			sh.markFailure()
 		}
 		mu.Lock()
 		// A canceled branch is a loser, not a failure mode worth

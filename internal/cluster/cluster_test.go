@@ -305,7 +305,8 @@ func TestWildcardDeadline(t *testing.T) {
 
 // TestFailover is acceptance: killing one shard leaves keyed ops for the
 // surviving ranges and every wildcard Rd working, excludes the dead shard
-// after its first failure, and reinstates it when it returns.
+// after its first failure, fails keyed writes and reads of its range fast,
+// and reinstates it when it returns.
 func TestFailover(t *testing.T) {
 	tc := startTestCluster(t, 3)
 	c := openTest(t, tc, Config{})
@@ -331,6 +332,14 @@ func TestFailover(t *testing.T) {
 	}
 	if down.Node != tc.m.Nodes()[victim].ID {
 		t.Fatalf("ShardDownError names %s, want %s", down.Node, tc.m.Nodes()[victim].ID)
+	}
+	// Keyed reads of the dead range fail the same way: no other shard
+	// holds its tuples, so none is asked.
+	if _, _, err := sp.Rd(nil, tspace.Template{deadKey, tspace.F("x")}); !errors.As(err, &down) {
+		t.Fatalf("keyed Rd of dead range = %v, want ShardDownError", err)
+	}
+	if _, _, err := sp.TryRd(nil, tspace.Template{deadKey, tspace.F("x")}); !errors.As(err, &down) {
+		t.Fatalf("keyed TryRd of dead range = %v, want ShardDownError", err)
 	}
 	healthyCount := 0
 	for _, h := range c.Health() {
@@ -395,9 +404,68 @@ func TestFailover(t *testing.T) {
 	}
 }
 
-// TestSelfCheckRedirect: a misrouted keyed op against a guarded server
-// earns a typed redirect naming the true owner; a replica within the
-// slack window is accepted.
+// TestKeyedOpsStayOnOwner: a keyed tuple is stored on its owner alone, so
+// with the owner killed every keyed op on its key fails: the first touch
+// with the transport error that excludes the owner, every later one fast
+// with ShardDownError. None answers ErrNoMatch for the tuple that exists,
+// and none parks on a shard that will never hold it.
+func TestKeyedOpsStayOnOwner(t *testing.T) {
+	for _, tt := range []struct {
+		name string
+		op   func(*Space, *core.Context, tspace.Template) (tspace.Tuple, tspace.Bindings, error)
+	}{
+		{"TryRd", (*Space).TryRd},
+		{"Rd", (*Space).Rd},
+		{"TryGet", (*Space).TryGet},
+		{"Get", (*Space).Get},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			tc := startTestCluster(t, 3)
+			c := openTest(t, tc, Config{})
+			sp := c.Space("jobs")
+			const victim = 1
+			key := tc.keyOwnedBy(t, "jobs", victim)
+			if err := sp.Put(nil, tspace.Tuple{key, "v"}); err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+			tc.kill(victim)
+
+			// The op runs with no deadline in a goroutine that must return
+			// within 2 s, so an op parked for ever fails the test rather
+			// than hanging it.
+			run := func() error {
+				t.Helper()
+				done := make(chan error, 1)
+				go func() {
+					_, _, err := tt.op(sp, nil, tspace.Template{key, tspace.F("x")})
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					return err
+				case <-time.After(2 * time.Second):
+					t.Fatalf("%s of a dead owner's key did not return within 2s", tt.name)
+					return nil
+				}
+			}
+			if err := run(); err == nil || !transportError(err) {
+				t.Fatalf("first %s = %v, want the owner's transport error", tt.name, err)
+			}
+			var down *ShardDownError
+			if err := run(); !errors.As(err, &down) {
+				t.Fatalf("second %s = %v, want ShardDownError", tt.name, err)
+			}
+			if want := tc.m.Nodes()[victim].ID; down.Node != want {
+				t.Fatalf("ShardDownError names %s, want %s", down.Node, want)
+			}
+		})
+	}
+}
+
+// TestSelfCheckRedirect: a keyed op against a guarded server that does
+// not own its key earns a typed redirect naming the owner, even when the
+// server is the key's second-ranked node: a keyed tuple is stored on its
+// owner alone, so no other node may answer for it.
 func TestSelfCheckRedirect(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -415,6 +483,9 @@ func TestSelfCheckRedirect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SelfCheck: %v", err)
 	}
+	if _, err := SelfCheck(m, "n1", 2); err == nil {
+		t.Fatal("SelfCheck accepted slack 2")
+	}
 	srv := remote.NewServer(testkit.VM(t, 2, 2), remote.ServerConfig{RouteCheck: check})
 	go srv.Serve(ln) //nolint:errcheck
 	t.Cleanup(srv.Shutdown)
@@ -426,44 +497,63 @@ func TestSelfCheckRedirect(t *testing.T) {
 	t.Cleanup(func() { rc.Close() }) //nolint:errcheck
 	sp := rc.Space("jobs")
 
-	// Find keys where n1 is owner, in-slack replica, and out of the window.
-	ownKey, replicaKey, foreignKey := -1, -1, -1
-	for k := 0; k < 10000 && (ownKey < 0 || replicaKey < 0 || foreignKey < 0); k++ {
+	// without[id] is the membership less node id. Rendezvous hashing moves
+	// only a removed node's keys, so a key's owner in without[owner] is its
+	// second-ranked node.
+	without := map[string]*Membership{}
+	for _, drop := range m.Nodes() {
+		var rest []Node
+		for _, n := range m.Nodes() {
+			if n.ID != drop.ID {
+				rest = append(rest, n)
+			}
+		}
+		without[drop.ID], _ = NewMembership(rest)
+	}
+	// Find keys where n1 is owner, second-ranked, and third-ranked.
+	ownKey, secondKey, thirdKey := -1, -1, -1
+	for k := 0; k < 10000 && (ownKey < 0 || secondKey < 0 || thirdKey < 0); k++ {
 		key, _ := tspace.HashKey("jobs", k, 2)
-		ranked := m.Ranked(key)
+		own := m.Owner(key)
 		switch {
-		case ranked[0].ID == "n1":
+		case own.ID == "n1":
 			if ownKey < 0 {
 				ownKey = k
 			}
-		case ranked[1].ID == "n1":
-			if replicaKey < 0 {
-				replicaKey = k
+		case without[own.ID].Owner(key).ID == "n1":
+			if secondKey < 0 {
+				secondKey = k
 			}
 		default:
-			if foreignKey < 0 {
-				foreignKey = k
+			if thirdKey < 0 {
+				thirdKey = k
 			}
 		}
 	}
-	if ownKey < 0 || replicaKey < 0 || foreignKey < 0 {
-		t.Fatalf("key search failed: own=%d replica=%d foreign=%d", ownKey, replicaKey, foreignKey)
+	if ownKey < 0 || secondKey < 0 || thirdKey < 0 {
+		t.Fatalf("key search failed: own=%d second=%d third=%d", ownKey, secondKey, thirdKey)
 	}
 	if err := sp.Put(nil, tspace.Tuple{ownKey, "v"}); err != nil {
 		t.Fatalf("Put owned key: %v", err)
 	}
-	if _, _, err := sp.TryRd(nil, tspace.Template{replicaKey, tspace.F("x")}); !errors.Is(err, tspace.ErrNoMatch) {
-		t.Fatalf("replica-window read = %v, want ErrNoMatch (accepted)", err)
+	if _, _, err := sp.TryRd(nil, tspace.Template{ownKey, tspace.F("x")}); err != nil {
+		t.Fatalf("TryRd owned key: %v", err)
 	}
-	err = sp.Put(nil, tspace.Tuple{foreignKey, "v"})
-	var re *remote.RedirectError
-	if !errors.As(err, &re) {
-		t.Fatalf("foreign Put = %v, want RedirectError", err)
+	wantRedirect := func(what string, k int, err error) {
+		t.Helper()
+		var re *remote.RedirectError
+		if !errors.As(err, &re) {
+			t.Fatalf("%s = %v, want RedirectError", what, err)
+		}
+		key, _ := tspace.HashKey("jobs", k, 2)
+		if want := m.Owner(key); re.Node != want.ID || re.Addr != want.Addr {
+			t.Fatalf("%s: redirect names %s (%s), want %s (%s)", what, re.Node, re.Addr, want.ID, want.Addr)
+		}
 	}
-	key, _ := tspace.HashKey("jobs", foreignKey, 2)
-	if want := m.Ranked(key)[0]; re.Node != want.ID || re.Addr != want.Addr {
-		t.Fatalf("redirect names %s (%s), want %s (%s)", re.Node, re.Addr, want.ID, want.Addr)
-	}
+	_, _, err = sp.TryRd(nil, tspace.Template{secondKey, tspace.F("x")})
+	wantRedirect("second-ranked TryRd", secondKey, err)
+	wantRedirect("second-ranked Put", secondKey, sp.Put(nil, tspace.Tuple{secondKey, "v"}))
+	wantRedirect("third-ranked Put", thirdKey, sp.Put(nil, tspace.Tuple{thirdKey, "v"}))
 	// Wildcard templates pass everywhere.
 	if _, _, err := sp.TryRd(nil, tspace.Template{tspace.F("k"), tspace.F("x")}); err != nil {
 		t.Fatalf("wildcard TryRd against guarded server: %v", err)
@@ -517,9 +607,6 @@ func TestRendezvousProperties(t *testing.T) {
 		}
 		own := m.Owner(key)
 		counts[own.ID]++
-		if r := m.Ranked(key); r[0].ID != own.ID {
-			t.Fatalf("Ranked[0] %s != Owner %s", r[0].ID, own.ID)
-		}
 		after := m2.Owner(key)
 		if own.ID != "b" && after.ID != own.ID {
 			t.Fatalf("key %d moved %s→%s though its owner survived", k, own.ID, after.ID)

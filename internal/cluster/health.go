@@ -74,10 +74,26 @@ func (sh *shard) healthy() bool {
 	return !sh.down
 }
 
+// Reinstatement backoff: an excluded shard is first reprobed after
+// reinstateBackoff, and each failed probe doubles the delay up to
+// maxReinstateBackoff.
+const (
+	reinstateBackoff    = 250 * time.Millisecond
+	maxReinstateBackoff = 15 * time.Second
+)
+
+// downError is a ShardDownError while the shard is excluded, else nil.
+func (sh *shard) downError() error {
+	if !sh.healthy() {
+		return &ShardDownError{Node: sh.node.ID, Addr: sh.node.Addr}
+	}
+	return nil
+}
+
 // markFailure excludes the shard and schedules its next reinstatement
 // probe with exponential backoff. Exclusion flips (not every repeat
 // failure) land in the flight recorder.
-func (sh *shard) markFailure(cfg Config) {
+func (sh *shard) markFailure() {
 	sh.mu.Lock()
 	flipped := !sh.down
 	if !sh.down {
@@ -86,13 +102,11 @@ func (sh *shard) markFailure(cfg Config) {
 	}
 	sh.fails++
 	fails := sh.fails
-	d := cfg.ReinstateBackoff
-	for i := 1; i < sh.fails && d < cfg.MaxReinstateBackoff; i++ {
+	d := reinstateBackoff
+	for i := 1; i < sh.fails && d < maxReinstateBackoff; i++ {
 		d *= 2
 	}
-	if d > cfg.MaxReinstateBackoff {
-		d = cfg.MaxReinstateBackoff
-	}
+	d = min(d, maxReinstateBackoff)
 	sh.retryAt = time.Now().Add(d)
 	sh.mu.Unlock()
 	if flipped {
@@ -146,7 +160,7 @@ func (c *Client) ProbeOnce() {
 		}
 		if err != nil {
 			diag.RecordEvent("probe-fail", "", sh.node.Addr, err.Error(), uint64(sh.probes.Load()))
-			sh.markFailure(c.cfg)
+			sh.markFailure()
 		} else {
 			sh.markSuccess()
 		}

@@ -3,8 +3,9 @@
 // A static Membership (JSON file or flag spec) names the shards; weighted
 // rendezvous hashing over tspace.Hash assigns every keyable first field a
 // deterministic owner, so any client, server, or tool computes the same
-// placement with no coordination traffic. Keyed operations go to their
-// owner; templates whose first field is a Formal fan out to every healthy
+// placement with no coordination traffic. A keyed tuple is stored on its
+// owner and nowhere else, so keyed operations go to the owner and only
+// there; templates whose first field is a Formal fan out to every healthy
 // shard concurrently and merge results. Shards that fail transport-wise
 // are excluded and reinstated by a background prober with exponential
 // backoff.
@@ -21,8 +22,10 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sort"
 	"strings"
+
+	"repro/internal/core"
+	"repro/internal/tspace"
 )
 
 // Node is one stingd shard in the cluster map.
@@ -185,37 +188,36 @@ func score(key uint64, n Node) float64 {
 }
 
 // Owner returns the node that owns key.
-func (m *Membership) Owner(key uint64) Node {
-	best := m.nodes[0]
-	bestScore := score(key, best)
-	for _, n := range m.nodes[1:] {
-		if s := score(key, n); s > bestScore || (s == bestScore && n.ID < best.ID) {
-			best, bestScore = n, s
+func (m *Membership) Owner(key uint64) Node { return m.nodes[m.owner(key)] }
+
+// owner returns the index of key's owner in declaration order.
+func (m *Membership) owner(key uint64) int {
+	best, bestScore := 0, score(key, m.nodes[0])
+	for i, n := range m.nodes[1:] {
+		if s := score(key, n); s > bestScore || (s == bestScore && n.ID < m.nodes[best].ID) {
+			best, bestScore = i+1, s
 		}
 	}
 	return best
 }
 
-// Ranked returns every node ordered by descending rendezvous score for
-// key: Ranked(k)[0] is the owner, the rest are the failover order
-// idempotent reads walk.
-func (m *Membership) Ranked(key uint64) []Node {
-	idx := make([]int, len(m.nodes))
-	scores := make([]float64, len(m.nodes))
-	for i, n := range m.nodes {
-		idx[i] = i
-		scores[i] = score(key, n)
+// routeKey is the rendezvous key of a tuple or template in space, its
+// first field's (tspace.HashKey); false when the first field is a Formal,
+// which keys no route.
+func routeKey(space string, fields []core.Value) (uint64, bool) {
+	var first core.Value
+	if len(fields) > 0 {
+		first = fields[0]
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		i, j := idx[a], idx[b]
-		if scores[i] != scores[j] {
-			return scores[i] > scores[j]
-		}
-		return m.nodes[i].ID < m.nodes[j].ID
-	})
-	out := make([]Node, len(idx))
-	for i, j := range idx {
-		out[i] = m.nodes[j]
+	return tspace.HashKey(space, first, len(fields))
+}
+
+// tupleKey is the key a tuple of space is stored under: its routeKey, or
+// for a Formal first field the space's home key (see the package comment).
+func tupleKey(space string, tup tspace.Tuple) uint64 {
+	key, ok := routeKey(space, tup)
+	if !ok {
+		key, _ = tspace.Hash(space)
 	}
-	return out
+	return key
 }

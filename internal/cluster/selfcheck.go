@@ -3,56 +3,43 @@ package cluster
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/remote"
 	"repro/internal/tspace"
 )
 
 // SelfCheck builds a remote.ServerConfig.RouteCheck enforcing that keyed
-// operations landing on this node actually belong here: the key's top
-// `slack` ranked nodes must include selfID (slack <= 0 means routeSlack,
-// matching the client's read-failover window, so a legitimate replica
-// read is never bounced). Wildcard templates pass — fan-out reaches every
-// shard by design — and a misrouted op earns a typed redirect naming the
-// owner, which the substrate answers as codeRedirect. The policy lives
-// here, above the fabric: the server stays routing-agnostic.
+// operations landing on this node belong here: selfID must own the key.
+// A keyed tuple is stored on its owner alone, so no other node may accept
+// a keyed op for it, the next-ranked one included. Wildcard templates
+// pass — fan-out reaches every shard by design — and a misrouted op earns
+// a typed redirect naming the owner, which the substrate answers as
+// codeRedirect. The policy lives here, above the fabric: the server stays
+// routing-agnostic.
+//
+// slack must be 0; any other value is an error. The parameter is kept
+// only for existing callers and goes when the benchmark harness next
+// changes (ROADMAP item 11).
 func SelfCheck(m *Membership, selfID string, slack int) (func(space string, tup tspace.Tuple, tpl tspace.Template) error, error) {
 	if _, ok := m.ByID(selfID); !ok {
 		return nil, fmt.Errorf("cluster: self id %q not in membership", selfID)
 	}
-	if slack <= 0 {
-		slack = routeSlack
+	if slack != 0 {
+		return nil, fmt.Errorf("cluster: SelfCheck slack %d: only the owner is accepted, pass 0", slack)
 	}
 	return func(space string, tup tspace.Tuple, tpl tspace.Template) error {
-		var first core.Value
-		var arity int
-		op := "get"
+		op, key := "put", uint64(0)
 		if tup != nil {
-			op = "put"
-			arity = len(tup)
-			if arity > 0 {
-				first = tup[0]
-			}
+			key = tupleKey(space, tup)
 		} else {
-			arity = len(tpl)
-			if arity > 0 {
-				first = tpl[0]
-			}
-		}
-		key, ok := tspace.HashKey(space, first, arity)
-		if !ok {
-			if tpl != nil {
+			var ok bool
+			if key, ok = routeKey(space, tpl); !ok {
 				return nil // wildcard template: every shard is a valid target
 			}
-			// Formal-first tuple: keyed to the space's home shard.
-			key, _ = tspace.Hash(space)
+			op = "get"
 		}
-		ranked := m.Ranked(key)
-		for i := 0; i < slack && i < len(ranked); i++ {
-			if ranked[i].ID == selfID {
-				return nil
-			}
+		if own := m.Owner(key); own.ID != selfID {
+			return &remote.RedirectError{Op: op, Space: space, Node: own.ID, Addr: own.Addr}
 		}
-		return &remote.RedirectError{Op: op, Space: space, Node: ranked[0].ID, Addr: ranked[0].Addr}
+		return nil
 	}, nil
 }

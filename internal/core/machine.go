@@ -36,10 +36,11 @@ type MachineConfig struct {
 	Processors int
 	// VPPolicy schedules VPs on PPs; nil installs round-robin.
 	VPPolicy VPPolicy
-	// SliceBudget is how many thread dispatches a VP may perform per visit
-	// from its PP before the PP moves to its next VP (default 32).
-	SliceBudget int
 }
+
+// sliceBudget is how many thread dispatches a VP may perform per visit
+// from its PP before the PP moves to its next VP.
+const sliceBudget = 32
 
 // idleWait bounds how long an idle PP sleeps before re-scanning.
 const idleWait = 100 * time.Microsecond
@@ -51,15 +52,12 @@ func NewMachine(cfg MachineConfig) *Machine {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	if cfg.SliceBudget <= 0 {
-		cfg.SliceBudget = 32
-	}
 	m := &Machine{vpPolicy: cfg.VPPolicy, spare: make(chan *PP)}
 	if m.vpPolicy == nil {
 		m.vpPolicy = &RoundRobinVPs{}
 	}
 	for i := 0; i < n; i++ {
-		pp := newPP(m, i, cfg.SliceBudget)
+		pp := newPP(m, i)
 		m.pps = append(m.pps, pp)
 		m.done.Add(1)
 		go m.carrier(pp)
@@ -209,21 +207,18 @@ type PP struct {
 	// cannot end the next sleep early.
 	idle *time.Timer
 
-	sliceBudget int
-
 	slices atomic.Uint64
 	idles  atomic.Uint64
 }
 
-func newPP(m *Machine, id int, budget int) *PP {
+func newPP(m *Machine, id int) *PP {
 	idle := time.NewTimer(idleWait)
 	idle.Stop()
 	return &PP{
-		id:          id,
-		machine:     m,
-		kick:        make(chan struct{}, 1),
-		idle:        idle,
-		sliceBudget: budget,
+		id:      id,
+		machine: m,
+		kick:    make(chan struct{}, 1),
+		idle:    idle,
 	}
 }
 

@@ -162,11 +162,11 @@ func (vp *VP) NotifyWork() {
 }
 
 // runSlice is the VP's thread controller loop, executed while pp hosts the
-// VP: up to pp's budget of dispatches are performed. It reports whether any
+// VP: up to sliceBudget dispatches are performed. It reports whether any
 // work was done, and whether this goroutine still carries pp's loop (see
 // TCB.evaluate).
 func (vp *VP) runSlice(pp *PP) (did, carried bool) {
-	for i := 0; i < pp.sliceBudget; i++ {
+	for i := 0; i < sliceBudget; i++ {
 		if vp.stopped.Load() {
 			return did, true
 		}

@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/remote"
 	"repro/internal/tspace"
 )
 
@@ -39,15 +40,6 @@ import (
 // implements it, and tests substitute fixtures.
 type WaiterSource interface {
 	WaiterInfos() []tspace.WaiterInfo
-}
-
-// ParkInfo describes one remote request parked server-side on a
-// blocking tuple operation (internal/remote's serveBlocking).
-type ParkInfo struct {
-	Conn  string    // remote address of the owning connection
-	Op    string    // wire op name ("GET", "RD", ...)
-	Space string    // target space name
-	Since time.Time // when the request parked
 }
 
 // Config shapes a Diagnoser. Zero values pick the documented defaults.
@@ -62,9 +54,9 @@ type Config struct {
 	// Waiters lists the registries whose blocked tables the sampler
 	// walks. Usually one: the process's tuple-space registry.
 	Waiters []WaiterSource
-	// Parked, when set, contributes remote server parks (stingd wires
-	// it to remote.Server.Parked, adapted).
-	Parked func() []ParkInfo
+	// Parked, when set, contributes remote server parks (stingd passes
+	// remote.Server.Parked).
+	Parked func() []remote.ParkedOp
 	// VM, when set, lets the sampler watch scheduler steal counters for
 	// steal storms.
 	VM *core.VM

@@ -46,9 +46,6 @@ func Delay(ctx *core.Context, f Thunk, opts ...core.ThreadOption) *Future {
 	return &Future{t: ctx.CreateThread(wrap(f), opts...)}
 }
 
-// FromThread views an existing thread as a future of its first value.
-func FromThread(t *core.Thread) *Future { return &Future{t: t} }
-
 // Thread returns the backing thread — futures are bona fide data objects.
 func (f *Future) Thread() *core.Thread { return f.t }
 

@@ -85,7 +85,7 @@ type Attr struct {
 }
 
 // SpanEvent is one timestamped point annotation within a span (scheduler
-// transitions, cancellations, failover hops).
+// transitions, cancellations, retries, fan-out wins).
 type SpanEvent struct {
 	TimeNanos int64  `json:"time_ns"`
 	Name      string `json:"name"`
@@ -129,15 +129,6 @@ func SetSpanSink(s SpanSink) {
 		return
 	}
 	spanSink.Store(&s)
-}
-
-// CurrentSpanSink returns the installed sink (nil when spans are off), so
-// a caller installing a temporary sink can restore the previous one.
-func CurrentSpanSink() SpanSink {
-	if p := spanSink.Load(); p != nil {
-		return *p
-	}
-	return nil
 }
 
 // openSpans counts started-but-unended spans; tests assert it returns to

@@ -36,8 +36,6 @@ type DialConfig struct {
 	// and the HELLO exchange (default 5s). Blocking Get/Rd are bounded by
 	// their per-op deadline, enforced server-side.
 	Timeout time.Duration
-	// WriteTimeout bounds one frame write (default 10s).
-	WriteTimeout time.Duration
 	// DrainTimeout bounds how long Close waits for in-flight non-blocking
 	// operations to complete before failing the rest (default 5s).
 	DrainTimeout time.Duration
@@ -70,9 +68,6 @@ func (cfg DialConfig) withDefaults() DialConfig {
 	}
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 5 * time.Second
-	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = 10 * time.Second
 	}
 	if cfg.DrainTimeout == 0 {
 		cfg.DrainTimeout = 5 * time.Second
@@ -254,7 +249,7 @@ func (cc *clientConn) redialLocked(ctx *core.Context) error {
 			lastErr = err
 			continue
 		}
-		fc := sio.NewFrameConn(nc, sio.MaxFrame, c.cfg.WriteTimeout)
+		fc := sio.NewFrameConn(nc, sio.MaxFrame, 0)
 		// The HELLO reply (request id 0, which register never hands out)
 		// is routed to its call by the reader itself: the pending table
 		// is behind cc.mu, held here until the connection is installed.

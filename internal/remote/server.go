@@ -17,9 +17,6 @@ import (
 
 // ServerConfig parameterizes the fabric server.
 type ServerConfig struct {
-	// WriteTimeout bounds one response write so a stalled client cannot
-	// wedge a VP (default 10s).
-	WriteTimeout time.Duration
 	// Registry supplies the named spaces; nil creates a fresh registry of
 	// hash spaces.
 	Registry *tspace.Registry
@@ -67,9 +64,6 @@ type Server struct {
 // request threads; pick them as you would for any workload (a worker-farm
 // global FIFO suits uniform request streams).
 func NewServer(vm *core.VM, cfg ServerConfig) *Server {
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = 10 * time.Second
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = tspace.NewRegistry(tspace.KindHash, tspace.Config{})
 	}
@@ -203,7 +197,7 @@ func (s *Server) Shutdown() {
 func (s *Server) addConn(c net.Conn) {
 	sc := &serverConn{
 		s:      s,
-		fc:     sio.NewFrameConn(c, sio.MaxFrame, s.cfg.WriteTimeout),
+		fc:     sio.NewFrameConn(c, sio.MaxFrame, 0),
 		tokens: make(map[uint32]parkedToken),
 	}
 	s.mu.Lock()

@@ -1,6 +1,7 @@
 package sio
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -115,39 +116,18 @@ func (fc *FrameConn) BytesIn() uint64 { return fc.bytesIn.Load() }
 func (fc *FrameConn) BytesOut() uint64 { return fc.bytesOut.Load() }
 
 // Start launches the reader goroutine: cb receives each inbound frame,
-// then exactly one terminal error (io.EOF on orderly close). The frame
-// slice is freshly allocated per message and may be retained.
+// then exactly one terminal error (io.EOF on orderly close). Each frame is
+// a fresh copy and may be retained.
 func (fc *FrameConn) Start(cb FrameCallback) {
-	go func() {
-		var hdr [4]byte
-		for {
-			if _, err := io.ReadFull(fc.c, hdr[:]); err != nil {
-				cb(nil, readErr(err))
-				return
-			}
-			n := binary.BigEndian.Uint32(hdr[:])
-			if n > fc.maxFrame {
-				cb(nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, fc.maxFrame))
-				fc.Close()
-				return
-			}
-			buf := make([]byte, n)
-			if _, err := io.ReadFull(fc.c, buf); err != nil {
-				cb(nil, readErr(err))
-				return
-			}
-			fc.bytesIn.Add(uint64(n) + 4)
-			cb(buf, nil)
-		}
-	}()
+	fc.StartPooled(func(frame []byte, err error) { cb(bytes.Clone(frame), err) })
 }
 
-// StartPooled is Start with recycled frame storage: each inbound frame is
-// read into a pooled buffer which is returned to the pool as soon as cb
-// returns. The callback must therefore treat the frame as borrowed —
-// decode it, deep-copying anything retained — unlike Start, whose frames
-// may be kept forever. This removes the per-frame allocation on the
-// receive path.
+// StartPooled launches the reader goroutine with recycled frame storage:
+// each inbound frame is read into a pooled buffer which is returned to the
+// pool as soon as cb returns. The callback must therefore treat the frame
+// as borrowed — decode it, deep-copying anything retained — unlike Start,
+// whose frames may be kept forever. This removes the per-frame allocation
+// on the receive path.
 func (fc *FrameConn) StartPooled(cb FrameCallback) {
 	go func() {
 		var hdr [4]byte
@@ -188,33 +168,21 @@ func readErr(err error) error {
 	return err
 }
 
-// WriteFrame writes one length-prefixed frame. Concurrent writers are
-// serialized; each write carries the configured deadline.
+// WriteFrame writes one length-prefixed frame: the payload is copied
+// behind a prefix in a pooled buffer and sent by WriteFramePrefixed.
 func (fc *FrameConn) WriteFrame(payload []byte) error {
-	if uint32(len(payload)) > fc.maxFrame {
-		return fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, len(payload), fc.maxFrame)
-	}
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[4:], payload)
-	fc.wmu.Lock()
-	defer fc.wmu.Unlock()
-	if fc.closed.Load() {
-		return net.ErrClosed
-	}
-	if err := fc.c.SetWriteDeadline(time.Now().Add(fc.writeTO)); err == nil {
-		defer fc.c.SetWriteDeadline(time.Time{}) //nolint:errcheck
-	}
-	n, err := fc.c.Write(buf)
-	fc.bytesOut.Add(uint64(n))
+	buf := append(append(GetBuf(), 0, 0, 0, 0), payload...)
+	err := fc.WriteFramePrefixed(buf)
+	PutBuf(buf)
 	return err
 }
 
 // WriteFramePrefixed writes one frame whose length header is filled in
 // place: buf must start with PrefixLen reserved bytes followed by the
 // payload (the GetBuf + append idiom). Unlike WriteFrame there is no
-// header copy — the buffer goes to the socket in a single Write. The
-// caller still owns buf afterwards and may PutBuf it.
+// copy of the payload — the buffer goes to the socket in a single Write.
+// Concurrent writers are serialized; each write carries the configured
+// deadline. The caller still owns buf afterwards and may PutBuf it.
 func (fc *FrameConn) WriteFramePrefixed(buf []byte) error {
 	if len(buf) < PrefixLen {
 		return fmt.Errorf("%w: %d-byte buffer lacks prefix", ErrFrameTooLarge, len(buf))

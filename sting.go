@@ -236,7 +236,7 @@ var (
 
 // Sharded tuple-space cluster (internal/cluster): one logical space
 // rendezvous-hashed across many stingd shards, with wildcard fan-out,
-// health-checked failover, and server-side misroute redirects.
+// health-checked exclusion, and server-side misroute redirects.
 type (
 	// ClusterMembership is the immutable shard map (ids, addrs, weights).
 	ClusterMembership = cluster.Membership
